@@ -1,7 +1,7 @@
 """Command-line front end: configuration, orchestration, caching, emission.
 
 Every run is a pure function of its configuration document plus flags; output
-files are byte-identical across reruns and worker counts. Exit codes:
+files are byte-identical across reruns. Exit codes:
 0 success, 1 malformed config, 2 validation/diagnostic failure, 3 budget
 exceeded. Errors and timings are emitted as JSON records on stderr; output
 files never contain wall-clock data.
@@ -69,6 +69,10 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 BUDGET_ENV = "SAWPROJ_BUDGET"
+WORKERS_HELP = (
+    "accepted for compatibility; the image engine runs in one thread, so "
+    "this changes neither results nor speed"
+)
 
 
 def _stderr_record(record: dict) -> None:
@@ -80,10 +84,15 @@ def _resolve_budget(args, config: dict) -> int:
         return args.budget
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
-        return int(env)
-    if "budget" in config:
-        return int(config["budget"])
-    return DEFAULT_PIECE_BUDGET
+        source, value = BUDGET_ENV, env
+    elif "budget" in config:
+        source, value = "config key 'budget'", config["budget"]
+    else:
+        return DEFAULT_PIECE_BUDGET
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
 
 
 def _load(args) -> tuple[dict, object, Optional[object]]:
@@ -117,15 +126,17 @@ class _Cache:
         return content_hash(payload)
 
     def get(self, key: str) -> Optional[dict]:
+        """The cached record, or None on a miss; an unreadable entry is a miss."""
         if not self.enabled:
             return None
-        path = self.dir / f"{key}.json"
-        if not path.exists():
+        try:
+            stored = json.loads((self.dir / f"{key}.json").read_text(encoding="utf-8"))
+        except (OSError, ValueError):
             return None
-        stored = json.loads(path.read_text(encoding="utf-8"))
-        if stored.get("schema_version") != SCHEMA_VERSION:
+        if not isinstance(stored, dict) or stored.get("schema_version") != SCHEMA_VERSION:
             return None
-        return stored["record"]
+        record = stored.get("record")
+        return record if isinstance(record, dict) else None
 
     def put(self, key: str, record: dict) -> None:
         if not self.enabled:
@@ -136,7 +147,11 @@ class _Cache:
             sort_keys=True,
             separators=(",", ":"),
         )
-        (self.dir / f"{key}.json").write_text(blob, encoding="utf-8")
+        # a reader sees the old entry or the whole new one, never a torn write
+        path = self.dir / f"{key}.json"
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(blob, encoding="utf-8")
+        os.replace(tmp, path)
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -222,9 +237,7 @@ def cmd_measure(args) -> int:
     )
     record = cache.get(key)
     if record is None:
-        bracket = projection_bracket(
-            params, functional, level, workers=args.workers, piece_budget=budget
-        )
+        bracket = projection_bracket(params, functional, level, piece_budget=budget)
         record = finalize_record(_bracket_record(functional, bracket))
         cache.put(key, record)
     write_jsonl([record], out / "measure.jsonl")
@@ -274,8 +287,7 @@ def cmd_scan(args) -> int:
         record = cache.get(key)
         if record is None:
             bracket = directional_measure(
-                params, functional, (p, q), level,
-                workers=args.workers, piece_budget=budget,
+                params, functional, (p, q), level, piece_budget=budget
             )
             record = _bracket_record(functional, bracket)
             record.update(
@@ -542,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="certified projection-measure bracket")
     common(p)
     p.add_argument("--level", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--budget", type=int)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--pieces", action="store_true", help="also export the piece table CSV")
@@ -553,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int)
     p.add_argument("--circle", type=int, default=64, help="built-in direction count")
     p.add_argument("--directions", help='explicit list "p,q;p,q;..."')
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--budget", type=int)
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=cmd_scan)

@@ -10,11 +10,10 @@ A scalar projection truncated at level N,
 
     h(t) = c_0 * t + sum_{1 <= n <= N} c_n * f_n(t),
 
-is affine on each of the 2 M_N half-cells of level N. Piece enumeration is
-lazy and evaluates closed forms at cell endpoints; on the half-grid every
-component value is an integer multiple of 1/(4 M_N), so the enumeration runs
-on plain integers over a common denominator (an incremental mode using jump
-corrections exists as an optimization and is gated by an equality test).
+is affine on each of the 2 M_N half-cells of level N. On the half-grid every
+component value is an integer multiple of 1/(4 M_N), so ``PLFunction.kernel``
+encodes the piece table as integers over one common denominator; piece
+enumeration is lazy and evaluates the closed form at each cell endpoint.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, DomainError
 from .params import ParameterSet
@@ -150,6 +149,22 @@ def ensemble_evaluate(
     return truncated_point(params, level, t).scaled(weights[j - 1])
 
 
+class Kernel(NamedTuple):
+    """Common-denominator integer view of the piece table.
+
+    For piece j: left value = nums(j)[0]/denom, right limit = nums(j)[1]/denom,
+    slope = slope_num(j)/q_lcm, and the downward jump at breakpoint j is
+    jump_num(j)/denom. coeffs[n] = c_n * q_lcm are integers and
+    denom = 4 M_N q_lcm.
+    """
+
+    denom: int
+    coeffs: tuple[int, ...]
+    nums: Callable[[int], tuple[int, int]]
+    slope_num: Callable[[int], int]
+    jump_num: Callable[[int], int]
+
+
 @dataclass(frozen=True)
 class PLPiece:
     index: int
@@ -170,7 +185,7 @@ class PLFunction:
         self.functional = functional
         self.level = level
         self.coeffs = functional.coeffs(level)
-        self._kernel: Optional[tuple] = None
+        self._kernel: Kernel | None = None
 
     @property
     def piece_count(self) -> int:
@@ -214,7 +229,7 @@ class PLFunction:
         """Piece-table evaluation; must agree with value() exactly."""
         if not 0 <= t < 1:
             raise DomainError(f"t = {t} outside [0, 1)")
-        denom, nums, _, _ = self.kernel()
+        denom, _, nums, _, _ = self.kernel()
         j = int(t * self.piece_count)
         v, w = nums(j)
         slope = Fraction((w - v) * self.piece_count, denom)
@@ -222,25 +237,17 @@ class PLFunction:
 
     # -- integer kernel ----------------------------------------------------------
 
-    def kernel(self):
-        """Common-denominator integer view of the piece table.
-
-        Returns (denom, nums, slope_num, jump_num) where for piece j
-        left value = nums(j)[0]/denom, right limit = nums(j)[1]/denom,
-        slope = slope_num(j)/q_lcm, and the downward jump at breakpoint j
-        is jump_num(j)/denom.
-        """
+    def kernel(self) -> Kernel:
+        """The integer piece table; built once per PLFunction."""
         if self._kernel is None:
             size = self.params.grid_size(self.level)
-            pieces = 2 * size
             q_lcm = 1
             for c in self.coeffs:
                 q_lcm = q_lcm * c.denominator // gcd(q_lcm, c.denominator)
-            a = [int(c * q_lcm) for c in self.coeffs]
+            a = tuple(int(c * q_lcm) for c in self.coeffs)
             q_mods = [
                 2 * size // self.params.grid_size(n) for n in range(self.level + 1)
             ]  # index 0 unused
-            denom = 4 * size * q_lcm
 
             def nums(j: int) -> tuple[int, int]:
                 v = 2 * a[0] * j
@@ -271,41 +278,19 @@ class PLFunction:
                         total += a[n] * q
                 return total
 
-            self._kernel = (denom, nums, slope_num, jump_num, q_lcm, pieces)
-        denom, nums, slope_num, jump_num, q_lcm, pieces = self._kernel
-        return denom, nums, slope_num, jump_num
+            self._kernel = Kernel(4 * size * q_lcm, a, nums, slope_num, jump_num)
+        return self._kernel
 
-    def piece_value_ints(
-        self, start: int = 0, stop: Optional[int] = None, mode: str = "direct"
-    ) -> Iterator[tuple[int, int]]:
-        """(left value, right limit) integer numerators for pieces [start, stop).
+    def piece_value_ints(self) -> Iterator[tuple[int, int]]:
+        """(left value, right limit) integer numerators of every piece, in order."""
+        nums = self.kernel().nums
+        for j in range(self.piece_count):
+            yield nums(j)
 
-        mode "direct" evaluates each piece from the closed form; "incremental"
-        carries the previous right limit across the jump at each breakpoint.
-        Both must produce identical streams.
-        """
-        denom, nums, slope_num, jump_num = self.kernel()
-        if stop is None:
-            stop = self.piece_count
-        if mode == "direct":
-            for j in range(start, stop):
-                yield nums(j)
-        elif mode == "incremental":
-            if start >= stop:
-                return
-            v, w = nums(start)
-            yield v, w
-            for j in range(start + 1, stop):
-                v = w - jump_num(j)
-                w = v + 2 * slope_num(j)
-                yield v, w
-        else:
-            raise DomainError(f"unknown piece mode {mode!r}")
-
-    def pieces(self, mode: str = "direct") -> Iterator[PLPiece]:
-        denom, nums, slope_num, jump_num = self.kernel()
+    def pieces(self) -> Iterator[PLPiece]:
+        denom, _, _, _, jump_num = self.kernel()
         width = Fraction(1, self.piece_count)
-        for j, (v, w) in enumerate(self.piece_value_ints(mode=mode)):
+        for j, (v, w) in enumerate(self.piece_value_ints()):
             yield PLPiece(
                 index=j,
                 left=self.breakpoint(j),

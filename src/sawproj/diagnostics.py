@@ -51,6 +51,8 @@ def rand_fraction(rng: random.Random, bits: int = 48) -> Fraction:
 
 def rand_index(rng: random.Random, lo: int, hi: int) -> int:
     """Uniform integer in [lo, hi] via getrandbits rejection (platform-stable)."""
+    if hi < lo:
+        raise DomainError(f"empty index range [{lo}, {hi}]")
     span = hi - lo + 1
     bits = span.bit_length()
     while True:
@@ -268,11 +270,20 @@ def secant_witness(
 def sample_secant_witnesses(
     params: ParameterSet, n: int, samples: int, seed: int
 ) -> tuple[int, int]:
-    """(passed, total) over seeded eligible parameters near level-n boundaries."""
+    """(passed, total) over seeded eligible parameters near level-n boundaries.
+
+    Raises DomainError up front when no parameter can be eligible: with
+    m_n = 1 every level-n grid point lies on the coarser grid, and with
+    alpha_n = 0 no parameter is near enough to one.
+    """
     rng = spawn_rng(seed, n)
     size = params.grid_size(n)
     m_n = params.refinement_factor(n)
     alpha_n = params.alpha_term(n)
+    if m_n == 1 or alpha_n == 0:
+        raise DomainError(
+            f"no eligible secant parameter at level {n}: m_n = {m_n}, alpha_n = {alpha_n}"
+        )
     passed = total = 0
     while total < samples:
         k = rand_index(rng, 1, size - 1)

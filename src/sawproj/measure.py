@@ -3,7 +3,10 @@
 Each affine piece of a truncated projection maps onto the closed interval
 between its endpoint values; jump points are single points and contribute no
 measure. The image of the truncation is therefore a finite union of closed
-rational intervals, measured exactly.
+rational intervals, measured exactly. It is built from self-similar shapes
+rather than from the 2 M_N pieces: every component above level l is
+periodic across the level-l half-cells, so on each of them h_N is an offset
+plus a shape fixed by l, the slope there and the cell's parity.
 
 Brackets for the untruncated projection rest on the per-level stability
 chain: raising the level by one moves each of the 2 M_{k+1} piece images by
@@ -17,7 +20,6 @@ certified statement.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -135,60 +137,72 @@ def _merge_int_pairs(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
-def _chunk_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
-    chunks = max(1, min(chunks, total))
-    step = -(-total // chunks)
-    return [(i, min(i + step, total)) for i in range(0, total, step)]
+def _image_ints(pl: PLFunction) -> tuple[int, list[tuple[int, int]]]:
+    """(denom, merged integer numerator pairs) of the image of a truncation.
+
+    In numerators over the kernel's denom = 4 M_N q_lcm, the image of h_N on
+    a level-l half-cell, less its value at the cell's left end, is
+
+        Img(l, s, odd) = U_{i < m_{l+1}} ( 2 s i M_N/M_{l+1}
+                                           + Img(l+1, s + a_{l+1} p_i, p_i) ),
+        p_i = (odd * m_{l+1} + i) mod 2,
+
+    with slope numerator s, odd the parity of the half-cell's index and
+    Img(N, s, .) = hull{0, 2s}: sub-cell i is the right half of its level-(l+1)
+    cell exactly when p_i = 1, and every f_n with n > l vanishes at each
+    level-l half-cell's left end. The parity is folded to 0 unless m_{l+1} is
+    odd. Keys are collected top-down, then shapes are built bottom-up.
+    """
+    denom, a, _, _, _ = pl.kernel()
+    params, top = pl.params, pl.level
+    size = params.grid_size(top)
+    m = [0] + [params.refinement_factor(n) for n in range(1, top + 1)]
+
+    def key(slope: int, odd: int, level: int) -> tuple[int, int]:
+        return slope, (odd if level < top and m[level + 1] % 2 else 0)
+
+    def children(slope: int, odd: int, level: int):
+        """Child keys of the m_{level+1} sub-half-cells of a level-l half-cell."""
+        for i in range(m[level + 1]):
+            p = (odd * m[level + 1] + i) % 2
+            yield key(slope + a[level + 1] * p, p, level + 1)
+
+    keys = [{key(a[0], odd, 0) for odd in (0, 1)}]
+    for level in range(top):
+        keys.append({c for s, odd in keys[level] for c in children(s, odd, level)})
+
+    shapes = {k: [(min(0, 2 * k[0]), max(0, 2 * k[0]))] for k in keys[top]}
+    for level in range(top - 1, -1, -1):
+        step = 2 * size // params.grid_size(level + 1)
+        shapes = {
+            (s, odd): _stack([shapes[c] for c in children(s, odd, level)], s * step)
+            for s, odd in keys[level]
+        }
+    # the two level-0 half-cells; f_0 has slope 1 on both
+    halves = [shapes[key(a[0], odd, 0)] for odd in (0, 1)]
+    return denom, _stack(halves, 2 * a[0] * size)
+
+
+def _stack(shapes: list[list[tuple[int, int]]], step: int) -> list[tuple[int, int]]:
+    """Merged union of shapes[i] shifted by i * step."""
+    out: list[tuple[int, int]] = []
+    for i, shape in enumerate(shapes):
+        d = i * step
+        out.extend([(lo + d, hi + d) for lo, hi in shape])
+    return _merge_int_pairs(out)
 
 
 def image_measure(
-    pl: PLFunction,
-    *,
-    mode: str = "sorted",
-    workers: int = 1,
-    piece_mode: str = "direct",
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
+    pl: PLFunction, *, piece_budget: int = DEFAULT_PIECE_BUDGET
 ) -> tuple[IntervalUnion, Fraction]:
-    """Exact image (interval union) and Lebesgue measure of a truncation.
-
-    ``mode`` "sorted" collects all piece intervals and merges once;
-    "balanced" merges per index chunk and folds the partial unions. Both
-    produce the identical normalized union, as does any worker count.
-    """
+    """Exact image (interval union) and Lebesgue measure of a truncation."""
     if pl.piece_count > piece_budget:
         raise BudgetExceeded("pieces", pl.piece_count, piece_budget)
-    denom, _, _, _ = pl.kernel()
-
-    def run_chunk(rng: tuple[int, int]) -> list[tuple[int, int]]:
-        lo, hi = rng
-        pairs = [
-            (v, w) if v <= w else (w, v)
-            for v, w in pl.piece_value_ints(lo, hi, mode=piece_mode)
-        ]
-        return _merge_int_pairs(pairs)
-
-    if mode == "sorted":
-        chunk_count = workers
-    elif mode == "balanced":
-        chunk_count = max(workers, min(pl.piece_count, 64))
-    else:
-        raise DomainError(f"unknown merge mode {mode!r}")
-
-    ranges = _chunk_ranges(pl.piece_count, chunk_count)
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_chunk, ranges))
-    else:
-        partials = [run_chunk(r) for r in ranges]
-
-    flat: list[tuple[int, int]] = []
-    for part in partials:
-        flat.extend(part)
-    merged = _merge_int_pairs(flat)
+    denom, merged = _image_ints(pl)
     union = IntervalUnion(
         tuple((Fraction(lo, denom), Fraction(hi, denom)) for lo, hi in merged)
     )
-    return union, union.measure
+    return union, Fraction(sum(hi - lo for lo, hi in merged), denom)
 
 
 # -- certified brackets ---------------------------------------------------------
@@ -226,19 +240,23 @@ def projection_bracket(
     functional: Functional,
     level: int,
     *,
-    workers: int = 1,
     piece_budget: int = DEFAULT_PIECE_BUDGET,
 ) -> MeasureBracket:
     """Certified bracket [mu_N - 2 T_N, mu_N + 2 T_N] for the projection.
 
     The per-level stability chain |mu_{k+1} - mu_k| <= 2 |c_{k+1}| is checked
-    for every k < N and returned as part of the certificate.
+    for every k < N and returned as part of the certificate. The level, the
+    tail certificate and the level-N piece budget are checked before any
+    image is computed.
     """
+    if not 0 <= level <= params.n_max:
+        raise DomainError(f"level {level} outside [0, {params.n_max}]")
+    build_pl(params, functional, level, piece_budget=piece_budget)
     mus: list[Fraction] = []
     for k in range(level + 1):
         pl = build_pl(params, functional, k, piece_budget=piece_budget)
-        _, mu = image_measure(pl, workers=workers, piece_budget=piece_budget)
-        mus.append(mu)
+        denom, merged = _image_ints(pl)
+        mus.append(Fraction(sum(hi - lo for lo, hi in merged), denom))
     chain = tuple(
         ChainLink(k + 1, abs(mus[k + 1] - mus[k]), 2 * abs(functional.coeff(k + 1)))
         for k in range(level)
@@ -263,7 +281,6 @@ def directional_measure(
     direction: tuple[Fraction, Fraction],
     level: int,
     *,
-    workers: int = 1,
     piece_budget: int = DEFAULT_PIECE_BUDGET,
 ) -> MeasureBracket:
     """Bracket for the image of t |-> p*t + q*h(t) in a rational direction.
@@ -273,9 +290,7 @@ def directional_measure(
     """
     p, q = direction
     combined = functional.with_direction(Fraction(p), Fraction(q))
-    return projection_bracket(
-        params, combined, level, workers=workers, piece_budget=piece_budget
-    )
+    return projection_bracket(params, combined, level, piece_budget=piece_budget)
 
 
 # -- covering sums ----------------------------------------------------------------

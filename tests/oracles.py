@@ -67,3 +67,21 @@ def pl_image_oracle(params, functional, level: int):
     merged = pairwise_merge(intervals)
     measure = sum((hi - lo for lo, hi in merged), Fraction(0))
     return merged, measure
+
+
+def direct_image(pl):
+    """Image union and measure from the package's direct piece stream.
+
+    Every piece of ``pl.piece_value_ints()`` contributes the closed interval
+    between its endpoint numerators; the pairs are merged by one sort and a
+    linear sweep, independently of the shape engine behind image_measure.
+    """
+    denom = pl.kernel().denom
+    merged = []
+    for lo, hi in sorted((min(v, w), max(v, w)) for v, w in pl.piece_value_ints()):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    union = [(Fraction(lo, denom), Fraction(hi, denom)) for lo, hi in merged]
+    return union, sum((hi - lo for lo, hi in union), Fraction(0))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sawproj.cli import main
@@ -120,6 +122,51 @@ def test_budget_env_override(d1_config, tmp_path, monkeypatch):
         ["measure", "--config", str(d1_config), "--level", "4", "--out", str(tmp_path / "o")]
     )
     assert code == 3
+
+
+def _error_records(capsys) -> list[dict]:
+    lines = capsys.readouterr().err.splitlines()
+    return [r for r in map(json.loads, lines) if "error" in r]
+
+
+@pytest.mark.parametrize("level", ["-1", "9"])
+@pytest.mark.parametrize("command", ["measure", "scan"])
+def test_level_outside_range_exit_code(command, level, d1_config, tmp_path, capsys):
+    code = main(
+        [command, "--config", str(d1_config), "--level", level, "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    (record,) = _error_records(capsys)
+    assert record["error"] == "invalid" and record["exit_code"] == 2
+    assert f"level {level} outside [0, 8]" in record["message"]
+
+
+def test_bad_budget_value_is_config_error(d1_config, tmp_path, monkeypatch, capsys):
+    args = ["measure", "--config", str(d1_config), "--level", "1", "--out", str(tmp_path / "o")]
+    monkeypatch.setenv("SAWPROJ_BUDGET", "abc")
+    assert main(args) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and "SAWPROJ_BUDGET" in record["message"]
+    monkeypatch.delenv("SAWPROJ_BUDGET")
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text(D1_CONFIG + 'budget = "abc"\n')
+    assert main(["measure", "--config", str(cfg), "--level", "1", "--out", str(tmp_path / "o")]) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and "budget" in record["message"]
+
+
+def test_corrupt_cache_entry_is_a_miss(d1_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["measure", "--config", str(d1_config), "--level", "2", "--out", str(out)]
+    assert main(args) == 0
+    cold = (out / "measure.jsonl").read_bytes()
+    (entry,) = (out / ".cache").iterdir()
+    entry.write_text('{"schema_version": 1, "rec')
+    assert main(args) == 0
+    assert _error_records(capsys) == []
+    assert (out / "measure.jsonl").read_bytes() == cold
+    assert [p.name for p in (out / ".cache").iterdir()] == [entry.name]
+    assert json.loads(entry.read_text())["record"]["mu"] == read_jsonl(out / "measure.jsonl")[0]["mu"]
 
 
 def test_scan_single_axis_direction(d1_config, tmp_path):

@@ -95,16 +95,6 @@ def test_piece_evaluation_matches_direct_sum(d1, f1):
         assert pl.value_by_piece(t) == pl.value(t)
 
 
-def test_incremental_stream_equals_direct(d1, f1):
-    for level in (0, 1, 2, 3, 4):
-        pl = sp.build_pl(d1, f1, level)
-        assert list(pl.piece_value_ints(mode="incremental")) == list(
-            pl.piece_value_ints(mode="direct")
-        )
-    with pytest.raises(DomainError):
-        next(iter(sp.build_pl(d1, f1, 1).piece_value_ints(mode="sideways")))
-
-
 def test_right_continuity_at_breakpoints(d1, f1):
     pl = sp.build_pl(d1, f1, 2)
     for piece in pl.pieces():

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import sawproj as sp
 from sawproj.diagnostics import (
     curve_lipschitz_upper,
     rand_fraction,
+    rand_index,
     sample_event_union,
     sample_secant_witnesses,
     sample_slope_identities,
@@ -143,6 +146,44 @@ def test_secant_sampling_high_pass_rate(d1):
     passed, total = sample_secant_witnesses(d1, 5, 120, 1234)
     assert total == 120
     assert 10 * passed >= 9 * total
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail instead of hanging: SIGALRM raises TimeoutError after `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_rand_index_empty_range_raises():
+    with time_limit(5), pytest.raises(DomainError):
+        rand_index(spawn_rng(1), 3, 2)
+
+
+@pytest.mark.parametrize(
+    "m, alpha, n",
+    [
+        (sp.explicit_refinement([2, 1, 4]), [F(1, 4), F(1, 4), F(1, 8)], 2),  # m_n = 1
+        (sp.explicit_refinement([1, 4]), [F(1, 4), F(1, 8)], 1),  # M_n = 1
+        (sp.linear_refinement(2), [F(1, 4), F(0), F(1, 8)], 2),  # alpha_n = 0
+    ],
+    ids=["m_n-is-1", "M_n-is-1", "alpha_n-is-0"],
+)
+def test_secant_sampling_without_eligible_parameters_raises(m, alpha, n):
+    params = sp.ParameterSet(
+        alpha=sp.explicit(alpha, 0, 0), m=m, n_max=len(alpha), model="L2"
+    )
+    with time_limit(5), pytest.raises(DomainError):
+        sample_secant_witnesses(params, n, 10, 1)
 
 
 def test_slope_identity_example(d1):

@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sawproj as sp
+from sawproj.construction import DEFAULT_PIECE_BUDGET
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
 from sawproj.measure import IntervalUnion
 
-from oracles import pl_image_oracle
+from oracles import direct_image, pl_image_oracle
 
 F = Fraction
 
@@ -85,18 +88,49 @@ def test_image_measure_matches_oracle_small_cases(d1, f1):
         assert list(union.intervals) == o_union
 
 
-def test_merge_modes_and_workers_bit_identical(d1, f1):
-    pl = sp.build_pl(d1, f1, 4)
-    base_union, base_mu = sp.image_measure(pl)
-    for kwargs in (
-        dict(mode="balanced"),
-        dict(workers=4),
-        dict(mode="balanced", workers=3),
-        dict(piece_mode="incremental"),
-    ):
-        union, mu = sp.image_measure(sp.build_pl(d1, f1, 4), **kwargs)
-        assert union == base_union
-        assert mu == base_mu
+DIRECT_PIECE_LIMIT = 4096
+ORACLE_PIECE_LIMIT = 64
+
+
+@st.composite
+def truncations(draw):
+    """Explicit grid (factors 1..6, odd and 1 included), signed rational
+    coefficients and an optional rational direction, at a level whose piece
+    count direct enumeration handles quickly."""
+    factors = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    params = sp.ParameterSet(
+        alpha=sp.explicit([0] * len(factors), 0, 0),
+        m=sp.explicit_refinement(factors),
+        n_max=len(factors),
+        model="L2",
+    )
+    level = draw(st.integers(0, len(factors)))
+    while 2 * params.grid_size(level) > DIRECT_PIECE_LIMIT:
+        level -= 1
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    coeffs = draw(st.lists(rationals, min_size=level, max_size=level))
+    functional = sp.Functional(
+        alpha0=draw(rationals),
+        rule=sp.explicit([abs(c) for c in coeffs], 0, 0),
+        signs=tuple(-1 if c < 0 else 1 for c in coeffs),
+    )
+    p, q = draw(rationals), draw(rationals)
+    if p or q:
+        functional = functional.with_direction(p, q)
+    return params, functional, level
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(truncations())
+def test_image_engine_equals_direct_enumeration(case):
+    params, functional, level = case
+    pl = sp.build_pl(params, functional, level)
+    union, mu = sp.image_measure(pl)
+    d_union, d_mu = direct_image(pl)
+    assert list(union.intervals) == d_union
+    assert mu == d_mu
+    if pl.piece_count <= ORACLE_PIECE_LIMIT:
+        assert (list(union.intervals), mu) == pl_image_oracle(params, functional, level)
 
 
 def test_projection_bracket_f1(d1, f1):
@@ -157,6 +191,28 @@ def test_negative_q_direction_matches_mirror(d1, f1):
     up = sp.directional_measure(d1, f1, (F(1), F(2)), 3)
     down = sp.directional_measure(d1, f1, (F(-1), F(-2)), 3)
     assert up.mu == down.mu  # images are reflections of each other
+
+
+def test_bracket_checks_level_and_budget_first(d1, f1, monkeypatch):
+    def no_image(self):
+        raise AssertionError("an image was computed before the checks")
+
+    monkeypatch.setattr(sp.PLFunction, "kernel", no_image)
+    for level in (-1, 9):
+        with pytest.raises(DomainError):
+            sp.projection_bracket(d1, f1, level)
+    with pytest.raises(BudgetExceeded) as err:
+        sp.projection_bracket(d1, f1, 8, piece_budget=2 * d1.grid_size(8) - 1)
+    assert err.value.count == 2 * d1.grid_size(8)
+
+
+def test_bracket_beyond_default_budget(f1):
+    # 2 M_10 = 7.4e9 pieces: every chain level runs under the caller's budget
+    deep = sp.harmonic_l2_preset(n_max=10)
+    bracket = sp.projection_bracket(deep, f1, 10, piece_budget=2**33)
+    assert bracket.piece_count == 2 * deep.grid_size(10) > DEFAULT_PIECE_BUDGET
+    assert len(bracket.mu_levels) == 11 and bracket.chain_holds
+    assert 0 < bracket.lower < bracket.upper
 
 
 def test_image_budget(d1, f1):
