@@ -153,15 +153,13 @@ class Kernel(NamedTuple):
     """Common-denominator integer view of the piece table.
 
     For piece j: left value = nums(j)[0]/denom, right limit = nums(j)[1]/denom,
-    slope = slope_num(j)/q_lcm, and the downward jump at breakpoint j is
-    jump_num(j)/denom. coeffs[n] = c_n * q_lcm are integers and
-    denom = 4 M_N q_lcm.
+    and the downward jump at breakpoint j is jump_num(j)/denom.
+    coeffs[n] = c_n * q_lcm are integers and denom = 4 M_N q_lcm.
     """
 
     denom: int
     coeffs: tuple[int, ...]
     nums: Callable[[int], tuple[int, int]]
-    slope_num: Callable[[int], int]
     jump_num: Callable[[int], int]
 
 
@@ -229,7 +227,7 @@ class PLFunction:
         """Piece-table evaluation; must agree with value() exactly."""
         if not 0 <= t < 1:
             raise DomainError(f"t = {t} outside [0, 1)")
-        denom, _, nums, _, _ = self.kernel()
+        denom, _, nums, _ = self.kernel()
         j = int(t * self.piece_count)
         v, w = nums(j)
         slope = Fraction((w - v) * self.piece_count, denom)
@@ -260,14 +258,6 @@ class PLFunction:
                         s += a[n]
                 return v, v + 2 * s
 
-            def slope_num(j: int) -> int:
-                s = a[0]
-                for n in range(1, len(a)):
-                    q = q_mods[n]
-                    if 2 * (j % q) >= q:
-                        s += a[n]
-                return s
-
             def jump_num(j: int) -> int:
                 if j == 0:
                     return 0
@@ -278,7 +268,7 @@ class PLFunction:
                         total += a[n] * q
                 return total
 
-            self._kernel = Kernel(4 * size * q_lcm, a, nums, slope_num, jump_num)
+            self._kernel = Kernel(4 * size * q_lcm, a, nums, jump_num)
         return self._kernel
 
     def piece_value_ints(self) -> Iterator[tuple[int, int]]:
@@ -288,7 +278,7 @@ class PLFunction:
             yield nums(j)
 
     def pieces(self) -> Iterator[PLPiece]:
-        denom, _, _, _, jump_num = self.kernel()
+        denom, _, _, jump_num = self.kernel()
         width = Fraction(1, self.piece_count)
         for j, (v, w) in enumerate(self.piece_value_ints()):
             yield PLPiece(

@@ -81,13 +81,14 @@ def event_set(params: ParameterSet, n: int) -> EventSet:
     alpha = params.alpha_term(n)
     if 2 * alpha > 1:
         raise DomainError(f"2 alpha_{n} = {2 * alpha} exceeds 1")
-    coarse = params.grid_size(n - 1)
-    radius = alpha / coarse
-    items = []
-    for k in range(coarse + 1):
-        center = Fraction(k, coarse)
-        items.append((max(Fraction(0), center - radius), min(Fraction(1), center + radius)))
-    return EventSet(n, IntervalUnion.from_intervals(items))
+    # numerators over M_{n-1} den(alpha_n): centers k/M_{n-1}, radius alpha_n/M_{n-1}
+    step, radius = alpha.denominator, alpha.numerator
+    denom = params.grid_size(n - 1) * step
+    pairs = [
+        (max(0, center - radius), min(denom, center + radius))
+        for center in range(0, denom + 1, step)
+    ]
+    return EventSet(n, IntervalUnion.from_pairs(denom, pairs))
 
 
 def event_contains(params: ParameterSet, n: int, t: Fraction) -> bool:
@@ -432,40 +433,37 @@ def projection_witness(
         raise DomainError("functional weights must lie in the unit dual ball")
     if lipschitz < 1:
         raise DomainError("a bi-Lipschitz enclosure is at least 1")
-    if not a.intervals:
+    d, pairs = a.denom, a.pairs
+    if not pairs:
         return None
-    if a.intervals[0][0] < 0 or a.intervals[-1][1] > 1:
+    if pairs[0][0] < 0 or pairs[-1][1] > d:
         raise DomainError("A must be a subset of [0, 1]")
 
-    endpoints: list[Fraction] = []
-    for lo, hi in a.intervals:
-        endpoints.append(lo)
-        endpoints.append(hi)
+    # covered[i] = |A n (-inf, ends[i]]| over d; ends[k-1:k+1] is a component for odd k
+    ends = [e for pair in pairs for e in pair]
+    covered = [0]
+    for k in range(1, len(ends)):
+        covered.append(covered[-1] + (ends[k] - ends[k - 1] if k % 2 else 0))
+    points = [evaluator.value(Fraction(e, d)) for e in ends]
     density = 1 - Fraction(1, 2 * lipschitz**2)
 
     best: Optional[ProjectionWitness] = None
-    for i, s1 in enumerate(endpoints):
-        for s2 in endpoints[i + 1:]:
-            if s2 <= s1:
+    for i, e1 in enumerate(ends):
+        for j in range(i + 1, len(ends)):
+            span, inside = ends[j] - e1, covered[j] - covered[i]
+            if span <= 0 or inside < density * span:
                 continue
-            span = s2 - s1
-            inside = a.intersect(
-                IntervalUnion.from_intervals([(s1, s2)])
-            ).measure
-            if inside < density * span:
-                continue
-            p1 = evaluator.value(s1)
-            p2 = evaluator.value(s2)
-            chord = tuple(y - x for x, y in zip(p1, p2))
+            chord = tuple(y - x for x, y in zip(points[i], points[j]))
             chord_norm = sum((abs(c) for c in chord), Fraction(0))
-            seen = abs(
-                sum((w * c for w, c in zip(weights, chord)), Fraction(0))
-            )
+            seen = abs(sum((w * c for w, c in zip(weights, chord)), Fraction(0)))
             if 2 * seen <= chord_norm:
                 continue
-            bound = chord_norm / 2 - lipschitz * (span - inside)
+            gap = Fraction(span - inside, d)
+            bound = chord_norm / 2 - lipschitz * gap
             if best is None or bound > best.bound:
-                best = ProjectionWitness(s1, s2, chord_norm, span - inside, bound)
+                best = ProjectionWitness(
+                    Fraction(e1, d), Fraction(ends[j], d), chord_norm, gap, bound
+                )
     return best
 
 

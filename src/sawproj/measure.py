@@ -20,9 +20,13 @@ certified statement.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import partial
+from math import lcm
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .construction import (
     DEFAULT_PIECE_BUDGET,
@@ -39,15 +43,18 @@ from .sequences import Functional
 DEFAULT_COMPONENT_BUDGET = 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalUnion:
-    """Sorted union of disjoint closed rational intervals.
+    """Sorted union of disjoint closed intervals [lo/denom, hi/denom].
 
-    Touching intervals are merged on construction; degenerate single points
-    are kept (they carry zero measure but matter to erosion outputs).
+    One common denominator for all integer pairs; Fractions appear only in
+    ``from_intervals``, ``intervals`` and ``measure``. Touching intervals are
+    merged on construction; degenerate single points are kept (they carry
+    zero measure but matter to erosion outputs). Equality compares sets.
     """
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    denom: int
+    pairs: tuple[tuple[int, int], ...]
 
     @staticmethod
     def from_intervals(items: Iterable[tuple[Fraction, Fraction]]) -> "IntervalUnion":
@@ -56,40 +63,66 @@ class IntervalUnion:
             if lo > hi:
                 raise DomainError(f"interval [{lo}, {hi}] is reversed")
             cleaned.append((Fraction(lo), Fraction(hi)))
-        cleaned.sort()
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in cleaned:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        return IntervalUnion(tuple(merged))
+        denom = lcm(*(x.denominator for pair in cleaned for x in pair))
+        return IntervalUnion.from_pairs(
+            denom, [(int(lo * denom), int(hi * denom)) for lo, hi in cleaned]
+        )
 
     @staticmethod
-    def empty() -> "IntervalUnion":
-        return IntervalUnion(())
+    def from_pairs(denom: int, pairs: list[tuple[int, int]]) -> "IntervalUnion":
+        """Union of [lo/denom, hi/denom] over integer pairs with lo <= hi: the one
+        merge sweep. Sorts ``pairs`` in place; a pair that stays whole is kept
+        as the same tuple object."""
+        pairs.sort()
+        merged: list[tuple[int, int]] = []
+        for pair in pairs:
+            if merged and pair[0] <= merged[-1][1]:
+                if pair[1] > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], pair[1])
+            else:
+                merged.append(pair)
+        return IntervalUnion(denom, tuple(merged))
+
+    def _scaled(self, denom: int) -> Sequence[tuple[int, int]]:
+        """The pairs as numerators over denom, a multiple of self.denom."""
+        k = denom // self.denom
+        return self.pairs if k == 1 else [(lo * k, hi * k) for lo, hi in self.pairs]
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        d = self.denom
+        return tuple((Fraction(lo, d), Fraction(hi, d)) for lo, hi in self.pairs)
 
     @property
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+        return Fraction(sum(hi - lo for lo, hi in self.pairs), self.denom)
 
     @property
     def component_count(self) -> int:
-        return len(self.intervals)
+        return len(self.pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntervalUnion):
+            return NotImplemented
+        d, e = self.denom, other.denom
+        return len(self.pairs) == len(other.pairs) and all(
+            lo * e == olo * d and hi * e == ohi * d
+            for (lo, hi), (olo, ohi) in zip(self.pairs, other.pairs)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.intervals)
 
     def contains(self, x: Fraction) -> bool:
-        from bisect import bisect_right
-
-        i = bisect_right(self.intervals, (Fraction(x),))
-        if i < len(self.intervals) and self.intervals[i][0] == x:
-            return True
-        return i > 0 and self.intervals[i - 1][0] <= x <= self.intervals[i - 1][1]
+        x = Fraction(x) * self.denom
+        i = bisect_right(self.pairs, x, key=itemgetter(0))
+        return i > 0 and x <= self.pairs[i - 1][1]
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
+        denom = lcm(self.denom, other.denom)
+        a, b = self._scaled(denom), other._scaled(denom)
         out = []
         i = j = 0
-        a, b = self.intervals, other.intervals
         while i < len(a) and j < len(b):
             lo = max(a[i][0], b[j][0])
             hi = min(a[i][1], b[j][1])
@@ -99,17 +132,21 @@ class IntervalUnion:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion.from_intervals(out)
+        # pieces from distinct components never touch, so out needs no merge
+        return IntervalUnion(denom, tuple(out))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.from_intervals(self.intervals + other.intervals)
+        denom = lcm(self.denom, other.denom)
+        return IntervalUnion.from_pairs(denom, [*self._scaled(denom), *other._scaled(denom)])
 
 
 def dilate(u: IntervalUnion, r: Fraction) -> IntervalUnion:
     """Minkowski dilation by the closed interval [-r, r]."""
     if r < 0:
         raise DomainError("dilation radius must be nonnegative")
-    return IntervalUnion.from_intervals((lo - r, hi + r) for lo, hi in u.intervals)
+    denom = lcm(u.denom, Fraction(r).denominator)
+    d = int(r * denom)
+    return IntervalUnion.from_pairs(denom, [(lo - d, hi + d) for lo, hi in u._scaled(denom)])
 
 
 def erode(u: IntervalUnion, r: Fraction) -> IntervalUnion:
@@ -117,28 +154,18 @@ def erode(u: IntervalUnion, r: Fraction) -> IntervalUnion:
     components survive as single points."""
     if r < 0:
         raise DomainError("erosion radius must be nonnegative")
-    return IntervalUnion.from_intervals(
-        (lo + r, hi - r) for lo, hi in u.intervals if hi - lo >= 2 * r
+    denom = lcm(u.denom, Fraction(r).denominator)
+    d = int(r * denom)
+    return IntervalUnion.from_pairs(
+        denom, [(lo + d, hi - d) for lo, hi in u._scaled(denom) if hi - lo >= 2 * d]
     )
 
 
 # -- image measure ----------------------------------------------------------------
 
 
-def _merge_int_pairs(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    pairs.sort()
-    merged: list[tuple[int, int]] = []
-    for lo, hi in pairs:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def _image_ints(pl: PLFunction) -> tuple[int, list[tuple[int, int]]]:
-    """(denom, merged integer numerator pairs) of the image of a truncation.
+def _image_ints(pl: PLFunction) -> IntervalUnion:
+    """The image of a truncation, over the kernel's denominator.
 
     In numerators over the kernel's denom = 4 M_N q_lcm, the image of h_N on
     a level-l half-cell, less its value at the cell's left end, is
@@ -153,7 +180,7 @@ def _image_ints(pl: PLFunction) -> tuple[int, list[tuple[int, int]]]:
     level-l half-cell's left end. The parity is folded to 0 unless m_{l+1} is
     odd. Keys are collected top-down, then shapes are built bottom-up.
     """
-    denom, a, _, _, _ = pl.kernel()
+    denom, a, _, _ = pl.kernel()
     params, top = pl.params, pl.level
     size = params.grid_size(top)
     m = [0] + [params.refinement_factor(n) for n in range(1, top + 1)]
@@ -171,7 +198,9 @@ def _image_ints(pl: PLFunction) -> tuple[int, list[tuple[int, int]]]:
     for level in range(top):
         keys.append({c for s, odd in keys[level] for c in children(s, odd, level)})
 
-    shapes = {k: [(min(0, 2 * k[0]), max(0, 2 * k[0]))] for k in keys[top]}
+    shapes = {
+        k: IntervalUnion(denom, ((min(0, 2 * k[0]), max(0, 2 * k[0])),)) for k in keys[top]
+    }
     for level in range(top - 1, -1, -1):
         step = 2 * size // params.grid_size(level + 1)
         shapes = {
@@ -180,16 +209,16 @@ def _image_ints(pl: PLFunction) -> tuple[int, list[tuple[int, int]]]:
         }
     # the two level-0 half-cells; f_0 has slope 1 on both
     halves = [shapes[key(a[0], odd, 0)] for odd in (0, 1)]
-    return denom, _stack(halves, 2 * a[0] * size)
+    return _stack(halves, 2 * a[0] * size)
 
 
-def _stack(shapes: list[list[tuple[int, int]]], step: int) -> list[tuple[int, int]]:
-    """Merged union of shapes[i] shifted by i * step."""
+def _stack(shapes: list[IntervalUnion], step: int) -> IntervalUnion:
+    """Union of shapes[i] shifted by i * step; all share one denominator."""
     out: list[tuple[int, int]] = []
     for i, shape in enumerate(shapes):
         d = i * step
-        out.extend([(lo + d, hi + d) for lo, hi in shape])
-    return _merge_int_pairs(out)
+        out.extend([(lo + d, hi + d) for lo, hi in shape.pairs])
+    return IntervalUnion.from_pairs(shapes[0].denom, out)
 
 
 def image_measure(
@@ -198,11 +227,8 @@ def image_measure(
     """Exact image (interval union) and Lebesgue measure of a truncation."""
     if pl.piece_count > piece_budget:
         raise BudgetExceeded("pieces", pl.piece_count, piece_budget)
-    denom, merged = _image_ints(pl)
-    union = IntervalUnion(
-        tuple((Fraction(lo, denom), Fraction(hi, denom)) for lo, hi in merged)
-    )
-    return union, Fraction(sum(hi - lo for lo, hi in merged), denom)
+    union = _image_ints(pl)
+    return union, union.measure
 
 
 # -- certified brackets ---------------------------------------------------------
@@ -255,8 +281,7 @@ def projection_bracket(
     mus: list[Fraction] = []
     for k in range(level + 1):
         pl = build_pl(params, functional, k, piece_budget=piece_budget)
-        denom, merged = _image_ints(pl)
-        mus.append(Fraction(sum(hi - lo for lo, hi in merged), denom))
+        mus.append(_image_ints(pl).measure)
     chain = tuple(
         ChainLink(k + 1, abs(mus[k + 1] - mus[k]), 2 * abs(functional.coeff(k + 1)))
         for k in range(level)
@@ -332,43 +357,30 @@ def hausdorff_upper(
     if size > cell_budget:
         raise BudgetExceeded("cells", size, cell_budget)
 
+    # per cell: squares under a root (L2) or a plain sum (L1)
+    if params.model == "L2":
+        combine, tail = (lambda x: x * x), params.point_tail_l2sq_upper(N)
+        cell_norm = partial(sqrt_upper, bits=params.sqrt_bits)
+        norm_hi = cell_norm(params.box_norm_sq_enclosure()[1])
+    else:
+        combine = cell_norm = lambda x: x
+        tail = params.point_tail_l1_upper(N)
+        norm_hi = params.box_norm_enclosure()[1]
     alphas = [params.alpha_term(k) for k in range(N + 1)]
     # constant per-cell contribution of the fully-periodic levels n < k <= N
-    if params.model == "L2":
-        periodic_sq = sum(
-            (
-                (alphas[k] / (2 * params.grid_size(k))) ** 2
-                for k in range(n + 1, N + 1)
-            ),
-            Fraction(0),
-        )
-        tail_sq = params.point_tail_l2sq_upper(N)
-        total = Fraction(0)
-        for idx in range(size):
-            a = Fraction(idx, size)
-            b = Fraction(idx + 1, size)
-            cell_sq = periodic_sq + tail_sq
-            for k in range(n + 1):
-                osc = _component_left_limit(params, k, b) - _component(params, k, a)
-                cell_sq += (alphas[k] * osc) ** 2
-            total += sqrt_upper(cell_sq, params.sqrt_bits)
-        norm_hi = sqrt_upper(params.box_norm_sq_enclosure()[1], params.sqrt_bits)
-    else:
-        periodic = sum(
-            (alphas[k] / (2 * params.grid_size(k)) for k in range(n + 1, N + 1)),
-            Fraction(0),
-        )
-        tail = params.point_tail_l1_upper(N)
-        total = Fraction(0)
-        for idx in range(size):
-            a = Fraction(idx, size)
-            b = Fraction(idx + 1, size)
-            cell = periodic + tail
-            for k in range(n + 1):
-                osc = _component_left_limit(params, k, b) - _component(params, k, a)
-                cell += alphas[k] * osc
-            total += cell
-        norm_hi = params.box_norm_enclosure()[1]
+    periodic = sum(
+        (combine(alphas[k] / (2 * params.grid_size(k))) for k in range(n + 1, N + 1)),
+        Fraction(0),
+    )
+    total = Fraction(0)
+    for idx in range(size):
+        a = Fraction(idx, size)
+        b = Fraction(idx + 1, size)
+        cell = periodic + tail
+        for k in range(n + 1):
+            osc = _component_left_limit(params, k, b) - _component(params, k, a)
+            cell += combine(alphas[k] * osc)
+        total += cell_norm(cell)
 
     return CoveringReport(
         grid_level=n,

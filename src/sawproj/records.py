@@ -66,7 +66,11 @@ def emit_config_text(doc: dict) -> str:
         if isinstance(value, int):
             lines.append(f"{key} = {value}")
         elif isinstance(value, str):
-            lines.append(f'{key} = "{value}"')
+            line = f'{key} = "{value}"'
+            # no escapes: text after a line break would read as another key
+            if line.splitlines() != [line]:
+                raise ConfigError(f"config value for {key!r} contains a line break")
+            lines.append(line)
         elif isinstance(value, Fraction):
             lines.append(f'{key} = "{format_rational(value)}"')
         else:
@@ -136,33 +140,27 @@ def functional_from_config(doc: dict) -> Functional:
     return Functional(alpha0=alpha0, rule=rule, sign=sign, signs=signs, name=name)
 
 
-def params_to_config(params: ParameterSet) -> dict:
-    doc: dict = {}
-    for key, value in params.doc().items():
+def _flat_config(doc: dict, prefix: str = "") -> dict:
+    """Config values for a doc(): rationals as "p/q", lists comma-joined."""
+    out: dict = {}
+    for key, value in doc.items():
         if isinstance(value, Fraction):
-            doc[key] = format_rational(value)
+            out[prefix + key] = format_rational(value)
         elif isinstance(value, list):
-            doc[key] = ",".join(
+            out[prefix + key] = ",".join(
                 format_rational(v) if isinstance(v, Fraction) else str(v) for v in value
             )
         elif value is not None:
-            doc[key] = value
-    return doc
+            out[prefix + key] = value
+    return out
+
+
+def params_to_config(params: ParameterSet) -> dict:
+    return _flat_config(params.doc())
 
 
 def functional_to_config(functional: Functional) -> dict:
-    doc: dict = {}
-    for key, value in functional.doc().items():
-        out_key = f"functional.{key}"
-        if isinstance(value, Fraction):
-            doc[out_key] = format_rational(value)
-        elif isinstance(value, list):
-            doc[out_key] = ",".join(
-                format_rational(v) if isinstance(v, Fraction) else str(v) for v in value
-            )
-        elif value is not None:
-            doc[out_key] = value
-    return doc
+    return _flat_config(functional.doc(), "functional.")
 
 
 # -- records ------------------------------------------------------------------------

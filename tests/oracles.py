@@ -85,3 +85,36 @@ def direct_image(pl):
             merged.append([lo, hi])
     union = [(Fraction(lo, denom), Fraction(hi, denom)) for lo, hi in merged]
     return union, sum((hi - lo for lo, hi in union), Fraction(0))
+
+
+def projection_witness_oracle(evaluator, components, weights, lipschitz):
+    """Best chord over endpoint pairs of disjoint sorted components, or None.
+
+    Each pair's covered measure is found by clipping every component to the
+    pair's span, as in a per-pair intersection; returns the tuple
+    (s1, s2, chord_norm, gap_measure, bound) of the first pair with the
+    largest bound.
+    """
+    endpoints = [x for pair in components for x in pair]
+    density = 1 - Fraction(1, 2 * lipschitz**2)
+    best = None
+    for i, s1 in enumerate(endpoints):
+        for s2 in endpoints[i + 1:]:
+            if s2 <= s1:
+                continue
+            span = s2 - s1
+            inside = sum(
+                (max(Fraction(0), min(hi, s2) - max(lo, s1)) for lo, hi in components),
+                Fraction(0),
+            )
+            if inside < density * span:
+                continue
+            chord = [y - x for x, y in zip(evaluator.value(s1), evaluator.value(s2))]
+            norm = sum((abs(c) for c in chord), Fraction(0))
+            seen = abs(sum((w * c for w, c in zip(weights, chord)), Fraction(0)))
+            if 2 * seen <= norm:
+                continue
+            bound = norm / 2 - lipschitz * (span - inside)
+            if best is None or bound > best[-1]:
+                best = (s1, s2, norm, span - inside, bound)
+    return best

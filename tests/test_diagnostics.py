@@ -3,6 +3,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sawproj as sp
 from sawproj.diagnostics import (
@@ -17,6 +19,8 @@ from sawproj.diagnostics import (
 )
 from sawproj.errors import BudgetExceeded, DomainError
 from sawproj.measure import IntervalUnion
+
+from oracles import pairwise_merge, projection_witness_oracle
 
 F = Fraction
 
@@ -253,6 +257,30 @@ def test_projection_witness_validates_inputs(d2, r1):
         sp.projection_witness(
             ev, IntervalUnion.from_intervals([(F(0), F(3, 2))]), (F(1),), F(2)
         )
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=16)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(UNIT, UNIT).map(sorted).map(tuple), min_size=1, max_size=6),
+    st.integers(0, 1),
+    st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=8), min_size=2, max_size=2),
+    st.fractions(min_value=1, max_value=3, max_denominator=8),
+)
+@example(  # two chords tie for the best bound; the first one found is returned
+    raw=[(F(5, 8), F(7, 8)), (F(1, 4), F(1, 2))],
+    level=0,
+    weights=[F(1), F(1, 2)],
+    lipschitz=F(11, 4),
+)
+def test_projection_witness_matches_per_pair_oracle(d2, r1, raw, level, weights, lipschitz):
+    ev = sp.parametrize(sp.build_curve(d2, r1, level))
+    w = sp.projection_witness(ev, IntervalUnion.from_intervals(raw), weights, lipschitz)
+    expected = projection_witness_oracle(ev, pairwise_merge(raw), weights, lipschitz)
+    got = None if w is None else (w.s1, w.s2, w.chord_norm, w.gap_measure, w.bound)
+    assert got == expected
 
 
 def test_curve_lipschitz_upper_dominates_segment_speeds(d2, r1):

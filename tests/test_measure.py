@@ -10,7 +10,7 @@ from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
 from sawproj.measure import IntervalUnion
 
-from oracles import direct_image, pl_image_oracle
+from oracles import direct_image, pairwise_merge, pl_image_oracle
 
 F = Fraction
 
@@ -59,6 +59,45 @@ def test_dilate_erode_sanity_identity():
         r = rand_fraction(rng, 16) / 8
         lhs = sp.dilate(u, r).measure + sp.erode(u, r).measure
         assert lhs <= 2 * u.measure + 2 * r * u.component_count
+
+
+ENDPOINTS = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+RAW_INTERVALS = st.lists(
+    st.tuples(ENDPOINTS, ENDPOINTS).map(sorted).map(tuple), max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    RAW_INTERVALS,
+    RAW_INTERVALS,
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.lists(ENDPOINTS, max_size=6),
+    st.integers(2, 9),
+)
+def test_interval_union_matches_pairwise_merge(a, b, r, points, k):
+    u, v = IntervalUnion.from_intervals(a), IntervalUnion.from_intervals(b)
+    merged = pairwise_merge(a)
+    assert list(u.intervals) == merged
+    assert u.component_count == len(merged)
+    assert u.measure == sum((hi - lo for lo, hi in merged), F(0))
+    assert list(u.union(v).intervals) == pairwise_merge(a + b)
+    pieces = [(max(p, q), min(x, y)) for p, x in a for q, y in b]
+    assert list(u.intersect(v).intervals) == pairwise_merge(
+        [(lo, hi) for lo, hi in pieces if lo <= hi]
+    )
+    assert list(sp.dilate(u, r).intervals) == pairwise_merge(
+        [(lo - r, hi + r) for lo, hi in a]
+    )
+    assert list(sp.erode(u, r).intervals) == [
+        (lo + r, hi - r) for lo, hi in merged if hi - lo >= 2 * r
+    ]
+    for x in points:
+        assert u.contains(x) == any(lo <= x <= hi for lo, hi in a)
+    # equality and hashing see the set, not the denominator
+    finer = IntervalUnion(u.denom * k, tuple((lo * k, hi * k) for lo, hi in u.pairs))
+    assert finer == u and hash(finer) == hash(u)
+    assert (u == v) == (merged == pairwise_merge(b))
 
 
 def test_image_measure_line(d1, f1):
@@ -131,6 +170,24 @@ def test_image_engine_equals_direct_enumeration(case):
     assert mu == d_mu
     if pl.piece_count <= ORACLE_PIECE_LIMIT:
         assert (list(union.intervals), mu) == pl_image_oracle(params, functional, level)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(truncations())
+def test_bracket_chain_matches_per_level_images(case):
+    params, functional, level = case
+    bracket = sp.projection_bracket(params, functional, level)
+    mus = bracket.mu_levels
+    assert len(mus) == level + 1 and bracket.mu == mus[-1]
+    for k in range(level + 1):
+        assert mus[k] == sp.image_measure(sp.build_pl(params, functional, k))[1]
+    assert [link.level for link in bracket.chain] == list(range(1, level + 1))
+    for k, link in enumerate(bracket.chain):
+        assert link.delta_mu == abs(mus[k + 1] - mus[k])
+        assert link.bound == 2 * abs(functional.coeff(k + 1))
+        assert link.holds
+    assert bracket.chain_holds
+    assert bracket.lower <= bracket.mu <= bracket.upper
 
 
 def test_projection_bracket_f1(d1, f1):
@@ -251,3 +308,16 @@ def test_hausdorff_l1_model(d2):
 def test_hausdorff_cell_budget(d1):
     with pytest.raises(BudgetExceeded):
         sp.hausdorff_upper(d1, 8, 4, cell_budget=100)
+
+
+def test_hausdorff_exact_sums(d1, d2):
+    # exact values from an independent implementation with one loop per
+    # model; both models, two (N, n) pairs each
+    pinned = [
+        (d1, 4, 2, "50284249730790278929005003967239098099861/47149619158246126476961864276204584960000"),
+        (d1, 6, 3, "676994064887491169095026580291497249667/628661588776615019692824857016061132800"),
+        (d2, 6, 2, "290537281479811/243524645683200"),
+        (d2, 8, 4, "6266650158211/5073430118400"),
+    ]
+    for params, truncation, grid, value in pinned:
+        assert sp.hausdorff_upper(params, truncation, grid).sum_upper == F(value)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sawproj as sp
 from sawproj.errors import ConfigError
@@ -63,6 +65,70 @@ def test_functional_roundtrip(f1):
     )
     doc = functional_to_config(signed)
     assert functional_from_config(parse_config_text(emit_config_text(doc))) == signed
+
+
+TERMS = st.fractions(min_value=0, max_value=4, max_denominator=50)
+RATIOS = st.fractions(min_value=0, max_value=1, max_denominator=50).filter(lambda r: r < 1)
+
+
+@st.composite
+def sequence_rules(draw, min_terms: int):
+    """Every rule kind, built the way the package builds it."""
+    kind = draw(st.sampled_from(["harmonic", "inverse_square", "geometric", "explicit"]))
+    if kind == "harmonic":
+        return sp.harmonic(draw(TERMS))
+    if kind == "inverse_square":
+        return sp.inverse_square(draw(TERMS))
+    if kind == "geometric":
+        return sp.geometric(draw(TERMS), draw(RATIOS))
+    values = draw(st.lists(TERMS, min_size=min_terms, max_size=min_terms + 3))
+    return sp.explicit(values, draw(st.none() | TERMS), draw(st.none() | TERMS))
+
+
+@st.composite
+def parameter_sets(draw):
+    n_max = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["linear", "constant", "explicit"]))
+    if kind == "explicit":
+        factors = st.lists(st.integers(1, 8), min_size=n_max, max_size=n_max + 2)
+        m = sp.explicit_refinement(draw(factors))
+    else:
+        m = sp.RefinementRule(kind, k=draw(st.integers(1, 8)))
+    return sp.ParameterSet(
+        alpha=draw(sequence_rules(n_max)),
+        m=m,
+        n_max=n_max,
+        model=draw(st.sampled_from(["L1", "L2"])),
+        sqrt_bits=draw(st.integers(1, 128)),
+    )
+
+
+@st.composite
+def functionals(draw):
+    return sp.Functional(
+        alpha0=draw(st.fractions(min_value=-4, max_value=4, max_denominator=50)),
+        rule=draw(sequence_rules(0)),
+        sign=draw(st.sampled_from([-1, 1])),
+        signs=tuple(draw(st.lists(st.sampled_from([-1, 1]), max_size=4))),
+        name=draw(st.text(max_size=12)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parameter_sets(), functionals())
+@example(sp.harmonic_l2_preset(), sp.Functional(F(0), sp.harmonic(F(0)), name="\r"))
+@example(sp.harmonic_l2_preset(), sp.Functional(F(0), sp.harmonic(F(0)), name='x"\nn_max = 9'))
+def test_config_roundtrip_property(params, functional):
+    doc = {**params_to_config(params), **functional_to_config(functional)}
+    quoted = f'"{functional.name}"'
+    if quoted.splitlines() != [quoted]:
+        # a name with a line break cannot be written as one config line
+        with pytest.raises(ConfigError):
+            emit_config_text(doc)
+        return
+    doc = parse_config_text(emit_config_text(doc))
+    assert params_from_config(doc) == params
+    assert functional_from_config(doc) == functional
 
 
 def test_rationals_travel_as_strings_never_floats(f1):
