@@ -27,11 +27,10 @@ from .construction import (
 )
 from .curve import (
     DEFAULT_VERTEX_BUDGET,
-    build_curve,
-    curve_length,
     curve_length_closed_form,
     length_increment,
     sup_distance_bound,
+    vertex_table,
 )
 from .diagnostics import (
     GENERATOR_NAME,
@@ -89,10 +88,18 @@ def _resolve_budget(args, config: dict) -> int:
         source, value = "config key 'budget'", config["budget"]
     else:
         return DEFAULT_PIECE_BUDGET
+    return _as_int(source, value)
+
+
+def _as_int(source: str, value) -> int:
     try:
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{source} must be an integer, got {value!r}") from None
+
+
+def _config_int(config: dict, key: str, default: int) -> int:
+    return _as_int(f"config key {key!r}", config.get(key, default))
 
 
 def _load(args) -> tuple[dict, object, Optional[object]]:
@@ -183,7 +190,9 @@ def cmd_validate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config, params, _ = _load(args)
-    level = args.level if args.level is not None else int(config.get("level", params.n_max))
+    level = (
+        args.level if args.level is not None else _config_int(config, "level", params.n_max)
+    )
     point = truncated_point(params, level, parse_rational(args.t))
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -219,7 +228,7 @@ def cmd_measure(args) -> int:
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("measure requires functional.* keys in the config")
-    level = args.level if args.level is not None else int(config.get("level", 1))
+    level = args.level if args.level is not None else _config_int(config, "level", 1)
     budget = _resolve_budget(args, config)
     out = _out_dir(args, config)
     if args.pieces:
@@ -229,6 +238,7 @@ def cmd_measure(args) -> int:
     key = cache.key(
         {
             "schema_version": SCHEMA_VERSION,
+            "engine_version": __version__,
             "kind": "measure",
             "params": params_to_config(params),
             "functional": functional_to_config(functional),
@@ -259,7 +269,7 @@ def cmd_scan(args) -> int:
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("scan requires functional.* keys in the config")
-    level = args.level if args.level is not None else int(config.get("level", 1))
+    level = args.level if args.level is not None else _config_int(config, "level", 1)
     budget = _resolve_budget(args, config)
     out = _out_dir(args, config)
     cache = _Cache(out, enabled=not args.no_cache)
@@ -277,6 +287,7 @@ def cmd_scan(args) -> int:
         key = cache.key(
             {
                 "schema_version": SCHEMA_VERSION,
+                "engine_version": __version__,
                 "kind": "scan",
                 "params": params_to_config(params),
                 "functional": functional_to_config(functional),
@@ -311,20 +322,22 @@ def cmd_curve(args) -> int:
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("curve requires functional.* keys in the config")
-    level = args.level if args.level is not None else int(config.get("level", 1))
-    budget = args.vertex_budget or int(config.get("vertex_budget", DEFAULT_VERTEX_BUDGET))
+    level = args.level if args.level is not None else _config_int(config, "level", 1)
+    budget = (
+        args.vertex_budget
+        if args.vertex_budget is not None
+        else _config_int(config, "vertex_budget", DEFAULT_VERTEX_BUDGET)
+    )
     out = _out_dir(args, config)
 
-    polygon = build_curve(params, functional, level, vertex_budget=budget)
-    width = len(str(level))
+    table = vertex_table(params, functional, level, vertex_budget=budget)
+    names = [f"coord_{n:0{len(str(level))}d}" for n in range(level + 1)]
+    vertical = table.vertical
     rows = []
-    for idx, vertex in enumerate(polygon.vertices):
-        row = {"vertex_index": idx, "t": vertex.t}
-        for n, c in enumerate(vertex.coords):
-            row[f"coord_{n:0{width}d}"] = c
-        row["is_vertical"] = (
-            polygon.vertical[idx] if idx < len(polygon.vertical) else False
-        )
+    for idx, (k, nums) in enumerate(zip(table.ks, table.nums)):
+        row = {"vertex_index": idx, "t": Fraction(k, table.t_denom)}
+        row.update(zip(names, [Fraction(x, table.denom) for x in nums]))
+        row["is_vertical"] = vertical[idx] if idx < len(vertical) else False
         rows.append(row)
     write_csv(rows, out / "curve.csv")
 
@@ -334,9 +347,9 @@ def cmd_curve(args) -> int:
             "kind": "curve_length",
             "functional_id": _functional_id(functional),
             "level": level,
-            "length": curve_length(polygon),
+            "length": table.length(),
             "length_closed_form": curve_length_closed_form(params, functional, level),
-            "vertex_count": len(polygon.vertices),
+            "vertex_count": len(table.ks),
         }
     ]
     for n in range(1, level + 1):
@@ -487,6 +500,8 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(
             f"unknown check {args.check!r}; available: {', '.join(sorted(_DIAGNOSTICS))}"
         )
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     rng = spawn_rng(args.seed)
     records, ok = _DIAGNOSTICS[args.check](params, args, rng)
     for record in records:

@@ -6,13 +6,26 @@ drops by exactly 1/(2 M_n) at every positive multiple of 1/M_n. Components
 are represented right-continuously; the downward jumps are first-class data
 because the measure and curve modules consume them directly.
 
+Pointwise values are computed in integers. For t = A/B and r = (M_n A) mod B,
+
+    f_n(t) = (2r - B) / (2 B M_n)  when 2r >= B,  and 0 otherwise,
+
+and the left limit at a level-n grid point (r = 0) is 1/(2 M_n); one
+``Fraction`` is built per value, at the API boundary. ``sawtooth`` is the
+Fraction definition these formulas reproduce.
+
 A scalar projection truncated at level N,
 
     h(t) = c_0 * t + sum_{1 <= n <= N} c_n * f_n(t),
 
-is affine on each of the 2 M_N half-cells of level N. On the half-grid every
-component value is an integer multiple of 1/(4 M_N), so ``PLFunction.kernel``
-encodes the piece table as integers over one common denominator; piece
+is affine on each of the 2 M_N half-cells of level N. On the half-grid
+t = k/(2 M_N), with q_n = 2 M_N / M_n and c_n = a_n / q_lcm for integers a_n,
+
+    c_n f_n(t) = a_n max(0, 2 (k mod q_n) - q_n) / (4 M_N q_lcm),
+
+and a_n q_n over the same denominator at a left limit where q_n divides k.
+``Kernel.coords`` is that formula; the piece table (``Kernel.nums``), the
+curve vertices and the image engine all read it or its integers. Piece
 enumeration is lazy and evaluates the closed form at each cell endpoint.
 """
 
@@ -20,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterator, NamedTuple
+from math import lcm
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded, DomainError
 from .params import ParameterSet
@@ -29,6 +42,7 @@ from .rational import sqrt_lower, sqrt_upper
 from .sequences import Functional
 
 DEFAULT_PIECE_BUDGET = 2**25
+_ZERO = Fraction(0)
 
 
 def sawtooth(t: Fraction) -> Fraction:
@@ -53,23 +67,32 @@ def _component(params: ParameterSet, n: int, t: Fraction) -> Fraction:
     # internal: accepts the closed right endpoint t = 1 (value 0 for n >= 1)
     if not 0 <= n <= params.n_max:
         raise DomainError(f"component index {n} outside [0, {params.n_max}]")
-    if n == 0:
-        return Fraction(t)
-    size = params.grid_size(n)
-    return sawtooth(size * Fraction(t)) / size
+    return _scaled_saw(params, n, t, left=False)
 
 
 def _component_left_limit(params: ParameterSet, n: int, t: Fraction) -> Fraction:
     """lim_{u -> t-} f_n(u) for t in (0, 1]."""
     if not 0 < t <= 1:
         raise DomainError(f"t = {t} outside (0, 1]")
+    return _scaled_saw(params, n, t, left=True)
+
+
+def _scaled_saw(params: ParameterSet, n: int, t: Fraction, left: bool) -> Fraction:
+    """f_n(t), or its left limit, from t = A/B and r = (M_n A) mod B."""
     if n == 0:
         return Fraction(t)
+    if not isinstance(t, (Fraction, int)):
+        t = Fraction(t)  # a float or Decimal, exactly
+    num, den = t.numerator, t.denominator
+    if num < 0:
+        raise DomainError(f"sawtooth argument {t} is negative")
     size = params.grid_size(n)
-    scaled = size * Fraction(t)
-    if scaled.denominator == 1:
+    r = size * num % den
+    if left and r == 0:
         return Fraction(1, 2 * size)
-    return sawtooth(scaled) / size
+    if 2 * r < den:
+        return _ZERO
+    return Fraction(2 * r - den, 2 * den * size)
 
 
 def _components(params: ParameterSet, level: int, t: Fraction) -> tuple[Fraction, ...]:
@@ -150,17 +173,55 @@ def ensemble_evaluate(
 
 
 class Kernel(NamedTuple):
-    """Common-denominator integer view of the piece table.
+    """Common-denominator integer view of a level-N truncation on its half-grid.
 
-    For piece j: left value = nums(j)[0]/denom, right limit = nums(j)[1]/denom,
-    and the downward jump at breakpoint j is jump_num(j)/denom.
-    coeffs[n] = c_n * q_lcm are integers and denom = 4 M_N q_lcm.
+    coeffs[n] = a_n = c_n q_lcm are integers, periods[n] = q_n = 2 M_N / M_n,
+    and every value below is a numerator over denom = 4 M_N q_lcm.
     """
 
     denom: int
     coeffs: tuple[int, ...]
-    nums: Callable[[int], tuple[int, int]]
-    jump_num: Callable[[int], int]
+    periods: tuple[int, ...]
+
+    def coords(self, k: int, left: bool = False) -> list[int]:
+        """(c_0 t, c_1 f_1(t), ..., c_N f_N(t)) at t = k/(2 M_N).
+
+        With left=True these are the left limits (k > 0): a_n q_n where q_n
+        divides k, the value everywhere else.
+        """
+        a, q = self.coeffs, self.periods
+        out = [2 * a[0] * k]
+        for n in range(1, len(a)):
+            r = k % q[n]
+            if left and r == 0:
+                out.append(a[n] * q[n])
+            else:
+                u = 2 * r - q[n]
+                out.append(a[n] * u if u > 0 else 0)
+        return out
+
+    def nums(self, j: int) -> tuple[int, int]:
+        """Left value and right limit of piece j."""
+        return sum(self.coords(j)), sum(self.coords(j + 1, left=True))
+
+    def jump_num(self, j: int) -> int:
+        """Downward jump h(t-) - h(t) at breakpoint t = j/(2 M_N); 0 at j = 0."""
+        if j == 0:
+            return 0
+        return sum(self.coords(j, left=True)) - sum(self.coords(j))
+
+
+def half_grid_kernel(
+    params: ParameterSet, coeffs: tuple[Fraction, ...], level: int
+) -> Kernel:
+    """The integer kernel of sum_n coeffs[n] f_n on the level-N half-grid."""
+    size = params.grid_size(level)
+    q_lcm = lcm(*(c.denominator for c in coeffs))
+    return Kernel(
+        4 * size * q_lcm,
+        tuple(c.numerator * (q_lcm // c.denominator) for c in coeffs),
+        tuple(2 * size // params.grid_size(n) for n in range(level + 1)),
+    )
 
 
 @dataclass(frozen=True)
@@ -227,48 +288,18 @@ class PLFunction:
         """Piece-table evaluation; must agree with value() exactly."""
         if not 0 <= t < 1:
             raise DomainError(f"t = {t} outside [0, 1)")
-        denom, _, nums, _ = self.kernel()
+        kernel = self.kernel()
         j = int(t * self.piece_count)
-        v, w = nums(j)
-        slope = Fraction((w - v) * self.piece_count, denom)
-        return Fraction(v, denom) + slope * (t - self.breakpoint(j))
+        v, w = kernel.nums(j)
+        slope = Fraction((w - v) * self.piece_count, kernel.denom)
+        return Fraction(v, kernel.denom) + slope * (t - self.breakpoint(j))
 
     # -- integer kernel ----------------------------------------------------------
 
     def kernel(self) -> Kernel:
         """The integer piece table; built once per PLFunction."""
         if self._kernel is None:
-            size = self.params.grid_size(self.level)
-            q_lcm = 1
-            for c in self.coeffs:
-                q_lcm = q_lcm * c.denominator // gcd(q_lcm, c.denominator)
-            a = tuple(int(c * q_lcm) for c in self.coeffs)
-            q_mods = [
-                2 * size // self.params.grid_size(n) for n in range(self.level + 1)
-            ]  # index 0 unused
-
-            def nums(j: int) -> tuple[int, int]:
-                v = 2 * a[0] * j
-                s = a[0]
-                for n in range(1, len(a)):
-                    q = q_mods[n]
-                    u = 2 * (j % q) - q
-                    if u >= 0:
-                        v += a[n] * u
-                        s += a[n]
-                return v, v + 2 * s
-
-            def jump_num(j: int) -> int:
-                if j == 0:
-                    return 0
-                total = 0
-                for n in range(1, len(a)):
-                    q = q_mods[n]
-                    if j % q == 0:
-                        total += a[n] * q
-                return total
-
-            self._kernel = Kernel(4 * size * q_lcm, a, nums, jump_num)
+            self._kernel = half_grid_kernel(self.params, self.coeffs, self.level)
         return self._kernel
 
     def piece_value_ints(self) -> Iterator[tuple[int, int]]:
@@ -278,7 +309,8 @@ class PLFunction:
             yield nums(j)
 
     def pieces(self) -> Iterator[PLPiece]:
-        denom, _, _, jump_num = self.kernel()
+        kernel = self.kernel()
+        denom = kernel.denom
         width = Fraction(1, self.piece_count)
         for j, (v, w) in enumerate(self.piece_value_ints()):
             yield PLPiece(
@@ -287,7 +319,7 @@ class PLFunction:
                 length=width,
                 left_value=Fraction(v, denom),
                 slope=Fraction((w - v) * self.piece_count, denom),
-                jump_at_left=Fraction(jump_num(j), denom),
+                jump_at_left=Fraction(kernel.jump_num(j), denom),
             )
 
     def sup_change_bound(self, level_from: int, level_to: int) -> Fraction:

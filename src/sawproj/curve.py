@@ -6,6 +6,14 @@ cell midpoint), then drops along a vertical connector at the right endpoint
 where the sawtooth components jump. The final connector at t = 1 is included,
 so the polygon terminates at the closed right endpoint.
 
+Every vertex lies on the half-grid t = k/(2 M_N), so the polygon is computed
+in integers: ``vertex_table`` reads the coefficients once and takes each
+vertex's coordinates from the construction kernel's half-grid formula,
+c_n f_n(k/(2 M_N)) = a_n max(0, 2 (k mod q_n) - q_n) / (4 M_N q_lcm), with
+a_n q_n at the left limits where q_n divides k. Fractions are built only for
+``PolygonalCurve`` vertices and output rows, and lengths are sums of integer
+differences divided once.
+
 l1 length is total variation per coordinate, which gives closed forms: each
 coordinate n >= 1 rises 1/2 across slants and falls 1/2 across connectors, so
 level n adds exactly |c_n| of length. A canonical common parametrization
@@ -18,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from math import lcm
+from typing import Iterator, Optional, Sequence
 
-from .construction import _component, _component_left_limit
+from .construction import _component, _component_left_limit, half_grid_kernel
 from .errors import BudgetExceeded, CertificationError, DomainError
 from .params import L1, ParameterSet
 from .sequences import Functional
@@ -78,13 +87,44 @@ def _require_l1_contraction(params: ParameterSet, functional: Functional) -> Non
         raise DomainError(f"sum of |c_n| certified only as <= {total}, need < 1")
 
 
-def build_curve(
+@dataclass(frozen=True)
+class VertexTable:
+    """The level-N polygon in integers.
+
+    Vertex i sits at t = ks[i] / t_denom with coordinates nums[i][n] / denom,
+    where t_denom = 2 M_N and denom = 4 M_N q_lcm is the kernel's.
+    """
+
+    t_denom: int
+    denom: int
+    ks: tuple[int, ...]
+    nums: tuple[list[int], ...]
+
+    @property
+    def vertical(self) -> tuple[bool, ...]:
+        """Per segment: two slants, then the connector, in every cell."""
+        return (False, False, True) * (self.t_denom // 2)
+
+    def length(self) -> Fraction:
+        return Fraction(_variation(self.nums), self.denom)
+
+
+def _variation(rows: Sequence[Sequence[int]]) -> int:
+    """Sum over consecutive rows of the l1 distance of their integer coordinates."""
+    total = 0
+    for a, b in zip(rows, rows[1:]):
+        for x, y in zip(a, b):
+            total += abs(y - x)
+    return total
+
+
+def vertex_table(
     params: ParameterSet,
     functional: Functional,
     level: int,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> PolygonalCurve:
-    """Materialize the level-N polygon (3 M_N + 1 vertices)."""
+) -> VertexTable:
+    """The level-N polygon's 3 M_N + 1 vertices as integer numerators."""
     _require_l1_contraction(params, functional)
     if not 0 <= level <= params.n_max:
         raise DomainError(f"level {level} outside [0, {params.n_max}]")
@@ -93,26 +133,45 @@ def build_curve(
     if count > vertex_budget:
         raise BudgetExceeded("vertices", count, vertex_budget)
 
-    verts: list[Vertex] = [Vertex(Fraction(0), _point(params, functional, level, Fraction(0)))]
-    vertical: list[bool] = []
-    for j in range(size):
-        mid = Fraction(2 * j + 1, 2 * size)
-        right = Fraction(j + 1, size)
-        verts.append(Vertex(mid, _point(params, functional, level, mid)))
-        verts.append(Vertex(right, _point_left_limit(params, functional, level, right)))
-        verts.append(Vertex(right, _point(params, functional, level, right)))
-        vertical.extend((False, False, True))
-    return PolygonalCurve(params, functional, level, tuple(verts), tuple(vertical))
+    kernel = half_grid_kernel(params, functional.coeffs(level), level)
+    # odd k is a cell midpoint; at a cell end (even k > 0) the connector runs
+    # from the left limit to the value
+    steps = [(0, False)]
+    for k in range(1, 2 * size + 1):
+        if k % 2 == 0:
+            steps.append((k, True))
+        steps.append((k, False))
+    return VertexTable(
+        2 * size,
+        kernel.denom,
+        tuple(k for k, _ in steps),
+        tuple(kernel.coords(k, left) for k, left in steps),
+    )
+
+
+def build_curve(
+    params: ParameterSet,
+    functional: Functional,
+    level: int,
+    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+) -> PolygonalCurve:
+    """Materialize the level-N polygon (3 M_N + 1 vertices)."""
+    table = vertex_table(params, functional, level, vertex_budget)
+    vertices = tuple(
+        Vertex(Fraction(k, table.t_denom), tuple(Fraction(x, table.denom) for x in row))
+        for k, row in zip(table.ks, table.nums)
+    )
+    return PolygonalCurve(params, functional, level, vertices, table.vertical)
 
 
 def curve_length(curve: PolygonalCurve) -> Fraction:
     """Exact l1 length: per-coordinate total variation summed over segments."""
-    total = Fraction(0)
-    for a, b in zip(curve.vertices, curve.vertices[1:]):
-        total += sum(
-            (abs(cb - ca) for ca, cb in zip(a.coords, b.coords)), Fraction(0)
-        )
-    return total
+    denom = lcm(*{c.denominator for v in curve.vertices for c in v.coords})
+    rows = [
+        [c.numerator * (denom // c.denominator) for c in v.coords]
+        for v in curve.vertices
+    ]
+    return Fraction(_variation(rows), denom)
 
 
 def curve_length_closed_form(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .construction import _component, _components
 from .curve import CurveEvaluator, _l1_distance
@@ -121,11 +121,19 @@ def independence_check(
 ) -> IndependenceResult:
     """Exact measure of the intersection of events at distinct levels.
 
-    The contract is exact multiplicativity: measure = prod 2 alpha_n.
+    The contract is exact multiplicativity: measure = prod 2 alpha_n. The
+    level-n event has at most M_{n-1} + 1 components, so that count is
+    checked against the budget for every level before any event is built.
     """
     levels = tuple(sorted(set(levels)))
     if not 1 <= len(levels) <= 4:
         raise DomainError("between one and four levels are supported")
+    for n in levels:
+        if not 1 <= n <= params.n_max:
+            raise DomainError(f"level {n} outside [1, {params.n_max}]")
+        components = params.grid_size(n - 1) + 1
+        if components > component_budget:
+            raise BudgetExceeded("event components", components, component_budget)
     expected = Fraction(1)
     current: Optional[IntervalUnion] = None
     for n in levels:
@@ -216,6 +224,27 @@ def secant_threshold(params: ParameterSet) -> Fraction:
     return 1 / (64 * params.box_norm_sq_enclosure()[1])
 
 
+class _SecantConstants(NamedTuple):
+    """What every witness of one parameter set shares."""
+
+    alphas: tuple[Fraction, ...]  # alpha_0 .. alpha_{n_max}
+    threshold: Fraction
+    tail_sq: Fraction  # bounds the squared coordinates past n_max
+
+    @staticmethod
+    def of(params: ParameterSet) -> "_SecantConstants":
+        return _SecantConstants(
+            tuple(params.alpha_term(k) for k in range(params.n_max + 1)),
+            secant_threshold(params),
+            params.point_tail_l2sq_upper(params.n_max),
+        )
+
+
+def _require_l2(params: ParameterSet) -> None:
+    if params.model != L2:
+        raise DomainError("secant witnesses are an L2-model diagnostic")
+
+
 def secant_witness(
     params: ParameterSet, t0: Fraction, n: int
 ) -> Optional[SecantWitness]:
@@ -226,13 +255,20 @@ def secant_witness(
     is not divisible by m_n). The partner parameter is beta itself when
     t0 < beta, else beta - alpha_n / M_n.
     """
-    if params.model != L2:
-        raise DomainError("secant witnesses are an L2-model diagnostic")
+    _require_l2(params)
+    t0 = Fraction(t0)
+    tn = _secant_partner(params, t0, n)
+    if tn is None:
+        return None
+    return _secant_from(params, n, t0, tn, _SecantConstants.of(params))
+
+
+def _secant_partner(params: ParameterSet, t0: Fraction, n: int) -> Optional[Fraction]:
+    """The partner parameter of an eligible t0, or None."""
     if not 0 <= t0 < 1:
         raise DomainError(f"t0 = {t0} outside [0, 1)")
     if not 1 <= n <= params.n_max:
         raise DomainError(f"level {n} outside [1, {params.n_max}]")
-    t0 = Fraction(t0)
     alpha_n = params.alpha_term(n)
     if alpha_n == 0:
         return None
@@ -244,19 +280,21 @@ def secant_witness(
         return None
     if k % params.refinement_factor(n) == 0:
         return None  # beta lies on a coarser grid
+    return beta if t0 < beta else beta - alpha_n / size
 
-    tn = beta if t0 < beta else beta - alpha_n / size
 
-    level = params.n_max
+def _secant_from(
+    params: ParameterSet, n: int, t0: Fraction, tn: Fraction, consts: _SecantConstants
+) -> SecantWitness:
+    """The witness of the eligible pair (t0, tn)."""
+    level, alphas = params.n_max, consts.alphas
     c0 = _components(params, level, t0)
     cn = _components(params, level, tn)
-    delta = tuple(
-        params.alpha_term(k_) * (cn[k_] - c0[k_]) for k_ in range(level + 1)
-    )
+    delta = tuple(alphas[k_] * (cn[k_] - c0[k_]) for k_ in range(level + 1))
     # discarded levels k > n_max differ by at most 1/(2 M_k) per coordinate
     norm_sq = sum((d * d for d in delta), Fraction(0))
-    norm_sq_upper = norm_sq + params.point_tail_l2sq_upper(level)
-    gap = params.alpha_term(n) * abs(cn[n] - c0[n])
+    norm_sq_upper = norm_sq + consts.tail_sq
+    gap = alphas[n] * abs(cn[n] - c0[n])
     return SecantWitness(
         n=n,
         t0=t0,
@@ -264,7 +302,7 @@ def secant_witness(
         delta=delta,
         norm_sq_upper=norm_sq_upper,
         ratio_sq=gap**2 / norm_sq_upper,
-        threshold=secant_threshold(params),
+        threshold=consts.threshold,
     )
 
 
@@ -275,8 +313,10 @@ def sample_secant_witnesses(
 
     Raises DomainError up front when no parameter can be eligible: with
     m_n = 1 every level-n grid point lies on the coarser grid, and with
-    alpha_n = 0 no parameter is near enough to one.
+    alpha_n = 0 no parameter is near enough to one. The threshold, the tail
+    certificate and the weights alpha_k are computed once per call.
     """
+    _require_l2(params)
     rng = spawn_rng(seed, n)
     size = params.grid_size(n)
     m_n = params.refinement_factor(n)
@@ -285,6 +325,7 @@ def sample_secant_witnesses(
         raise DomainError(
             f"no eligible secant parameter at level {n}: m_n = {m_n}, alpha_n = {alpha_n}"
         )
+    consts = _SecantConstants.of(params)
     passed = total = 0
     while total < samples:
         k = rand_index(rng, 1, size - 1)
@@ -292,11 +333,11 @@ def sample_secant_witnesses(
             continue
         offset = rand_fraction(rng) * alpha_n / size
         t0 = Fraction(k, size) + (offset if rng.getrandbits(1) else -offset)
-        w = secant_witness(params, t0, n)
-        if w is None:
+        tn = _secant_partner(params, t0, n)
+        if tn is None:
             continue
         total += 1
-        if w.passed:
+        if _secant_from(params, n, t0, tn, consts).passed:
             passed += 1
     return passed, total
 

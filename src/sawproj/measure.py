@@ -180,7 +180,7 @@ def _image_ints(pl: PLFunction) -> IntervalUnion:
     level-l half-cell's left end. The parity is folded to 0 unless m_{l+1} is
     odd. Keys are collected top-down, then shapes are built bottom-up.
     """
-    denom, a, _, _ = pl.kernel()
+    denom, a, _ = pl.kernel()
     params, top = pl.params, pl.level
     size = params.grid_size(top)
     m = [0] + [params.refinement_factor(n) for n in range(1, top + 1)]

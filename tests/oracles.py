@@ -118,3 +118,35 @@ def projection_witness_oracle(evaluator, components, weights, lipschitz):
             if best is None or bound > best[-1]:
                 best = (s1, s2, norm, span - inside, bound)
     return best
+
+
+def curve_vertices_oracle(params, functional, level: int):
+    """(t, coords) of every level-N polygon vertex, one Fraction at a time.
+
+    Each coordinate is c_n times this module's component (or its left limit
+    at a right cell end), evaluated separately at the start, the cell
+    midpoints and both sides of every right cell end.
+    """
+    size = params.grid_size(level)
+    coeffs = [functional.coeff(n) for n in range(level + 1)]
+
+    def point(t, left=False):
+        value = component_left_limit if left else component
+        return tuple(c * value(params, n, t) for n, c in enumerate(coeffs))
+
+    vertices = [(Fraction(0), point(Fraction(0)))]
+    for j in range(size):
+        mid, right = Fraction(2 * j + 1, 2 * size), Fraction(j + 1, size)
+        vertices += [(mid, point(mid)), (right, point(right, left=True)), (right, point(right))]
+    return vertices
+
+
+def polyline_length(vertices) -> Fraction:
+    """l1 length of the polyline through the coords of (t, coords) vertices."""
+    return sum(
+        (
+            sum((abs(y - x) for x, y in zip(a, b)), Fraction(0))
+            for (_, a), (_, b) in zip(vertices, vertices[1:])
+        ),
+        Fraction(0),
+    )

@@ -227,6 +227,75 @@ def test_curve_budget(d2_config, tmp_path):
     assert code == 3
 
 
+def test_curve_vertex_budget_zero_is_honoured(d2_config, tmp_path, capsys):
+    code = main(
+        [
+            "curve", "--config", str(d2_config), "--level", "1",
+            "--vertex-budget", "0", "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == 3
+    (record,) = _error_records(capsys)
+    assert record["error"] == "budget" and record["budget"] == 0 and record["count"] == 7
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("measure", "level"),
+        ("scan", "level"),
+        ("evaluate", "level"),
+        ("curve", "level"),
+        ("curve", "vertex_budget"),
+    ],
+)
+def test_bad_config_integer_is_config_error(command, key, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    config = D2_CONFIG if command == "curve" else D1_CONFIG
+    cfg.write_text(config + f'{key} = "x"\n')
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "evaluate":
+        args += ["--t", "1/3"]
+    assert main(args) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert f"config key '{key}' must be an integer, got 'x'" in record["message"]
+
+
+def test_cache_key_carries_engine_version(d1_config, tmp_path, monkeypatch):
+    import sawproj.cli
+
+    for command in ("measure", "scan"):
+        out = tmp_path / command
+        args = [command, "--config", str(d1_config), "--level", "2", "--out", str(out)]
+        if command == "scan":
+            args += ["--circle", "2"]
+        monkeypatch.setattr(sawproj.cli, "__version__", "1.0.0")
+        assert main(args) == 0
+        written = sorted((out / ".cache").iterdir())
+        cold = (out / f"{command}.jsonl").read_bytes()
+        assert main(args) == 0  # same version: served from the cache
+        assert sorted((out / ".cache").iterdir()) == written
+        monkeypatch.setattr(sawproj.cli, "__version__", "1.0.1")
+        assert main(args) == 0  # another version misses and writes new entries
+        assert len(list((out / ".cache").iterdir())) == 2 * len(written)
+        assert (out / f"{command}.jsonl").read_bytes() == cold
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize(
+    "check",
+    ["event-measure", "independence", "borel-cantelli", "slope-identity", "secant", "oscillation"],
+)
+def test_diagnose_rejects_sample_count_below_one(check, samples, d1_config, tmp_path, capsys):
+    out = tmp_path / "o"
+    args = ["diagnose", "--config", str(d1_config), "--check", check, "--out", str(out)]
+    assert main(args + ["--samples", samples]) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and "--samples must be at least 1" in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "check", ["event-measure", "independence", "borel-cantelli", "secant", "oscillation"]
 )

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sawproj as sp
-from sawproj.construction import _component_left_limit
+from sawproj.construction import _component, _component_left_limit
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, CertificationError, DomainError
 
@@ -144,6 +146,59 @@ def test_left_limits(d1):
     assert _component_left_limit(d1, 1, F(1, 2)) == F(1, 4)
     assert _component_left_limit(d1, 1, F(3, 8)) == F(1, 8)
     assert _component_left_limit(d1, 2, F(1)) == F(1, 16)
+
+
+def _grid(factors) -> sp.ParameterSet:
+    return sp.ParameterSet(
+        alpha=sp.explicit([0] * len(factors), 0, 0),
+        m=sp.explicit_refinement(factors),
+        n_max=len(factors),
+        model="L2",
+    )
+
+
+@st.composite
+def component_arguments(draw):
+    """A grid (factors 1..6, odd and 1 included), a component index and a
+    parameter in [0, 1]: a random rational, 0, 1, or a point of some
+    level's half-grid."""
+    factors = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    params = _grid(factors)
+    n = draw(st.integers(0, len(factors)))
+    kind = draw(st.sampled_from(["rational", "zero", "one", "half-grid"]))
+    if kind == "rational":
+        t = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    elif kind == "half-grid":
+        cells = 2 * params.grid_size(draw(st.integers(0, len(factors))))
+        t = F(draw(st.integers(0, cells)), cells)
+    else:
+        t = F(kind == "one")
+    return params, n, t
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(component_arguments())
+@example((_grid([3, 5, 1]), 2, F(1, 3)))
+@example((_grid([3, 5, 1]), 3, F(8, 15)))
+@example((_grid([1, 1, 2]), 2, F(1, 2)))
+@example((_grid([4, 6]), 2, F(1)))
+def test_integer_components_match_sawtooth(case):
+    params, n, t = case
+    size = params.grid_size(n)
+    value = t if n == 0 else sp.sawtooth(size * t) / size
+    assert _component(params, n, t) == value
+    if t > 0:
+        at_grid_point = n > 0 and (size * t).denominator == 1
+        assert _component_left_limit(params, n, t) == (F(1, 2 * size) if at_grid_point else value)
+    if t < 1:
+        assert sp.component_value(params, n, t) == value
+
+
+def test_component_rejects_negative_argument(d1):
+    with pytest.raises(DomainError):
+        _component(d1, 3, F(-1, 7))
+    with pytest.raises(DomainError):
+        _component_left_limit(d1, 3, F(0))
 
 
 def test_build_pl_budget_and_tail_requirements(d1, f1):

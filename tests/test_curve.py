@@ -7,6 +7,8 @@ from sawproj.curve import CanonicalTau, Vertex
 from sawproj.diagnostics import rand_fraction, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
 
+from oracles import curve_vertices_oracle, polyline_length
+
 F = Fraction
 
 
@@ -31,6 +33,35 @@ def test_level_one_polygon_exact(d2, r1):
     assert [(v.t, v.coords) for v in c1.vertices] == expected
     assert c1.vertical == (False, False, True, False, False, True)
     assert sp.curve_length(c1) == F(5, 4)
+
+
+def _odd_grid_curve_instance():
+    """An l1 instance on a grid with odd factors and m_2 = 1, whose signed
+    coefficients have distinct denominators."""
+    params = sp.ParameterSet(
+        alpha=sp.geometric(F(1, 2), F(1, 2)),
+        m=sp.explicit_refinement([3, 1, 5, 2]),
+        n_max=4,
+        model="L1",
+    )
+    functional = sp.Functional(
+        alpha0=F(2, 3),
+        rule=sp.explicit([F(1, 5), F(1, 7), F(1, 9), F(1, 6)], 0, 0),
+        signs=(1, -1, -1, 1),
+    )
+    return params, functional
+
+
+@pytest.mark.parametrize("instance", ["geometric", "odd-grid"])
+def test_curve_matches_per_vertex_oracle(instance, d2, r1):
+    params, functional = (d2, r1) if instance == "geometric" else _odd_grid_curve_instance()
+    for level in range(5):
+        curve = sp.build_curve(params, functional, level)
+        expected = curve_vertices_oracle(params, functional, level)
+        assert [(v.t, v.coords) for v in curve.vertices] == expected
+        assert curve.vertical == (False, False, True) * params.grid_size(level)
+        assert sp.curve_length(curve) == polyline_length(expected)
+        assert sp.curve_length(curve) == sp.curve_length_closed_form(params, functional, level)
 
 
 def test_length_ledger(d2, r1):

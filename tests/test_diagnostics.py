@@ -20,7 +20,7 @@ from sawproj.diagnostics import (
 from sawproj.errors import BudgetExceeded, DomainError
 from sawproj.measure import IntervalUnion
 
-from oracles import pairwise_merge, projection_witness_oracle
+from oracles import component, pairwise_merge, projection_witness_oracle
 
 F = Fraction
 
@@ -94,6 +94,19 @@ def test_independence_pairs_and_triples(d1):
         sp.independence_check(d1, (5, 6), component_budget=10)
 
 
+def test_independence_budget_is_checked_before_any_event(d1, monkeypatch):
+    def no_event(*args):
+        raise AssertionError("an event was built before the budget check")
+
+    monkeypatch.setattr(sp.diagnostics, "event_set", no_event)
+    # the level-2 event fits the budget, the level-6 one (M_5 + 1 components) does not
+    with pytest.raises(BudgetExceeded) as err:
+        sp.independence_check(d1, (2, 6), component_budget=100)
+    assert err.value.count == d1.grid_size(5) + 1
+    with pytest.raises(DomainError):
+        sp.independence_check(d1, (0, 2))
+
+
 def test_union_sampling_is_seeded_and_within_three_sigmas(d1):
     report = sample_event_union(d1, range(4, 9), 4000, 271828)
     again = sample_event_union(d1, range(4, 9), 4000, 271828)
@@ -144,6 +157,42 @@ def test_secant_witness_ineligible_cases(d1):
 def test_secant_witness_requires_l2(d2):
     with pytest.raises(DomainError):
         sp.secant_witness(d2, F(1, 10), 3)
+
+
+def test_secant_witness_matches_component_oracle(d1):
+    rng = spawn_rng(5)
+    top = d1.n_max
+    for n in (1, 4, 7):
+        size, alpha_n = d1.grid_size(n), d1.alpha_term(n)
+        for _ in range(20):
+            k = rand_index(rng, 1, size - 1)
+            k += k % d1.refinement_factor(n) == 0  # a grid point on no coarser grid
+            offset = rand_fraction(rng) * alpha_n / size
+            t0 = F(k, size) + (offset if rng.getrandbits(1) else -offset)
+            w = sp.secant_witness(d1, t0, n)
+            delta = tuple(
+                d1.alpha_term(m) * (component(d1, m, w.tn) - component(d1, m, t0))
+                for m in range(top + 1)
+            )
+            norm_sq_upper = sum(d * d for d in delta) + d1.point_tail_l2sq_upper(top)
+            assert w.delta == delta
+            assert w.norm_sq_upper == norm_sq_upper
+            assert w.ratio_sq == delta[n] ** 2 / norm_sq_upper
+            assert w.threshold == secant_threshold(d1)
+
+
+# (passed, total) as computed by the Fraction component route that preceded
+# the integer one; level 1 is where the rate is far from 1
+SECANT_COUNTS = {
+    1: {1: (139, 300), 2: (300, 300), 5: (300, 300)},
+    3: {1: (122, 300), 2: (300, 300), 5: (300, 300)},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SECANT_COUNTS))
+def test_secant_sample_counts_are_pinned(d1, seed):
+    for n, counts in SECANT_COUNTS[seed].items():
+        assert sample_secant_witnesses(d1, n, 300, seed) == counts
 
 
 def test_secant_sampling_high_pass_rate(d1):
