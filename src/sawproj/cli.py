@@ -521,13 +521,11 @@ def cmd_emit(args) -> int:
     return EXIT_OK
 
 
+# flags `run` passes on; every subcommand reads `level` and `out` from the
+# config itself
 _RUN_FORWARDS = {
-    "validate": ("out",),
-    "evaluate": ("t", "level", "out"),
-    "measure": ("level", "out"),
-    "scan": ("level", "out"),
-    "curve": ("level", "out"),
-    "diagnose": ("check", "seed", "samples", "out"),
+    "validate": (), "evaluate": ("t",), "measure": (), "scan": (), "curve": (),
+    "diagnose": ("check", "seed", "samples"),
 }
 
 
@@ -539,8 +537,10 @@ def cmd_run(args) -> int:
     forwarded = [command, "--config", str(args.config)]
     for key in _RUN_FORWARDS[command]:
         if key in config:
-            forwarded.extend([f"--{key}", str(config[key])])
-    return main(forwarded)
+            value = config[key] if key in ("t", "check") else _config_int(config, key, 0)
+            forwarded.append(f"--{key}={value}")
+    sub_args = build_parser().parse_args(forwarded)
+    return sub_args.func(sub_args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -552,51 +552,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, functional_cmd=False):
+    def command(name: str, summary: str, func, engine: bool = False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="flat key = value document")
         p.add_argument("--out", help="output directory (default from config or ./out)")
+        if engine:  # measure and scan
+            p.add_argument("--level", type=int)
+            p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+            p.add_argument("--budget", type=int)
+            p.add_argument("--no-cache", action="store_true")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="check parameter invariants")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("evaluate", help="truncated point at a rational parameter")
-    common(p)
+    command("validate", "check parameter invariants", cmd_validate)
+    p = command("evaluate", "truncated point at a rational parameter", cmd_evaluate)
     p.add_argument("--t", required=True, help='parameter as "p/q"')
     p.add_argument("--level", type=int)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("measure", help="certified projection-measure bracket")
-    common(p)
-    p.add_argument("--level", type=int)
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--no-cache", action="store_true")
+    p = command("measure", "certified projection-measure bracket", cmd_measure, engine=True)
     p.add_argument("--pieces", action="store_true", help="also export the piece table CSV")
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("scan", help="brackets across rational directions")
-    common(p)
-    p.add_argument("--level", type=int)
+    p = command("scan", "brackets across rational directions", cmd_scan, engine=True)
     p.add_argument("--circle", type=int, default=64, help="built-in direction count")
     p.add_argument("--directions", help='explicit list "p,q;p,q;..."')
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("curve", help="polygonal approximation CSV and length ledger")
-    common(p)
+    p = command("curve", "polygonal approximation CSV and length ledger", cmd_curve)
     p.add_argument("--level", type=int)
     p.add_argument("--vertex-budget", type=int, dest="vertex_budget")
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("diagnose", help="named quantitative checks")
-    common(p)
+    p = command("diagnose", "named quantitative checks", cmd_diagnose)
     p.add_argument("--check", required=True)
     p.add_argument("--seed", type=int, default=20260811)
     p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("emit", help="convert stored records between formats")
     p.add_argument("--records", required=True)

@@ -57,20 +57,13 @@ class PolygonalCurve:
 
 
 def _point(
-    params: ParameterSet, functional: Functional, level: int, t: Fraction
+    params: ParameterSet, functional: Functional, level: int, t: Fraction, left: bool = False
 ) -> tuple[Fraction, ...]:
+    """The truncated coordinates over t, or their left limits."""
+    value = _component_left_limit if left else _component
     coords = [functional.alpha0 * Fraction(t)]
     for n in range(1, level + 1):
-        coords.append(functional.coeff(n) * _component(params, n, t))
-    return tuple(coords)
-
-
-def _point_left_limit(
-    params: ParameterSet, functional: Functional, level: int, t: Fraction
-) -> tuple[Fraction, ...]:
-    coords = [functional.alpha0 * Fraction(t)]
-    for n in range(1, level + 1):
-        coords.append(functional.coeff(n) * _component_left_limit(params, n, t))
+        coords.append(functional.coeff(n) * value(params, n, t))
     return tuple(coords)
 
 
@@ -330,12 +323,12 @@ class CurveEvaluator:
             e = Fraction(i, grid)
             if e == 0:
                 return _point(self.params, self.functional, self.level, Fraction(0))
-            start = _point_left_limit(self.params, self.functional, self.level, e)
+            start = _point(self.params, self.functional, self.level, e, left=True)
             end = _point(self.params, self.functional, self.level, e)
             return tuple(a + frac * (b - a) for a, b in zip(start, end))
         t = Fraction(i - 1, grid) + frac / grid
         if frac == 1:
-            return _point_left_limit(self.params, self.functional, self.level, t)
+            return _point(self.params, self.functional, self.level, t, left=True)
         return _point(self.params, self.functional, self.level, t)
 
 

@@ -428,15 +428,10 @@ def sample_slope_identities(
         lo, _ = cell.interval()
         quarter = Fraction(1, 4 * size)
         u = rand_fraction(rng) * quarter
-        v = rand_fraction(rng) * quarter
-        if rng.getrandbits(1):
-            t = lo + u  # first quarter, shift right, h >= 0
-            h = v
-        else:
-            t = lo + 2 * quarter + u  # third quarter, shift left, h >= 0
-            h = v
-        report = slope_identity_check(params, n, cell, t, h)
-        passed += report.passed
+        h = rand_fraction(rng) * quarter
+        # first quarter (the shift goes right) or third (it goes left); h >= 0
+        t = lo + u if rng.getrandbits(1) else lo + 2 * quarter + u
+        passed += slope_identity_check(params, n, cell, t, h).passed
     return passed
 
 

@@ -6,7 +6,10 @@ measure. The image of the truncation is therefore a finite union of closed
 rational intervals, measured exactly. It is built from self-similar shapes
 rather than from the 2 M_N pieces: every component above level l is
 periodic across the level-l half-cells, so on each of them h_N is an offset
-plus a shape fixed by l, the slope there and the cell's parity.
+plus a shape fixed by l, the slope there and the cell's parity. A shape
+holds its hull, its measure and its shifted parts; its measure is summed
+over clusters of overlapping parts, merging components only in a cluster
+with a part that is not one interval, or when ``flatten`` lists them.
 
 Brackets for the untruncated projection rest on the per-level stability
 chain: raising the level by one moves each of the 2 M_{k+1} piece images by
@@ -164,8 +167,62 @@ def erode(u: IntervalUnion, r: Fraction) -> IntervalUnion:
 # -- image measure ----------------------------------------------------------------
 
 
-def _image_ints(pl: PLFunction) -> IntervalUnion:
-    """The image of a truncation, over the kernel's denominator.
+class _Shape:
+    """An image in integer numerators over the kernel's denom: its hull [lo, hi],
+    its measure, and the (offset, shape) parts whose shifted union it is (none
+    for a leaf). A solid shape, one whose measure is hi - lo, is its hull."""
+
+    __slots__ = ("lo", "hi", "measure", "parts", "solid", "_flat")
+
+    def __init__(self, lo: int, hi: int, measure: int, parts=()):
+        self.lo, self.hi, self.measure, self.parts = lo, hi, measure, parts
+        self.solid, self._flat = measure == hi - lo, None
+
+    @staticmethod
+    def stack(parts: list[tuple[int, "_Shape"]]) -> "_Shape":
+        """The union of the shifted parts, measured from their hulls.
+
+        Sorted by shifted lo, the parts fall into clusters: a cluster grows
+        while the next lo lies strictly below the running max hi, so distinct
+        clusters share at most a point and their measures add.
+        """
+        parts.sort(key=lambda part: part[0] + part[1].lo)
+        measure, cluster, solid = 0, [], True
+        start = end = parts[0][0] + parts[0][1].lo
+        for part in parts:
+            off, shape = part
+            if off + shape.lo >= end and cluster:
+                measure += _cluster_measure(cluster, start, end, solid)
+                cluster, start, solid = [], off + shape.lo, True
+            cluster.append(part)
+            solid = solid and shape.solid
+            if off + shape.hi > end:
+                end = off + shape.hi
+        measure += _cluster_measure(cluster, start, end, solid)
+        return _Shape(parts[0][0] + parts[0][1].lo, end, measure, parts)
+
+    def flatten(self) -> tuple[tuple[int, int], ...]:
+        """The image's disjoint components, merged once and kept."""
+        if self._flat is None:
+            self._flat = ((self.lo, self.hi),) if self.solid else _merged(self.parts)
+        return self._flat
+
+
+def _merged(parts: list[tuple[int, _Shape]]) -> tuple[tuple[int, int], ...]:
+    shifted = [(lo + off, hi + off) for off, shape in parts for lo, hi in shape.flatten()]
+    return IntervalUnion.from_pairs(1, shifted).pairs  # the one merge sweep, on numerators
+
+
+def _cluster_measure(cluster: list, start: int, end: int, solid: bool) -> int:
+    """One part adds its measure, solid parts their hull [start, end], and
+    any other cluster the measure of its merged components."""
+    if len(cluster) == 1:
+        return cluster[0][1].measure
+    return end - start if solid else sum(hi - lo for lo, hi in _merged(cluster))
+
+
+def _image_ints(pl: PLFunction) -> _Shape:
+    """The image of a truncation as a shape over the kernel's denominator.
 
     In numerators over the kernel's denom = 4 M_N q_lcm, the image of h_N on
     a level-l half-cell, less its value at the cell's left end, is
@@ -178,9 +235,11 @@ def _image_ints(pl: PLFunction) -> IntervalUnion:
     Img(N, s, .) = hull{0, 2s}: sub-cell i is the right half of its level-(l+1)
     cell exactly when p_i = 1, and every f_n with n > l vanishes at each
     level-l half-cell's left end. The parity is folded to 0 unless m_{l+1} is
-    odd. Keys are collected top-down, then shapes are built bottom-up.
+    odd. Keys are collected top-down, then shapes are built bottom-up, each
+    measured from its parts' hulls by ``_Shape.stack``. Shapes hold their
+    parts, so each level's key table is dropped once its parent is built.
     """
-    denom, a, _ = pl.kernel()
+    _, a, _ = pl.kernel()
     params, top = pl.params, pl.level
     size = params.grid_size(top)
     m = [0] + [params.refinement_factor(n) for n in range(1, top + 1)]
@@ -198,27 +257,18 @@ def _image_ints(pl: PLFunction) -> IntervalUnion:
     for level in range(top):
         keys.append({c for s, odd in keys[level] for c in children(s, odd, level)})
 
-    shapes = {
-        k: IntervalUnion(denom, ((min(0, 2 * k[0]), max(0, 2 * k[0])),)) for k in keys[top]
-    }
+    shapes = {k: _Shape(min(0, 2 * k[0]), max(0, 2 * k[0]), abs(2 * k[0])) for k in keys[top]}
     for level in range(top - 1, -1, -1):
         step = 2 * size // params.grid_size(level + 1)
         shapes = {
-            (s, odd): _stack([shapes[c] for c in children(s, odd, level)], s * step)
+            (s, odd): _Shape.stack(
+                [(i * s * step, shapes[c]) for i, c in enumerate(children(s, odd, level))]
+            )
             for s, odd in keys[level]
         }
     # the two level-0 half-cells; f_0 has slope 1 on both
     halves = [shapes[key(a[0], odd, 0)] for odd in (0, 1)]
-    return _stack(halves, 2 * a[0] * size)
-
-
-def _stack(shapes: list[IntervalUnion], step: int) -> IntervalUnion:
-    """Union of shapes[i] shifted by i * step; all share one denominator."""
-    out: list[tuple[int, int]] = []
-    for i, shape in enumerate(shapes):
-        d = i * step
-        out.extend([(lo + d, hi + d) for lo, hi in shape.pairs])
-    return IntervalUnion.from_pairs(shapes[0].denom, out)
+    return _Shape.stack([(0, halves[0]), (2 * a[0] * size, halves[1])])
 
 
 def image_measure(
@@ -227,7 +277,7 @@ def image_measure(
     """Exact image (interval union) and Lebesgue measure of a truncation."""
     if pl.piece_count > piece_budget:
         raise BudgetExceeded("pieces", pl.piece_count, piece_budget)
-    union = _image_ints(pl)
+    union = IntervalUnion(pl.kernel().denom, _image_ints(pl).flatten())
     return union, union.measure
 
 
@@ -281,7 +331,7 @@ def projection_bracket(
     mus: list[Fraction] = []
     for k in range(level + 1):
         pl = build_pl(params, functional, k, piece_budget=piece_budget)
-        mus.append(_image_ints(pl).measure)
+        mus.append(Fraction(_image_ints(pl).measure, pl.kernel().denom))
     chain = tuple(
         ChainLink(k + 1, abs(mus[k + 1] - mus[k]), 2 * abs(functional.coeff(k + 1)))
         for k in range(level)

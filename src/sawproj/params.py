@@ -284,19 +284,20 @@ def validate(params: ParameterSet) -> ValidationReport:
     """
     checks: list[CheckResult] = []
 
+    def check(kind: str, passed: bool, detail: str) -> None:
+        checks.append(CheckResult(kind, passed, detail))
+
     odd = [
         (n, params.refinement_factor(n))
         for n in range(1, params.n_max + 1)
         if params.refinement_factor(n) % 2 == 1
     ]
-    checks.append(
-        CheckResult(
-            CHECK_EVEN_REFINEMENT,
-            not odd,
-            "all refinement factors even"
-            if not odd
-            else "odd factors: " + ", ".join(f"m_{n}={v}" for n, v in odd),
-        )
+    check(
+        CHECK_EVEN_REFINEMENT,
+        not odd,
+        "odd factors: " + ", ".join(f"m_{n}={v}" for n, v in odd)
+        if odd
+        else "all refinement factors even",
     )
 
     if params.model == L2:
@@ -305,66 +306,34 @@ def validate(params: ParameterSet) -> ValidationReport:
             prod = params.alpha_term(n) * params.refinement_factor(n)
             if prod.denominator != 1 or prod <= 0:
                 bad.append((n, prod))
-        checks.append(
-            CheckResult(
-                CHECK_ALPHA_M_INTEGER,
-                not bad,
-                "alpha_n * m_n is a positive integer for all n"
-                if not bad
-                else "non-integer products: "
-                + ", ".join(f"n={n}: {v}" for n, v in bad),
-            )
+        check(
+            CHECK_ALPHA_M_INTEGER,
+            not bad,
+            "non-integer products: " + ", ".join(f"n={n}: {v}" for n, v in bad)
+            if bad
+            else "alpha_n * m_n is a positive integer for all n",
         )
-
-        tail = params.alpha.l2sq_tail_enclosure(params.n_max)
-        if tail is None:
-            checks.append(
-                CheckResult(
-                    CHECK_TAIL_CERTIFIED,
-                    False,
-                    "alpha has no certified squared-l2 tail bound",
-                )
-            )
+        if params.alpha.l2sq_tail_enclosure(params.n_max) is None:
+            check(CHECK_TAIL_CERTIFIED, False, "alpha has no certified squared-l2 tail bound")
         else:
-            checks.append(
-                CheckResult(CHECK_TAIL_CERTIFIED, True, "squared-l2 tail certified")
+            check(CHECK_TAIL_CERTIFIED, True, "squared-l2 tail certified")
+            _, hi = params.alpha_l2sq_enclosure()
+            check(CHECK_L2_NORM, hi < 1, f"sum alpha_n^2 <= {hi} (slack {1 - hi})")
+            _, box_hi = params.box_norm_sq_enclosure()
+            check(
+                CHECK_BOX_NORM,
+                box_hi < 4,
+                f"1 + sum alpha_n^2 <= {box_hi} (slack {4 - box_hi})",
             )
-            lo, hi = params.alpha_l2sq_enclosure()
-            checks.append(
-                CheckResult(
-                    CHECK_L2_NORM,
-                    hi < 1,
-                    f"sum alpha_n^2 <= {hi} (slack {1 - hi})",
-                )
-            )
-            box_lo, box_hi = params.box_norm_sq_enclosure()
-            checks.append(
-                CheckResult(
-                    CHECK_BOX_NORM,
-                    box_hi < 4,
-                    f"1 + sum alpha_n^2 <= {box_hi} (slack {4 - box_hi})",
-                )
-            )
+    elif params.alpha.l1_tail_enclosure(params.n_max) is None:
+        if params.alpha.l1_diverges():
+            check(CHECK_TAIL_CERTIFIED, False, "alpha l1 tail diverges")
+        else:
+            check(CHECK_TAIL_CERTIFIED, False, "alpha has no certified l1 tail bound")
     else:
-        tail = params.alpha.l1_tail_enclosure(params.n_max)
-        if tail is None:
-            detail = (
-                "alpha l1 tail diverges"
-                if params.alpha.l1_diverges()
-                else "alpha has no certified l1 tail bound"
-            )
-            checks.append(CheckResult(CHECK_TAIL_CERTIFIED, False, detail))
-        else:
-            checks.append(CheckResult(CHECK_TAIL_CERTIFIED, True, "l1 tail certified"))
-            enc = params.alpha_l1_enclosure()
-            assert enc is not None
-            checks.append(
-                CheckResult(
-                    CHECK_L1_NORM,
-                    enc[1] < 1,
-                    f"sum alpha_n <= {enc[1]} (slack {1 - enc[1]})",
-                )
-            )
+        check(CHECK_TAIL_CERTIFIED, True, "l1 tail certified")
+        _, hi = params.alpha_l1_enclosure()
+        check(CHECK_L1_NORM, hi < 1, f"sum alpha_n <= {hi} (slack {1 - hi})")
 
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
 

@@ -166,18 +166,26 @@ def functional_to_config(functional: Functional) -> dict:
 # -- records ------------------------------------------------------------------------
 
 
+def _is_rational(value) -> bool:
+    """A Fraction or a nonempty list of them: such a field is written as "p/q"
+    with a float companion under the key plus ``_f64``."""
+    if isinstance(value, (list, tuple)):
+        return bool(value) and isinstance(value[0], Fraction)
+    return isinstance(value, Fraction)
+
+
 def finalize_record(record: dict) -> dict:
     """Expand Fractions into "p/q" plus float companions; order keys."""
     out: dict = {}
     for key, value in record.items():
-        if isinstance(value, Fraction):
+        if not _is_rational(value):
+            out[key] = value
+        elif isinstance(value, Fraction):
             out[key] = format_rational(value)
             out[f"{key}_f64"] = float(value)
-        elif isinstance(value, (list, tuple)) and value and isinstance(value[0], Fraction):
+        else:
             out[key] = [format_rational(v) for v in value]
             out[f"{key}_f64"] = [float(v) for v in value]
-        else:
-            out[key] = value
     return {k: out[k] for k in sorted(out)}
 
 
@@ -195,25 +203,25 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
 
 
 def write_csv(records: Sequence[dict], path: str | Path) -> None:
+    """CSV of the finalized records; each row is finalized as it is written."""
     import csv
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    finalized = [finalize_record(r) for r in records]
-    fields: list[str] = []
-    for rec in finalized:
-        for key in rec:
-            if key not in fields:
-                fields.append(key)
-    fields.sort()
+    fields: set[str] = set()
+    for record in records:
+        for key, value in record.items():
+            fields.add(key)
+            if _is_rational(value):
+                fields.add(f"{key}_f64")
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=sorted(fields), lineterminator="\n")
         writer.writeheader()
-        for rec in finalized:
+        for record in records:
             writer.writerow(
                 {
                     k: (";".join(map(str, v)) if isinstance(v, list) else v)
-                    for k, v in rec.items()
+                    for k, v in finalize_record(record).items()
                 }
             )
 

@@ -217,6 +217,18 @@ def test_curve_outputs(d2_config, tmp_path):
     assert ledger[1]["increment"] == "1/4"
 
 
+def test_curve_csv_bytes_are_pinned(tmp_path):
+    import hashlib
+    from pathlib import Path
+
+    config = Path(__file__).resolve().parent.parent / "configs" / "geometric_l1.cfg"
+    out = tmp_path / "out"
+    assert main(["curve", "--config", str(config), "--level", "3", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "curve.csv").read_bytes()).hexdigest()
+    # recorded when write_csv still finalized every row before writing any
+    assert digest == "ef70259a3584c9a996b0a7eebccf6137250f5ccb05ae05d4a4b0c41fa1e3efe6"
+
+
 def test_curve_budget(d2_config, tmp_path):
     code = main(
         [
@@ -366,6 +378,44 @@ def test_run_dispatches_config_command(d1_config, tmp_path):
     assert main(["run", "--config", str(cfg)]) == 0
     (record,) = read_jsonl(out / "measure.jsonl")
     assert record["mu"] == "9/16"
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("curve", "level"),
+        ("measure", "level"),
+        ("scan", "level"),
+        ("evaluate", "level"),
+        ("diagnose", "seed"),
+        ("diagnose", "samples"),
+    ],
+)
+def test_run_bad_config_integer_is_config_error(command, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    extra = {"evaluate": 't = "1/3"\n', "diagnose": 'check = "slope-identity"\n'}
+    cfg.write_text(
+        D2_CONFIG
+        + f'command = "{command}"\n{key} = "x"\nout = "{tmp_path / "o"}"\n'
+        + extra.get(command, "")
+    )
+    assert main(["run", "--config", str(cfg)]) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert f"config key '{key}' must be an integer, got 'x'" in record["message"]
+
+
+def test_run_forwards_diagnose_flags(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        D2_CONFIG
+        + 'command = "diagnose"\ncheck = "slope-identity"\nseed = 7\nsamples = 50\n'
+        + f'out = "{out}"\n'
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    (record,) = read_jsonl(out / "diagnose_slope_identity.jsonl")
+    assert (record["seed"], record["samples"], record["passed_count"]) == (7, 50, 50)
 
 
 def test_version_flag(capsys):

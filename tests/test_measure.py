@@ -1,14 +1,18 @@
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
+from sawproj.cli import circle_directions
 from sawproj.construction import DEFAULT_PIECE_BUDGET
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
-from sawproj.measure import IntervalUnion
+from sawproj.measure import IntervalUnion, _Shape
+from sawproj.records import functional_from_config, load_config, params_from_config
 
 from oracles import direct_image, pairwise_merge, pl_image_oracle
 
@@ -131,32 +135,41 @@ DIRECT_PIECE_LIMIT = 4096
 ORACLE_PIECE_LIMIT = 64
 
 
-@st.composite
-def truncations(draw):
-    """Explicit grid (factors 1..6, odd and 1 included), signed rational
-    coefficients and an optional rational direction, at a level whose piece
-    count direct enumeration handles quickly."""
-    factors = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+def explicit_truncation(factors, alpha0, coeffs, direction=(0, 0)):
+    """(params, functional, level): an explicit grid with zero scales, signed
+    coefficients c_0 = alpha0, c_n = coeffs[n - 1], at level len(coeffs), in
+    direction (p, q) unless that is (0, 0)."""
     params = sp.ParameterSet(
         alpha=sp.explicit([0] * len(factors), 0, 0),
         m=sp.explicit_refinement(factors),
         n_max=len(factors),
         model="L2",
     )
-    level = draw(st.integers(0, len(factors)))
-    while 2 * params.grid_size(level) > DIRECT_PIECE_LIMIT:
-        level -= 1
-    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
-    coeffs = draw(st.lists(rationals, min_size=level, max_size=level))
+    coeffs = [F(c) for c in coeffs]
     functional = sp.Functional(
-        alpha0=draw(rationals),
+        alpha0=F(alpha0),
         rule=sp.explicit([abs(c) for c in coeffs], 0, 0),
         signs=tuple(-1 if c < 0 else 1 for c in coeffs),
     )
-    p, q = draw(rationals), draw(rationals)
+    p, q = map(F, direction)
     if p or q:
         functional = functional.with_direction(p, q)
-    return params, functional, level
+    return params, functional, len(coeffs)
+
+
+@st.composite
+def truncations(draw):
+    """Explicit grid (factors 1..6, odd and 1 included), signed rational
+    coefficients and an optional rational direction, at a level whose piece
+    count direct enumeration handles quickly."""
+    factors = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    level = draw(st.integers(0, len(factors)))
+    while 2 * prod(factors[:level]) > DIRECT_PIECE_LIMIT:
+        level -= 1
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    coeffs = draw(st.lists(rationals, min_size=level, max_size=level))
+    alpha0 = draw(rationals)
+    return explicit_truncation(factors, alpha0, coeffs, (draw(rationals), draw(rationals)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -188,6 +201,79 @@ def test_bracket_chain_matches_per_level_images(case):
         assert link.holds
     assert bracket.chain_holds
     assert bracket.lower <= bracket.mu <= bracket.upper
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(truncations())
+@example(explicit_truncation([2], "3/5", ["1/3"]))  # shifted copies that only touch
+@example(explicit_truncation([6], "-4/3", [2]))  # a part nested in a longer one
+@example(explicit_truncation([3], 3, [-4]))  # overlapping hulls, gaps between components
+@example(explicit_truncation([6], -3, [8]))  # a one-part cluster that is not solid
+@example(explicit_truncation([1, 3, 1, 5], "1/2", ["-3/4", 2, "5/3", -1]))  # m_n = 1, odd
+@example(explicit_truncation([2, 4, 3], "1/2", ["1/4", "1/16", "1/36"], (1, -2)))  # q < 0
+def test_hull_cluster_measures_match_flattened_and_direct_images(case):
+    params, functional, level = case
+    mus = sp.projection_bracket(params, functional, level).mu_levels
+    for k in range(level + 1):
+        pl = sp.build_pl(params, functional, k)
+        assert mus[k] == sp.image_measure(pl)[1] == direct_image(pl)[1]
+
+
+def _shape_and_pairs(tree, offset=0):
+    """A _Shape built from a tree, with the shifted leaf intervals it covers.
+
+    A tree is a leaf (lo, length) or a list of (offset, subtree) parts."""
+    if isinstance(tree, tuple):
+        lo, length = tree
+        return _Shape(lo, lo + length, length), [(offset + lo, offset + lo + length)]
+    parts, pairs = [], []
+    for off, sub in tree:
+        shape, sub_pairs = _shape_and_pairs(sub, offset + off)
+        parts.append((off, shape))
+        pairs += sub_pairs
+    return _Shape.stack(parts), pairs
+
+
+COMB = [(0, (0, 2)), (6, (0, 2))]  # [0, 2] and [6, 8]
+SHAPE_TREES = st.recursive(
+    st.tuples(st.integers(-8, 8), st.integers(0, 6)),
+    lambda sub: st.lists(st.tuples(st.integers(-20, 20), sub), min_size=1, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SHAPE_TREES)
+@example([(0, COMB), (3, COMB)])  # interleaved combs: hulls overlap, components do not
+@example([(0, COMB), (2, COMB), (13, (-3, 2))])  # touching combs, then a touching leaf
+def test_shape_stack_matches_pairwise_merge(tree):
+    shape, pairs = _shape_and_pairs(tree)
+    merged = pairwise_merge(pairs)
+    assert list(shape.flatten()) == merged
+    assert shape.measure == sum(hi - lo for lo, hi in merged)
+    assert (shape.lo, shape.hi) == (merged[0][0], merged[-1][1])
+    assert shape.solid == (len(merged) == 1)
+
+
+def test_scan_directions_match_flattened_and_direct_images():
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "harmonic_l2.cfg")
+    params, functional = params_from_config(config), functional_from_config(config)
+    for p, q in circle_directions(64):
+        combined = functional.with_direction(p, q)
+        mus = sp.projection_bracket(params, combined, 5).mu_levels
+        assert mus[4] == direct_image(sp.build_pl(params, combined, 4))[1]
+        assert mus[5] == sp.image_measure(sp.build_pl(params, combined, 5))[1]
+
+
+def test_dense_direction_builds_no_union(d1, f1, monkeypatch):
+    # direction 48 of the 64-direction scan: its level-7 image has 645,120
+    # components, yet its measure needs none of them merged
+    def no_union(denom, pairs):
+        raise AssertionError("an interval union was built")
+
+    monkeypatch.setattr(IntervalUnion, "from_pairs", staticmethod(no_union))
+    bracket = sp.directional_measure(d1, f1, (F(-2048), F(1536)), 7)
+    assert bracket.mu == F(3637276, 3675)
 
 
 def test_projection_bracket_f1(d1, f1):

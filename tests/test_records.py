@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from sawproj.records import (
     params_to_config,
     parse_config_text,
     read_jsonl,
+    write_csv,
     write_jsonl,
 )
 
@@ -151,6 +154,26 @@ def test_jsonl_roundtrip(tmp_path):
 def test_content_hash_is_order_insensitive():
     assert content_hash({"a": 1, "b": 2}) == content_hash({"b": 2, "a": 1})
     assert content_hash({"a": 1}) != content_hash({"a": 2})
+
+
+def test_write_csv_matches_finalized_rows(tmp_path):
+    records = [
+        {"c": 5, "a": F(1, 3), "b": [F(1, 2), F(-3, 2)]},
+        {"c": 6, "d": "x", "e": [], "a_f64": 0.25},
+        {"a": 2, "f": True},
+    ]
+    write_csv(records, tmp_path / "rows.csv")
+    # the rows as finalized all at once, then written
+    finalized = [finalize_record(r) for r in records]
+    fields = sorted({key for rec in finalized for key in rec})
+    expected = io.StringIO()
+    writer = csv.DictWriter(expected, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    for rec in finalized:
+        writer.writerow(
+            {k: ";".join(map(str, v)) if isinstance(v, list) else v for k, v in rec.items()}
+        )
+    assert (tmp_path / "rows.csv").read_text(encoding="utf-8") == expected.getvalue()
 
 
 def test_export_pieces_csv(tmp_path, d1, f1):
