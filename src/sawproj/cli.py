@@ -22,7 +22,6 @@ from . import __version__
 from .construction import (
     DEFAULT_PIECE_BUDGET,
     build_pl,
-    component_value,
     truncated_point,
 )
 from .curve import (
@@ -36,16 +35,14 @@ from .diagnostics import (
     GENERATOR_NAME,
     event_set,
     independence_check,
-    rand_fraction,
-    rand_index,
     sample_event_union,
+    sample_oscillation,
     sample_secant_witnesses,
     sample_slope_identities,
-    spawn_rng,
 )
 from .errors import BudgetExceeded, ConfigError, SawprojError
 from .measure import directional_measure, projection_bracket
-from .params import GridCell, validate
+from .params import validate
 from .rational import format_rational, parse_rational
 from .records import (
     SCHEMA_VERSION,
@@ -57,9 +54,11 @@ from .records import (
     load_config,
     params_from_config,
     params_to_config,
+    ratio_cells,
     read_jsonl,
     write_csv,
     write_jsonl,
+    write_rows,
 )
 
 EXIT_OK = 0
@@ -129,8 +128,20 @@ class _Cache:
         self.dir = root / ".cache"
         self.enabled = enabled
 
-    def key(self, payload: dict) -> str:
-        return content_hash(payload)
+    @staticmethod
+    def key(kind: str, params, functional, level: int, **extra) -> str:
+        """Content hash of what a record is a pure function of, engine version included."""
+        return content_hash(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "engine_version": __version__,
+                "kind": kind,
+                "params": params_to_config(params),
+                "functional": functional_to_config(functional),
+                "level": level,
+                **extra,
+            }
+        )
 
     def get(self, key: str) -> Optional[dict]:
         """The cached record, or None on a miss; an unreadable entry is a miss."""
@@ -235,16 +246,7 @@ def cmd_measure(args) -> int:
         pl = build_pl(params, functional, level, piece_budget=budget)
         export_pieces_csv(pl, out / "pieces.csv")
     cache = _Cache(out, enabled=not args.no_cache)
-    key = cache.key(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "engine_version": __version__,
-            "kind": "measure",
-            "params": params_to_config(params),
-            "functional": functional_to_config(functional),
-            "level": level,
-        }
-    )
+    key = cache.key("measure", params, functional, level)
     record = cache.get(key)
     if record is None:
         bracket = projection_bracket(params, functional, level, piece_budget=budget)
@@ -257,12 +259,9 @@ def cmd_measure(args) -> int:
 
 def circle_directions(count: int) -> list[tuple[Fraction, Fraction]]:
     """count rational directions sweeping the half-turn of all lines."""
-    out = []
-    for k in range(count):
-        p = (count - k) ** 2 - k**2
-        q = 2 * k * (count - k)
-        out.append((Fraction(p), Fraction(q)))
-    return out
+    return [
+        (Fraction((count - k) ** 2 - k**2), Fraction(2 * k * (count - k))) for k in range(count)
+    ]
 
 
 def cmd_scan(args) -> int:
@@ -285,15 +284,7 @@ def cmd_scan(args) -> int:
     records = []
     for idx, (p, q) in enumerate(directions):
         key = cache.key(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "engine_version": __version__,
-                "kind": "scan",
-                "params": params_to_config(params),
-                "functional": functional_to_config(functional),
-                "level": level,
-                "direction": [format_rational(p), format_rational(q)],
-            }
+            "scan", params, functional, level, direction=[format_rational(p), format_rational(q)]
         )
         record = cache.get(key)
         if record is None:
@@ -301,14 +292,7 @@ def cmd_scan(args) -> int:
                 params, functional, (p, q), level, piece_budget=budget
             )
             record = _bracket_record(functional, bracket)
-            record.update(
-                {
-                    "kind": "scan",
-                    "direction_index": idx,
-                    "direction_p": p,
-                    "direction_q": q,
-                }
-            )
+            record.update(kind="scan", direction_index=idx, direction_p=p, direction_q=q)
             record = finalize_record(record)
             cache.put(key, record)
         records.append(record)
@@ -331,15 +315,11 @@ def cmd_curve(args) -> int:
     out = _out_dir(args, config)
 
     table = vertex_table(params, functional, level, vertex_budget=budget)
+    # zero-padded names keep the sorted header in coordinate order
     names = [f"coord_{n:0{len(str(level))}d}" for n in range(level + 1)]
-    vertical = table.vertical
-    rows = []
-    for idx, (k, nums) in enumerate(zip(table.ks, table.nums)):
-        row = {"vertex_index": idx, "t": Fraction(k, table.t_denom)}
-        row.update(zip(names, [Fraction(x, table.denom) for x in nums]))
-        row["is_vertical"] = vertical[idx] if idx < len(vertical) else False
-        rows.append(row)
-    write_csv(rows, out / "curve.csv")
+    header = [c for name in names for c in (name, f"{name}_f64")]
+    header += ["is_vertical", "t", "t_f64", "vertex_index"]
+    write_rows(out / "curve.csv", header, _curve_rows(table))
 
     ledger = [
         {
@@ -367,121 +347,78 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _diag_event_measure(params, args, rng) -> tuple[list[dict], bool]:
-    records, ok = [], True
+def _curve_rows(table):
+    """The CSV cells of every polygon vertex, from the table's integers."""
+    denom, vertical = table.denom, table.vertical
+    for idx, (k, nums) in enumerate(zip(table.ks, table.nums)):
+        row = [cell for x in nums for cell in ratio_cells(x, denom)]
+        row.append(idx < len(vertical) and vertical[idx])
+        row += [*ratio_cells(k, table.t_denom), idx]
+        yield row
+
+
+def _diag_event_measure(params, args) -> list[dict]:
+    records = []
     for n in range(1, min(6, params.n_max) + 1):
-        ev = event_set(params, n)
-        expected = 2 * params.alpha_term(n)
-        passed = ev.measure == expected
-        ok &= passed
+        measure, expected = event_set(params, n).measure, 2 * params.alpha_term(n)
         records.append(
-            {
-                "check": "event-measure",
-                "level": n,
-                "measure": ev.measure,
-                "expected": expected,
-                "passed": passed,
-            }
+            {"level": n, "measure": measure, "expected": expected, "passed": measure == expected}
         )
-    return records, ok
+    return records
 
 
-def _diag_independence(params, args, rng) -> tuple[list[dict], bool]:
-    records, ok = [], True
-    top = min(6, params.n_max)
+def _diag_independence(params, args) -> list[dict]:
+    records, top = [], min(6, params.n_max)
     for i in range(2, top + 1):
         for j in range(i + 1, top + 1):
             res = independence_check(params, (i, j))
-            ok &= res.multiplicative
             records.append(
                 {
-                    "check": "independence",
                     "levels": f"{i},{j}",
                     "measure": res.measure,
                     "expected": res.expected,
                     "passed": res.multiplicative,
                 }
             )
-    return records, ok
+    return records
 
 
-def _diag_borel_cantelli(params, args, rng) -> tuple[list[dict], bool]:
+def _sampled(args, **fields) -> dict:
+    return {"samples": args.samples, "seed": args.seed, "generator": GENERATOR_NAME, **fields}
+
+
+def _diag_borel_cantelli(params, args) -> list[dict]:
     levels = tuple(range(4, min(8, params.n_max) + 1))
     report = sample_event_union(params, levels, args.samples, args.seed)
-    passed = report.within_sigmas(3)
-    record = {
-        "check": "borel-cantelli",
-        "levels": ",".join(map(str, levels)),
-        "samples": report.samples,
-        "seed": report.seed,
-        "generator": report.generator,
-        "fraction": report.fraction,
-        "expected": report.expected_probability,
-        "passed": passed,
-    }
-    return [record], passed
+    return [
+        _sampled(
+            args,
+            levels=",".join(map(str, levels)),
+            fraction=report.fraction,
+            expected=report.expected_probability,
+            passed=report.within_sigmas(3),
+        )
+    ]
 
 
-def _diag_slope_identity(params, args, rng) -> tuple[list[dict], bool]:
+def _diag_slope_identity(params, args) -> list[dict]:
     passed = sample_slope_identities(params, args.samples, args.seed)
-    ok = passed == args.samples
-    record = {
-        "check": "slope-identity",
-        "samples": args.samples,
-        "seed": args.seed,
-        "generator": GENERATOR_NAME,
-        "passed_count": passed,
-        "passed": ok,
-    }
-    return [record], ok
+    return [_sampled(args, passed_count=passed, passed=passed == args.samples)]
 
 
-def _diag_secant(params, args, rng) -> tuple[list[dict], bool]:
-    records, ok = [], True
+def _diag_secant(params, args) -> list[dict]:
+    records = []
     for n in range(4, min(7, params.n_max) + 1):
         hits, total = sample_secant_witnesses(params, n, args.samples, args.seed)
-        passed = 10 * hits >= 9 * total
-        ok &= passed
         records.append(
-            {
-                "check": "secant",
-                "level": n,
-                "samples": total,
-                "seed": args.seed,
-                "generator": GENERATOR_NAME,
-                "passed_count": hits,
-                "passed": passed,
-            }
+            _sampled(args, level=n, samples=total, passed_count=hits, passed=10 * hits >= 9 * total)
         )
-    return records, ok
+    return records
 
 
-def _diag_oscillation(params, args, rng) -> tuple[list[dict], bool]:
-    worst = Fraction(0)
-    ok = True
-    for _ in range(args.samples):
-        n = rand_index(rng, 0, min(6, params.n_max))
-        size = params.grid_size(n)
-        idx = rand_index(rng, 1, size)
-        cell = GridCell(n, idx, size)
-        lo, _hi = cell.interval()
-        t = lo + rand_fraction(rng) * cell.length
-        u = lo + rand_fraction(rng) * cell.length
-        for k in range(params.n_max + 1):
-            osc = abs(component_value(params, k, t) - component_value(params, k, u))
-            if osc > cell.length:
-                ok = False
-            if osc > worst:
-                worst = osc
-    record = {
-        "check": "oscillation",
-        "samples": args.samples,
-        "seed": args.seed,
-        "generator": GENERATOR_NAME,
-        "worst": worst,
-        "passed": ok,
-    }
-    return [record], ok
+def _diag_oscillation(params, args) -> list[dict]:
+    worst, passed = sample_oscillation(params, args.samples, args.seed)
+    return [_sampled(args, worst=worst, passed=passed)]
 
 
 _DIAGNOSTICS = {
@@ -502,14 +439,14 @@ def cmd_diagnose(args) -> int:
         )
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    rng = spawn_rng(args.seed)
-    records, ok = _DIAGNOSTICS[args.check](params, args, rng)
+    if args.seed < 0:  # Random would seed from its absolute value, aliasing a positive seed
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    records = _DIAGNOSTICS[args.check](params, args)
     for record in records:
-        record.setdefault("schema_version", SCHEMA_VERSION)
-        record.setdefault("kind", "diagnose")
+        record.update(schema_version=SCHEMA_VERSION, kind="diagnose", check=args.check)
     name = args.check.replace("-", "_")
     write_jsonl(records, _out_dir(args, config) / f"diagnose_{name}.jsonl")
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return EXIT_OK if all(r["passed"] for r in records) else EXIT_VALIDATION
 
 
 def cmd_emit(args) -> int:

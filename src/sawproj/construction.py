@@ -95,8 +95,15 @@ def _scaled_saw(params: ParameterSet, n: int, t: Fraction, left: bool) -> Fracti
     return Fraction(2 * r - den, 2 * den * size)
 
 
-def _components(params: ParameterSet, level: int, t: Fraction) -> tuple[Fraction, ...]:
-    return tuple(_component(params, n, t) for n in range(level + 1))
+def point_nums(sizes: tuple[int, ...], num: int, den: int) -> list[int]:
+    """(f_0(t), ..., f_N(t)) at t = num/den as numerators over 2 den M_N,
+    where sizes are M_0, ..., M_N: the formula above scaled by M_N/M_n."""
+    top = sizes[-1]
+    out = [2 * top * num]
+    for size in sizes[1:]:
+        u = 2 * (size * num % den) - den
+        out.append(top // size * u if u > 0 else 0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ def truncated_point(params: ParameterSet, level: int, t: Fraction) -> TruncatedP
         tail_sq_lower = Fraction(0)
     return TruncatedPoint(
         level=level,
-        coords=_components(params, level, t),
+        coords=tuple(_component(params, n, t) for n in range(level + 1)),
         model=params.model,
         t=t,
         tail_l1_upper=params.point_tail_l1_upper(level),
@@ -201,14 +208,21 @@ class Kernel(NamedTuple):
         return out
 
     def nums(self, j: int) -> tuple[int, int]:
-        """Left value and right limit of piece j."""
-        return sum(self.coords(j)), sum(self.coords(j + 1, left=True))
+        """Left value and right limit of piece j: across it c_0 t rises by 2 a_0,
+        and c_n f_n by 2 a_n where it lies in the rising half of a level-n cell."""
+        a, q = self.coeffs, self.periods
+        value, rise = 2 * a[0] * j, a[0]
+        for n in range(1, len(a)):
+            u = 2 * (j % q[n]) - q[n]
+            if u >= 0:
+                value += a[n] * u
+                rise += a[n]
+        return value, value + 2 * rise
 
     def jump_num(self, j: int) -> int:
         """Downward jump h(t-) - h(t) at breakpoint t = j/(2 M_N); 0 at j = 0."""
-        if j == 0:
-            return 0
-        return sum(self.coords(j, left=True)) - sum(self.coords(j))
+        a, q = self.coeffs, self.periods
+        return sum(a[n] * q[n] for n in range(1, len(a)) if j and j % q[n] == 0)
 
 
 def half_grid_kernel(

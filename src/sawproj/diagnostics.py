@@ -25,26 +25,34 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .construction import _component, _components
+from .construction import point_nums
 from .curve import CurveEvaluator, _l1_distance
 from .errors import BudgetExceeded, DomainError
 from .measure import IntervalUnion
 from .params import L2, GridCell, ParameterSet
 
 GENERATOR_NAME = "mt19937-getrandbits"
+SAMPLE_BITS = 48  # a sampled parameter is a multiple of 2^-48 of its range
 
 
 # -- seeded rational sampling -------------------------------------------------------
 
 
 def spawn_rng(seed: int, chunk: int = 0) -> random.Random:
-    """Deterministic child generator for a chunked sample stream."""
+    """Deterministic child generator for a chunked sample stream.
+
+    A negative seed is refused: Random seeds from the absolute value, so it
+    would alias a positive one.
+    """
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     return random.Random(seed * 1000003 + chunk)
 
 
-def rand_fraction(rng: random.Random, bits: int = 48) -> Fraction:
+def rand_fraction(rng: random.Random, bits: int = SAMPLE_BITS) -> Fraction:
     """Uniform dyadic rational in [0, 1)."""
     return Fraction(rng.getrandbits(bits), 1 << bits)
 
@@ -225,19 +233,36 @@ def secant_threshold(params: ParameterSet) -> Fraction:
 
 
 class _SecantConstants(NamedTuple):
-    """What every witness of one parameter set shares."""
+    """What every witness of one parameter set shares: the grid sizes, the
+    weights alpha_k = weights[k] / q with q = lcm den(alpha_k), the threshold
+    and the tail certificate of the squared coordinates past n_max."""
 
-    alphas: tuple[Fraction, ...]  # alpha_0 .. alpha_{n_max}
+    sizes: tuple[int, ...]
+    weights: tuple[int, ...]
+    q: int
     threshold: Fraction
-    tail_sq: Fraction  # bounds the squared coordinates past n_max
+    tail_sq: Fraction
 
     @staticmethod
     def of(params: ParameterSet) -> "_SecantConstants":
-        return _SecantConstants(
-            tuple(params.alpha_term(k) for k in range(params.n_max + 1)),
-            secant_threshold(params),
-            params.point_tail_l2sq_upper(params.n_max),
-        )
+        alphas = [params.alpha_term(k) for k in range(params.n_max + 1)]
+        q = lcm(*(a.denominator for a in alphas))
+        weights = tuple(a.numerator * (q // a.denominator) for a in alphas)
+        tail_sq = params.point_tail_l2sq_upper(params.n_max)
+        return _SecantConstants(params.grid_sizes, weights, q, secant_threshold(params), tail_sq)
+
+    def deltas(self, den: int, a0: int, an: int) -> tuple[list[int], int]:
+        """alpha_k (f_k(tn) - f_k(t0)) at t0 = a0/den, tn = an/den, as
+        numerators over the returned scale S = 2 den M_N q."""
+        p0, pn = point_nums(self.sizes, a0, den), point_nums(self.sizes, an, den)
+        deltas = [w * (y - x) for w, x, y in zip(self.weights, p0, pn)]
+        return deltas, 2 * den * self.sizes[-1] * self.q
+
+    def passes(self, deltas: list[int], scale: int, n: int) -> bool:
+        """ratio_sq >= threshold, cross-multiplied over the deltas' scale."""
+        thr, tail = self.threshold, self.tail_sq
+        norm = sum(d * d for d in deltas) * tail.denominator + tail.numerator * scale * scale
+        return deltas[n] ** 2 * thr.denominator * tail.denominator >= thr.numerator * norm
 
 
 def _require_l2(params: ParameterSet) -> None:
@@ -245,9 +270,7 @@ def _require_l2(params: ParameterSet) -> None:
         raise DomainError("secant witnesses are an L2-model diagnostic")
 
 
-def secant_witness(
-    params: ParameterSet, t0: Fraction, n: int
-) -> Optional[SecantWitness]:
+def secant_witness(params: ParameterSet, t0: Fraction, n: int) -> Optional[SecantWitness]:
     """Deterministic cross-boundary witness at level n, or None if ineligible.
 
     Eligibility: t0 within alpha_n / M_n of its nearest level-n grid point
@@ -257,53 +280,39 @@ def secant_witness(
     """
     _require_l2(params)
     t0 = Fraction(t0)
-    tn = _secant_partner(params, t0, n)
-    if tn is None:
-        return None
-    return _secant_from(params, n, t0, tn, _SecantConstants.of(params))
-
-
-def _secant_partner(params: ParameterSet, t0: Fraction, n: int) -> Optional[Fraction]:
-    """The partner parameter of an eligible t0, or None."""
-    if not 0 <= t0 < 1:
-        raise DomainError(f"t0 = {t0} outside [0, 1)")
     if not 1 <= n <= params.n_max:
         raise DomainError(f"level {n} outside [1, {params.n_max}]")
-    alpha_n = params.alpha_term(n)
-    if alpha_n == 0:
+    alpha_n, size = params.alpha_term(n), params.grid_size(n)
+    step = lcm(t0.denominator, alpha_n.denominator * size) // size  # 1/M_n over den
+    den = step * size
+    a0 = t0.numerator * (den // t0.denominator)
+    an = _secant_partner(params, n, a0, den, step // alpha_n.denominator * alpha_n.numerator)
+    if an is None:
         return None
-    size = params.grid_size(n)
-    scaled = t0 * size
-    k = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    beta = Fraction(k, size)
-    if abs(t0 - beta) > alpha_n / size:
-        return None
-    if k % params.refinement_factor(n) == 0:
-        return None  # beta lies on a coarser grid
-    return beta if t0 < beta else beta - alpha_n / size
-
-
-def _secant_from(
-    params: ParameterSet, n: int, t0: Fraction, tn: Fraction, consts: _SecantConstants
-) -> SecantWitness:
-    """The witness of the eligible pair (t0, tn)."""
-    level, alphas = params.n_max, consts.alphas
-    c0 = _components(params, level, t0)
-    cn = _components(params, level, tn)
-    delta = tuple(alphas[k_] * (cn[k_] - c0[k_]) for k_ in range(level + 1))
+    consts = _SecantConstants.of(params)
+    deltas, scale = consts.deltas(den, a0, an)
     # discarded levels k > n_max differ by at most 1/(2 M_k) per coordinate
-    norm_sq = sum((d * d for d in delta), Fraction(0))
-    norm_sq_upper = norm_sq + consts.tail_sq
-    gap = alphas[n] * abs(cn[n] - c0[n])
+    norm_sq_upper = Fraction(sum(d * d for d in deltas), scale**2) + consts.tail_sq
+    delta = tuple(Fraction(d, scale) for d in deltas)
+    ratio_sq = Fraction(deltas[n] ** 2, scale**2) / norm_sq_upper
     return SecantWitness(
-        n=n,
-        t0=t0,
-        tn=tn,
-        delta=delta,
-        norm_sq_upper=norm_sq_upper,
-        ratio_sq=gap**2 / norm_sq_upper,
-        threshold=consts.threshold,
+        n, t0, Fraction(an, den), delta, norm_sq_upper, ratio_sq, consts.threshold
     )
+
+
+def _secant_partner(
+    params: ParameterSet, n: int, a0: int, den: int, radius: int
+) -> Optional[int]:
+    """The partner of an eligible t0 = a0/den, or None; den is a multiple of
+    M_n and radius = den alpha_n / M_n."""
+    if not 0 <= a0 < den:
+        raise DomainError(f"t0 = {Fraction(a0, den)} outside [0, 1)")
+    step = den // params.grid_size(n)
+    k = (2 * a0 + step) // (2 * step)  # the nearest level-n grid index
+    beta = k * step
+    if radius == 0 or abs(a0 - beta) > radius or k % params.refinement_factor(n) == 0:
+        return None  # too far, or beta lies on a coarser grid
+    return beta if a0 < beta else beta - radius
 
 
 def sample_secant_witnesses(
@@ -313,32 +322,30 @@ def sample_secant_witnesses(
 
     Raises DomainError up front when no parameter can be eligible: with
     m_n = 1 every level-n grid point lies on the coarser grid, and with
-    alpha_n = 0 no parameter is near enough to one. The threshold, the tail
-    certificate and the weights alpha_k are computed once per call.
+    alpha_n = 0 no parameter is near enough to one. Every t0 and partner is
+    a numerator over den = 2^48 den(alpha_n) M_n.
     """
     _require_l2(params)
     rng = spawn_rng(seed, n)
-    size = params.grid_size(n)
-    m_n = params.refinement_factor(n)
-    alpha_n = params.alpha_term(n)
+    size, m_n, alpha_n = params.grid_size(n), params.refinement_factor(n), params.alpha_term(n)
     if m_n == 1 or alpha_n == 0:
         raise DomainError(
             f"no eligible secant parameter at level {n}: m_n = {m_n}, alpha_n = {alpha_n}"
         )
     consts = _SecantConstants.of(params)
+    step = alpha_n.denominator << SAMPLE_BITS
+    den, radius = step * size, alpha_n.numerator << SAMPLE_BITS
     passed = total = 0
     while total < samples:
         k = rand_index(rng, 1, size - 1)
         if k % m_n == 0:
             continue
-        offset = rand_fraction(rng) * alpha_n / size
-        t0 = Fraction(k, size) + (offset if rng.getrandbits(1) else -offset)
-        tn = _secant_partner(params, t0, n)
-        if tn is None:
-            continue
-        total += 1
-        if _secant_from(params, n, t0, tn, consts).passed:
-            passed += 1
+        offset = rng.getrandbits(SAMPLE_BITS) * alpha_n.numerator
+        a0 = k * step + (offset if rng.getrandbits(1) else -offset)
+        an = _secant_partner(params, n, a0, den, radius)
+        if an is not None:
+            total += 1
+            passed += consts.passes(*consts.deltas(den, a0, an), n)
     return passed, total
 
 
@@ -360,11 +367,7 @@ class SlopeIdentityReport:
 
 
 def slope_identity_check(
-    params: ParameterSet,
-    n: int,
-    cell: GridCell,
-    t: Fraction,
-    h: Fraction,
+    params: ParameterSet, n: int, cell: GridCell, t: Fraction, h: Fraction
 ) -> SlopeIdentityReport:
     """Verify the half-period translation identity inside one level-n cell.
 
@@ -375,37 +378,49 @@ def slope_identity_check(
     """
     if cell.level != n:
         raise DomainError("cell level must match the checked level")
-    t, h = Fraction(t), Fraction(h)
-    size = params.grid_size(n)
-    half = Fraction(1, 2 * size)
-    lo, hi = cell.interval()
-    t_shifted = t + half if t + half < hi else t - half
-    points = {"t": t, "t'": t_shifted, "t+h": t + h, "t'+h": t_shifted + h}
+    values = (Fraction(t), Fraction(h)) + cell.interval()
+    den = lcm(2 * params.grid_size(n), *(x.denominator for x in values))
+    nums = (x.numerator * (den // x.denominator) for x in values)
+    shifted, equal_levels, toggled = _slope_identity(params.grid_sizes, n, den, *nums)
+    scale = 2 * den * params.grid_sizes[-1]
+    return SlopeIdentityReport(
+        n, values[0], Fraction(shifted, den), values[1], equal_levels,
+        (Fraction(toggled[0], scale), Fraction(toggled[1], scale)),
+    )
+
+
+def _slope_identity(
+    sizes: tuple[int, ...], n: int, den: int, t: int, h: int, lo: int, hi: int
+) -> tuple[int, tuple[int, ...], tuple[int, int]]:
+    """t', the levels with equal sides and the two level-n sides (over 2 den M_N)
+    for t, h and the cell [lo, hi) over den; raises DomainError on a failure."""
+    half = den // (2 * sizes[n])
+    shifted = t + half if t + half < hi else t - half
+    points = {"t": t, "t'": shifted, "t+h": t + h, "t'+h": shifted + h}
     for name, p in points.items():
         if not lo <= p < hi:
-            raise DomainError(f"{name} = {p} outside the cell [{lo}, {hi})")
-
-    equal_levels = []
-    toggled: Optional[tuple[Fraction, Fraction]] = None
-    for m in range(params.n_max + 1):
-        lhs = _component(params, m, t_shifted + h) - _component(params, m, t_shifted)
-        rhs = _component(params, m, t + h) - _component(params, m, t)
+            cell = f"[{Fraction(lo, den)}, {Fraction(hi, den)})"
+            raise DomainError(f"{name} = {Fraction(p, den)} outside the cell {cell}")
+    f_t, f_s, f_th, f_sh = (point_nums(sizes, p, den) for p in points.values())
+    scale, side = 2 * den * sizes[-1], 2 * sizes[-1] * h  # side: h over scale
+    equal_levels, toggled = [], (0, 0)
+    for m in range(len(sizes)):
+        lhs, rhs = f_sh[m] - f_s[m], f_th[m] - f_t[m]
         if m == n and h != 0:
-            if not ((lhs == 0 and rhs == h) or (rhs == 0 and lhs == h)):
+            if sorted((lhs, rhs)) != sorted((0, side)):
                 raise DomainError(
-                    f"level-{n} sides expected {{0, {h}}}, got {lhs} and {rhs}"
+                    f"level-{n} sides expected {{0, {Fraction(h, den)}}}, "
+                    f"got {Fraction(lhs, scale)} and {Fraction(rhs, scale)}"
                 )
             toggled = (lhs, rhs)
-        else:
-            if lhs != rhs:
-                raise DomainError(
-                    f"component {m} translation identity fails: {lhs} != {rhs}"
-                )
-            if m != n:
-                equal_levels.append(m)
-    if toggled is None:
-        toggled = (Fraction(0), Fraction(0))
-    return SlopeIdentityReport(n, t, t_shifted, h, tuple(equal_levels), toggled)
+        elif lhs != rhs:
+            raise DomainError(
+                f"component {m} translation identity fails: "
+                f"{Fraction(lhs, scale)} != {Fraction(rhs, scale)}"
+            )
+        elif m != n:
+            equal_levels.append(m)
+    return shifted, tuple(equal_levels), toggled
 
 
 def sample_slope_identities(
@@ -415,24 +430,40 @@ def sample_slope_identities(
 
     Tuples are made admissible by construction: t in the first quarter of a
     cell (shift goes right) or the last quarter (shift goes left), and
-    |h| < 1/(4 M_n) pointing inward.
+    |h| < 1/(4 M_n) pointing inward. A quarter cell is 2^48 over 2^50 M_n.
     """
     max_level = max_level or min(5, params.n_max - 1)
+    sizes = params.grid_sizes
     passed = 0
     rng = spawn_rng(seed)
     for _ in range(samples):
         n = rand_index(rng, 1, max_level)
-        size = params.grid_size(n)
-        idx = rand_index(rng, 1, size)
-        cell = GridCell(n, idx, size)
-        lo, _ = cell.interval()
-        quarter = Fraction(1, 4 * size)
-        u = rand_fraction(rng) * quarter
-        h = rand_fraction(rng) * quarter
+        lo = (rand_index(rng, 1, sizes[n]) - 1) << (SAMPLE_BITS + 2)
+        u, h = rng.getrandbits(SAMPLE_BITS), rng.getrandbits(SAMPLE_BITS)
         # first quarter (the shift goes right) or third (it goes left); h >= 0
-        t = lo + u if rng.getrandbits(1) else lo + 2 * quarter + u
-        passed += slope_identity_check(params, n, cell, t, h).passed
+        t = lo + u if rng.getrandbits(1) else lo + (2 << SAMPLE_BITS) + u
+        _slope_identity(sizes, n, sizes[n] << (SAMPLE_BITS + 2), t, h, lo, lo + (4 << SAMPLE_BITS))
+        passed += 1
     return passed
+
+
+def sample_oscillation(params: ParameterSet, samples: int, seed: int) -> tuple[Fraction, bool]:
+    """The worst |f_k(t) - f_k(u)| over every k and seeded pairs t, u in one
+    level-n cell (n <= 6; t over den = 2^48 M_6), and whether all are <= 1/M_n."""
+    top, sizes = min(6, params.n_max), params.grid_sizes
+    den = sizes[top] << SAMPLE_BITS
+    rng = spawn_rng(seed)
+    worst, ok = 0, True
+    for _ in range(samples):
+        n = rand_index(rng, 0, top)
+        step = den // sizes[n]
+        lo = (rand_index(rng, 1, sizes[n]) - 1) * step
+        t = lo + rng.getrandbits(SAMPLE_BITS) * (step >> SAMPLE_BITS)
+        u = lo + rng.getrandbits(SAMPLE_BITS) * (step >> SAMPLE_BITS)
+        for a, b in zip(point_nums(sizes, t, den), point_nums(sizes, u, den)):
+            worst = max(worst, abs(a - b))
+            ok &= abs(a - b) <= 2 * sizes[-1] * step
+    return Fraction(worst, 2 * den * sizes[-1]), ok
 
 
 # -- chord projection witnesses ------------------------------------------------------------

@@ -80,7 +80,7 @@ class ParameterSet:
     n_max: int
     model: str
     sqrt_bits: int = DEFAULT_SQRT_BITS
-    _grid_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    grid_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)  # M_0 .. M_n_max
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -98,7 +98,7 @@ class ParameterSet:
             if f < 1:
                 raise DomainError(f"refinement factor m_{n} = {f} must be positive")
             sizes.append(sizes[-1] * f)
-        object.__setattr__(self, "_grid_sizes", tuple(sizes))
+        object.__setattr__(self, "grid_sizes", tuple(sizes))
 
     # -- grid geometry ---------------------------------------------------------
 
@@ -106,7 +106,7 @@ class ParameterSet:
         """M_n, the number of level-n cells."""
         if not 0 <= n <= self.n_max:
             raise DomainError(f"level {n} outside [0, {self.n_max}]")
-        return self._grid_sizes[n]
+        return self.grid_sizes[n]
 
     def refinement_factor(self, n: int) -> int:
         if not 1 <= n <= self.n_max:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -202,28 +203,37 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
             fh.write("\n")
 
 
-def write_csv(records: Sequence[dict], path: str | Path) -> None:
-    """CSV of the finalized records; each row is finalized as it is written."""
+def ratio_cells(num: int, den: int) -> tuple[str, float]:
+    """The reduced "p/q" cell of num/den (den > 0) and its float companion,
+    which equals float(Fraction(num, den)): integer true division rounds correctly."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}", num / den
+
+
+def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """CSV of a header and rows streamed in its column order."""
     import csv
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_csv(records: Sequence[dict], path: str | Path) -> None:
+    """CSV of the finalized records; each row is finalized as it is written."""
     fields: set[str] = set()
     for record in records:
         for key, value in record.items():
             fields.add(key)
             if _is_rational(value):
                 fields.add(f"{key}_f64")
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=sorted(fields), lineterminator="\n")
-        writer.writeheader()
-        for record in records:
-            writer.writerow(
-                {
-                    k: (";".join(map(str, v)) if isinstance(v, list) else v)
-                    for k, v in finalize_record(record).items()
-                }
-            )
+    header = sorted(fields)
+    cells = ((row.get(k, "") for k in header) for row in map(finalize_record, records))
+    rows = ([";".join(map(str, v)) if isinstance(v, list) else v for v in row] for row in cells)
+    write_rows(path, header, rows)
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
@@ -239,21 +249,27 @@ def content_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+PIECES_HEADER = (
+    "jump_at_left", "jump_at_left_f64", "left_endpoint", "left_endpoint_f64", "left_value",
+    "left_value_f64", "length", "length_f64", "piece_index", "slope", "slope_f64",
+)
+
+
 def export_pieces_csv(pl, path: str | Path) -> int:
     """Write the piece table (index, endpoint, slope, value, jump) as CSV.
 
     Returns the piece count; every rational column gets a float companion.
+    Rows are streamed from the kernel's integer numerators.
     """
-    rows = [
-        {
-            "piece_index": piece.index,
-            "left_endpoint": piece.left,
-            "length": piece.length,
-            "slope": piece.slope,
-            "left_value": piece.left_value,
-            "jump_at_left": piece.jump_at_left,
-        }
-        for piece in pl.pieces()
-    ]
-    write_csv(rows, path)
-    return len(rows)
+    kernel, count = pl.kernel(), pl.piece_count
+    denom, length = kernel.denom, ratio_cells(1, count)
+
+    def rows():
+        for j, (v, w) in enumerate(pl.piece_value_ints()):
+            yield (
+                *ratio_cells(kernel.jump_num(j), denom), *ratio_cells(j, count),
+                *ratio_cells(v, denom), *length, j, *ratio_cells((w - v) * count, denom),
+            )
+
+    write_rows(path, PIECES_HEADER, rows())
+    return count

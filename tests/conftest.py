@@ -1,8 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 import sawproj as sp
+
+# property tests are deterministic and unhurried unless a test says otherwise
+settings.register_profile("sawproj", deadline=None, derandomize=True)
+settings.load_profile("sawproj")
 
 
 @pytest.fixture(scope="session")

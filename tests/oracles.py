@@ -2,10 +2,16 @@
 
 Everything here is deliberately written from first principles: its own
 sawtooth, its own left limits, and quadratic pairwise interval merging, so
-agreement with the package is a genuine dual-route check.
+agreement with the package is a genuine dual-route check. The samplers draw
+from the package's seeded generator (``spawn_rng``, ``rand_index``,
+``rand_fraction``), so both routes see the same parameters.
 """
 
+import math
 from fractions import Fraction
+
+from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
+from sawproj.params import GridCell
 
 
 def saw(t: Fraction) -> Fraction:
@@ -150,3 +156,135 @@ def polyline_length(vertices) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+# -- the Fraction routes the integer samplers and row writers replaced -------------------
+
+
+def secant_witness_oracle(params, t0: Fraction, n: int):
+    """(n, t0, tn, delta, norm_sq_upper, ratio_sq, threshold) of the level-n
+    secant witness at t0, or None when t0 is ineligible; one Fraction per value."""
+    size, alpha_n = params.grid_size(n), params.alpha_term(n)
+    if alpha_n == 0:
+        return None
+    k = math.floor(t0 * size + Fraction(1, 2))  # the nearest grid index, halves up
+    beta = Fraction(k, size)
+    if abs(t0 - beta) > alpha_n / size or k % params.refinement_factor(n) == 0:
+        return None
+    tn = beta if t0 < beta else beta - alpha_n / size
+    delta = tuple(
+        params.alpha_term(m) * (component(params, m, tn) - component(params, m, t0))
+        for m in range(params.n_max + 1)
+    )
+    norm_sq_upper = sum(d * d for d in delta) + params.point_tail_l2sq_upper(params.n_max)
+    threshold = 1 / (64 * params.box_norm_sq_enclosure()[1])
+    return n, t0, tn, delta, norm_sq_upper, delta[n] ** 2 / norm_sq_upper, threshold
+
+
+def secant_sample_oracle(params, n: int, samples: int, seed: int):
+    """(passed, total) of sample_secant_witnesses, drawn as Fractions."""
+    rng = spawn_rng(seed, n)
+    size, alpha_n = params.grid_size(n), params.alpha_term(n)
+    passed = total = 0
+    while total < samples:
+        k = rand_index(rng, 1, size - 1)
+        if k % params.refinement_factor(n) == 0:
+            continue
+        offset = rand_fraction(rng) * alpha_n / size
+        t0 = Fraction(k, size) + (offset if rng.getrandbits(1) else -offset)
+        witness = secant_witness_oracle(params, t0, n)
+        if witness is not None:
+            total += 1
+            passed += witness[5] >= witness[6]
+    return passed, total
+
+
+def slope_identity_oracle(params, n: int, cell, t: Fraction, h: Fraction):
+    """(n, t, t', h, equal_levels, toggled_sides) of the half-period
+    translation identity, or None when a point leaves the cell or a check fails."""
+    lo, hi = cell.interval()
+    half = Fraction(1, 2 * params.grid_size(n))
+    shifted = t + half if t + half < hi else t - half
+    if not all(lo <= p < hi for p in (t, shifted, t + h, shifted + h)):
+        return None
+    equal, toggled = [], (Fraction(0), Fraction(0))
+    for m in range(params.n_max + 1):
+        lhs = component(params, m, shifted + h) - component(params, m, shifted)
+        rhs = component(params, m, t + h) - component(params, m, t)
+        if m == n and h != 0:
+            if {lhs, rhs} != {0, h}:
+                return None
+            toggled = (lhs, rhs)
+        elif lhs != rhs:
+            return None
+        elif m != n:
+            equal.append(m)
+    return n, t, shifted, h, tuple(equal), toggled
+
+
+def oscillation_oracle(params, samples: int, seed: int):
+    """(worst, passed) of sample_oscillation, drawn and compared as Fractions."""
+    rng = spawn_rng(seed)
+    worst, passed = Fraction(0), True
+    for _ in range(samples):
+        n = rand_index(rng, 0, min(6, params.n_max))
+        size = params.grid_size(n)
+        lo, width = Fraction(rand_index(rng, 1, size) - 1, size), Fraction(1, size)
+        t = lo + rand_fraction(rng) * width
+        u = lo + rand_fraction(rng) * width
+        for k in range(params.n_max + 1):
+            osc = abs(component(params, k, t) - component(params, k, u))
+            passed &= osc <= width
+            worst = max(worst, osc)
+    return worst, passed
+
+
+def curve_rows_oracle(params, functional, level: int) -> list[dict]:
+    """The rows of the curve command's CSV as Fraction records, for write_csv."""
+    names = [f"coord_{n:0{len(str(level))}d}" for n in range(level + 1)]
+    return [
+        {"vertex_index": i, "t": t, **dict(zip(names, coords)), "is_vertical": i % 3 == 2}
+        for i, (t, coords) in enumerate(curve_vertices_oracle(params, functional, level))
+    ]
+
+
+def piece_rows_oracle(params, functional, level: int) -> list[dict]:
+    """The rows of the piece table as Fraction records, for write_csv."""
+    pieces = 2 * params.grid_size(level)
+    coeffs = [functional.coeff(n) for n in range(level + 1)]
+
+    def value(t, limit=component):
+        return sum((c * limit(params, n, t) for n, c in enumerate(coeffs)), Fraction(0))
+
+    rows = []
+    for j in range(pieces):
+        a, b = Fraction(j, pieces), Fraction(j + 1, pieces)
+        jump = value(a, component_left_limit) - value(a) if j else Fraction(0)
+        rows.append(
+            {
+                "piece_index": j,
+                "left_endpoint": a,
+                "length": b - a,
+                "slope": (value(b, component_left_limit) - value(a)) * pieces,
+                "left_value": value(a),
+                "jump_at_left": jump,
+            }
+        )
+    return rows
+
+
+def slope_sample_oracle(params, samples: int, seed: int):
+    """The pass count of sample_slope_identities, or None where a check fails."""
+    max_level = min(5, params.n_max - 1)
+    rng = spawn_rng(seed)
+    for _ in range(samples):
+        n = rand_index(rng, 1, max_level)
+        size = params.grid_size(n)
+        idx = rand_index(rng, 1, size)
+        quarter = Fraction(1, 4 * size)
+        lo = Fraction(idx - 1, size)
+        u, h = rand_fraction(rng) * quarter, rand_fraction(rng) * quarter
+        t = lo + u if rng.getrandbits(1) else lo + 2 * quarter + u
+        if slope_identity_oracle(params, n, GridCell(n, idx, size), t, h) is None:
+            return None
+    return samples

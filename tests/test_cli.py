@@ -1,9 +1,21 @@
 import json
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import sawproj as sp
 from sawproj.cli import main
-from sawproj.records import read_jsonl
+from sawproj.records import (
+    emit_config_text,
+    functional_to_config,
+    params_to_config,
+    read_jsonl,
+    write_csv,
+)
+
+from oracles import curve_rows_oracle
 
 D1_CONFIG = """\
 alpha.kind = "harmonic"
@@ -433,3 +445,89 @@ def test_shipped_configs_validate(tmp_path):
             ["validate", "--config", str(configs / name), "--out", str(tmp_path / name[:4])]
         )
         assert code == 0
+
+
+CHECKS = ["event-measure", "independence", "borel-cantelli", "slope-identity", "secant", "oscillation"]
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_diagnose_rejects_negative_seed(check, d1_config, tmp_path, capsys):
+    # Random seeds from abs(), so --seed=-1 would write --seed 1's sample
+    out = tmp_path / "o"
+    args = ["diagnose", "--config", str(d1_config), "--check", check, "--out", str(out)]
+    assert main(args + ["--seed=-1"]) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and "--seed must be nonnegative" in record["message"]
+    assert not out.exists()
+
+
+# sha256 of outputs of the shipped configs, recorded when curve rows, piece rows
+# and the sampled diagnostics were still built from one Fraction per value
+OUTPUT_DIGESTS = {
+    "curve.csv": "dccc6e7ae5cf6a30e18942860defc400d155c3a9e17f7e422b2eabc69c0e804a",
+    "diagnose_borel_cantelli.jsonl": "f0fde1e9668615cf0ac1659f893261373d5a7d2637b544a7f93753d74e5afcc5",
+    "diagnose_event_measure.jsonl": "6a927b9d0c9a599a169fc8d819817b088ccef7614787bc2c1cb4637645c84f85",
+    "diagnose_independence.jsonl": "44900daa811d09ddab28156414cbe397153967c6fe604a808eb3b9b7509a75a0",
+    "diagnose_oscillation.jsonl": "4c7d3dd0b6d06599b5867805cc355ceb21d8a2f3770a58e9fdf4ac51e20e1f70",
+    "diagnose_secant.jsonl": "91a1af770833451c3c628bf8da502e21291ece8401e3a9d0152f2b02edf2195e",
+    "diagnose_slope_identity.jsonl": "8c69fb6fa40e10383cb42d83e112be57cf002439392f73f9e615dab2c5793107",
+    "pieces.csv": "36f0f90bc07a0fdd8d5883bc80815de00684eafd828b0cd23ab100666fe9293c",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path):
+    import hashlib
+    from pathlib import Path
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    l1, l2 = str(configs / "geometric_l1.cfg"), str(configs / "harmonic_l2.cfg")
+    out = ["--out", str(tmp_path)]
+    assert main(["curve", "--config", l1, "--level", "5"] + out) == 0
+    for check in CHECKS:  # default samples
+        assert main(["diagnose", "--config", l2, "--check", check, "--seed", "1"] + out) == 0
+    assert main(["measure", "--config", l2, "--level", "4", "--pieces", "--no-cache"] + out) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in OUTPUT_DIGESTS
+    }
+    assert digests == OUTPUT_DIGESTS
+
+
+@st.composite
+def curve_cases(draw):
+    """An L1 parameter set (factors 1..5, odd and 1 included), a contracting
+    functional (geometric or explicit, signed) and a level with at most 600 vertices."""
+    factors = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    params = sp.ParameterSet(
+        alpha=sp.geometric(F(1, 2), F(1, 2)),
+        m=sp.explicit_refinement(factors),
+        n_max=len(factors),
+        model="L1",
+    )
+    level = draw(st.integers(0, len(factors)))
+    assume(3 * params.grid_size(level) + 1 <= 600)
+    small = st.fractions(0, F(1, 5), max_denominator=12)  # four terms sum below 1
+    if draw(st.booleans()):
+        rule = sp.geometric(draw(small), draw(small))
+    else:
+        rule = sp.explicit(draw(st.lists(small, min_size=4, max_size=4)), 0, 0)
+    functional = sp.Functional(
+        alpha0=draw(st.fractions(-2, 2, max_denominator=12)),
+        rule=rule,
+        signs=tuple(draw(st.lists(st.sampled_from([-1, 1]), max_size=4))),
+        name="C",
+    )
+    return params, functional, level
+
+
+@settings(max_examples=60)
+@given(curve_cases())
+def test_curve_csv_matches_fraction_rows(tmp_path_factory, case):
+    params, functional, level = case
+    out = tmp_path_factory.mktemp("curve")
+    config = out / "c.cfg"
+    config.write_text(
+        emit_config_text({**params_to_config(params), **functional_to_config(functional)})
+    )
+    assert main(["curve", "--config", str(config), "--level", str(level), "--out", str(out)]) == 0
+    write_csv(curve_rows_oracle(params, functional, level), out / "oracle.csv")
+    assert (out / "curve.csv").read_bytes() == (out / "oracle.csv").read_bytes()

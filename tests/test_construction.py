@@ -176,7 +176,7 @@ def component_arguments(draw):
     return params, n, t
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(max_examples=500)
 @given(component_arguments())
 @example((_grid([3, 5, 1]), 2, F(1, 3)))
 @example((_grid([3, 5, 1]), 3, F(8, 15)))

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
@@ -12,6 +12,7 @@ from sawproj.diagnostics import (
     rand_fraction,
     rand_index,
     sample_event_union,
+    sample_oscillation,
     sample_secant_witnesses,
     sample_slope_identities,
     secant_threshold,
@@ -20,7 +21,16 @@ from sawproj.diagnostics import (
 from sawproj.errors import BudgetExceeded, DomainError
 from sawproj.measure import IntervalUnion
 
-from oracles import component, pairwise_merge, projection_witness_oracle
+from oracles import (
+    component,
+    oscillation_oracle,
+    pairwise_merge,
+    projection_witness_oracle,
+    secant_sample_oracle,
+    secant_witness_oracle,
+    slope_identity_oracle,
+    slope_sample_oracle,
+)
 
 F = Fraction
 
@@ -311,7 +321,7 @@ def test_projection_witness_validates_inputs(d2, r1):
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=16)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     st.lists(st.tuples(UNIT, UNIT).map(sorted).map(tuple), min_size=1, max_size=6),
     st.integers(0, 1),
@@ -342,3 +352,108 @@ def test_event_measures_hold_up_to_level_eight(d1):
     # deeper levels: hundreds of thousands of components, still exact
     for n in (7, 8):
         assert sp.event_set(d1, n).measure == F(1, n)
+
+
+def test_negative_seed_is_refused():
+    # Random seeds from abs(), so -1 * 1000003 would alias seed 1 at chunk 0
+    with pytest.raises(DomainError, match="seed must be nonnegative"):
+        spawn_rng(-1)
+    with pytest.raises(DomainError):
+        sample_secant_witnesses(sp.harmonic_l2_preset(), 4, 10, -5)
+
+
+# -- integer samplers against the Fraction routes they replaced ---------------------------
+
+SCALES = st.fractions(min_value=0, max_value=F(1, 2), max_denominator=12)
+
+
+@st.composite
+def l2_parameter_sets(draw):
+    """L2 parameter sets with certified tails: harmonic, geometric or explicit
+    scales up to 1/2 and refinement factors 1..7, odd and 1 included."""
+    n_max = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["harmonic", "geometric", "explicit"]))
+    if kind == "harmonic":
+        alpha = sp.harmonic(draw(SCALES))
+    elif kind == "geometric":
+        alpha = sp.geometric(draw(SCALES), draw(SCALES))
+    else:
+        values = draw(st.lists(SCALES, min_size=n_max, max_size=n_max))
+        alpha = sp.explicit(values, draw(SCALES), draw(SCALES))
+    factors = draw(st.lists(st.integers(1, 7), min_size=n_max, max_size=n_max))
+    return sp.ParameterSet(
+        alpha=alpha, m=sp.explicit_refinement(factors), n_max=n_max, model="L2"
+    )
+
+
+def _outcome(run):
+    """The value of run(), or the DomainError it raised."""
+    try:
+        return run()
+    except DomainError:
+        return DomainError
+
+
+@settings(max_examples=400)
+@given(l2_parameter_sets(), st.data())
+def test_secant_witness_matches_fraction_oracle(params, data):
+    n = data.draw(st.integers(1, params.n_max))
+    size = params.grid_size(n)
+    # mostly near a level-n grid point, where parameters are eligible
+    offset = data.draw(st.fractions(-1, 1, max_denominator=2**20))
+    t0 = F(data.draw(st.integers(0, size)), size) + offset * params.alpha_term(n) / size
+    assume(0 <= t0 < 1)
+    w = sp.secant_witness(params, t0, n)
+    expected = secant_witness_oracle(params, t0, n)
+    if w is None:
+        assert expected is None
+    else:
+        assert (w.n, w.t0, w.tn, w.delta, w.norm_sq_upper, w.ratio_sq, w.threshold) == expected
+        assert w.passed == (expected[5] >= expected[6])
+
+
+@settings(max_examples=150)
+@given(l2_parameter_sets(), st.integers(0, 2**32), st.data())
+def test_secant_sample_counts_match_fraction_oracle(params, seed, data):
+    n = data.draw(st.integers(1, params.n_max))
+    if params.refinement_factor(n) == 1 or params.alpha_term(n) == 0:
+        with pytest.raises(DomainError):
+            sample_secant_witnesses(params, n, 30, seed)
+        return
+    assert sample_secant_witnesses(params, n, 30, seed) == secant_sample_oracle(
+        params, n, 30, seed
+    )
+
+
+@settings(max_examples=400)
+@given(l2_parameter_sets(), st.data())
+def test_slope_identity_matches_fraction_oracle(params, data):
+    n = data.draw(st.integers(1, params.n_max))
+    size = params.grid_size(n)
+    half = data.draw(st.sampled_from([None, None, "L", "R"]))
+    cell = sp.GridCell(n, data.draw(st.integers(1, size)), size, half)
+    lo, hi = cell.interval()
+    t = lo + data.draw(st.fractions(0, 1, max_denominator=64).filter(lambda u: u < 1)) * (hi - lo)
+    h = data.draw(st.fractions(-1, 1, max_denominator=64)) / (2 * size)
+    expected = slope_identity_oracle(params, n, cell, t, h)
+    if expected is None:  # a point leaves the cell, or odd factors break periodicity
+        with pytest.raises(DomainError):
+            sp.slope_identity_check(params, n, cell, t, h)
+        return
+    r = sp.slope_identity_check(params, n, cell, t, h)
+    assert (r.n, r.t, r.t_shifted, r.h, r.equal_levels, r.toggled_sides) == expected
+
+
+@settings(max_examples=150)
+@given(l2_parameter_sets(), st.integers(0, 2**32))
+def test_sampled_identities_and_oscillation_match_fraction_oracles(params, seed):
+    got = _outcome(lambda: sample_slope_identities(params, 20, seed))
+    expected = _outcome(lambda: slope_sample_oracle(params, 20, seed))
+    assert got == (DomainError if expected is None else expected)
+    assert sample_oscillation(params, 30, seed) == oscillation_oracle(params, 30, seed)
+
+
+def test_oscillation_sample_of_the_preset(d1):
+    worst, passed = sample_oscillation(d1, 1000, 1)
+    assert (worst, passed) == oscillation_oracle(d1, 1000, 1)
+    assert passed and worst == F(266400310121365, 281474976710656)

@@ -71,7 +71,7 @@ RAW_INTERVALS = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     RAW_INTERVALS,
     RAW_INTERVALS,
@@ -172,7 +172,7 @@ def truncations(draw):
     return explicit_truncation(factors, alpha0, coeffs, (draw(rationals), draw(rationals)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(truncations())
 def test_image_engine_equals_direct_enumeration(case):
     params, functional, level = case
@@ -185,7 +185,7 @@ def test_image_engine_equals_direct_enumeration(case):
         assert (list(union.intervals), mu) == pl_image_oracle(params, functional, level)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(truncations())
 def test_bracket_chain_matches_per_level_images(case):
     params, functional, level = case
@@ -203,7 +203,7 @@ def test_bracket_chain_matches_per_level_images(case):
     assert bracket.lower <= bracket.mu <= bracket.upper
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(truncations())
 @example(explicit_truncation([2], "3/5", ["1/3"]))  # shifted copies that only touch
 @example(explicit_truncation([6], "-4/3", [2]))  # a part nested in a longer one
@@ -242,7 +242,7 @@ SHAPE_TREES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(SHAPE_TREES)
 @example([(0, COMB), (3, COMB)])  # interleaved combs: hulls overlap, components do not
 @example([(0, COMB), (2, COMB), (13, (-3, 2))])  # touching combs, then a touching leaf

@@ -3,7 +3,7 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
@@ -19,10 +19,14 @@ from sawproj.records import (
     params_from_config,
     params_to_config,
     parse_config_text,
+    ratio_cells,
     read_jsonl,
     write_csv,
     write_jsonl,
 )
+from sawproj.rational import format_rational
+
+from oracles import piece_rows_oracle
 
 F = Fraction
 
@@ -117,7 +121,7 @@ def functionals(draw):
     )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(parameter_sets(), functionals())
 @example(sp.harmonic_l2_preset(), sp.Functional(F(0), sp.harmonic(F(0)), name="\r"))
 @example(sp.harmonic_l2_preset(), sp.Functional(F(0), sp.harmonic(F(0)), name='x"\nn_max = 9'))
@@ -187,3 +191,51 @@ def test_export_pieces_csv(tmp_path, d1, f1):
         assert column in header
         if column != "piece_index":
             assert f"{column}_f64" in header
+
+
+BIG = st.integers(-(2**200), 2**200)
+
+
+@settings(max_examples=500)
+@given(BIG, BIG.filter(lambda d: d > 0))
+@example(6, 4)  # a common factor
+@example(0, 7)
+@example(-(3**90), 2**100)  # a float rounded from large integers
+def test_ratio_cells_match_fraction_cells(num, den):
+    value = F(num, den)
+    assert ratio_cells(num, den) == (format_rational(value), float(value))
+
+
+@st.composite
+def piece_tables(draw):
+    """An explicit grid (factors 1..5, odd and 1 included), signed rational
+    coefficients and a level with at most 2000 pieces."""
+    factors = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    level = draw(st.integers(0, len(factors)))
+    params = sp.ParameterSet(
+        alpha=sp.explicit([0] * len(factors), 0, 0),
+        m=sp.explicit_refinement(factors),
+        n_max=len(factors),
+        model="L2",
+    )
+    assume(2 * params.grid_size(level) <= 2000)
+    coeffs = draw(
+        st.lists(st.fractions(-3, 3, max_denominator=9), min_size=level, max_size=level)
+    )
+    functional = sp.Functional(
+        alpha0=draw(st.fractions(-3, 3, max_denominator=9)),
+        rule=sp.explicit([abs(c) for c in coeffs], 0, 0),
+        signs=tuple(-1 if c < 0 else 1 for c in coeffs),
+    )
+    return params, functional, level
+
+
+@settings(max_examples=100)
+@given(piece_tables())
+def test_export_pieces_csv_matches_fraction_rows(tmp_path_factory, case):
+    params, functional, level = case
+    out = tmp_path_factory.mktemp("pieces")
+    pl = sp.build_pl(params, functional, level)
+    assert export_pieces_csv(pl, out / "pieces.csv") == pl.piece_count
+    write_csv(piece_rows_oracle(params, functional, level), out / "oracle.csv")
+    assert (out / "pieces.csv").read_bytes() == (out / "oracle.csv").read_bytes()
