@@ -8,111 +8,63 @@ projection measures, constructs the polygonal approximations with exact
 length accounting, and runs the quantitative diagnostics the constructions
 expose. Values are immutable and every operation is a pure function of its
 inputs, so everything is safe to share across threads.
+
+``import sawproj`` loads no submodule: each public name, and each submodule
+name such as ``sawproj.diagnostics``, imports its module on first use (PEP
+562), so a caller pays only for the modules it touches.
 """
 
-from fractions import Fraction
-
-from .construction import (
-    PLFunction,
-    PLPiece,
-    TruncatedPoint,
-    build_pl,
-    component_value,
-    ensemble_evaluate,
-    sawtooth,
-    truncated_point,
-)
-from .curve import (
-    CanonicalTau,
-    CurveEvaluator,
-    PolygonalCurve,
-    build_curve,
-    canonical_tau,
-    curve_length,
-    curve_length_closed_form,
-    length_difference,
-    length_increment,
-    parametrize,
-    point_on_curve,
-    sup_distance,
-    sup_distance_bound,
-)
-from .diagnostics import (
-    EventSet,
-    SecantWitness,
-    event_contains,
-    event_set,
-    independence_check,
-    projection_witness,
-    sample_event_union,
-    secant_witness,
-    slope_identity_check,
-)
-from .errors import (
-    BudgetExceeded,
-    CertificationError,
-    ConfigError,
-    DomainError,
-    SawprojError,
-)
-from .measure import (
-    IntervalUnion,
-    MeasureBracket,
-    dilate,
-    directional_measure,
-    erode,
-    hausdorff_upper,
-    image_measure,
-    projection_bracket,
-)
-from .params import (
-    GridCell,
-    ParameterSet,
-    RefinementRule,
-    ValidationReport,
-    block_partition,
-    cell_of,
-    constant_refinement,
-    explicit_refinement,
-    grid_cells,
-    linear_refinement,
-    validate,
-)
-from .rational import format_rational, parse_rational, sqrt_enclosure
-from .sequences import (
-    Functional,
-    SequenceRule,
-    explicit,
-    geometric,
-    harmonic,
-    inverse_square,
-)
+from importlib import import_module as _import_module
 
 __version__ = "1.0.0"
 
+# submodule -> the public names it defines
+_EXPORTS = {
+    "construction": (
+        "PLFunction", "PLPiece", "TruncatedPoint", "build_pl", "component_value",
+        "ensemble_evaluate", "sawtooth", "truncated_point",
+    ),
+    "curve": (
+        "CanonicalTau", "CurveEvaluator", "PolygonalCurve", "build_curve", "canonical_tau",
+        "curve_length", "curve_length_closed_form", "length_difference", "length_increment",
+        "parametrize", "point_on_curve", "sup_distance", "sup_distance_bound",
+    ),
+    "diagnostics": (
+        "EventSet", "SecantWitness", "event_contains", "event_set", "independence_check",
+        "projection_witness", "sample_event_union", "secant_witness", "slope_identity_check",
+    ),
+    "errors": (
+        "BudgetExceeded", "CertificationError", "ConfigError", "DomainError", "SawprojError",
+    ),
+    "measure": (
+        "IntervalUnion", "MeasureBracket", "dilate", "directional_measure", "erode",
+        "hausdorff_upper", "image_measure", "projection_bracket",
+    ),
+    "params": (
+        "GridCell", "ParameterSet", "RefinementRule", "ValidationReport", "block_partition",
+        "cell_of", "constant_refinement", "explicit_refinement", "geometric_l1_preset",
+        "grid_cells", "harmonic_l2_preset", "linear_refinement", "validate",
+    ),
+    "rational": ("format_rational", "parse_rational", "sqrt_enclosure"),
+    "sequences": (
+        "Functional", "SequenceRule", "explicit", "geometric", "harmonic", "inverse_square",
+        "inverse_square_functional",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-def harmonic_l2_preset(n_max: int = 8) -> ParameterSet:
-    """Scales 1/(2n) on grids refined by m_n = 2n, l2 model."""
-    return ParameterSet(
-        alpha=harmonic(Fraction(1, 2)),
-        m=linear_refinement(2),
-        n_max=n_max,
-        model="L2",
-    )
+__all__ = sorted(_MODULE_OF)
 
 
-def geometric_l1_preset(n_max: int = 12) -> ParameterSet:
-    """Scales 1/2**(n+1) on grids refined by m_n = 2n, l1 model."""
-    return ParameterSet(
-        alpha=geometric(Fraction(1, 2), Fraction(1, 2)),
-        m=linear_refinement(2),
-        n_max=n_max,
-        model="L1",
-    )
+def __getattr__(name: str):
+    if name in _EXPORTS:  # import_module also binds the submodule on the package
+        return _import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{module}"), name)
+    return value
 
 
-def inverse_square_functional() -> Functional:
-    """Coefficients (1/2, 1/4, 1/16, 1/36, ...): c_0 = 1/2, c_n = 1/(4 n^2)."""
-    return Functional(
-        alpha0=Fraction(1, 2), rule=inverse_square(Fraction(1, 4)), name="F1"
-    )
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF, *_EXPORTS})

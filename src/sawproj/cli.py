@@ -18,30 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+# Each command imports the engine modules it runs inside its own body, so a call
+# loads only those: `curve` never imports measure, and `--version` imports none of
+# construction, measure, curve and diagnostics.
 from . import __version__
-from .construction import (
-    DEFAULT_PIECE_BUDGET,
-    build_pl,
-    truncated_point,
-)
-from .curve import (
-    DEFAULT_VERTEX_BUDGET,
-    curve_length_closed_form,
-    length_increment,
-    sup_distance_bound,
-    vertex_table,
-)
-from .diagnostics import (
-    GENERATOR_NAME,
-    event_set,
-    independence_check,
-    sample_event_union,
-    sample_oscillation,
-    sample_secant_witnesses,
-    sample_slope_identities,
-)
 from .errors import BudgetExceeded, ConfigError, SawprojError
-from .measure import directional_measure, projection_bracket
 from .params import validate
 from .rational import format_rational, parse_rational
 from .records import (
@@ -78,6 +59,8 @@ def _stderr_record(record: dict) -> None:
 
 
 def _resolve_budget(args, config: dict) -> int:
+    from .construction import DEFAULT_PIECE_BUDGET
+
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get(BUDGET_ENV)
@@ -128,9 +111,11 @@ class _Cache:
         self.dir = root / ".cache"
         self.enabled = enabled
 
-    @staticmethod
-    def key(kind: str, params, functional, level: int, **extra) -> str:
-        """Content hash of what a record is a pure function of, engine version included."""
+    def key(self, kind: str, params, functional, level: int, **extra) -> Optional[str]:
+        """Content hash of what a record is a pure function of, engine version
+        included; None when the cache is off, since nothing reads the key then."""
+        if not self.enabled:
+            return None
         return content_hash(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -200,6 +185,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .construction import truncated_point
+
     config, params, _ = _load(args)
     level = (
         args.level if args.level is not None else _config_int(config, "level", params.n_max)
@@ -236,6 +223,9 @@ def _bracket_record(functional, bracket) -> dict:
 
 
 def cmd_measure(args) -> int:
+    from .construction import build_pl
+    from .measure import projection_bracket
+
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("measure requires functional.* keys in the config")
@@ -265,6 +255,10 @@ def circle_directions(count: int) -> list[tuple[Fraction, Fraction]]:
 
 
 def cmd_scan(args) -> int:
+    if args.circle < 1:
+        raise ConfigError(f"--circle must be at least 1, got {args.circle}")
+    from .measure import directional_measure
+
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("scan requires functional.* keys in the config")
@@ -303,6 +297,14 @@ def cmd_scan(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from .curve import (
+        DEFAULT_VERTEX_BUDGET,
+        curve_length_closed_form,
+        length_increment,
+        sup_distance_bound,
+        vertex_table,
+    )
+
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("curve requires functional.* keys in the config")
@@ -358,6 +360,8 @@ def _curve_rows(table):
 
 
 def _diag_event_measure(params, args) -> list[dict]:
+    from .diagnostics import event_set
+
     records = []
     for n in range(1, min(6, params.n_max) + 1):
         measure, expected = event_set(params, n).measure, 2 * params.alpha_term(n)
@@ -368,6 +372,8 @@ def _diag_event_measure(params, args) -> list[dict]:
 
 
 def _diag_independence(params, args) -> list[dict]:
+    from .diagnostics import independence_check
+
     records, top = [], min(6, params.n_max)
     for i in range(2, top + 1):
         for j in range(i + 1, top + 1):
@@ -384,10 +390,14 @@ def _diag_independence(params, args) -> list[dict]:
 
 
 def _sampled(args, **fields) -> dict:
+    from .diagnostics import GENERATOR_NAME
+
     return {"samples": args.samples, "seed": args.seed, "generator": GENERATOR_NAME, **fields}
 
 
 def _diag_borel_cantelli(params, args) -> list[dict]:
+    from .diagnostics import sample_event_union
+
     levels = tuple(range(4, min(8, params.n_max) + 1))
     report = sample_event_union(params, levels, args.samples, args.seed)
     return [
@@ -402,11 +412,15 @@ def _diag_borel_cantelli(params, args) -> list[dict]:
 
 
 def _diag_slope_identity(params, args) -> list[dict]:
+    from .diagnostics import sample_slope_identities
+
     passed = sample_slope_identities(params, args.samples, args.seed)
     return [_sampled(args, passed_count=passed, passed=passed == args.samples)]
 
 
 def _diag_secant(params, args) -> list[dict]:
+    from .diagnostics import sample_secant_witnesses
+
     records = []
     for n in range(4, min(7, params.n_max) + 1):
         hits, total = sample_secant_witnesses(params, n, args.samples, args.seed)
@@ -417,6 +431,8 @@ def _diag_secant(params, args) -> list[dict]:
 
 
 def _diag_oscillation(params, args) -> list[dict]:
+    from .diagnostics import sample_oscillation
+
     worst, passed = sample_oscillation(params, args.samples, args.seed)
     return [_sampled(args, worst=worst, passed=passed)]
 

@@ -26,13 +26,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .construction import point_nums
-from .curve import CurveEvaluator, _l1_distance
 from .errors import BudgetExceeded, DomainError
 from .measure import IntervalUnion
 from .params import L2, GridCell, ParameterSet
+
+if TYPE_CHECKING:  # only annotations name it; no check needs the curve module
+    from .curve import CurveEvaluator
 
 GENERATOR_NAME = "mt19937-getrandbits"
 SAMPLE_BITS = 48  # a sampled parameter is a multiple of 2^-48 of its range
@@ -107,6 +109,21 @@ def event_contains(params: ParameterSet, n: int, t: Fraction) -> bool:
     scaled = Fraction(t) * params.grid_size(n - 1)
     frac = scaled - (scaled.numerator // scaled.denominator)
     return frac <= alpha or frac >= 1 - alpha
+
+
+def _event_window(params: ParameterSet, n: int) -> tuple[int, int, int]:
+    """(M_{n-1}, den(alpha_n), num(alpha_n) 2^48): the level-n event in the
+    integers of t = R / 2^48."""
+    alpha = params.alpha_term(n)
+    return params.grid_size(n - 1), alpha.denominator, alpha.numerator << SAMPLE_BITS
+
+
+def _event_hit(window: tuple[int, int, int], r: int) -> bool:
+    """event_contains at t = r / 2^48: the fractional part of t M_{n-1} is
+    x / 2^48 with x = r M_{n-1} mod 2^48, and it must lie within alpha_n of 0 or 1."""
+    size, den, bound = window
+    x = r * size & ((1 << SAMPLE_BITS) - 1)
+    return x * den <= bound or ((1 << SAMPLE_BITS) - x) * den <= bound
 
 
 @dataclass(frozen=True)
@@ -187,7 +204,8 @@ def sample_event_union(
     """Seeded hit fraction for "t belongs to at least one level event".
 
     With exact independence the union probability is 1 - prod(1 - 2 alpha_n);
-    the sampled fraction is binomial around it.
+    the sampled fraction is binomial around it. Each sample is t = R / 2^48
+    with R = getrandbits(48), tested in integers by _event_hit.
     """
     levels = tuple(sorted(set(levels)))
     expected = Fraction(1)
@@ -195,15 +213,15 @@ def sample_event_union(
         expected *= 1 - 2 * params.alpha_term(n)
     expected = 1 - expected
 
+    windows = [_event_window(params, n) for n in levels]
     per = [samples // chunks] * chunks
     per[-1] += samples - sum(per)
     hits = 0
     for chunk, count in enumerate(per):
         rng = spawn_rng(seed, chunk)
         for _ in range(count):
-            t = rand_fraction(rng)
-            if any(event_contains(params, n, t) for n in levels):
-                hits += 1
+            r = rng.getrandbits(SAMPLE_BITS)
+            hits += any(_event_hit(window, r) for window in windows)
     return UnionSampleReport(
         levels, samples, seed, GENERATOR_NAME, hits, expected
     )
@@ -536,6 +554,8 @@ def projection_witness(
 
 def curve_lipschitz_upper(evaluator: CurveEvaluator) -> Fraction:
     """Max segment speed of the parametrized polygon (an upper Lipschitz bound)."""
+    from .curve import _l1_distance
+
     tau = evaluator.tau
     block = tau.gap_len + tau.const_len
     best = Fraction(0)

@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 from .errors import CertificationError, DomainError
 from .rational import DEFAULT_SQRT_BITS, sqrt_enclosure, sqrt_lower, sqrt_upper
-from .sequences import Enclosure, SequenceRule
+from .sequences import Enclosure, SequenceRule, geometric, harmonic
 
 ALPHA0 = Fraction(1)
 
@@ -502,3 +502,14 @@ def block_partition(
         continuation_threshold=threshold,
         certificate=tuple(cert),
     )
+
+
+def harmonic_l2_preset(n_max: int = 8) -> ParameterSet:
+    """Scales 1/(2n) on grids refined by m_n = 2n, l2 model."""
+    return ParameterSet(harmonic(Fraction(1, 2)), linear_refinement(2), n_max, model=L2)
+
+
+def geometric_l1_preset(n_max: int = 12) -> ParameterSet:
+    """Scales 1/2**(n+1) on grids refined by m_n = 2n, l1 model."""
+    half = Fraction(1, 2)
+    return ParameterSet(geometric(half, half), linear_refinement(2), n_max, model=L1)

@@ -8,7 +8,6 @@ fixed separators so identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from math import gcd
@@ -245,6 +244,8 @@ def read_jsonl(path: str | Path) -> list[dict]:
 
 
 def content_hash(payload: dict) -> str:
+    import hashlib  # only cache keys and unnamed functionals need it; it is slow to import
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -291,3 +291,8 @@ class Functional:
         if self.name:
             d["name"] = self.name
         return d
+
+
+def inverse_square_functional() -> Functional:
+    """Coefficients (1/2, 1/4, 1/16, 1/36, ...): c_0 = 1/2, c_n = 1/(4 n^2)."""
+    return Functional(alpha0=Fraction(1, 2), rule=inverse_square(Fraction(1, 4)), name="F1")

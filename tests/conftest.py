@@ -1,4 +1,6 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -33,3 +35,11 @@ def r1() -> sp.Functional:
         rule=sp.geometric(Fraction(1, 2), Fraction(1, 2)),
         name="R1",
     )
+
+
+@pytest.fixture(scope="session")
+def fresh_env() -> dict:
+    """Environment for a fresh interpreter that imports sawproj from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)

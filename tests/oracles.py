@@ -10,7 +10,7 @@ from the package's seeded generator (``spawn_rng``, ``rand_index``,
 import math
 from fractions import Fraction
 
-from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
+from sawproj.diagnostics import event_contains, rand_fraction, rand_index, spawn_rng
 from sawproj.params import GridCell
 
 
@@ -179,6 +179,19 @@ def secant_witness_oracle(params, t0: Fraction, n: int):
     norm_sq_upper = sum(d * d for d in delta) + params.point_tail_l2sq_upper(params.n_max)
     threshold = 1 / (64 * params.box_norm_sq_enclosure()[1])
     return n, t0, tn, delta, norm_sq_upper, delta[n] ** 2 / norm_sq_upper, threshold
+
+
+def event_union_oracle(params, levels, samples: int, seed: int, chunks: int = 8) -> int:
+    """hits of sample_event_union, drawn as Fractions and tested by event_contains."""
+    per = [samples // chunks] * chunks
+    per[-1] += samples - sum(per)
+    hits = 0
+    for chunk, count in enumerate(per):
+        rng = spawn_rng(seed, chunk)
+        for _ in range(count):
+            t = rand_fraction(rng)
+            hits += any(event_contains(params, n, t) for n in sorted(set(levels)))
+    return hits
 
 
 def secant_sample_oracle(params, n: int, samples: int, seed: int):

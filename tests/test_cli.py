@@ -195,6 +195,18 @@ def test_scan_single_axis_direction(d1_config, tmp_path):
     assert record["direction_p"] == "1/1"
 
 
+@pytest.mark.parametrize("circle", ["0", "-3"])
+def test_scan_rejects_circle_below_one(circle, d1_config, tmp_path, capsys):
+    # used to exit 0 with an empty scan.jsonl and a 1-byte scan.csv
+    out = tmp_path / "o"
+    args = ["scan", "--config", str(d1_config), "--level", "2", "--out", str(out)]
+    assert main(args + ["--circle", circle]) == 1
+    (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert f"--circle must be at least 1, got {circle}" in record["message"]
+    assert not out.exists()
+
+
 def test_measure_cache_transparency(d1_config, tmp_path):
     out = tmp_path / "out"
     args = ["measure", "--config", str(d1_config), "--level", "2", "--out", str(out)]
@@ -531,3 +543,43 @@ def test_curve_csv_matches_fraction_rows(tmp_path_factory, case):
     assert main(["curve", "--config", str(config), "--level", str(level), "--out", str(out)]) == 0
     write_csv(curve_rows_oracle(params, functional, level), out / "oracle.csv")
     assert (out / "curve.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+
+# Run main in a fresh interpreter (pytest has imported every module already)
+# and report which sawproj modules the command loaded.
+LOADED_MODULES = """\
+import json, sys
+from sawproj.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sawproj."))))
+"""
+
+
+def test_each_command_loads_only_its_engine_modules(d1_config, d2_config, tmp_path, fresh_env):
+    import subprocess
+    import sys
+
+    def loaded_by(*args: str) -> set[str]:
+        run = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES, *args],
+            env=fresh_env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return {m.removeprefix("sawproj.") for m in json.loads(run.stdout.splitlines()[-1])}
+
+    out = ["--out", str(tmp_path)]
+    d1 = ["--config", str(d1_config)]
+    measure = loaded_by("measure", *d1, "--level", "2", "--no-cache", *out)
+    scan = loaded_by("scan", *d1, "--level", "2", "--circle", "2", *out)
+    for loaded in (measure, scan):
+        assert {"construction", "measure"} <= loaded
+        assert not loaded & {"curve", "diagnostics"}
+    curve = loaded_by("curve", "--config", str(d2_config), "--level", "2", *out)
+    assert "curve" in curve and not curve & {"measure", "diagnostics"}
+    secant = loaded_by("diagnose", *d1, "--check", "secant", "--samples", "5", *out)
+    assert "diagnostics" in secant and "curve" not in secant
+    version = loaded_by("--version")
+    assert "cli" in version and not version & {"construction", "measure", "curve", "diagnostics"}
+    assert all((tmp_path / name).is_file() for name in ("measure.jsonl", "diagnose_secant.jsonl"))

@@ -1,3 +1,4 @@
+import math
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 
 import sawproj as sp
 from sawproj.diagnostics import (
+    SAMPLE_BITS,
+    _event_hit,
+    _event_window,
     curve_lipschitz_upper,
     rand_fraction,
     rand_index,
@@ -23,6 +27,7 @@ from sawproj.measure import IntervalUnion
 
 from oracles import (
     component,
+    event_union_oracle,
     oscillation_oracle,
     pairwise_merge,
     projection_witness_oracle,
@@ -457,3 +462,26 @@ def test_oscillation_sample_of_the_preset(d1):
     worst, passed = sample_oscillation(d1, 1000, 1)
     assert (worst, passed) == oscillation_oracle(d1, 1000, 1)
     assert passed and worst == F(266400310121365, 281474976710656)
+
+
+@settings(max_examples=400)
+@given(l2_parameter_sets(), st.data())
+def test_event_hit_matches_event_contains(params, data):
+    n = data.draw(st.integers(1, params.n_max))
+    size, alpha = params.grid_size(n - 1), params.alpha_term(n)
+    # mostly within a few units of 2^-48 of a window edge k/M_{n-1} +- alpha_n/M_{n-1}
+    side = data.draw(st.sampled_from([-1, 1]))
+    edge = F(data.draw(st.integers(0, size)), size) + side * alpha / size
+    near = math.floor(edge * 2**SAMPLE_BITS) + data.draw(st.integers(-2, 2))
+    r = data.draw(st.one_of(st.just(near), st.integers(0, 2**SAMPLE_BITS - 1)))
+    assume(0 <= r < 2**SAMPLE_BITS)
+    t = F(r, 2**SAMPLE_BITS)
+    assert _event_hit(_event_window(params, n), r) == sp.event_contains(params, n, t)
+
+
+@settings(max_examples=150)
+@given(l2_parameter_sets(), st.integers(0, 2**32), st.data())
+def test_event_union_hits_match_fraction_oracle(params, seed, data):
+    levels = data.draw(st.sets(st.integers(1, params.n_max), min_size=1))
+    report = sample_event_union(params, levels, 60, seed)
+    assert report.hits == event_union_oracle(params, levels, 60, seed)

@@ -1,0 +1,68 @@
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import sawproj as sp
+
+# the public names of the package when it still imported every module eagerly
+PUBLIC_NAMES = [
+    "BudgetExceeded", "CanonicalTau", "CertificationError", "ConfigError", "CurveEvaluator",
+    "DomainError", "EventSet", "Functional", "GridCell", "IntervalUnion", "MeasureBracket",
+    "PLFunction", "PLPiece", "ParameterSet", "PolygonalCurve", "RefinementRule",
+    "SawprojError", "SecantWitness", "SequenceRule", "TruncatedPoint", "ValidationReport",
+    "block_partition", "build_curve", "build_pl", "canonical_tau", "cell_of",
+    "component_value", "constant_refinement", "curve_length", "curve_length_closed_form",
+    "dilate", "directional_measure", "ensemble_evaluate", "erode", "event_contains",
+    "event_set", "explicit", "explicit_refinement", "format_rational", "geometric",
+    "geometric_l1_preset", "grid_cells", "harmonic", "harmonic_l2_preset", "hausdorff_upper",
+    "image_measure", "independence_check", "inverse_square", "inverse_square_functional",
+    "length_difference", "length_increment", "linear_refinement", "parametrize",
+    "parse_rational", "point_on_curve", "projection_bracket", "projection_witness",
+    "sample_event_union", "sawtooth", "secant_witness", "slope_identity_check",
+    "sqrt_enclosure", "sup_distance", "sup_distance_bound", "truncated_point", "validate",
+]
+SUBMODULES = [
+    "construction", "curve", "diagnostics", "errors", "measure", "params", "rational", "sequences"
+]
+
+
+def test_all_lists_the_public_names():
+    assert sorted(sp.__all__) == PUBLIC_NAMES
+    assert sp.__version__ == "1.0.0"
+
+
+def test_public_name_is_its_module_attribute():
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(f"sawproj.{sp._MODULE_OF[name]}")
+        assert getattr(sp, name) is getattr(module, name), name
+
+
+def test_dir_and_star_import_cover_every_name():
+    assert set(PUBLIC_NAMES + SUBMODULES) <= set(dir(sp))
+    namespace: dict = {}
+    exec("from sawproj import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert namespace[name] is getattr(sp, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        sp.no_such_name
+    with pytest.raises(ImportError):
+        exec("from sawproj import no_such_name", {})
+
+
+FRESH_IMPORT = """\
+import sys
+import sawproj as sp
+assert not [m for m in sys.modules if m.startswith("sawproj.")], "a submodule was loaded"
+module = sp.diagnostics
+assert module is sys.modules["sawproj.diagnostics"] and module.event_set is sp.event_set
+assert "sawproj.curve" not in sys.modules
+"""
+
+
+def test_submodule_resolves_in_a_fresh_interpreter(fresh_env):
+    subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=fresh_env, check=True, timeout=120)
