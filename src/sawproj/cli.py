@@ -22,7 +22,7 @@ from typing import Optional
 # loads only those: `curve` never imports measure, and `--version` imports none of
 # construction, measure, curve and diagnostics.
 from . import __version__
-from .errors import BudgetExceeded, ConfigError, SawprojError
+from .errors import BudgetExceeded, ConfigError, DomainError, SawprojError
 from .params import validate
 from .rational import format_rational, parse_rational
 from .records import (
@@ -254,9 +254,26 @@ def circle_directions(count: int) -> list[tuple[Fraction, Fraction]]:
     ]
 
 
+def _direction(chunk: str) -> tuple[Fraction, Fraction]:
+    """One "p,q" chunk of --directions; a malformed chunk or (0, 0) is refused."""
+    p_text, _, q_text = chunk.partition(",")
+    try:
+        p, q = parse_rational(p_text), parse_rational(q_text)
+    except DomainError:
+        p = q = Fraction(0)  # refused below, with the chunk
+    if p == q == 0:
+        raise DomainError(f'--directions chunk {chunk!r} is not "p,q" of rationals not both 0')
+    return p, q
+
+
 def cmd_scan(args) -> int:
     if args.circle < 1:
         raise ConfigError(f"--circle must be at least 1, got {args.circle}")
+    # every direction is checked before the output directory and the cache exist
+    if args.directions:
+        directions = [_direction(chunk) for chunk in args.directions.split(";")]
+    else:
+        directions = circle_directions(args.circle)
     from .measure import directional_measure
 
     config, params, functional = _load(args)
@@ -266,15 +283,6 @@ def cmd_scan(args) -> int:
     budget = _resolve_budget(args, config)
     out = _out_dir(args, config)
     cache = _Cache(out, enabled=not args.no_cache)
-
-    if args.directions:
-        directions = []
-        for chunk in args.directions.split(";"):
-            p_text, _, q_text = chunk.partition(",")
-            directions.append((parse_rational(p_text), parse_rational(q_text)))
-    else:
-        directions = circle_directions(args.circle)
-
     records = []
     for idx, (p, q) in enumerate(directions):
         key = cache.key(
@@ -496,8 +504,15 @@ def cmd_run(args) -> int:
     return sub_args.func(sub_args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: one JSON record and exit 1."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sawproj",
         description="Exact-arithmetic sawtooth-sum constructions, projection "
         "measures, polygonal approximations, and diagnostics.",
@@ -548,10 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
     except ConfigError as exc:
         _stderr_record({"error": "config", "message": str(exc), "exit_code": EXIT_CONFIG})

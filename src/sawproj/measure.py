@@ -6,10 +6,12 @@ measure. The image of the truncation is therefore a finite union of closed
 rational intervals, measured exactly. It is built from self-similar shapes
 rather than from the 2 M_N pieces: every component above level l is
 periodic across the level-l half-cells, so on each of them h_N is an offset
-plus a shape fixed by l, the slope there and the cell's parity. A shape
-holds its hull, its measure and its shifted parts; its measure is summed
-over clusters of overlapping parts, merging components only in a cluster
-with a part that is not one interval, or when ``flatten`` lists them.
+plus a shape fixed by l, the slope there and the cell's parity. As parities
+alternate, a shape is a tile of two next-level shapes a and b, copied at a
+fixed step. The tile rule: copies that share at most a point add measures;
+solid copies that each meet the next are one interval, the hull; any other
+tile is swept, summing clusters of overlapping copies and merging components
+only in a cluster with a copy that is not one interval.
 
 Brackets for the untruncated projection rest on the per-level stability
 chain: raising the level by one moves each of the 2 M_{k+1} piece images by
@@ -26,17 +28,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .construction import (
     DEFAULT_PIECE_BUDGET,
+    Kernel,
     PLFunction,
     _component,
     _component_left_limit,
     build_pl,
+    half_grid_kernel,
 )
 from .errors import BudgetExceeded, DomainError
 from .params import ParameterSet
@@ -169,43 +173,73 @@ def erode(u: IntervalUnion, r: Fraction) -> IntervalUnion:
 
 class _Shape:
     """An image in integer numerators over the kernel's denom: its hull [lo, hi],
-    its measure, and the (offset, shape) parts whose shifted union it is (none
-    for a leaf). A solid shape, one whose measure is hi - lo, is its hull."""
+    its measure, and the count copies at offsets i * step, copy i kinds[i % 2],
+    whose union it is (none for a leaf). A solid shape, measure hi - lo, is its hull."""
 
-    __slots__ = ("lo", "hi", "measure", "parts", "solid", "_flat")
+    __slots__ = ("lo", "hi", "measure", "solid", "kinds", "step", "count", "_flat")
 
-    def __init__(self, lo: int, hi: int, measure: int, parts=()):
-        self.lo, self.hi, self.measure, self.parts = lo, hi, measure, parts
+    def __init__(self, lo: int, hi: int, measure: int, kinds=(), step=0, count=0):
+        self.lo, self.hi, self.measure = lo, hi, measure
+        self.kinds, self.step, self.count = kinds, step, count
         self.solid, self._flat = measure == hi - lo, None
 
     @staticmethod
-    def stack(parts: list[tuple[int, "_Shape"]]) -> "_Shape":
-        """The union of the shifted parts, measured from their hulls.
-
-        Sorted by shifted lo, the parts fall into clusters: a cluster grows
-        while the next lo lies strictly below the running max hi, so distinct
-        clusters share at most a point and their measures add.
-        """
-        parts.sort(key=lambda part: part[0] + part[1].lo)
-        measure, cluster, solid = 0, [], True
-        start = end = parts[0][0] + parts[0][1].lo
-        for part in parts:
-            off, shape = part
-            if off + shape.lo >= end and cluster:
-                measure += _cluster_measure(cluster, start, end, solid)
-                cluster, start, solid = [], off + shape.lo, True
-            cluster.append(part)
-            solid = solid and shape.solid
-            if off + shape.hi > end:
-                end = off + shape.hi
-        measure += _cluster_measure(cluster, start, end, solid)
-        return _Shape(parts[0][0] + parts[0][1].lo, end, measure, parts)
+    def tile(a: "_Shape", b: "_Shape", step: int, count: int) -> "_Shape":
+        """The union of count copies at offsets i * step alternating a and b; its
+        hull is that of the first two and the last two copies, its measure the
+        sum (no overlaps), the hull (solid chained copies) or the sweep's."""
+        if count == 1:
+            return a
+        kinds, last = (a, b), (count - 1) * step
+        y, z = kinds[count % 2], kinds[(count - 1) % 2]  # the last two copies
+        lo = min(a.lo, step + b.lo, last - step + y.lo, last + z.lo)
+        hi = max(a.hi, step + b.hi, last - step + y.hi, last + z.hi)
+        if step and max(a.hi, b.hi) - min(a.lo, b.lo) <= abs(step):
+            measure = (count + 1) // 2 * a.measure + count // 2 * b.measure
+        elif a.solid and b.solid and _meets(a, b, step) and (count < 3 or _meets(b, a, step)):
+            measure = hi - lo
+        else:
+            measure = _stack_measure(_copies(kinds, step, count))
+        return _Shape(lo, hi, measure, kinds, step, count)
 
     def flatten(self) -> tuple[tuple[int, int], ...]:
         """The image's disjoint components, merged once and kept."""
         if self._flat is None:
-            self._flat = ((self.lo, self.hi),) if self.solid else _merged(self.parts)
+            copies = _copies(self.kinds, self.step, self.count)
+            self._flat = ((self.lo, self.hi),) if self.solid else _merged(copies)
         return self._flat
+
+
+def _copies(kinds: tuple, step: int, count: int) -> list[tuple[int, _Shape]]:
+    """The (offset, shape) copies of a tile; with step 0, each kind once."""
+    return [(i * step, kinds[i % 2]) for i in range(count if step else min(count, 2))]
+
+
+def _meets(x: _Shape, y: _Shape, step: int) -> bool:
+    """Whether the hull of x meets the hull of y shifted by step."""
+    return x.lo <= step + y.hi and step + y.lo <= x.hi
+
+
+def _stack_measure(parts: list[tuple[int, _Shape]]) -> int:
+    """The measure of the union of the shifted parts, from their hulls.
+
+    Sorted by shifted lo, the parts fall into clusters: a cluster grows
+    while the next lo lies strictly below the running max hi, so distinct
+    clusters share at most a point and their measures add.
+    """
+    parts.sort(key=lambda part: part[0] + part[1].lo)
+    measure, cluster, solid = 0, [], True
+    start = end = parts[0][0] + parts[0][1].lo
+    for part in parts:
+        off, shape = part
+        if off + shape.lo >= end and cluster:
+            measure += _cluster_measure(cluster, start, end, solid)
+            cluster, start, solid = [], off + shape.lo, True
+        cluster.append(part)
+        solid = solid and shape.solid
+        if off + shape.hi > end:
+            end = off + shape.hi
+    return measure + _cluster_measure(cluster, start, end, solid)
 
 
 def _merged(parts: list[tuple[int, _Shape]]) -> tuple[tuple[int, int], ...]:
@@ -221,8 +255,8 @@ def _cluster_measure(cluster: list, start: int, end: int, solid: bool) -> int:
     return end - start if solid else sum(hi - lo for lo, hi in _merged(cluster))
 
 
-def _image_ints(pl: PLFunction) -> _Shape:
-    """The image of a truncation as a shape over the kernel's denominator.
+def _image_ints(params: ParameterSet, kernel: Kernel) -> _Shape:
+    """The image of a truncation as a shape over its kernel's denominator.
 
     In numerators over the kernel's denom = 4 M_N q_lcm, the image of h_N on
     a level-l half-cell, less its value at the cell's left end, is
@@ -235,40 +269,33 @@ def _image_ints(pl: PLFunction) -> _Shape:
     Img(N, s, .) = hull{0, 2s}: sub-cell i is the right half of its level-(l+1)
     cell exactly when p_i = 1, and every f_n with n > l vanishes at each
     level-l half-cell's left end. The parity is folded to 0 unless m_{l+1} is
-    odd. Keys are collected top-down, then shapes are built bottom-up, each
-    measured from its parts' hulls by ``_Shape.stack``. Shapes hold their
-    parts, so each level's key table is dropped once its parent is built.
+    odd. As p_i alternates, Img(l, s, odd) is a tile of a = Img(l+1, ., p_0)
+    and b = Img(l+1, ., 1 - p_0); ``_Shape.tile`` measures it in O(1) when
+    copies share at most a point or a and b are solid and each copy meets the
+    next, and by the hull sweep otherwise. Each distinct (s, odd, l) is built
+    once, from the two keys of its kinds; the two level-0 half-cells are one
+    more tile.
     """
-    _, a, _ = pl.kernel()
-    params, top = pl.params, pl.level
-    size = params.grid_size(top)
+    a, top = kernel.coeffs, len(kernel.coeffs) - 1
     m = [0] + [params.refinement_factor(n) for n in range(1, top + 1)]
+    steps = [2 * params.grid_size(top) // params.grid_size(n) for n in range(top + 1)]
 
-    def key(slope: int, odd: int, level: int) -> tuple[int, int]:
-        return slope, (odd if level < top and m[level + 1] % 2 else 0)
+    def key(slope: int, odd: int, level: int) -> tuple[int, int, int]:
+        return slope, (odd if level < top and m[level + 1] % 2 else 0), level
 
-    def children(slope: int, odd: int, level: int):
-        """Child keys of the m_{level+1} sub-half-cells of a level-l half-cell."""
-        for i in range(m[level + 1]):
-            p = (odd * m[level + 1] + i) % 2
-            yield key(slope + a[level + 1] * p, p, level + 1)
+    @cache
+    def shape(slope: int, odd: int, level: int) -> _Shape:
+        if level == top:
+            return _Shape(min(0, 2 * slope), max(0, 2 * slope), abs(2 * slope))
+        n = level + 1
+        p = odd * m[n] % 2  # kind a; kind b exists when m_n > 1
+        kinds = [shape(*key(slope + a[n] * q, q, n)) for q in (p, 1 - p)[: m[n]]]
+        return _Shape.tile(kinds[0], kinds[-1], slope * steps[n], m[n])
 
-    keys = [{key(a[0], odd, 0) for odd in (0, 1)}]
-    for level in range(top):
-        keys.append({c for s, odd in keys[level] for c in children(s, odd, level)})
-
-    shapes = {k: _Shape(min(0, 2 * k[0]), max(0, 2 * k[0]), abs(2 * k[0])) for k in keys[top]}
-    for level in range(top - 1, -1, -1):
-        step = 2 * size // params.grid_size(level + 1)
-        shapes = {
-            (s, odd): _Shape.stack(
-                [(i * s * step, shapes[c]) for i, c in enumerate(children(s, odd, level))]
-            )
-            for s, odd in keys[level]
-        }
     # the two level-0 half-cells; f_0 has slope 1 on both
-    halves = [shapes[key(a[0], odd, 0)] for odd in (0, 1)]
-    return _Shape.stack([(0, halves[0]), (2 * a[0] * size, halves[1])])
+    halves = [shape(*key(a[0], odd, 0)) for odd in (0, 1)]
+    shape.cache_clear()  # shape refers to itself: free its table now, not at a collection
+    return _Shape.tile(*halves, a[0] * steps[0], 2)
 
 
 def image_measure(
@@ -277,7 +304,7 @@ def image_measure(
     """Exact image (interval union) and Lebesgue measure of a truncation."""
     if pl.piece_count > piece_budget:
         raise BudgetExceeded("pieces", pl.piece_count, piece_budget)
-    union = IntervalUnion(pl.kernel().denom, _image_ints(pl).flatten())
+    union = IntervalUnion(pl.kernel().denom, _image_ints(pl.params, pl.kernel()).flatten())
     return union, union.measure
 
 
@@ -323,18 +350,17 @@ def projection_bracket(
     The per-level stability chain |mu_{k+1} - mu_k| <= 2 |c_{k+1}| is checked
     for every k < N and returned as part of the certificate. The level, the
     tail certificate and the level-N piece budget are checked before any
-    image is computed.
+    image is computed; every level then reads the level-N coefficients.
     """
     if not 0 <= level <= params.n_max:
         raise DomainError(f"level {level} outside [0, {params.n_max}]")
-    build_pl(params, functional, level, piece_budget=piece_budget)
+    coeffs = build_pl(params, functional, level, piece_budget=piece_budget).coeffs
     mus: list[Fraction] = []
     for k in range(level + 1):
-        pl = build_pl(params, functional, k, piece_budget=piece_budget)
-        mus.append(Fraction(_image_ints(pl).measure, pl.kernel().denom))
+        kernel = half_grid_kernel(params, coeffs[: k + 1], k)
+        mus.append(Fraction(_image_ints(params, kernel).measure, kernel.denom))
     chain = tuple(
-        ChainLink(k + 1, abs(mus[k + 1] - mus[k]), 2 * abs(functional.coeff(k + 1)))
-        for k in range(level)
+        ChainLink(k + 1, abs(mus[k + 1] - mus[k]), 2 * abs(coeffs[k + 1])) for k in range(level)
     )
     tail = functional.abs_tail_upper(level)
     mu = mus[-1]

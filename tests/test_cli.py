@@ -207,6 +207,47 @@ def test_scan_rejects_circle_below_one(circle, d1_config, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_checks_directions_before_any_work(d1_config, tmp_path, capsys):
+    # a bad chunk after a good one used to end the scan only after the good
+    # direction was measured and its cache entry written
+    out = tmp_path / "o"
+    args = ["scan", "--config", str(d1_config), "--level", "2", "--out", str(out)]
+    for chunk in ("0,0", "0/3,0", "1/2", "1,2,3", "a,b", ""):
+        assert main(args + [f"--directions=-1280,1848;{chunk}"]) == 2
+        (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+        assert record["error"] == "invalid" and record["exit_code"] == 2
+        assert repr(chunk) in record["message"] and '"p,q"' in record["message"]
+    assert not out.exists()  # no output directory, so no cache entry
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "--config", "CFG", "--level", "abc"], "invalid int value: 'abc'"),
+        (["measure", "--level", "2"], "required: --config"),
+        (["frobnicate", "--config", "CFG"], "invalid choice: 'frobnicate'"),
+        (["evaluate", "--config", "CFG", "--t", "-1/2"], "--t: expected one argument"),
+    ],
+)
+def test_usage_errors_are_json_config_errors(argv, message, d1_config, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = [str(d1_config) if a == "CFG" else a for a in argv] + ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (record,) = map(json.loads, captured.err.splitlines())
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert message in record["message"]
+    assert not out.exists()
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sawproj measure")
+
+
 def test_measure_cache_transparency(d1_config, tmp_path):
     out = tmp_path / "out"
     args = ["measure", "--config", str(d1_config), "--level", "2", "--out", str(out)]

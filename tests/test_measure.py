@@ -11,7 +11,8 @@ from sawproj.cli import circle_directions
 from sawproj.construction import DEFAULT_PIECE_BUDGET
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
-from sawproj.measure import IntervalUnion, _Shape
+from sawproj import measure
+from sawproj.measure import IntervalUnion, _merged, _Shape, _stack_measure
 from sawproj.records import functional_from_config, load_config, params_from_config
 
 from oracles import direct_image, pairwise_merge, pl_image_oracle
@@ -219,40 +220,70 @@ def test_hull_cluster_measures_match_flattened_and_direct_images(case):
         assert mus[k] == sp.image_measure(pl)[1] == direct_image(pl)[1]
 
 
-def _shape_and_pairs(tree, offset=0):
-    """A _Shape built from a tree, with the shifted leaf intervals it covers.
-
-    A tree is a leaf (lo, length) or a list of (offset, subtree) parts."""
-    if isinstance(tree, tuple):
-        lo, length = tree
-        return _Shape(lo, lo + length, length), [(offset + lo, offset + lo + length)]
-    parts, pairs = [], []
-    for off, sub in tree:
-        shape, sub_pairs = _shape_and_pairs(sub, offset + off)
-        parts.append((off, shape))
-        pairs += sub_pairs
-    return _Shape.stack(parts), pairs
-
-
-COMB = [(0, (0, 2)), (6, (0, 2))]  # [0, 2] and [6, 8]
-SHAPE_TREES = st.recursive(
-    st.tuples(st.integers(-8, 8), st.integers(0, 6)),
-    lambda sub: st.lists(st.tuples(st.integers(-20, 20), sub), min_size=1, max_size=4),
-    max_leaves=16,
-)
-
-
-@settings(max_examples=300)
-@given(SHAPE_TREES)
-@example([(0, COMB), (3, COMB)])  # interleaved combs: hulls overlap, components do not
-@example([(0, COMB), (2, COMB), (13, (-3, 2))])  # touching combs, then a touching leaf
-def test_shape_stack_matches_pairwise_merge(tree):
-    shape, pairs = _shape_and_pairs(tree)
+def _assert_matches_merge(shape, pairs):
     merged = pairwise_merge(pairs)
     assert list(shape.flatten()) == merged
     assert shape.measure == sum(hi - lo for lo, hi in merged)
     assert (shape.lo, shape.hi) == (merged[0][0], merged[-1][1])
     assert shape.solid == (len(merged) == 1)
+
+
+def _tile_tree(tree):
+    """A _Shape built from a tree, with the leaf intervals it covers.
+
+    A tree is a leaf (lo, length) or a tile (a, b, step, count) of two
+    subtrees; every tile in it is checked against a pairwise merge."""
+    if len(tree) == 2:
+        lo, length = tree
+        return _Shape(lo, lo + length, length), [(lo, lo + length)]
+    a, b, step, count = tree
+    kinds = [_tile_tree(a), _tile_tree(b)]
+    pairs = sorted(
+        {(lo + i * step, hi + i * step) for i in range(count) for lo, hi in kinds[i % 2][1]}
+    )
+    shape = _Shape.tile(kinds[0][0], kinds[1][0], step, count)
+    _assert_matches_merge(shape, pairs)
+    return shape, pairs
+
+
+COMB = ((0, 2), (0, 2), 6, 2)  # [0, 2] and [6, 8]
+TILE_TREES = st.recursive(
+    st.tuples(st.integers(-8, 8), st.integers(0, 6)),
+    lambda sub: st.tuples(sub, sub, st.integers(-20, 20), st.integers(1, 6)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(TILE_TREES)
+@example(((0, 3), (1, 4), 0, 3))  # step 0: solid kinds, each once
+@example((COMB, (3, 2), 0, 4))  # step 0: a comb and the leaf in its gap
+@example(((0, 2), (1, 3), -3, 5))  # step < 0: the hull's lo is in the last copies
+@example(((0, 4), (0, 4), -3, 4))  # step < 0, chained solid copies
+@example(((0, 2), (1, 1), 2, 5))  # neighbours that only touch: span = |step|
+@example(((0, 3), (0, 3), 2, 3))  # overlapping copies with |step| < span <= 2 |step|
+@example(((0, 2), (0, 5), 2, 3))  # chained: a -> b touch at a point
+@example(((0, 5), (0, 2), 2, 3))  # chained: b -> a touch at a point
+@example(((0, 4), (0, 1), 3, 3))  # a -> b chained, b -> a gapped
+@example(((0, 3), (5, 1), 7, 1))  # count 1
+@example((COMB, (0, 1), -4, 1))  # count 1 of a comb
+def test_shape_tile_matches_pairwise_merge(tree):
+    _assert_matches_merge(*_tile_tree(tree))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(-20, 20), TILE_TREES), min_size=1, max_size=4))
+@example([(0, COMB), (3, COMB)])  # interleaved combs: hulls overlap, components do not
+@example([(0, COMB), (2, COMB), (13, (-3, 2))])  # touching combs, then a touching leaf
+def test_shape_stack_matches_pairwise_merge(parts):
+    shapes, pairs = [], []
+    for off, tree in parts:
+        shape, leaves = _tile_tree(tree)
+        shapes.append((off, shape))
+        pairs += [(lo + off, hi + off) for lo, hi in leaves]
+    merged = pairwise_merge(pairs)
+    assert _stack_measure(shapes) == sum(hi - lo for lo, hi in merged)
+    assert list(_merged(shapes)) == merged
 
 
 def test_scan_directions_match_flattened_and_direct_images():
@@ -274,6 +305,17 @@ def test_dense_direction_builds_no_union(d1, f1, monkeypatch):
     monkeypatch.setattr(IntervalUnion, "from_pairs", staticmethod(no_union))
     bracket = sp.directional_measure(d1, f1, (F(-2048), F(1536)), 7)
     assert bracket.mu == F(3637276, 3675)
+
+
+def test_level_seven_tiles_need_no_sweep(d1, f1, monkeypatch):
+    # every tile of these brackets is measured in O(1): its copies share at
+    # most a point, or they are solid and each meets the next
+    def no_sweep(parts):
+        raise AssertionError("a tile was measured by the sweep")
+
+    monkeypatch.setattr(measure, "_stack_measure", no_sweep)
+    assert sp.projection_bracket(d1, f1, 7).mu == F(64491960451, 113799168000)
+    assert sp.directional_measure(d1, f1, (F(-2048), F(1536)), 7).mu == F(3637276, 3675)
 
 
 def test_projection_bracket_f1(d1, f1):
@@ -337,10 +379,11 @@ def test_negative_q_direction_matches_mirror(d1, f1):
 
 
 def test_bracket_checks_level_and_budget_first(d1, f1, monkeypatch):
-    def no_image(self):
+    def no_image(*args):
         raise AssertionError("an image was computed before the checks")
 
     monkeypatch.setattr(sp.PLFunction, "kernel", no_image)
+    monkeypatch.setattr(measure, "_image_ints", no_image)
     for level in (-1, 9):
         with pytest.raises(DomainError):
             sp.projection_bracket(d1, f1, level)
