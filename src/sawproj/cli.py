@@ -61,16 +61,19 @@ def _stderr_record(record: dict) -> None:
 def _resolve_budget(args, config: dict) -> int:
     from .construction import DEFAULT_PIECE_BUDGET
 
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        source, value = BUDGET_ENV, env
-    elif "budget" in config:
-        source, value = "config key 'budget'", config["budget"]
-    else:
-        return DEFAULT_PIECE_BUDGET
-    return _as_int(source, value)
+    source, value = "--budget", args.budget
+    if value is None:
+        source, value = BUDGET_ENV, os.environ.get(BUDGET_ENV)
+    if value is None:
+        source, value = "config key 'budget'", config.get("budget", DEFAULT_PIECE_BUDGET)
+    return _budget(source, value)
+
+
+def _budget(source: str, value) -> int:
+    budget = _as_int(source, value)
+    if budget < 0:
+        raise ConfigError(f"{source} must be nonnegative, got {budget}")
+    return budget
 
 
 def _as_int(source: str, value) -> int:
@@ -317,11 +320,11 @@ def cmd_curve(args) -> int:
     if functional is None:
         raise ConfigError("curve requires functional.* keys in the config")
     level = args.level if args.level is not None else _config_int(config, "level", 1)
-    budget = (
-        args.vertex_budget
-        if args.vertex_budget is not None
-        else _config_int(config, "vertex_budget", DEFAULT_VERTEX_BUDGET)
-    )
+    source, value = "--vertex-budget", args.vertex_budget
+    if value is None:
+        key = "vertex_budget"
+        source, value = f"config key {key!r}", config.get(key, DEFAULT_VERTEX_BUDGET)
+    budget = _budget(source, value)
     out = _out_dir(args, config)
 
     table = vertex_table(params, functional, level, vertex_budget=budget)
@@ -360,8 +363,13 @@ def cmd_curve(args) -> int:
 def _curve_rows(table):
     """The CSV cells of every polygon vertex, from the table's integers."""
     denom, vertical = table.denom, table.vertical
+    cells: dict[int, tuple[str, str]] = {}  # numerators repeat: each is formatted once
     for idx, (k, nums) in enumerate(zip(table.ks, table.nums)):
-        row = [cell for x in nums for cell in ratio_cells(x, denom)]
+        for x in nums:
+            if x not in cells:
+                text, value = ratio_cells(x, denom)
+                cells[x] = (text, repr(value))
+        row = [cell for x in nums for cell in cells[x]]
         row.append(idx < len(vertical) and vertical[idx])
         row += [*ratio_cells(k, table.t_denom), idx]
         yield row

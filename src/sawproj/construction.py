@@ -31,7 +31,6 @@ enumeration is lazy and evaluates the closed form at each cell endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, NamedTuple
@@ -106,8 +105,7 @@ def point_nums(sizes: tuple[int, ...], num: int, den: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class TruncatedPoint:
+class TruncatedPoint(NamedTuple):
     """Component values (f_0(t), ..., f_N(t)) plus model-norm tail bounds.
 
     There is no exact infinite point: a point is always a stated truncation
@@ -238,8 +236,7 @@ def half_grid_kernel(
     )
 
 
-@dataclass(frozen=True)
-class PLPiece:
+class PLPiece(NamedTuple):
     index: int
     left: Fraction
     length: Fraction

@@ -24,10 +24,9 @@ is |c_N| / (2 M_N), attained where a connector starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .construction import _component, _component_left_limit, half_grid_kernel
 from .errors import BudgetExceeded, CertificationError, DomainError
@@ -37,14 +36,12 @@ from .sequences import Functional
 DEFAULT_VERTEX_BUDGET = 2**22
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     t: Fraction
     coords: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class PolygonalCurve:
+class PolygonalCurve(NamedTuple):
     params: ParameterSet
     functional: Functional
     level: int
@@ -80,8 +77,7 @@ def _require_l1_contraction(params: ParameterSet, functional: Functional) -> Non
         raise DomainError(f"sum of |c_n| certified only as <= {total}, need < 1")
 
 
-@dataclass(frozen=True)
-class VertexTable:
+class VertexTable(NamedTuple):
     """The level-N polygon in integers.
 
     Vertex i sits at t = ks[i] / t_denom with coordinates nums[i][n] / denom,
@@ -232,8 +228,7 @@ def point_on_curve(curve: PolygonalCurve, t: Fraction) -> bool:
 # -- canonical common parametrization ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalTau:
+class CanonicalTau(NamedTuple):
     """Nondecreasing PL surjection of [0, 1] with a constant interval at
     every level-N grid endpoint and affine pieces in between.
 
@@ -301,8 +296,7 @@ def validate_tau(tau: CanonicalTau, params: ParameterSet, level: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CurveEvaluator:
+class CurveEvaluator(NamedTuple):
     """Exact evaluator s |-> curve point under a shared parametrization.
 
     Constant tau-intervals traverse the vertical connector at their endpoint

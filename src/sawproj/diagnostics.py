@@ -23,7 +23,6 @@ not depend on worker scheduling.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
@@ -74,8 +73,7 @@ def rand_index(rng: random.Random, lo: int, hi: int) -> int:
 # -- refinement events ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EventSet:
+class EventSet(NamedTuple):
     level: int
     cells: IntervalUnion
 
@@ -126,8 +124,7 @@ def _event_hit(window: tuple[int, int, int], r: int) -> bool:
     return x * den <= bound or ((1 << SAMPLE_BITS) - x) * den <= bound
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     levels: tuple[int, ...]
     measure: Fraction
     expected: Fraction
@@ -173,8 +170,7 @@ def independence_check(
     return IndependenceResult(levels, current.measure, expected, current.component_count)
 
 
-@dataclass(frozen=True)
-class UnionSampleReport:
+class UnionSampleReport(NamedTuple):
     levels: tuple[int, ...]
     samples: int
     seed: int
@@ -230,8 +226,7 @@ def sample_event_union(
 # -- secant witnesses ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecantWitness:
+class SecantWitness(NamedTuple):
     n: int
     t0: Fraction
     tn: Fraction
@@ -370,8 +365,7 @@ def sample_secant_witnesses(
 # -- slope translation identity ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlopeIdentityReport:
+class SlopeIdentityReport(NamedTuple):
     n: int
     t: Fraction
     t_shifted: Fraction
@@ -487,8 +481,7 @@ def sample_oscillation(params: ParameterSet, samples: int, seed: int) -> tuple[F
 # -- chord projection witnesses ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectionWitness:
+class ProjectionWitness(NamedTuple):
     s1: Fraction
     s2: Fraction
     chord_norm: Fraction

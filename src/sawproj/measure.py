@@ -26,12 +26,11 @@ certified statement.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .construction import (
     DEFAULT_PIECE_BUDGET,
@@ -50,8 +49,7 @@ from .sequences import Functional
 DEFAULT_COMPONENT_BUDGET = 2**20
 
 
-@dataclass(frozen=True, eq=False)
-class IntervalUnion:
+class IntervalUnion(NamedTuple):
     """Sorted union of disjoint closed intervals [lo/denom, hi/denom].
 
     One common denominator for all integer pairs; Fractions appear only in
@@ -116,6 +114,8 @@ class IntervalUnion:
             lo * e == olo * d and hi * e == ohi * d
             for (lo, hi), (olo, ohi) in zip(self.pairs, other.pairs)
         )
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple inequality
 
     def __hash__(self) -> int:
         return hash(self.intervals)
@@ -311,8 +311,7 @@ def image_measure(
 # -- certified brackets ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(NamedTuple):
     level: int
     delta_mu: Fraction
     bound: Fraction
@@ -322,8 +321,7 @@ class ChainLink:
         return self.delta_mu <= self.bound
 
 
-@dataclass(frozen=True)
-class MeasureBracket:
+class MeasureBracket(NamedTuple):
     level: int
     mu: Fraction
     tail_upper: Fraction
@@ -397,8 +395,7 @@ def directional_measure(
 # -- covering sums ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoveringReport:
+class CoveringReport(NamedTuple):
     grid_level: int
     truncation_level: int
     sum_upper: Fraction

@@ -13,9 +13,8 @@ of the sequence rules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import CertificationError, DomainError
 from .rational import DEFAULT_SQRT_BITS, sqrt_enclosure, sqrt_lower, sqrt_upper
@@ -27,17 +26,23 @@ L1 = "L1"
 L2 = "L2"
 
 
-@dataclass(frozen=True)
-class RefinementRule:
-    """Rule producing the per-level refinement factors m_n."""
-
+class _RefinementRule(NamedTuple):
     kind: str  # "linear" (m_n = k*n), "constant" (m_n = k), "explicit"
     k: int = 0
     values: tuple[int, ...] = ()
 
-    def __post_init__(self):
+
+class RefinementRule(_RefinementRule):
+    """Rule producing the per-level refinement factors m_n."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace check too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("linear", "constant", "explicit"):
             raise DomainError(f"unknown refinement kind {self.kind!r}")
+        return self
 
     def factor(self, n: int) -> int:
         if n < 1:
@@ -73,16 +78,21 @@ def explicit_refinement(values) -> RefinementRule:
     return RefinementRule("explicit", values=tuple(int(v) for v in values))
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class _ParameterSet(NamedTuple):
     alpha: SequenceRule
     m: RefinementRule
     n_max: int
     model: str
     sqrt_bits: int = DEFAULT_SQRT_BITS
-    grid_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)  # M_0 .. M_n_max
 
-    def __post_init__(self):
+
+class ParameterSet(_ParameterSet):
+    """Checked parameters; ``grid_sizes`` (M_0 .. M_n_max) is set once, outside the fields."""
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace check too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_max < 1:
             raise DomainError("n_max must be at least 1")
         if self.model not in (L1, L2):
@@ -99,6 +109,10 @@ class ParameterSet:
                 raise DomainError(f"refinement factor m_{n} = {f} must be positive")
             sizes.append(sizes[-1] * f)
         object.__setattr__(self, "grid_sizes", tuple(sizes))
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a ParameterSet is immutable")
 
     # -- grid geometry ---------------------------------------------------------
 
@@ -210,8 +224,7 @@ class ParameterSet:
         return d
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """The level-n cell [(index-1)/M_n, index/M_n), optionally one half of it."""
 
     level: int
@@ -259,15 +272,13 @@ CHECK_L1_NORM = "l1_norm"
 CHECK_TAIL_CERTIFIED = "tail_certified"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     kind: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     passed: bool
     checks: tuple[CheckResult, ...]
 
@@ -341,8 +352,7 @@ def validate(params: ParameterSet) -> ValidationReport:
 # -- block partition -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     start: int  # 1-based, inclusive
     end: int  # inclusive
     sq_sum: Fraction
@@ -353,8 +363,7 @@ class Block:
         return range(self.start, self.end + 1)
 
 
-@dataclass(frozen=True)
-class CertLine:
+class CertLine(NamedTuple):
     label: str
     lhs: Fraction
     relation: str  # "<=" or "<"
@@ -365,8 +374,7 @@ class CertLine:
         return self.lhs <= self.rhs if self.relation == "<=" else self.lhs < self.rhs
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(NamedTuple):
     """Consecutive index blocks with a squared-inequality certificate.
 
     The greedy rule: delta is a rational lower bound of (c - 1)*||alpha||/4

@@ -18,9 +18,8 @@ Supported kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CertificationError, DomainError
 
@@ -58,8 +57,7 @@ def _zeta4_tail_bracket(n_from: int) -> Enclosure:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class SequenceRule:
+class _SequenceRule(NamedTuple):
     kind: str
     a: Fraction = Fraction(0)
     r: Fraction = Fraction(0)
@@ -67,7 +65,13 @@ class SequenceRule:
     tail_l1: Optional[Fraction] = None
     tail_l2sq: Optional[Fraction] = None
 
-    def __post_init__(self):
+
+class SequenceRule(_SequenceRule):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace check too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in KINDS:
             raise DomainError(f"unknown sequence kind {self.kind!r}")
         if self.kind in (_HARMONIC, _GEOMETRIC, _INVERSE_SQUARE) and self.a < 0:
@@ -81,6 +85,7 @@ class SequenceRule:
                 raise DomainError("tail bounds must be nonnegative")
             if self.tail_l2sq is not None and self.tail_l2sq < 0:
                 raise DomainError("tail bounds must be nonnegative")
+        return self
 
     # -- pointwise -----------------------------------------------------------
 
@@ -231,8 +236,15 @@ def explicit(values, tail_l1=None, tail_l2sq=None) -> SequenceRule:
     )
 
 
-@dataclass(frozen=True)
-class Functional:
+class _Functional(NamedTuple):
+    alpha0: Fraction
+    rule: SequenceRule
+    sign: int = 1
+    signs: tuple[int, ...] = ()
+    name: str = ""
+
+
+class Functional(_Functional):
     """A scalar coefficient family (c_0, c_1, c_2, ...).
 
     c_0 is signed and free; |c_n| = rule.term(n) for n >= 1, with the sign
@@ -240,17 +252,16 @@ class Functional:
     the rule therefore bound the absolute coefficient tails directly.
     """
 
-    alpha0: Fraction
-    rule: SequenceRule
-    sign: int = 1
-    signs: tuple[int, ...] = field(default=())
-    name: str = ""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace check too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sign not in (-1, 1):
             raise DomainError("sign must be +1 or -1")
         if any(s not in (-1, 1) for s in self.signs):
             raise DomainError("per-index signs must be +1 or -1")
+        return self
 
     def coeff(self, n: int) -> Fraction:
         if n == 0:

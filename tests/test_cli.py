@@ -167,6 +167,42 @@ def test_bad_budget_value_is_config_error(d1_config, tmp_path, monkeypatch, caps
     assert record["error"] == "config" and "budget" in record["message"]
 
 
+def _budget_args(command, source, value, cfg, monkeypatch) -> list[str]:
+    """CLI arguments that give `command` the budget `value` through `source`."""
+    config, flags = D2_CONFIG if command == "curve" else D1_CONFIG, []
+    if source.startswith("--"):
+        flags = [source, value]
+    elif source == "SAWPROJ_BUDGET":
+        monkeypatch.setenv(source, value)
+    else:
+        config += f"{source} = {value}\n"
+    cfg.write_text(config)
+    return [command, "--config", str(cfg), "--level", "3", *flags, "--out", str(cfg.parent / "o")]
+
+
+@pytest.mark.parametrize(
+    "command, source, value",
+    [
+        ("measure", "--budget", "-5"),
+        ("measure", "SAWPROJ_BUDGET", "-5"),
+        ("measure", "budget", "-5"),
+        ("curve", "--vertex-budget", "-1"),
+        ("curve", "vertex_budget", "-1"),
+    ],
+)
+def test_negative_budget_is_config_error(command, source, value, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "budget.cfg"
+    assert main(_budget_args(command, source, value, cfg, monkeypatch)) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert source in record["message"] and f"must be nonnegative, got {value}" in record["message"]
+    assert not (tmp_path / "o").exists()  # refused before any output is written
+    # a budget of 0 admits no work: still a budget, refused as exceeded
+    assert main(_budget_args(command, source, "0", cfg, monkeypatch)) == 3
+    (record,) = _error_records(capsys)
+    assert record["error"] == "budget" and record["budget"] == 0
+
+
 def test_corrupt_cache_entry_is_a_miss(d1_config, tmp_path, capsys):
     out = tmp_path / "out"
     args = ["measure", "--config", str(d1_config), "--level", "2", "--out", str(out)]
@@ -595,7 +631,8 @@ try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("sawproj."))))
+SLOW_STDLIB = {"dataclasses", "inspect"}  # no record type or command needs them
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sawproj.") or m in SLOW_STDLIB)))
 """
 
 
@@ -623,4 +660,6 @@ def test_each_command_loads_only_its_engine_modules(d1_config, d2_config, tmp_pa
     assert "diagnostics" in secant and "curve" not in secant
     version = loaded_by("--version")
     assert "cli" in version and not version & {"construction", "measure", "curve", "diagnostics"}
+    for loaded in (measure, scan, curve, secant, version):
+        assert not loaded & {"dataclasses", "inspect"}
     assert all((tmp_path / name).is_file() for name in ("measure.jsonl", "diagnose_secant.jsonl"))

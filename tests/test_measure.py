@@ -102,7 +102,8 @@ def test_interval_union_matches_pairwise_merge(a, b, r, points, k):
     # equality and hashing see the set, not the denominator
     finer = IntervalUnion(u.denom * k, tuple((lo * k, hi * k) for lo, hi in u.pairs))
     assert finer == u and hash(finer) == hash(u)
-    assert (u == v) == (merged == pairwise_merge(b))
+    assert not finer != u  # != negates ==; it never compares the tuples
+    assert (u == v) == (merged == pairwise_merge(b)) != (u != v)
 
 
 def test_image_measure_line(d1, f1):

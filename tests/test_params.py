@@ -120,6 +120,35 @@ def test_parameter_set_rejects_bad_shapes():
         sp.ParameterSet(alpha=sp.harmonic(F(1, 2)), m=sp.linear_refinement(2), n_max=2, model="sup")
     with pytest.raises(DomainError):
         sp.ParameterSet(alpha=sp.explicit([F(1, 2)], 0, 0), m=sp.linear_refinement(2), n_max=3, model="L2")
+    with pytest.raises(DomainError):  # the same checks run on positional fields
+        sp.ParameterSet(sp.harmonic(F(1, 2)), sp.linear_refinement(2), 0, "L2")
+    with pytest.raises(DomainError):
+        sp.ParameterSet(sp.harmonic(F(1, 2)), sp.RefinementRule("explicit", 0, (2, 0)), 2, "L2")
+    bogus = (
+        lambda: sp.RefinementRule("bogus"),
+        lambda: sp.RefinementRule(kind="bogus", k=2),
+        lambda: sp.linear_refinement(2)._replace(kind="bogus"),
+        lambda: sp.harmonic_l2_preset()._replace(model="sup"),
+    )
+    for build in bogus:
+        with pytest.raises(DomainError):
+            build()
+
+
+def test_parameter_set_record_semantics():
+    fields = dict(alpha=sp.harmonic(F(1, 2)), m=sp.linear_refinement(2), n_max=8, model="L2")
+    a = sp.ParameterSet(**fields)
+    b = sp.ParameterSet(*fields.values())
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a.grid_sizes == b.grid_sizes
+    assert a.grid_sizes[:5] == (1, 2, 8, 48, 384) and a.grid_sizes[8] == 2**8 * factorial(8)
+    assert a._replace(n_max=4).grid_sizes == (1, 2, 8, 48, 384)  # recomputed, not copied
+    assert "grid_sizes" not in repr(a) and repr(a) == repr(b)
+    assert a != sp.ParameterSet(**{**fields, "n_max": 7})
+    for name in ("grid_sizes", "n_max", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+    assert a.grid_sizes == b.grid_sizes
 
 
 # -- block partition ------------------------------------------------------------

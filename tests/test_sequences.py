@@ -5,6 +5,7 @@ import pytest
 from sawproj.errors import CertificationError, DomainError
 from sawproj.sequences import (
     Functional,
+    SequenceRule,
     explicit,
     geometric,
     harmonic,
@@ -35,6 +36,14 @@ def test_negative_terms_rejected():
         explicit([F(-1, 2)], 0, 0)
     with pytest.raises(DomainError):
         geometric(F(1), F(3, 2))
+    bogus = (
+        lambda: SequenceRule("bogus"),
+        lambda: SequenceRule(kind="bogus", a=F(1)),
+        lambda: harmonic(F(1))._replace(a=F(-1)),
+    )
+    for build in bogus:
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_geometric_tails_are_exact():
@@ -117,6 +126,22 @@ def test_functional_coeffs_and_signs():
     g = Functional(alpha0=F(1, 2), rule=inverse_square(F(1, 4)), sign=-1, signs=(-1, 1))
     assert g.coeff(1) == F(1, 4)  # sign * signs[0] = 1
     assert g.coeff(2) == -F(1, 16)
+
+
+def test_functional_rejects_bad_signs():
+    rule = inverse_square(F(1, 4))
+    built = (
+        lambda: Functional(F(0), rule, 0),
+        lambda: Functional(F(0), rule, sign=0),
+        lambda: Functional(alpha0=F(0), rule=rule, sign=0),
+        lambda: Functional(F(0), rule, 1, (1, 2)),
+        lambda: Functional(F(0), rule, signs=(1, 2)),
+        lambda: Functional(alpha0=F(0), rule=rule, signs=(1, 2)),
+        lambda: Functional(F(0), rule)._replace(sign=0),
+    )
+    for build in built:
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_functional_direction_combination():
