@@ -27,7 +27,10 @@ from .params import validate
 from .rational import format_rational, parse_rational
 from .records import (
     SCHEMA_VERSION,
+    as_int,
+    config_int,
     content_hash,
+    curve_rows,
     export_pieces_csv,
     finalize_record,
     functional_from_config,
@@ -35,7 +38,6 @@ from .records import (
     load_config,
     params_from_config,
     params_to_config,
-    ratio_cells,
     read_jsonl,
     write_csv,
     write_jsonl,
@@ -70,21 +72,10 @@ def _resolve_budget(args, config: dict) -> int:
 
 
 def _budget(source: str, value) -> int:
-    budget = _as_int(source, value)
+    budget = as_int(source, value)
     if budget < 0:
         raise ConfigError(f"{source} must be nonnegative, got {budget}")
     return budget
-
-
-def _as_int(source: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
-
-
-def _config_int(config: dict, key: str, default: int) -> int:
-    return _as_int(f"config key {key!r}", config.get(key, default))
 
 
 def _load(args) -> tuple[dict, object, Optional[object]]:
@@ -192,7 +183,7 @@ def cmd_evaluate(args) -> int:
 
     config, params, _ = _load(args)
     level = (
-        args.level if args.level is not None else _config_int(config, "level", params.n_max)
+        args.level if args.level is not None else config_int(config, "level", params.n_max)
     )
     point = truncated_point(params, level, parse_rational(args.t))
     record = {
@@ -232,7 +223,7 @@ def cmd_measure(args) -> int:
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("measure requires functional.* keys in the config")
-    level = args.level if args.level is not None else _config_int(config, "level", 1)
+    level = args.level if args.level is not None else config_int(config, "level", 1)
     budget = _resolve_budget(args, config)
     out = _out_dir(args, config)
     if args.pieces:
@@ -282,7 +273,7 @@ def cmd_scan(args) -> int:
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("scan requires functional.* keys in the config")
-    level = args.level if args.level is not None else _config_int(config, "level", 1)
+    level = args.level if args.level is not None else config_int(config, "level", 1)
     budget = _resolve_budget(args, config)
     out = _out_dir(args, config)
     cache = _Cache(out, enabled=not args.no_cache)
@@ -319,7 +310,7 @@ def cmd_curve(args) -> int:
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("curve requires functional.* keys in the config")
-    level = args.level if args.level is not None else _config_int(config, "level", 1)
+    level = args.level if args.level is not None else config_int(config, "level", 1)
     source, value = "--vertex-budget", args.vertex_budget
     if value is None:
         key = "vertex_budget"
@@ -332,7 +323,7 @@ def cmd_curve(args) -> int:
     names = [f"coord_{n:0{len(str(level))}d}" for n in range(level + 1)]
     header = [c for name in names for c in (name, f"{name}_f64")]
     header += ["is_vertical", "t", "t_f64", "vertex_index"]
-    write_rows(out / "curve.csv", header, _curve_rows(table))
+    write_rows(out / "curve.csv", header, curve_rows(table))
 
     ledger = [
         {
@@ -358,21 +349,6 @@ def cmd_curve(args) -> int:
         )
     write_jsonl(ledger, out / "curve.jsonl")
     return EXIT_OK
-
-
-def _curve_rows(table):
-    """The CSV cells of every polygon vertex, from the table's integers."""
-    denom, vertical = table.denom, table.vertical
-    cells: dict[int, tuple[str, str]] = {}  # numerators repeat: each is formatted once
-    for idx, (k, nums) in enumerate(zip(table.ks, table.nums)):
-        for x in nums:
-            if x not in cells:
-                text, value = ratio_cells(x, denom)
-                cells[x] = (text, repr(value))
-        row = [cell for x in nums for cell in cells[x]]
-        row.append(idx < len(vertical) and vertical[idx])
-        row += [*ratio_cells(k, table.t_denom), idx]
-        yield row
 
 
 def _diag_event_measure(params, args) -> list[dict]:
@@ -506,7 +482,7 @@ def cmd_run(args) -> int:
     forwarded = [command, "--config", str(args.config)]
     for key in _RUN_FORWARDS[command]:
         if key in config:
-            value = config[key] if key in ("t", "check") else _config_int(config, key, 0)
+            value = config[key] if key in ("t", "check") else config_int(config, key, 0)
             forwarded.append(f"--{key}={value}")
     sub_args = build_parser().parse_args(forwarded)
     return sub_args.func(sub_args)

@@ -333,16 +333,6 @@ class PLFunction:
                 jump_at_left=Fraction(kernel.jump_num(j), denom),
             )
 
-    def sup_change_bound(self, level_from: int, level_to: int) -> Fraction:
-        """sup_t |h_{level_to}(t) - h_{level_from}(t)| <= this, exactly."""
-        return sum(
-            (
-                abs(self.functional.coeff(n)) / (2 * self.params.grid_size(n))
-                for n in range(level_from + 1, level_to + 1)
-            ),
-            Fraction(0),
-        )
-
 
 def build_pl(
     params: ParameterSet,

@@ -15,9 +15,7 @@ the parameter displacement, so the squared component-n share of the squared
 displacement norm is bounded below by 1/(64 Kbar^2) once alpha_n <= 1/8
 (Kbar^2 the upper enclosure of the unit-box norm bound).
 
-All sampling uses a named, seeded generator and is reproducible bit for bit;
-sample streams are partitioned deterministically by chunk so reductions do
-not depend on worker scheduling.
+All sampling uses a named, seeded generator and is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ if TYPE_CHECKING:  # only annotations name it; no check needs the curve module
 
 GENERATOR_NAME = "mt19937-getrandbits"
 SAMPLE_BITS = 48  # a sampled parameter is a multiple of 2^-48 of its range
+_UNION_CHUNKS = 8  # sample_event_union splits its samples over this many streams
 
 
 # -- seeded rational sampling -------------------------------------------------------
@@ -194,8 +193,6 @@ def sample_event_union(
     levels: Sequence[int],
     samples: int,
     seed: int,
-    *,
-    chunks: int = 8,
 ) -> UnionSampleReport:
     """Seeded hit fraction for "t belongs to at least one level event".
 
@@ -210,7 +207,7 @@ def sample_event_union(
     expected = 1 - expected
 
     windows = [_event_window(params, n) for n in levels]
-    per = [samples // chunks] * chunks
+    per = [samples // _UNION_CHUNKS] * _UNION_CHUNKS
     per[-1] += samples - sum(per)
     hits = 0
     for chunk, count in enumerate(per):
@@ -435,16 +432,14 @@ def _slope_identity(
     return shifted, tuple(equal_levels), toggled
 
 
-def sample_slope_identities(
-    params: ParameterSet, samples: int, seed: int, *, max_level: Optional[int] = None
-) -> int:
+def sample_slope_identities(params: ParameterSet, samples: int, seed: int) -> int:
     """Run the identity on seeded admissible tuples; returns the pass count.
 
     Tuples are made admissible by construction: t in the first quarter of a
     cell (shift goes right) or the last quarter (shift goes left), and
     |h| < 1/(4 M_n) pointing inward. A quarter cell is 2^48 over 2^50 M_n.
     """
-    max_level = max_level or min(5, params.n_max - 1)
+    max_level = min(5, params.n_max - 1)
     sizes = params.grid_sizes
     passed = 0
     rng = spawn_rng(seed)

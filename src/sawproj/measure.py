@@ -39,7 +39,6 @@ from .construction import (
     _component,
     _component_left_limit,
     build_pl,
-    half_grid_kernel,
 )
 from .errors import BudgetExceeded, DomainError
 from .params import ParameterSet
@@ -255,18 +254,20 @@ def _cluster_measure(cluster: list, start: int, end: int, solid: bool) -> int:
     return end - start if solid else sum(hi - lo for lo, hi in _merged(cluster))
 
 
-def _image_ints(params: ParameterSet, kernel: Kernel) -> _Shape:
-    """The image of a truncation as a shape over its kernel's denominator.
+def _image_ints(kernel: Kernel, top: int) -> _Shape:
+    """The image of the level-top truncation as a shape over the kernel's denominator.
 
-    In numerators over the kernel's denom = 4 M_N q_lcm, the image of h_N on
-    a level-l half-cell, less its value at the cell's left end, is
+    The kernel is that of a level N >= top; its coeffs a_n and periods
+    q_n = 2 M_N/M_n give m_n = q_{n-1} // q_n. In numerators over its
+    denom = 4 M_N q_lcm, the image of h_top on a level-l half-cell, less its
+    value at the cell's left end, is
 
-        Img(l, s, odd) = U_{i < m_{l+1}} ( 2 s i M_N/M_{l+1}
+        Img(l, s, odd) = U_{i < m_{l+1}} ( s i q_{l+1}
                                            + Img(l+1, s + a_{l+1} p_i, p_i) ),
         p_i = (odd * m_{l+1} + i) mod 2,
 
     with slope numerator s, odd the parity of the half-cell's index and
-    Img(N, s, .) = hull{0, 2s}: sub-cell i is the right half of its level-(l+1)
+    Img(top, s, .) = hull{0, s q_top}: sub-cell i is the right half of its level-(l+1)
     cell exactly when p_i = 1, and every f_n with n > l vanishes at each
     level-l half-cell's left end. The parity is folded to 0 unless m_{l+1} is
     odd. As p_i alternates, Img(l, s, odd) is a tile of a = Img(l+1, ., p_0)
@@ -276,9 +277,9 @@ def _image_ints(params: ParameterSet, kernel: Kernel) -> _Shape:
     once, from the two keys of its kinds; the two level-0 half-cells are one
     more tile.
     """
-    a, top = kernel.coeffs, len(kernel.coeffs) - 1
-    m = [0] + [params.refinement_factor(n) for n in range(1, top + 1)]
-    steps = [2 * params.grid_size(top) // params.grid_size(n) for n in range(top + 1)]
+    a, steps = kernel.coeffs, kernel.periods
+    m = [0] + [steps[n - 1] // steps[n] for n in range(1, top + 1)]
+    leaf = steps[top]
 
     def key(slope: int, odd: int, level: int) -> tuple[int, int, int]:
         return slope, (odd if level < top and m[level + 1] % 2 else 0), level
@@ -286,7 +287,8 @@ def _image_ints(params: ParameterSet, kernel: Kernel) -> _Shape:
     @cache
     def shape(slope: int, odd: int, level: int) -> _Shape:
         if level == top:
-            return _Shape(min(0, 2 * slope), max(0, 2 * slope), abs(2 * slope))
+            rise = leaf * slope
+            return _Shape(min(0, rise), max(0, rise), abs(rise))
         n = level + 1
         p = odd * m[n] % 2  # kind a; kind b exists when m_n > 1
         kinds = [shape(*key(slope + a[n] * q, q, n)) for q in (p, 1 - p)[: m[n]]]
@@ -304,7 +306,8 @@ def image_measure(
     """Exact image (interval union) and Lebesgue measure of a truncation."""
     if pl.piece_count > piece_budget:
         raise BudgetExceeded("pieces", pl.piece_count, piece_budget)
-    union = IntervalUnion(pl.kernel().denom, _image_ints(pl.params, pl.kernel()).flatten())
+    kernel = pl.kernel()
+    union = IntervalUnion(kernel.denom, _image_ints(kernel, pl.level).flatten())
     return union, union.measure
 
 
@@ -348,15 +351,13 @@ def projection_bracket(
     The per-level stability chain |mu_{k+1} - mu_k| <= 2 |c_{k+1}| is checked
     for every k < N and returned as part of the certificate. The level, the
     tail certificate and the level-N piece budget are checked before any
-    image is computed; every level then reads the level-N coefficients.
+    image is computed; every level is then measured over the one level-N kernel.
     """
     if not 0 <= level <= params.n_max:
         raise DomainError(f"level {level} outside [0, {params.n_max}]")
-    coeffs = build_pl(params, functional, level, piece_budget=piece_budget).coeffs
-    mus: list[Fraction] = []
-    for k in range(level + 1):
-        kernel = half_grid_kernel(params, coeffs[: k + 1], k)
-        mus.append(Fraction(_image_ints(params, kernel).measure, kernel.denom))
+    pl = build_pl(params, functional, level, piece_budget=piece_budget)
+    coeffs, kernel = pl.coeffs, pl.kernel()
+    mus = [Fraction(_image_ints(kernel, k).measure, kernel.denom) for k in range(level + 1)]
     chain = tuple(
         ChainLink(k + 1, abs(mus[k + 1] - mus[k]), 2 * abs(coeffs[k + 1])) for k in range(level)
     )

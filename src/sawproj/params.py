@@ -57,14 +57,6 @@ class RefinementRule(_RefinementRule):
             f"explicit refinement rule has {len(self.values)} factors, got n = {n}"
         )
 
-    def doc(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "explicit":
-            d["values"] = list(self.values)
-        else:
-            d["k"] = self.k
-        return d
-
 
 def linear_refinement(k: int) -> RefinementRule:
     return RefinementRule("linear", k=k)
@@ -214,14 +206,6 @@ class ParameterSet(_ParameterSet):
         m_last = self.grid_size(self.n_max)
         tail = self.alpha.l2sq_tail_upper(self.n_max)
         return exact + tail / (16 * m_last**2)
-
-    def doc(self) -> dict:
-        d = {f"alpha.{k}": v for k, v in self.alpha.doc().items()}
-        d.update({f"m.{k}": v for k, v in self.m.doc().items()})
-        d["n_max"] = self.n_max
-        d["model"] = self.model
-        d["sqrt_precision_bits"] = self.sqrt_bits
-        return d
 
 
 class GridCell(NamedTuple):

@@ -15,11 +15,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError
-from .params import (
-    ParameterSet,
-    RefinementRule,
-)
-from .rational import format_rational, parse_rational
+from .params import ParameterSet, RefinementRule
+from .rational import DEFAULT_SQRT_BITS, format_rational, parse_rational
 from .sequences import Functional, SequenceRule
 
 SCHEMA_VERSION = 1
@@ -78,8 +75,36 @@ def emit_config_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_config(path: str | Path) -> dict:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(_read_text(path))
+
+
+def as_int(source: str, value) -> int:
+    """The one integer reader for config values and integer settings."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
+
+
+def config_int(doc: dict, key: str, default: Optional[int] = None) -> int:
+    """An integer config key; without a default the key is required."""
+    if key not in doc and default is None:
+        raise ConfigError(f"missing {key}")
+    return as_int(f"config key {key!r}", doc.get(key, default))
+
+
+def _config_ints(doc: dict, key: str) -> tuple[int, ...]:
+    """A comma-separated list of integers; an absent key is the empty list."""
+    source = f"each entry of config key {key!r}"
+    return tuple(as_int(source, v) for v in str(doc.get(key, "")).split(",") if v.strip())
 
 
 def _rule_from_config(doc: dict, prefix: str) -> SequenceRule:
@@ -99,6 +124,21 @@ def _rule_from_config(doc: dict, prefix: str) -> SequenceRule:
     raise ConfigError(f"unknown {prefix}.kind {kind!r}")
 
 
+def _rule_to_config(rule: SequenceRule, prefix: str) -> dict:
+    """The keys _rule_from_config reads back: rationals as "p/q", lists comma-joined."""
+    doc = {f"{prefix}.kind": rule.kind}
+    if rule.kind == "explicit":
+        doc[f"{prefix}.values"] = ",".join(map(format_rational, rule.values))
+        for key, bound in (("tail_l1", rule.tail_l1), ("tail_l2sq", rule.tail_l2sq)):
+            if bound is not None:
+                doc[f"{prefix}.{key}"] = format_rational(bound)
+    else:
+        doc[f"{prefix}.a"] = format_rational(rule.a)
+        if rule.kind == "geometric":
+            doc[f"{prefix}.r"] = format_rational(rule.r)
+    return doc
+
+
 def _frac(doc: dict, key: str, optional: bool = False) -> Optional[Fraction]:
     if key not in doc:
         if optional:
@@ -111,56 +151,54 @@ def params_from_config(doc: dict) -> ParameterSet:
     alpha = _rule_from_config(doc, "alpha")
     m_kind = doc.get("m.kind")
     if m_kind in ("linear", "constant"):
-        m = RefinementRule(m_kind, k=int(doc.get("m.k", 0)))
+        m = RefinementRule(m_kind, k=config_int(doc, "m.k", 0))
     elif m_kind == "explicit":
-        values = tuple(int(v) for v in str(doc.get("m.values", "")).split(",") if v.strip())
-        m = RefinementRule("explicit", values=values)
+        m = RefinementRule("explicit", values=_config_ints(doc, "m.values"))
     else:
         raise ConfigError(f"unknown m.kind {m_kind!r}")
+    n_max = config_int(doc, "n_max")
+    bits = config_int(doc, "sqrt_precision_bits", DEFAULT_SQRT_BITS)
+    if "model" not in doc:
+        raise ConfigError("missing model")
     try:
-        n_max = int(doc["n_max"])
-        model = str(doc["model"])
-    except KeyError as exc:
-        raise ConfigError(f"missing {exc.args[0]}") from exc
-    bits = int(doc.get("sqrt_precision_bits", 64))
-    try:
-        return ParameterSet(alpha=alpha, m=m, n_max=n_max, model=model, sqrt_bits=bits)
+        return ParameterSet(alpha, m, n_max, str(doc["model"]), bits)
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def functional_from_config(doc: dict) -> Functional:
-    rule = _rule_from_config(doc, "functional.rule")
-    alpha0 = _frac(doc, "functional.alpha0")
-    sign = int(doc.get("functional.sign", 1))
-    signs = tuple(
-        int(s) for s in str(doc.get("functional.signs", "")).split(",") if s.strip()
-    )
-    name = str(doc.get("functional.name", ""))
-    return Functional(alpha0=alpha0, rule=rule, sign=sign, signs=signs, name=name)
-
-
-def _flat_config(doc: dict, prefix: str = "") -> dict:
-    """Config values for a doc(): rationals as "p/q", lists comma-joined."""
-    out: dict = {}
-    for key, value in doc.items():
-        if isinstance(value, Fraction):
-            out[prefix + key] = format_rational(value)
-        elif isinstance(value, list):
-            out[prefix + key] = ",".join(
-                format_rational(v) if isinstance(v, Fraction) else str(v) for v in value
-            )
-        elif value is not None:
-            out[prefix + key] = value
-    return out
-
-
 def params_to_config(params: ParameterSet) -> dict:
-    return _flat_config(params.doc())
+    doc = _rule_to_config(params.alpha, "alpha")
+    m = params.m
+    doc["m.kind"] = m.kind
+    if m.kind == "explicit":
+        doc["m.values"] = ",".join(map(str, m.values))
+    else:
+        doc["m.k"] = m.k
+    doc.update(n_max=params.n_max, model=params.model, sqrt_precision_bits=params.sqrt_bits)
+    return doc
+
+
+def functional_from_config(doc: dict) -> Functional:
+    return Functional(
+        rule=_rule_from_config(doc, "functional.rule"),
+        alpha0=_frac(doc, "functional.alpha0"),
+        sign=config_int(doc, "functional.sign", 1),
+        signs=_config_ints(doc, "functional.signs"),
+        name=str(doc.get("functional.name", "")),
+    )
 
 
 def functional_to_config(functional: Functional) -> dict:
-    return _flat_config(functional.doc(), "functional.")
+    doc = {
+        "functional.alpha0": format_rational(functional.alpha0),
+        "functional.sign": functional.sign,
+        **_rule_to_config(functional.rule, "functional.rule"),
+    }
+    if functional.signs:
+        doc["functional.signs"] = ",".join(map(str, functional.signs))
+    if functional.name:
+        doc["functional.name"] = functional.name
+    return doc
 
 
 # -- records ------------------------------------------------------------------------
@@ -236,10 +274,18 @@ def write_csv(records: Sequence[dict], path: str | Path) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
+    """The records of a JSONL file; a line that is not a JSON object is a ConfigError."""
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(json.loads(line))
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {lineno}: not JSON ({exc})") from None
+        if not isinstance(record, dict):
+            raise ConfigError(f"{path} line {lineno}: not a JSON object")
+        out.append(record)
     return out
 
 
@@ -248,6 +294,20 @@ def content_hash(payload: dict) -> str:
 
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class _Cells(dict):
+    """The CSV cells of num/den by numerator for one den, each formatted on first use
+    (piece slopes and jumps, and curve coordinates, repeat few numerators). The
+    float is kept as its text, so the CSV writer does not format it again."""
+
+    def __init__(self, den: int):
+        self.den = den
+
+    def __missing__(self, num: int) -> tuple[str, str]:
+        text, value = ratio_cells(num, self.den)
+        self[num] = cells = (text, repr(value))
+        return cells
 
 
 PIECES_HEADER = (
@@ -263,14 +323,25 @@ def export_pieces_csv(pl, path: str | Path) -> int:
     Rows are streamed from the kernel's integer numerators.
     """
     kernel, count = pl.kernel(), pl.piece_count
-    denom, length = kernel.denom, ratio_cells(1, count)
+    denom, jump_num, length = kernel.denom, kernel.jump_num, ratio_cells(1, count)
+    cells = _Cells(denom)  # jumps and slopes, both numerators over denom
 
     def rows():
         for j, (v, w) in enumerate(pl.piece_value_ints()):
             yield (
-                *ratio_cells(kernel.jump_num(j), denom), *ratio_cells(j, count),
-                *ratio_cells(v, denom), *length, j, *ratio_cells((w - v) * count, denom),
+                *cells[jump_num(j)], *ratio_cells(j, count), *ratio_cells(v, denom),
+                *length, j, *cells[(w - v) * count],
             )
 
     write_rows(path, PIECES_HEADER, rows())
     return count
+
+
+def curve_rows(table) -> Iterable[list]:
+    """The curve CSV cells of every polygon vertex, from the table's integers."""
+    cells, vertical = _Cells(table.denom), table.vertical
+    for idx, (k, nums) in enumerate(zip(table.ks, table.nums)):
+        row = [cell for x in nums for cell in cells[x]]
+        row.append(idx < len(vertical) and vertical[idx])
+        row += [*ratio_cells(k, table.t_denom), idx]
+        yield row

@@ -201,19 +201,6 @@ class SequenceRule(_SequenceRule):
             )
         return SequenceRule(self.kind, a=self.a * factor, r=self.r)
 
-    def doc(self) -> dict:
-        """Serializable description (rationals as Fractions, caller formats)."""
-        d: dict = {"kind": self.kind}
-        if self.kind == _EXPLICIT:
-            d["values"] = list(self.values)
-            d["tail_l1"] = self.tail_l1
-            d["tail_l2sq"] = self.tail_l2sq
-        else:
-            d["a"] = self.a
-            if self.kind == _GEOMETRIC:
-                d["r"] = self.r
-        return d
-
 
 def harmonic(a: Fraction) -> SequenceRule:
     return SequenceRule(_HARMONIC, a=Fraction(a))
@@ -293,15 +280,6 @@ class Functional(_Functional):
             signs=self.signs,
             name=self.name and f"{self.name}@({p},{q})",
         )
-
-    def doc(self) -> dict:
-        d = {"alpha0": self.alpha0, "sign": self.sign}
-        if self.signs:
-            d["signs"] = list(self.signs)
-        d.update({f"rule.{k}": v for k, v in self.rule.doc().items()})
-        if self.name:
-            d["name"] = self.name
-        return d
 
 
 def inverse_square_functional() -> Functional:

@@ -360,12 +360,24 @@ def test_curve_vertex_budget_zero_is_honoured(d2_config, tmp_path, capsys):
         ("evaluate", "level"),
         ("curve", "level"),
         ("curve", "vertex_budget"),
+        ("measure", "n_max"),
+        ("validate", "n_max"),
+        ("measure", "m.k"),
+        ("validate", "m.values"),
+        ("measure", "sqrt_precision_bits"),
+        ("measure", "functional.sign"),
+        ("validate", "functional.signs"),
     ],
 )
 def test_bad_config_integer_is_config_error(command, key, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     config = D2_CONFIG if command == "curve" else D1_CONFIG
-    cfg.write_text(config + f'{key} = "x"\n')
+    if key == "m.values":
+        config = config.replace('m.kind = "linear"\nm.k = 2\n', 'm.kind = "explicit"\n')
+    # the bad value replaces the key's own line; list keys hold it after a good entry
+    lines = [line for line in config.splitlines() if not line.startswith(f"{key} =")]
+    value = "1,x" if key in ("m.values", "functional.signs") else "x"
+    cfg.write_text("\n".join(lines) + f'\n{key} = "{value}"\n')
     args = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
     if command == "evaluate":
         args += ["--t", "1/3"]
@@ -446,6 +458,38 @@ def test_diagnose_checks(d1_config, tmp_path):
     assert main(
         ["diagnose", "--config", str(d1_config), "--check", "bogus", "--out", str(out)]
     ) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "measure", "curve", "diagnose", "run"])
+def test_config_not_utf8_is_config_error(command, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(D1_CONFIG.encode() + 'functional.name = "F\xe9"\n'.encode("latin-1"))
+    args = [command, "--config", str(cfg)]
+    if command != "run":
+        args += ["--out", str(tmp_path / "o")]
+    if command == "diagnose":
+        args += ["--check", "event-measure"]
+    assert main(args) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert "not UTF-8" in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text, problem", [('{"a": \n', "not JSON"), ("[1,2]\n", "not a JSON object")]
+)
+def test_emit_bad_records_is_config_error(text, problem, tmp_path, capsys):
+    records = tmp_path / "bad.jsonl"
+    records.write_text('{"a": 1}\n' + text)
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / f"emitted.{fmt}"
+        args = ["emit", "--records", str(records), "--format", fmt, "--out", str(out)]
+        assert main(args) == 1
+        (record,) = _error_records(capsys)
+        assert record["error"] == "config" and record["exit_code"] == 1
+        assert f"line 2: {problem}" in record["message"]
+        assert not out.exists()
 
 
 def test_emit_roundtrip(d1_config, tmp_path):

@@ -33,6 +33,17 @@ def test_all_lists_the_public_names():
     assert sp.__version__ == "1.0.0"
 
 
+def test_version_has_one_source():
+    # cache keys carry __version__, so the package metadata reads it rather than copy it
+    tomllib = pytest.importorskip("tomllib")
+    from pathlib import Path
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "sawproj.__version__"}
+
+
 def test_public_name_is_its_module_attribute():
     for name in PUBLIC_NAMES:
         module = importlib.import_module(f"sawproj.{sp._MODULE_OF[name]}")

@@ -74,6 +74,63 @@ def test_functional_roundtrip(f1):
     assert functional_from_config(parse_config_text(emit_config_text(doc))) == signed
 
 
+def _pinned_documents():
+    """(label, config document) pairs whose hashes feed cache keys and functional_id."""
+    from pathlib import Path
+
+    from sawproj.records import load_config
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in ("harmonic_l2", "geometric_l1"):
+        doc = load_config(configs / f"{name}.cfg")
+        yield f"{name} params", params_to_config(params_from_config(doc))
+        yield f"{name} functional", functional_to_config(functional_from_config(doc))
+    explicit_params = sp.ParameterSet(
+        alpha=sp.explicit([F(1, 2), F(1, 4), F(1, 8)], F(1, 16), F(1, 64)),
+        m=sp.explicit_refinement([2, 4, 6]),
+        n_max=3,
+        model="L1",
+        sqrt_bits=80,
+    )
+    yield "explicit params", params_to_config(explicit_params)
+    constant_params = sp.ParameterSet(
+        sp.inverse_square(F(1, 3)), sp.constant_refinement(4), 5, model="L2"
+    )
+    yield "constant params", params_to_config(constant_params)
+    signed = sp.Functional(
+        alpha0=F(-1, 3), rule=sp.geometric(F(1, 3), F(1, 5)), sign=-1, signs=(1, -1, -1)
+    )
+    yield "signed functional", functional_to_config(signed)
+    unnamed = sp.Functional(
+        alpha0=F(-1, 3), rule=sp.explicit([F(1, 2), F(1, 4)], F(1, 8)), sign=-1, signs=(1, -1)
+    )
+    yield "unnamed functional", functional_to_config(unnamed)
+    yield "turned unnamed", functional_to_config(unnamed.with_direction(F(1, 2), F(-3)))
+    turned = sp.inverse_square_functional().with_direction(F(3), F(-2))
+    yield "turned F1", functional_to_config(turned)
+
+
+# recorded before the config writer moved into records.py; a change here changes
+# every cache key and every unnamed functional_id
+PINNED_CONFIG_HASHES = {
+    "harmonic_l2 params": "b8fadffc44dbd355ada6022c1f34fc019f8efd54c62b7174010ec86439a7b459",
+    "harmonic_l2 functional": "da8ff28a4cc278e2f1d2076e2609e061c70f2bac5297001f7f5f6452802dd1f0",
+    "geometric_l1 params": "f795538f0978ecb00e452c1f3f9075efce97cdad70e6fee2a6702b78a3a2d790",
+    "geometric_l1 functional": "dbad50290ba73b96a418c519e5fb0d5392743b9c15a6812959e46426fa0ddcdc",
+    "explicit params": "6a20616341ed31c49976d39258f4a376904bab79df0ca2be72aaebc3c5f107ee",
+    "constant params": "3cdc26bd32884048474496042367870f69e8a60f9a561428a74c07c23a68dcaf",
+    "signed functional": "c04da9980cc817fb2c23e6f9b48f8a32fb7f6bc0b62ab42068b4bc8f2b4ede2d",
+    "unnamed functional": "3a86824a47a9de86e307426b8fe49cb2f1f32a2a345320745da9be54dd2a3915",
+    "turned unnamed": "743c9260f84d433c28ac1739e9364631fc583c88aa6f311d3f1f837ccc4e2950",
+    "turned F1": "60cb421f5055dce37adaa212c19379ddc5ca18d45ca3aa643ba371ce0dd31631",
+}
+
+
+def test_config_document_hashes_are_pinned():
+    hashes = {label: content_hash(doc) for label, doc in _pinned_documents()}
+    assert hashes == PINNED_CONFIG_HASHES
+
+
 TERMS = st.fractions(min_value=0, max_value=4, max_denominator=50)
 RATIOS = st.fractions(min_value=0, max_value=1, max_denominator=50).filter(lambda r: r < 1)
 
