@@ -21,8 +21,8 @@ __version__ = "1.0.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "construction": (
-        "PLFunction", "PLPiece", "TruncatedPoint", "build_pl", "component_value",
-        "ensemble_evaluate", "sawtooth", "truncated_point",
+        "PLFunction", "TruncatedPoint", "build_pl", "component_value", "ensemble_evaluate",
+        "sawtooth", "truncated_point",
     ),
     "curve": (
         "CanonicalTau", "CurveEvaluator", "PolygonalCurve", "build_curve", "canonical_tau",

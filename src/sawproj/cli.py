@@ -291,8 +291,8 @@ def cmd_scan(args) -> int:
             record.update(kind="scan", direction_index=idx, direction_p=p, direction_q=q)
             record = finalize_record(record)
             cache.put(key, record)
-        records.append(record)
-    records.sort(key=lambda r: r["direction_index"])
+        # the key leaves the index out, so an entry from another scan carries its own
+        records.append(dict(record, direction_index=idx))
     write_jsonl(records, out / "scan.jsonl")
     write_csv(records, out / "scan.csv")
     return EXIT_OK
@@ -301,10 +301,11 @@ def cmd_scan(args) -> int:
 def cmd_curve(args) -> int:
     from .curve import (
         DEFAULT_VERTEX_BUDGET,
+        build_curve,
+        curve_length,
         curve_length_closed_form,
         length_increment,
         sup_distance_bound,
-        vertex_table,
     )
 
     config, params, functional = _load(args)
@@ -318,12 +319,12 @@ def cmd_curve(args) -> int:
     budget = _budget(source, value)
     out = _out_dir(args, config)
 
-    table = vertex_table(params, functional, level, vertex_budget=budget)
+    curve = build_curve(params, functional, level, vertex_budget=budget)
     # zero-padded names keep the sorted header in coordinate order
     names = [f"coord_{n:0{len(str(level))}d}" for n in range(level + 1)]
     header = [c for name in names for c in (name, f"{name}_f64")]
     header += ["is_vertical", "t", "t_f64", "vertex_index"]
-    write_rows(out / "curve.csv", header, curve_rows(table))
+    write_rows(out / "curve.csv", header, curve_rows(curve))
 
     ledger = [
         {
@@ -331,9 +332,9 @@ def cmd_curve(args) -> int:
             "kind": "curve_length",
             "functional_id": _functional_id(functional),
             "level": level,
-            "length": table.length(),
+            "length": curve_length(curve),
             "length_closed_form": curve_length_closed_form(params, functional, level),
-            "vertex_count": len(table.ks),
+            "vertex_count": len(curve.ks),
         }
     ]
     for n in range(1, level + 1):

@@ -24,9 +24,11 @@ t = k/(2 M_N), with q_n = 2 M_N / M_n and c_n = a_n / q_lcm for integers a_n,
     c_n f_n(t) = a_n max(0, 2 (k mod q_n) - q_n) / (4 M_N q_lcm),
 
 and a_n q_n over the same denominator at a left limit where q_n divides k.
-``Kernel.coords`` is that formula; the piece table (``Kernel.nums``), the
-curve vertices and the image engine all read it or its integers. Piece
-enumeration is lazy and evaluates the closed form at each cell endpoint.
+``Kernel.coords`` is that formula. The kernel is the one piece table:
+``Kernel.nums`` gives each piece's left value and right limit and
+``Kernel.jump_num`` the jump at its left end, all lazily from the closed
+form, and the curve vertices and the image engine read the same integers.
+``PLFunction.value`` is the direct Fraction sum they all must agree with.
 """
 
 from __future__ import annotations
@@ -236,15 +238,6 @@ def half_grid_kernel(
     )
 
 
-class PLPiece(NamedTuple):
-    index: int
-    left: Fraction
-    length: Fraction
-    left_value: Fraction
-    slope: Fraction
-    jump_at_left: Fraction  # h(left-) - h(left); 0 for the first piece
-
-
 class PLFunction:
     """Exact piecewise-linear representation of a truncated projection."""
 
@@ -261,11 +254,6 @@ class PLFunction:
     def piece_count(self) -> int:
         return 2 * self.params.grid_size(self.level)
 
-    def breakpoint(self, j: int) -> Fraction:
-        return Fraction(j, self.piece_count)
-
-    # -- exact evaluation ------------------------------------------------------
-
     def value(self, t: Fraction) -> Fraction:
         """Direct summation; the authoritative definition."""
         if not 0 <= t < 1:
@@ -274,38 +262,6 @@ class PLFunction:
             (c * _component(self.params, n, t) for n, c in enumerate(self.coeffs)),
             Fraction(0),
         )
-
-    def left_limit(self, t: Fraction) -> Fraction:
-        return sum(
-            (
-                c * _component_left_limit(self.params, n, t)
-                for n, c in enumerate(self.coeffs)
-            ),
-            Fraction(0),
-        )
-
-    def jump_at(self, t: Fraction) -> Fraction:
-        """Downward jump h(t-) - h(t) at a breakpoint t in (0, 1]."""
-        if not 0 < t <= 1:
-            raise DomainError(f"t = {t} outside (0, 1]")
-        total = Fraction(0)
-        for n in range(1, self.level + 1):
-            size = self.params.grid_size(n)
-            if (size * Fraction(t)).denominator == 1:
-                total += self.coeffs[n] / (2 * size)
-        return total
-
-    def value_by_piece(self, t: Fraction) -> Fraction:
-        """Piece-table evaluation; must agree with value() exactly."""
-        if not 0 <= t < 1:
-            raise DomainError(f"t = {t} outside [0, 1)")
-        kernel = self.kernel()
-        j = int(t * self.piece_count)
-        v, w = kernel.nums(j)
-        slope = Fraction((w - v) * self.piece_count, kernel.denom)
-        return Fraction(v, kernel.denom) + slope * (t - self.breakpoint(j))
-
-    # -- integer kernel ----------------------------------------------------------
 
     def kernel(self) -> Kernel:
         """The integer piece table; built once per PLFunction."""
@@ -318,20 +274,6 @@ class PLFunction:
         nums = self.kernel().nums
         for j in range(self.piece_count):
             yield nums(j)
-
-    def pieces(self) -> Iterator[PLPiece]:
-        kernel = self.kernel()
-        denom = kernel.denom
-        width = Fraction(1, self.piece_count)
-        for j, (v, w) in enumerate(self.piece_value_ints()):
-            yield PLPiece(
-                index=j,
-                left=self.breakpoint(j),
-                length=width,
-                left_value=Fraction(v, denom),
-                slope=Fraction((w - v) * self.piece_count, denom),
-                jump_at_left=Fraction(kernel.jump_num(j), denom),
-            )
 
 
 def build_pl(

@@ -6,13 +6,13 @@ cell midpoint), then drops along a vertical connector at the right endpoint
 where the sawtooth components jump. The final connector at t = 1 is included,
 so the polygon terminates at the closed right endpoint.
 
-Every vertex lies on the half-grid t = k/(2 M_N), so the polygon is computed
-in integers: ``vertex_table`` reads the coefficients once and takes each
+Every vertex lies on the half-grid t = k/(2 M_N), so a ``PolygonalCurve`` is
+an integer table: ``build_curve`` reads the coefficients once and takes each
 vertex's coordinates from the construction kernel's half-grid formula,
 c_n f_n(k/(2 M_N)) = a_n max(0, 2 (k mod q_n) - q_n) / (4 M_N q_lcm), with
-a_n q_n at the left limits where q_n divides k. Fractions are built only for
-``PolygonalCurve`` vertices and output rows, and lengths are sums of integer
-differences divided once.
+a_n q_n at the left limits where q_n divides k. ``PolygonalCurve.vertex``
+builds the Fractions of one vertex on request, and the length is a sum of
+integer differences divided once.
 
 l1 length is total variation per coordinate, which gives closed forms: each
 coordinate n >= 1 rises 1/2 across slants and falls 1/2 across connectors, so
@@ -25,8 +25,7 @@ is |c_N| / (2 M_N), attained where a connector starts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .construction import _component, _component_left_limit, half_grid_kernel
 from .errors import BudgetExceeded, CertificationError, DomainError
@@ -42,15 +41,40 @@ class Vertex(NamedTuple):
 
 
 class PolygonalCurve(NamedTuple):
+    """The level-N polygon in integers.
+
+    Vertex i sits at t = ks[i] / t_denom with coordinates nums[i][n] / denom,
+    where t_denom = 2 M_N and denom = 4 M_N q_lcm is the kernel's.
+    """
+
     params: ParameterSet
     functional: Functional
     level: int
-    vertices: tuple[Vertex, ...]
-    vertical: tuple[bool, ...]  # per segment; vertical = coordinate 0 constant
+    t_denom: int
+    denom: int
+    ks: tuple[int, ...]
+    nums: tuple[list[int], ...]
 
     @property
-    def segment_count(self) -> int:
-        return len(self.vertices) - 1
+    def vertical(self) -> tuple[bool, ...]:
+        """Per segment: two slants, then the vertical connector, in every cell."""
+        return (False, False, True) * (self.t_denom // 2)
+
+    def vertex(self, i: int) -> Vertex:
+        coords = tuple(Fraction(x, self.denom) for x in self.nums[i])
+        return Vertex(Fraction(self.ks[i], self.t_denom), coords)
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(map(self.vertex, range(len(self.ks))))
+
+    def length(self) -> Fraction:
+        """Exact l1 length: per-coordinate total variation summed over segments."""
+        rows, total = self.nums, 0
+        for a, b in zip(rows, rows[1:]):
+            for x, y in zip(a, b):
+                total += abs(y - x)
+        return Fraction(total, self.denom)
 
 
 def _point(
@@ -77,42 +101,12 @@ def _require_l1_contraction(params: ParameterSet, functional: Functional) -> Non
         raise DomainError(f"sum of |c_n| certified only as <= {total}, need < 1")
 
 
-class VertexTable(NamedTuple):
-    """The level-N polygon in integers.
-
-    Vertex i sits at t = ks[i] / t_denom with coordinates nums[i][n] / denom,
-    where t_denom = 2 M_N and denom = 4 M_N q_lcm is the kernel's.
-    """
-
-    t_denom: int
-    denom: int
-    ks: tuple[int, ...]
-    nums: tuple[list[int], ...]
-
-    @property
-    def vertical(self) -> tuple[bool, ...]:
-        """Per segment: two slants, then the connector, in every cell."""
-        return (False, False, True) * (self.t_denom // 2)
-
-    def length(self) -> Fraction:
-        return Fraction(_variation(self.nums), self.denom)
-
-
-def _variation(rows: Sequence[Sequence[int]]) -> int:
-    """Sum over consecutive rows of the l1 distance of their integer coordinates."""
-    total = 0
-    for a, b in zip(rows, rows[1:]):
-        for x, y in zip(a, b):
-            total += abs(y - x)
-    return total
-
-
-def vertex_table(
+def build_curve(
     params: ParameterSet,
     functional: Functional,
     level: int,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> VertexTable:
+) -> PolygonalCurve:
     """The level-N polygon's 3 M_N + 1 vertices as integer numerators."""
     _require_l1_contraction(params, functional)
     if not 0 <= level <= params.n_max:
@@ -130,37 +124,14 @@ def vertex_table(
         if k % 2 == 0:
             steps.append((k, True))
         steps.append((k, False))
-    return VertexTable(
-        2 * size,
-        kernel.denom,
-        tuple(k for k, _ in steps),
-        tuple(kernel.coords(k, left) for k, left in steps),
-    )
-
-
-def build_curve(
-    params: ParameterSet,
-    functional: Functional,
-    level: int,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> PolygonalCurve:
-    """Materialize the level-N polygon (3 M_N + 1 vertices)."""
-    table = vertex_table(params, functional, level, vertex_budget)
-    vertices = tuple(
-        Vertex(Fraction(k, table.t_denom), tuple(Fraction(x, table.denom) for x in row))
-        for k, row in zip(table.ks, table.nums)
-    )
-    return PolygonalCurve(params, functional, level, vertices, table.vertical)
+    ks = tuple(k for k, _ in steps)
+    nums = tuple(kernel.coords(k, left) for k, left in steps)
+    return PolygonalCurve(params, functional, level, 2 * size, kernel.denom, ks, nums)
 
 
 def curve_length(curve: PolygonalCurve) -> Fraction:
-    """Exact l1 length: per-coordinate total variation summed over segments."""
-    denom = lcm(*{c.denominator for v in curve.vertices for c in v.coords})
-    rows = [
-        [c.numerator * (denom // c.denominator) for c in v.coords]
-        for v in curve.vertices
-    ]
-    return Fraction(_variation(rows), denom)
+    """Exact l1 length of a materialized curve."""
+    return curve.length()
 
 
 def curve_length_closed_form(
@@ -212,10 +183,10 @@ def point_on_curve(curve: PolygonalCurve, t: Fraction) -> bool:
     lo = Fraction(j, size)
     mid = Fraction(2 * j + 1, 2 * size)
     if t < mid:
-        a, b = curve.vertices[3 * j], curve.vertices[3 * j + 1]
+        a, b = curve.vertex(3 * j), curve.vertex(3 * j + 1)
         t_a, t_b = lo, mid
     else:
-        a, b = curve.vertices[3 * j + 1], curve.vertices[3 * j + 2]
+        a, b = curve.vertex(3 * j + 1), curve.vertex(3 * j + 2)
         t_a, t_b = mid, Fraction(j + 1, size)
     theta = (Fraction(t) - t_a) / (t_b - t_a)
     expected = _point(curve.params, curve.functional, curve.level, Fraction(t))

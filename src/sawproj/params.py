@@ -89,6 +89,8 @@ class ParameterSet(_ParameterSet):
             raise DomainError("n_max must be at least 1")
         if self.model not in (L1, L2):
             raise DomainError(f"model must be {L1!r} or {L2!r}, got {self.model!r}")
+        if self.sqrt_bits < 1:
+            raise DomainError(f"sqrt_precision_bits must be at least 1, got {self.sqrt_bits}")
         pointwise = self.alpha.max_pointwise_index()
         if pointwise is not None and pointwise < self.n_max:
             raise DomainError(
@@ -341,10 +343,6 @@ class Block(NamedTuple):
     end: int  # inclusive
     sq_sum: Fraction
     threshold_sq: Optional[Fraction]  # tail bound this block's end had to meet
-
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.end + 1)
 
 
 class CertLine(NamedTuple):

@@ -14,7 +14,7 @@ from math import gcd
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .params import ParameterSet, RefinementRule
 from .rational import DEFAULT_SQRT_BITS, format_rational, parse_rational
 from .sequences import Functional, SequenceRule
@@ -101,10 +101,26 @@ def config_int(doc: dict, key: str, default: Optional[int] = None) -> int:
     return as_int(f"config key {key!r}", doc.get(key, default))
 
 
-def _config_ints(doc: dict, key: str) -> tuple[int, ...]:
-    """A comma-separated list of integers; an absent key is the empty list."""
+def _as_frac(source: str, value) -> Fraction:
+    """The one rational reader for config values."""
+    try:
+        return parse_rational(str(value))
+    except DomainError:
+        raise ConfigError(f"{source} must be a rational 'p/q', got {value!r}") from None
+
+
+def _config_list(doc: dict, key: str, read=as_int) -> tuple:
+    """A comma-separated list read entry by entry; an absent key is the empty list."""
     source = f"each entry of config key {key!r}"
-    return tuple(as_int(source, v) for v in str(doc.get(key, "")).split(",") if v.strip())
+    return tuple(read(source, v) for v in str(doc.get(key, "")).split(",") if v.strip())
+
+
+def _checked(prefix: str, make, **fields):
+    """make(**fields), with a rejected field as a ConfigError naming the keys."""
+    try:
+        return make(**fields)
+    except DomainError as exc:
+        raise ConfigError(f"config keys {prefix}.*: {exc}") from None
 
 
 def _rule_from_config(doc: dict, prefix: str) -> SequenceRule:
@@ -112,16 +128,18 @@ def _rule_from_config(doc: dict, prefix: str) -> SequenceRule:
     if kind is None:
         raise ConfigError(f"missing {prefix}.kind")
     if kind in ("harmonic", "inverse_square"):
-        return SequenceRule(kind, a=_frac(doc, f"{prefix}.a"))
-    if kind == "geometric":
-        return SequenceRule(kind, a=_frac(doc, f"{prefix}.a"), r=_frac(doc, f"{prefix}.r"))
-    if kind == "explicit":
-        raw = doc.get(f"{prefix}.values", "")
-        values = tuple(parse_rational(v) for v in str(raw).split(",") if v.strip())
-        tail_l1 = _frac(doc, f"{prefix}.tail_l1", optional=True)
-        tail_l2sq = _frac(doc, f"{prefix}.tail_l2sq", optional=True)
-        return SequenceRule("explicit", values=values, tail_l1=tail_l1, tail_l2sq=tail_l2sq)
-    raise ConfigError(f"unknown {prefix}.kind {kind!r}")
+        fields = dict(a=_frac(doc, f"{prefix}.a"))
+    elif kind == "geometric":
+        fields = dict(a=_frac(doc, f"{prefix}.a"), r=_frac(doc, f"{prefix}.r"))
+    elif kind == "explicit":
+        fields = dict(
+            values=_config_list(doc, f"{prefix}.values", _as_frac),
+            tail_l1=_frac(doc, f"{prefix}.tail_l1", optional=True),
+            tail_l2sq=_frac(doc, f"{prefix}.tail_l2sq", optional=True),
+        )
+    else:
+        raise ConfigError(f"unknown {prefix}.kind {kind!r}")
+    return _checked(prefix, SequenceRule, kind=kind, **fields)
 
 
 def _rule_to_config(rule: SequenceRule, prefix: str) -> dict:
@@ -144,7 +162,7 @@ def _frac(doc: dict, key: str, optional: bool = False) -> Optional[Fraction]:
         if optional:
             return None
         raise ConfigError(f"missing {key}")
-    return parse_rational(str(doc[key]))
+    return _as_frac(f"config key {key!r}", doc[key])
 
 
 def params_from_config(doc: dict) -> ParameterSet:
@@ -153,7 +171,7 @@ def params_from_config(doc: dict) -> ParameterSet:
     if m_kind in ("linear", "constant"):
         m = RefinementRule(m_kind, k=config_int(doc, "m.k", 0))
     elif m_kind == "explicit":
-        m = RefinementRule("explicit", values=_config_ints(doc, "m.values"))
+        m = RefinementRule("explicit", values=_config_list(doc, "m.values"))
     else:
         raise ConfigError(f"unknown m.kind {m_kind!r}")
     n_max = config_int(doc, "n_max")
@@ -179,11 +197,13 @@ def params_to_config(params: ParameterSet) -> dict:
 
 
 def functional_from_config(doc: dict) -> Functional:
-    return Functional(
+    return _checked(
+        "functional",
+        Functional,
         rule=_rule_from_config(doc, "functional.rule"),
         alpha0=_frac(doc, "functional.alpha0"),
         sign=config_int(doc, "functional.sign", 1),
-        signs=_config_ints(doc, "functional.signs"),
+        signs=_config_list(doc, "functional.signs"),
         name=str(doc.get("functional.name", "")),
     )
 
@@ -337,11 +357,11 @@ def export_pieces_csv(pl, path: str | Path) -> int:
     return count
 
 
-def curve_rows(table) -> Iterable[list]:
-    """The curve CSV cells of every polygon vertex, from the table's integers."""
-    cells, vertical = _Cells(table.denom), table.vertical
-    for idx, (k, nums) in enumerate(zip(table.ks, table.nums)):
+def curve_rows(curve) -> Iterable[list]:
+    """The curve CSV cells of every polygon vertex, from the curve's integers."""
+    cells, vertical = _Cells(curve.denom), curve.vertical
+    for idx, (k, nums) in enumerate(zip(curve.ks, curve.nums)):
         row = [cell for x in nums for cell in cells[x]]
         row.append(idx < len(vertical) and vertical[idx])
-        row += [*ratio_cells(k, table.t_denom), idx]
+        row += [*ratio_cells(k, curve.t_denom), idx]
         yield row

@@ -231,6 +231,16 @@ def test_scan_single_axis_direction(d1_config, tmp_path):
     assert record["direction_p"] == "1/1"
 
 
+def test_scan_indexes_cached_directions_in_this_scan_order(d1_config, tmp_path):
+    out = tmp_path / "out"
+    for directions in ("1,0;0,1", "0,1;1,0"):  # the second scan is served from the cache
+        args = ["scan", "--config", str(d1_config), "--level", "2", "--directions", directions]
+        assert main(args + ["--out", str(out)]) == 0
+    records = read_jsonl(out / "scan.jsonl")
+    assert [(r["direction_index"], r["direction_p"]) for r in records] == [(0, "0/1"), (1, "1/1")]
+    assert len(list((out / ".cache").iterdir())) == 2
+
+
 @pytest.mark.parametrize("circle", ["0", "-3"])
 def test_scan_rejects_circle_below_one(circle, d1_config, tmp_path, capsys):
     # used to exit 0 with an empty scan.jsonl and a 1-byte scan.csv
@@ -385,6 +395,37 @@ def test_bad_config_integer_is_config_error(command, key, tmp_path, capsys):
     (record,) = _error_records(capsys)
     assert record["error"] == "config" and record["exit_code"] == 1
     assert f"config key '{key}' must be an integer, got 'x'" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("measure", "alpha.a", '"x"', "config key 'alpha.a' must be a rational 'p/q', got 'x'"),
+        ("curve", "alpha.r", '"1/0"', "config key 'alpha.r' must be a rational 'p/q', got '1/0'"),
+        ("validate", "alpha.values", '"1/2,x"', "each entry of config key 'alpha.values' must be"),
+        ("measure", "functional.alpha0", '"x"', "config key 'functional.alpha0' must be a rational"),
+        ("measure", "functional.sign", "3", "config keys functional.*: sign must be +1 or -1"),
+        ("measure", "functional.rule.a", '"-1"', "config keys functional.rule.*: sequence terms"),
+        ("validate", "alpha.a", '"-1"', "config keys alpha.*: sequence terms must be nonnegative"),
+        ("measure", "sqrt_precision_bits", "0", "sqrt_precision_bits must be at least 1, got 0"),
+        ("evaluate", "sqrt_precision_bits", "0", "sqrt_precision_bits must be at least 1, got 0"),
+    ],
+)
+def test_bad_config_value_is_config_error(command, key, value, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    config = D2_CONFIG if command == "curve" else D1_CONFIG
+    if key == "alpha.values":
+        config = config.replace('alpha.kind = "harmonic"\nalpha.a = "1/2"\n', 'alpha.kind = "explicit"\n')
+    lines = [line for line in config.splitlines() if not line.startswith(f"{key} =")]
+    cfg.write_text("\n".join(lines) + f"\n{key} = {value}\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "evaluate":
+        args += ["--t", "1/3"]
+    assert main(args) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert message in record["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_cache_key_carries_engine_version(d1_config, tmp_path, monkeypatch):

@@ -9,6 +9,9 @@ from sawproj.construction import _component, _component_left_limit
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, CertificationError, DomainError
 
+from oracles import piece_rows_oracle
+from test_measure import truncations
+
 F = Fraction
 
 
@@ -65,45 +68,82 @@ def test_ensemble_scaling(d1):
         sp.ensemble_evaluate(d1, weights, 5, 1, F(0))
 
 
+def piece_table(pl) -> list[dict]:
+    """The integer piece table as Fraction rows: kernel.nums for the left value
+    and the slope, kernel.jump_num for the jump at the left end."""
+    kernel, count = pl.kernel(), pl.piece_count
+    rows = []
+    for j in range(count):
+        v, w = kernel.nums(j)
+        rows.append(
+            {
+                "piece_index": j,
+                "left_endpoint": F(j, count),
+                "length": F(1, count),
+                "slope": F((w - v) * count, kernel.denom),
+                "left_value": F(v, kernel.denom),
+                "jump_at_left": F(kernel.jump_num(j), kernel.denom),
+            }
+        )
+    return rows
+
+
 def test_pl_four_piece_table(d1, f1):
-    pl = sp.build_pl(d1, f1, 1)
-    pieces = list(pl.pieces())
-    assert [p.left for p in pieces] == [F(0), F(1, 4), F(1, 2), F(3, 4)]
-    assert [p.slope for p in pieces] == [F(1, 2), F(3, 4), F(1, 2), F(3, 4)]
-    assert [p.left_value for p in pieces] == [F(0), F(1, 8), F(1, 4), F(3, 8)]
-    assert [p.jump_at_left for p in pieces] == [F(0), F(0), F(1, 16), F(0)]
+    rows = piece_table(sp.build_pl(d1, f1, 1))
+    assert [r["left_endpoint"] for r in rows] == [F(0), F(1, 4), F(1, 2), F(3, 4)]
+    assert [r["slope"] for r in rows] == [F(1, 2), F(3, 4), F(1, 2), F(3, 4)]
+    assert [r["left_value"] for r in rows] == [F(0), F(1, 8), F(1, 4), F(3, 8)]
+    assert [r["jump_at_left"] for r in rows] == [F(0), F(0), F(1, 16), F(0)]
 
 
 def test_pl_value_spot_checks(d1, f1):
-    assert sp.build_pl(d1, f1, 2).value(F(3, 8)) == F(7, 32)
     pl = sp.build_pl(d1, f1, 2)
-    assert len(list(pl.pieces())) == 16
-    assert pl.jump_at(F(1, 2)) == f1.coeff(1) / 4 + f1.coeff(2) / 16
+    assert pl.value(F(3, 8)) == F(7, 32)
+    rows = piece_table(pl)
+    assert len(rows) == 16 and rows[8]["left_endpoint"] == F(1, 2)
+    assert rows[8]["jump_at_left"] == f1.coeff(1) / 4 + f1.coeff(2) / 16
 
 
 def test_identity_functional_is_affine(d1):
     ident = sp.Functional(alpha0=F(1), rule=sp.explicit([0] * 8, 0, 0))
-    pl = sp.build_pl(d1, ident, 3)
-    for piece in pl.pieces():
-        assert piece.slope == 1
-        assert piece.jump_at_left == 0
+    for row in piece_table(sp.build_pl(d1, ident, 3)):
+        assert row["slope"] == 1 and row["jump_at_left"] == 0
 
 
 def test_piece_evaluation_matches_direct_sum(d1, f1):
     pl = sp.build_pl(d1, f1, 3)
+    rows = piece_table(pl)
     rng = spawn_rng(23)
     for _ in range(1000):
         t = rand_fraction(rng)
-        assert pl.value_by_piece(t) == pl.value(t)
+        row = rows[int(t * pl.piece_count)]
+        assert row["left_value"] + row["slope"] * (t - row["left_endpoint"]) == pl.value(t)
 
 
 def test_right_continuity_at_breakpoints(d1, f1):
     pl = sp.build_pl(d1, f1, 2)
-    for piece in pl.pieces():
-        if piece.index == 0:
-            continue
-        t = piece.left
-        assert pl.left_limit(t) - pl.value(t) == piece.jump_at_left
+    for row in piece_table(pl)[1:]:
+        t = row["left_endpoint"]
+        left = sum(c * _component_left_limit(d1, n, t) for n, c in enumerate(pl.coeffs))
+        assert left - pl.value(t) == row["jump_at_left"]
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_piece_table_matches_fraction_oracle(d1, f1, level):
+    pl = sp.build_pl(d1, f1, level)
+    rows = piece_table(pl)
+    assert rows == piece_rows_oracle(d1, f1, level)
+    for row in rows:
+        assert pl.value(row["left_endpoint"]) == row["left_value"]
+
+
+@settings(max_examples=100)
+@given(truncations())
+def test_piece_table_matches_fraction_oracle_on_truncations(case):
+    params, functional, level = case
+    assert piece_table(sp.build_pl(params, functional, level)) == piece_rows_oracle(
+        params, functional, level
+    )
 
 
 def test_truncation_tail_bound(d1, f1):

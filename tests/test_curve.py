@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import sawproj as sp
-from sawproj.curve import CanonicalTau, Vertex
+from sawproj.curve import CanonicalTau
 from sawproj.diagnostics import rand_fraction, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
 
@@ -102,13 +102,8 @@ def test_containment_of_truncated_points(d2, r1):
     for _ in range(1000):
         assert sp.point_on_curve(c3, rand_fraction(rng))
     # a point off the set is rejected
-    moved = sp.PolygonalCurve(
-        c3.params,
-        c3.functional,
-        c3.level,
-        (Vertex(F(0), (F(0), F(1), F(0), F(0))),) + c3.vertices[1:],
-        c3.vertical,
-    )
+    moved = c3._replace(nums=([0, c3.denom, 0, 0],) + c3.nums[1:])
+    assert moved.vertex(0).coords == (F(0), F(1), F(0), F(0))
     assert not sp.point_on_curve(moved, F(1, 10**6))
 
 

@@ -10,7 +10,7 @@ import sawproj as sp
 PUBLIC_NAMES = [
     "BudgetExceeded", "CanonicalTau", "CertificationError", "ConfigError", "CurveEvaluator",
     "DomainError", "EventSet", "Functional", "GridCell", "IntervalUnion", "MeasureBracket",
-    "PLFunction", "PLPiece", "ParameterSet", "PolygonalCurve", "RefinementRule",
+    "PLFunction", "ParameterSet", "PolygonalCurve", "RefinementRule",
     "SawprojError", "SecantWitness", "SequenceRule", "TruncatedPoint", "ValidationReport",
     "block_partition", "build_curve", "build_pl", "canonical_tau", "cell_of",
     "component_value", "constant_refinement", "curve_length", "curve_length_closed_form",

@@ -129,6 +129,8 @@ def test_parameter_set_rejects_bad_shapes():
         lambda: sp.RefinementRule(kind="bogus", k=2),
         lambda: sp.linear_refinement(2)._replace(kind="bogus"),
         lambda: sp.harmonic_l2_preset()._replace(model="sup"),
+        lambda: sp.harmonic_l2_preset()._replace(sqrt_bits=0),
+        lambda: sp.ParameterSet(sp.harmonic(F(1, 2)), sp.linear_refinement(2), 2, "L2", -3),
     )
     for build in bogus:
         with pytest.raises(DomainError):
