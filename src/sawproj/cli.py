@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Optional
 
@@ -352,11 +353,23 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _diag_event_measure(params, args) -> list[dict]:
-    from .diagnostics import event_set
+def _levels(params, args, lo: int, hi: int, least: int = 1) -> range:
+    """The levels lo..min(hi, n_max) a check reads. A check that would read
+    fewer than ``least`` of them is refused rather than passed vacuously."""
+    if params.n_max < lo + least - 1:
+        raise DomainError(
+            f"--check {args.check} reads levels {lo}..{hi} and needs n_max >= "
+            f"{lo + least - 1}, got n_max = {params.n_max}"
+        )
+    return range(lo, min(hi, params.n_max) + 1)
 
-    records = []
-    for n in range(1, min(6, params.n_max) + 1):
+
+def _diag_event_measure(params, args) -> list[dict]:
+    from .diagnostics import check_event_levels, event_set
+
+    records, levels = [], _levels(params, args, 1, 6)
+    check_event_levels(params, levels)
+    for n in levels:
         measure, expected = event_set(params, n).measure, 2 * params.alpha_term(n)
         records.append(
             {"level": n, "measure": measure, "expected": expected, "passed": measure == expected}
@@ -365,20 +378,20 @@ def _diag_event_measure(params, args) -> list[dict]:
 
 
 def _diag_independence(params, args) -> list[dict]:
-    from .diagnostics import independence_check
+    from .diagnostics import check_event_levels, independence_check
 
-    records, top = [], min(6, params.n_max)
-    for i in range(2, top + 1):
-        for j in range(i + 1, top + 1):
-            res = independence_check(params, (i, j))
-            records.append(
-                {
-                    "levels": f"{i},{j}",
-                    "measure": res.measure,
-                    "expected": res.expected,
-                    "passed": res.multiplicative,
-                }
-            )
+    records, levels = [], _levels(params, args, 2, 6, least=2)
+    check_event_levels(params, levels)
+    for i, j in combinations(levels, 2):
+        res = independence_check(params, (i, j))
+        records.append(
+            {
+                "levels": f"{i},{j}",
+                "measure": res.measure,
+                "expected": res.expected,
+                "passed": res.multiplicative,
+            }
+        )
     return records
 
 
@@ -391,7 +404,7 @@ def _sampled(args, **fields) -> dict:
 def _diag_borel_cantelli(params, args) -> list[dict]:
     from .diagnostics import sample_event_union
 
-    levels = tuple(range(4, min(8, params.n_max) + 1))
+    levels = tuple(_levels(params, args, 4, 8))
     report = sample_event_union(params, levels, args.samples, args.seed)
     return [
         _sampled(
@@ -415,7 +428,7 @@ def _diag_secant(params, args) -> list[dict]:
     from .diagnostics import sample_secant_witnesses
 
     records = []
-    for n in range(4, min(7, params.n_max) + 1):
+    for n in _levels(params, args, 4, 7):
         hits, total = sample_secant_witnesses(params, n, args.samples, args.seed)
         records.append(
             _sampled(args, level=n, samples=total, passed_count=hits, passed=10 * hits >= 9 * total)

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .construction import point_nums
 from .errors import BudgetExceeded, DomainError
-from .measure import IntervalUnion
+from .measure import DEFAULT_COMPONENT_BUDGET, IntervalUnion
 from .params import L2, GridCell, ParameterSet
 
 if TYPE_CHECKING:  # only annotations name it; no check needs the curve module
@@ -123,6 +123,22 @@ def _event_hit(window: tuple[int, int, int], r: int) -> bool:
     return x * den <= bound or ((1 << SAMPLE_BITS) - x) * den <= bound
 
 
+def check_event_levels(
+    params: ParameterSet, levels: Sequence[int], component_budget: int = DEFAULT_COMPONENT_BUDGET
+) -> None:
+    """Refuse a level outside [1, n_max] or an event over the component budget.
+
+    The level-n event has at most M_{n-1} + 1 components, so every level is
+    checked before any event is built.
+    """
+    for n in levels:
+        if not 1 <= n <= params.n_max:
+            raise DomainError(f"level {n} outside [1, {params.n_max}]")
+        components = params.grid_size(n - 1) + 1
+        if components > component_budget:
+            raise BudgetExceeded("event components", components, component_budget)
+
+
 class IndependenceResult(NamedTuple):
     levels: tuple[int, ...]
     measure: Fraction
@@ -138,23 +154,17 @@ def independence_check(
     params: ParameterSet,
     levels: Sequence[int],
     *,
-    component_budget: int = 2**20,
+    component_budget: int = DEFAULT_COMPONENT_BUDGET,
 ) -> IndependenceResult:
     """Exact measure of the intersection of events at distinct levels.
 
-    The contract is exact multiplicativity: measure = prod 2 alpha_n. The
-    level-n event has at most M_{n-1} + 1 components, so that count is
-    checked against the budget for every level before any event is built.
+    The contract is exact multiplicativity: measure = prod 2 alpha_n. Every
+    level's event size is checked against the budget before any is built.
     """
     levels = tuple(sorted(set(levels)))
     if not 1 <= len(levels) <= 4:
         raise DomainError("between one and four levels are supported")
-    for n in levels:
-        if not 1 <= n <= params.n_max:
-            raise DomainError(f"level {n} outside [1, {params.n_max}]")
-        components = params.grid_size(n - 1) + 1
-        if components > component_budget:
-            raise BudgetExceeded("event components", components, component_budget)
+    check_event_levels(params, levels, component_budget)
     expected = Fraction(1)
     current: Optional[IntervalUnion] = None
     for n in levels:

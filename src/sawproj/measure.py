@@ -10,8 +10,7 @@ plus a shape fixed by l, the slope there and the cell's parity. As parities
 alternate, a shape is a tile of two next-level shapes a and b, copied at a
 fixed step. The tile rule: copies that share at most a point add measures;
 solid copies that each meet the next are one interval, the hull; any other
-tile is swept, summing clusters of overlapping copies and merging components
-only in a cluster with a copy that is not one interval.
+tile merges the components of its copies once.
 
 Brackets for the untruncated projection rest on the per-level stability
 chain: raising the level by one moves each of the 2 M_{k+1} piece images by
@@ -186,7 +185,8 @@ class _Shape:
     def tile(a: "_Shape", b: "_Shape", step: int, count: int) -> "_Shape":
         """The union of count copies at offsets i * step alternating a and b; its
         hull is that of the first two and the last two copies, its measure the
-        sum (no overlaps), the hull (solid chained copies) or the sweep's."""
+        sum (no overlaps), the hull (solid chained copies) or that of the merged
+        components of its copies."""
         if count == 1:
             return a
         kinds, last = (a, b), (count - 1) * step
@@ -198,7 +198,7 @@ class _Shape:
         elif a.solid and b.solid and _meets(a, b, step) and (count < 3 or _meets(b, a, step)):
             measure = hi - lo
         else:
-            measure = _stack_measure(_copies(kinds, step, count))
+            measure = sum(hi - lo for lo, hi in _merged(_copies(kinds, step, count)))
         return _Shape(lo, hi, measure, kinds, step, count)
 
     def flatten(self) -> tuple[tuple[int, int], ...]:
@@ -219,39 +219,9 @@ def _meets(x: _Shape, y: _Shape, step: int) -> bool:
     return x.lo <= step + y.hi and step + y.lo <= x.hi
 
 
-def _stack_measure(parts: list[tuple[int, _Shape]]) -> int:
-    """The measure of the union of the shifted parts, from their hulls.
-
-    Sorted by shifted lo, the parts fall into clusters: a cluster grows
-    while the next lo lies strictly below the running max hi, so distinct
-    clusters share at most a point and their measures add.
-    """
-    parts.sort(key=lambda part: part[0] + part[1].lo)
-    measure, cluster, solid = 0, [], True
-    start = end = parts[0][0] + parts[0][1].lo
-    for part in parts:
-        off, shape = part
-        if off + shape.lo >= end and cluster:
-            measure += _cluster_measure(cluster, start, end, solid)
-            cluster, start, solid = [], off + shape.lo, True
-        cluster.append(part)
-        solid = solid and shape.solid
-        if off + shape.hi > end:
-            end = off + shape.hi
-    return measure + _cluster_measure(cluster, start, end, solid)
-
-
 def _merged(parts: list[tuple[int, _Shape]]) -> tuple[tuple[int, int], ...]:
     shifted = [(lo + off, hi + off) for off, shape in parts for lo, hi in shape.flatten()]
     return IntervalUnion.from_pairs(1, shifted).pairs  # the one merge sweep, on numerators
-
-
-def _cluster_measure(cluster: list, start: int, end: int, solid: bool) -> int:
-    """One part adds its measure, solid parts their hull [start, end], and
-    any other cluster the measure of its merged components."""
-    if len(cluster) == 1:
-        return cluster[0][1].measure
-    return end - start if solid else sum(hi - lo for lo, hi in _merged(cluster))
 
 
 def _image_ints(kernel: Kernel, top: int) -> _Shape:
@@ -273,9 +243,9 @@ def _image_ints(kernel: Kernel, top: int) -> _Shape:
     odd. As p_i alternates, Img(l, s, odd) is a tile of a = Img(l+1, ., p_0)
     and b = Img(l+1, ., 1 - p_0); ``_Shape.tile`` measures it in O(1) when
     copies share at most a point or a and b are solid and each copy meets the
-    next, and by the hull sweep otherwise. Each distinct (s, odd, l) is built
-    once, from the two keys of its kinds; the two level-0 half-cells are one
-    more tile.
+    next, and by merging the components of its copies otherwise. Each distinct
+    (s, odd, l) is built once, from the two keys of its kinds; the two level-0
+    half-cells are one more tile.
     """
     a, steps = kernel.coeffs, kernel.periods
     m = [0] + [steps[n - 1] // steps[n] for n in range(1, top + 1)]

@@ -501,6 +501,49 @@ def test_diagnose_checks(d1_config, tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "check, n_max, needs",
+    [
+        ("secant", 3, "reads levels 4..7 and needs n_max >= 4"),
+        ("borel-cantelli", 3, "reads levels 4..8 and needs n_max >= 4"),
+        ("independence", 2, "reads levels 2..6 and needs n_max >= 3"),
+    ],
+)
+def test_diagnose_refuses_a_check_with_no_levels(check, n_max, needs, tmp_path, capsys):
+    # each used to exit 0 with an empty or vacuously passing record file
+    cfg = tmp_path / "shallow.cfg"
+    args = ["diagnose", "--config", str(cfg), "--check", check, "--samples", "40"]
+    cfg.write_text(D1_CONFIG.replace("n_max = 8", f"n_max = {n_max}"))
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    (record,) = _error_records(capsys)
+    assert record["error"] == "invalid" and record["exit_code"] == 2
+    assert f"--check {check} {needs}, got n_max = {n_max}" in record["message"]
+    assert not (tmp_path / "o").exists()
+    # one more level is enough for a check that reads something
+    cfg.write_text(D1_CONFIG.replace("n_max = 8", f"n_max = {n_max + 1}"))
+    assert main(args + ["--out", str(tmp_path / "p")]) == 0
+    assert read_jsonl(tmp_path / "p" / f"diagnose_{check.replace('-', '_')}.jsonl")
+
+
+@pytest.mark.parametrize("check", ["event-measure", "independence"])
+def test_diagnose_checks_event_sizes_before_building_any(check, tmp_path, monkeypatch, capsys):
+    # with m_n = 4096 the level-3 event has 4096^2 + 1 components; event-measure
+    # used to build the level-1 and level-2 events, then run out of memory on it
+    def no_event(params, n):
+        raise AssertionError(f"the level-{n} event was built")
+
+    monkeypatch.setattr(sp.diagnostics, "event_set", no_event)
+    cfg = tmp_path / "wide.cfg"
+    config = D1_CONFIG.replace('m.kind = "linear"\nm.k = 2', 'm.kind = "constant"\nm.k = 4096')
+    cfg.write_text(config.replace("n_max = 8", "n_max = 6"))
+    out = tmp_path / "o"
+    assert main(["diagnose", "--config", str(cfg), "--check", check, "--out", str(out)]) == 3
+    (record,) = _error_records(capsys)
+    assert record["error"] == "budget" and record["exit_code"] == 3
+    assert (record["count"], record["budget"]) == (4096**2 + 1, 2**20)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "measure", "curve", "diagnose", "run"])
 def test_config_not_utf8_is_config_error(command, tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"

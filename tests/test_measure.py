@@ -12,7 +12,7 @@ from sawproj.construction import DEFAULT_PIECE_BUDGET
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
 from sawproj import measure
-from sawproj.measure import IntervalUnion, _merged, _Shape, _stack_measure
+from sawproj.measure import IntervalUnion, _merged, _Shape
 from sawproj.records import functional_from_config, load_config, params_from_config
 
 from oracles import direct_image, pairwise_merge, pl_image_oracle
@@ -283,7 +283,6 @@ def test_shape_stack_matches_pairwise_merge(parts):
         shapes.append((off, shape))
         pairs += [(lo + off, hi + off) for lo, hi in leaves]
     merged = pairwise_merge(pairs)
-    assert _stack_measure(shapes) == sum(hi - lo for lo, hi in merged)
     assert list(_merged(shapes)) == merged
 
 
@@ -310,11 +309,11 @@ def test_dense_direction_builds_no_union(d1, f1, monkeypatch):
 
 def test_level_seven_tiles_need_no_sweep(d1, f1, monkeypatch):
     # every tile of these brackets is measured in O(1): its copies share at
-    # most a point, or they are solid and each meets the next
-    def no_sweep(parts):
-        raise AssertionError("a tile was measured by the sweep")
+    # most a point, or they are solid and each meets the next, so none merges
+    def no_merge(parts):
+        raise AssertionError("a tile merged the components of its copies")
 
-    monkeypatch.setattr(measure, "_stack_measure", no_sweep)
+    monkeypatch.setattr(measure, "_merged", no_merge)
     assert sp.projection_bracket(d1, f1, 7).mu == F(64491960451, 113799168000)
     assert sp.directional_measure(d1, f1, (F(-2048), F(1536)), 7).mu == F(3637276, 3675)
 
