@@ -30,6 +30,7 @@ from .records import (
     SCHEMA_VERSION,
     as_int,
     config_int,
+    config_str,
     content_hash,
     curve_rows,
     export_pieces_csv,
@@ -88,10 +89,11 @@ def _load(args) -> tuple[dict, object, Optional[object]]:
     return config, params, functional
 
 
-def _out_dir(args, config: dict) -> Path:
-    out = getattr(args, "out", None) or config.get("out") or "out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+def _out_dir(args, config: dict, make: bool = True) -> Path:
+    """--out, else config key 'out', else ./out; made unless make is False."""
+    path = Path(getattr(args, "out", None) or config_str(config, "out", "") or "out")
+    if make:
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -463,11 +465,12 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:  # Random would seed from its absolute value, aliasing a positive seed
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    out = _out_dir(args, config, make=False)  # checked before sampling, made after
     records = _DIAGNOSTICS[args.check](params, args)
     for record in records:
         record.update(schema_version=SCHEMA_VERSION, kind="diagnose", check=args.check)
     name = args.check.replace("-", "_")
-    write_jsonl(records, _out_dir(args, config) / f"diagnose_{name}.jsonl")
+    write_jsonl(records, out / f"diagnose_{name}.jsonl")  # makes the directory
     return EXIT_OK if all(r["passed"] for r in records) else EXIT_VALIDATION
 
 

@@ -24,11 +24,12 @@ t = k/(2 M_N), with q_n = 2 M_N / M_n and c_n = a_n / q_lcm for integers a_n,
     c_n f_n(t) = a_n max(0, 2 (k mod q_n) - q_n) / (4 M_N q_lcm),
 
 and a_n q_n over the same denominator at a left limit where q_n divides k.
-``Kernel.coords`` is that formula. The kernel is the one piece table:
-``Kernel.nums`` gives each piece's left value and right limit and
-``Kernel.jump_num`` the jump at its left end, all lazily from the closed
-form, and the curve vertices and the image engine read the same integers.
-``PLFunction.value`` is the direct Fraction sum they all must agree with.
+``PLFunction`` is that integer table, built once by ``build_pl``:
+``PLFunction.coords`` is the formula, ``PLFunction.nums`` gives each piece's
+left value and right limit and ``PLFunction.jump_num`` the jump at its left
+end, all from the closed form, and the curve vertices and the image engine
+read the same integers. ``PLFunction.value`` is the direct Fraction sum they
+all must agree with.
 """
 
 from __future__ import annotations
@@ -64,22 +65,13 @@ def component_value(params: ParameterSet, n: int, t: Fraction) -> Fraction:
     return _component(params, n, t)
 
 
-def _component(params: ParameterSet, n: int, t: Fraction) -> Fraction:
-    # internal: accepts the closed right endpoint t = 1 (value 0 for n >= 1)
+def _component(params: ParameterSet, n: int, t: Fraction, left: bool = False) -> Fraction:
+    """f_n(t) for t in [0, 1], or with left=True its left limit for t in (0, 1],
+    from t = A/B and r = (M_n A) mod B."""
     if not 0 <= n <= params.n_max:
         raise DomainError(f"component index {n} outside [0, {params.n_max}]")
-    return _scaled_saw(params, n, t, left=False)
-
-
-def _component_left_limit(params: ParameterSet, n: int, t: Fraction) -> Fraction:
-    """lim_{u -> t-} f_n(u) for t in (0, 1]."""
-    if not 0 < t <= 1:
+    if left and not 0 < t <= 1:
         raise DomainError(f"t = {t} outside (0, 1]")
-    return _scaled_saw(params, n, t, left=True)
-
-
-def _scaled_saw(params: ParameterSet, n: int, t: Fraction, left: bool) -> Fraction:
-    """f_n(t), or its left limit, from t = A/B and r = (M_n A) mod B."""
     if n == 0:
         return Fraction(t)
     if not isinstance(t, (Fraction, int)):
@@ -179,16 +171,39 @@ def ensemble_evaluate(
     return truncated_point(params, level, t).scaled(weights[j - 1])
 
 
-class Kernel(NamedTuple):
-    """Common-denominator integer view of a level-N truncation on its half-grid.
+class PLFunction(NamedTuple):
+    """The level-N truncation as its integer table on the half-grid.
 
-    coeffs[n] = a_n = c_n q_lcm are integers, periods[n] = q_n = 2 M_N / M_n,
-    and every value below is a numerator over denom = 4 M_N q_lcm.
+    a[n] = a_n = c_n q_lcm are integers, periods[n] = q_n = 2 M_N / M_n, and
+    every value below is a numerator over denom = 4 M_N q_lcm. ``build_pl``
+    checks the level, the tail and the piece budget once, then builds it.
     """
 
+    params: ParameterSet
+    functional: Functional
+    level: int
     denom: int
-    coeffs: tuple[int, ...]
+    a: tuple[int, ...]
     periods: tuple[int, ...]
+
+    @property
+    def piece_count(self) -> int:
+        return self.periods[0]
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """(c_0, ..., c_N), read back from the integers a_n."""
+        q_lcm = self.denom // (2 * self.periods[0])
+        return tuple(Fraction(x, q_lcm) for x in self.a)
+
+    def value(self, t: Fraction) -> Fraction:
+        """Direct summation; the authoritative definition."""
+        if not 0 <= t < 1:
+            raise DomainError(f"t = {t} outside [0, 1)")
+        return sum(
+            (c * _component(self.params, n, t) for n, c in enumerate(self.coeffs)),
+            Fraction(0),
+        )
 
     def coords(self, k: int, left: bool = False) -> list[int]:
         """(c_0 t, c_1 f_1(t), ..., c_N f_N(t)) at t = k/(2 M_N).
@@ -196,7 +211,7 @@ class Kernel(NamedTuple):
         With left=True these are the left limits (k > 0): a_n q_n where q_n
         divides k, the value everywhere else.
         """
-        a, q = self.coeffs, self.periods
+        a, q = self.a, self.periods
         out = [2 * a[0] * k]
         for n in range(1, len(a)):
             r = k % q[n]
@@ -210,7 +225,7 @@ class Kernel(NamedTuple):
     def nums(self, j: int) -> tuple[int, int]:
         """Left value and right limit of piece j: across it c_0 t rises by 2 a_0,
         and c_n f_n by 2 a_n where it lies in the rising half of a level-n cell."""
-        a, q = self.coeffs, self.periods
+        a, q = self.a, self.periods
         value, rise = 2 * a[0] * j, a[0]
         for n in range(1, len(a)):
             u = 2 * (j % q[n]) - q[n]
@@ -221,59 +236,22 @@ class Kernel(NamedTuple):
 
     def jump_num(self, j: int) -> int:
         """Downward jump h(t-) - h(t) at breakpoint t = j/(2 M_N); 0 at j = 0."""
-        a, q = self.coeffs, self.periods
+        a, q = self.a, self.periods
         return sum(a[n] * q[n] for n in range(1, len(a)) if j and j % q[n] == 0)
-
-
-def half_grid_kernel(
-    params: ParameterSet, coeffs: tuple[Fraction, ...], level: int
-) -> Kernel:
-    """The integer kernel of sum_n coeffs[n] f_n on the level-N half-grid."""
-    size = params.grid_size(level)
-    q_lcm = lcm(*(c.denominator for c in coeffs))
-    return Kernel(
-        4 * size * q_lcm,
-        tuple(c.numerator * (q_lcm // c.denominator) for c in coeffs),
-        tuple(2 * size // params.grid_size(n) for n in range(level + 1)),
-    )
-
-
-class PLFunction:
-    """Exact piecewise-linear representation of a truncated projection."""
-
-    def __init__(self, params: ParameterSet, functional: Functional, level: int):
-        if not 0 <= level <= params.n_max:
-            raise DomainError(f"level {level} outside [0, {params.n_max}]")
-        self.params = params
-        self.functional = functional
-        self.level = level
-        self.coeffs = functional.coeffs(level)
-        self._kernel: Kernel | None = None
-
-    @property
-    def piece_count(self) -> int:
-        return 2 * self.params.grid_size(self.level)
-
-    def value(self, t: Fraction) -> Fraction:
-        """Direct summation; the authoritative definition."""
-        if not 0 <= t < 1:
-            raise DomainError(f"t = {t} outside [0, 1)")
-        return sum(
-            (c * _component(self.params, n, t) for n, c in enumerate(self.coeffs)),
-            Fraction(0),
-        )
-
-    def kernel(self) -> Kernel:
-        """The integer piece table; built once per PLFunction."""
-        if self._kernel is None:
-            self._kernel = half_grid_kernel(self.params, self.coeffs, self.level)
-        return self._kernel
 
     def piece_value_ints(self) -> Iterator[tuple[int, int]]:
         """(left value, right limit) integer numerators of every piece, in order."""
-        nums = self.kernel().nums
-        for j in range(self.piece_count):
-            yield nums(j)
+        return map(self.nums, range(self.piece_count))
+
+
+def _table(params: ParameterSet, functional: Functional, level: int) -> PLFunction:
+    """The integer table of the level-N truncation; the level is checked by the caller."""
+    coeffs = functional.coeffs(level)
+    size = params.grid_size(level)
+    q_lcm = lcm(*(c.denominator for c in coeffs))
+    a = tuple(c.numerator * (q_lcm // c.denominator) for c in coeffs)
+    periods = tuple(2 * size // params.grid_size(n) for n in range(level + 1))
+    return PLFunction(params, functional, level, 4 * size * q_lcm, a, periods)
 
 
 def build_pl(
@@ -288,8 +266,10 @@ def build_pl(
     brackets are available; the piece count 2 M_N is checked against the
     budget before any enumeration happens.
     """
+    if not 0 <= level <= params.n_max:
+        raise DomainError(f"level {level} outside [0, {params.n_max}]")
     functional.abs_tail_upper(level)  # raises CertificationError if absent
     pieces = 2 * params.grid_size(level)
     if pieces > piece_budget:
         raise BudgetExceeded("pieces", pieces, piece_budget)
-    return PLFunction(params, functional, level)
+    return _table(params, functional, level)

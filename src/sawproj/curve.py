@@ -7,8 +7,8 @@ where the sawtooth components jump. The final connector at t = 1 is included,
 so the polygon terminates at the closed right endpoint.
 
 Every vertex lies on the half-grid t = k/(2 M_N), so a ``PolygonalCurve`` is
-an integer table: ``build_curve`` reads the coefficients once and takes each
-vertex's coordinates from the construction kernel's half-grid formula,
+an integer table: ``build_curve`` builds the truncation's ``PLFunction`` table
+once and takes each vertex's coordinates from its half-grid formula,
 c_n f_n(k/(2 M_N)) = a_n max(0, 2 (k mod q_n) - q_n) / (4 M_N q_lcm), with
 a_n q_n at the left limits where q_n divides k. ``PolygonalCurve.vertex``
 builds the Fractions of one vertex on request, and the length is a sum of
@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
-from .construction import _component, _component_left_limit, half_grid_kernel
+from .construction import _component, _table
 from .errors import BudgetExceeded, CertificationError, DomainError
 from .params import L1, ParameterSet
 from .sequences import Functional
@@ -44,7 +44,7 @@ class PolygonalCurve(NamedTuple):
     """The level-N polygon in integers.
 
     Vertex i sits at t = ks[i] / t_denom with coordinates nums[i][n] / denom,
-    where t_denom = 2 M_N and denom = 4 M_N q_lcm is the kernel's.
+    where t_denom = 2 M_N and denom = 4 M_N q_lcm is the truncation table's.
     """
 
     params: ParameterSet
@@ -77,14 +77,12 @@ class PolygonalCurve(NamedTuple):
         return Fraction(total, self.denom)
 
 
-def _point(
-    params: ParameterSet, functional: Functional, level: int, t: Fraction, left: bool = False
-) -> tuple[Fraction, ...]:
-    """The truncated coordinates over t, or their left limits."""
-    value = _component_left_limit if left else _component
+def _point(curve, t: Fraction, left: bool = False) -> tuple[Fraction, ...]:
+    """The truncated coordinates over t, or their left limits, of a curve or evaluator."""
+    params, functional = curve.params, curve.functional
     coords = [functional.alpha0 * Fraction(t)]
-    for n in range(1, level + 1):
-        coords.append(functional.coeff(n) * value(params, n, t))
+    for n in range(1, curve.level + 1):
+        coords.append(functional.coeff(n) * _component(params, n, t, left))
     return tuple(coords)
 
 
@@ -116,7 +114,7 @@ def build_curve(
     if count > vertex_budget:
         raise BudgetExceeded("vertices", count, vertex_budget)
 
-    kernel = half_grid_kernel(params, functional.coeffs(level), level)
+    table = _table(params, functional, level)
     # odd k is a cell midpoint; at a cell end (even k > 0) the connector runs
     # from the left limit to the value
     steps = [(0, False)]
@@ -125,8 +123,8 @@ def build_curve(
             steps.append((k, True))
         steps.append((k, False))
     ks = tuple(k for k, _ in steps)
-    nums = tuple(kernel.coords(k, left) for k, left in steps)
-    return PolygonalCurve(params, functional, level, 2 * size, kernel.denom, ks, nums)
+    nums = tuple(table.coords(k, left) for k, left in steps)
+    return PolygonalCurve(params, functional, level, 2 * size, table.denom, ks, nums)
 
 
 def curve_length(curve: PolygonalCurve) -> Fraction:
@@ -189,7 +187,7 @@ def point_on_curve(curve: PolygonalCurve, t: Fraction) -> bool:
         a, b = curve.vertex(3 * j + 1), curve.vertex(3 * j + 2)
         t_a, t_b = mid, Fraction(j + 1, size)
     theta = (Fraction(t) - t_a) / (t_b - t_a)
-    expected = _point(curve.params, curve.functional, curve.level, Fraction(t))
+    expected = _point(curve, Fraction(t))
     actual = tuple(
         ca + theta * (cb - ca) for ca, cb in zip(a.coords, b.coords)
     )
@@ -233,18 +231,15 @@ class CanonicalTau(NamedTuple):
             return "gap", i, off / self.gap_len
         return "const", i, (off - self.gap_len) / self.const_len
 
-    def segment_starts(self) -> Iterator[Fraction]:
-        """s-breakpoints: every constant-interval and gap boundary, then 1."""
+    def breakpoints(self) -> Iterator[Fraction]:
+        """The s of every polygon vertex: 0, then each cell's gap start, midpoint
+        and end, then 1."""
         block = self.gap_len + self.const_len
         yield Fraction(0)
-        for i in range(1, self.grid_size + 1):
-            g_lo = self.const_len + (i - 1) * block
-            yield g_lo
-            yield g_lo + self.gap_len
+        for i in range(self.grid_size):
+            g_lo = self.const_len + i * block
+            yield from (g_lo, g_lo + self.gap_len / 2, g_lo + self.gap_len)
         yield Fraction(1)
-
-    def covers_level(self, grid_size: int) -> bool:
-        return self.grid_size % grid_size == 0
 
 
 def canonical_tau(params: ParameterSet, level: int) -> CanonicalTau:
@@ -261,7 +256,7 @@ def validate_tau(tau: CanonicalTau, params: ParameterSet, level: int) -> None:
     total = (tau.grid_size + 1) * tau.const_len + tau.grid_size * tau.gap_len
     if total != 1:
         raise DomainError("tau does not parametrize the full interval")
-    if not tau.covers_level(params.grid_size(level)):
+    if tau.grid_size % params.grid_size(level):
         raise DomainError(
             "tau constant intervals do not cover the grid endpoints of this level"
         )
@@ -284,17 +279,12 @@ class CurveEvaluator(NamedTuple):
     def value(self, s: Fraction) -> tuple[Fraction, ...]:
         kind, i, frac = self.tau.locate(s)
         grid = self.tau.grid_size
-        if kind == "const":
-            e = Fraction(i, grid)
-            if e == 0:
-                return _point(self.params, self.functional, self.level, Fraction(0))
-            start = _point(self.params, self.functional, self.level, e, left=True)
-            end = _point(self.params, self.functional, self.level, e)
-            return tuple(a + frac * (b - a) for a, b in zip(start, end))
-        t = Fraction(i - 1, grid) + frac / grid
-        if frac == 1:
-            return _point(self.params, self.functional, self.level, t, left=True)
-        return _point(self.params, self.functional, self.level, t)
+        if kind == "gap":  # the left limit at the cell's end
+            return _point(self, Fraction(i - 1, grid) + frac / grid, left=frac == 1)
+        if i == 0:
+            return _point(self, Fraction(0))
+        start, end = _point(self, Fraction(i, grid), left=True), _point(self, Fraction(i, grid))
+        return tuple(a + frac * (b - a) for a, b in zip(start, end))
 
 
 def parametrize(curve: PolygonalCurve, tau: Optional[CanonicalTau] = None) -> CurveEvaluator:
@@ -318,10 +308,10 @@ def sup_distance(
 ) -> Fraction:
     """Exact sup-norm distance of consecutive-level curves under a common tau.
 
-    Both curves are affine between consecutive refinement breakpoints (tau
+    Both curves are affine between consecutive ``tau.breakpoints()`` (tau
     segment boundaries plus the cell midpoints of the higher level), and the
-    l1 norm of an affine path is convex, so the supremum is attained at a
-    refinement breakpoint.
+    l1 norm of an affine path is convex, so the supremum is attained at one
+    of them.
     """
     _require_same_family(higher, lower)
     if tau is None:
@@ -330,17 +320,7 @@ def sup_distance(
     validate_tau(tau, lower.params, lower.level)
     ev_hi = CurveEvaluator(higher.params, higher.functional, higher.level, tau)
     ev_lo = CurveEvaluator(lower.params, lower.functional, lower.level, tau)
-
-    best = Fraction(0)
-    block = tau.gap_len + tau.const_len
-    for i in range(1, tau.grid_size + 1):
-        g_lo = tau.const_len + (i - 1) * block
-        for s in (g_lo, g_lo + tau.gap_len / 2, g_lo + tau.gap_len, g_lo + block):
-            d = _l1_distance(ev_hi.value(s), ev_lo.value(s))
-            if d > best:
-                best = d
-    d = _l1_distance(ev_hi.value(Fraction(0)), ev_lo.value(Fraction(0)))
-    return max(best, d)
+    return max(_l1_distance(ev_hi.value(s), ev_lo.value(s)) for s in tau.breakpoints())
 
 
 def sup_distance_bound(

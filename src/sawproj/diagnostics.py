@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import pairwise
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
@@ -81,10 +82,14 @@ class EventSet(NamedTuple):
         return self.cells.measure
 
 
-def event_set(params: ParameterSet, n: int) -> EventSet:
-    """The level-n refinement event as an exact interval union."""
+def _check_event_level(params: ParameterSet, n: int) -> None:
     if not 1 <= n <= params.n_max:
         raise DomainError(f"level {n} outside [1, {params.n_max}]")
+
+
+def event_set(params: ParameterSet, n: int) -> EventSet:
+    """The level-n refinement event as an exact interval union."""
+    _check_event_level(params, n)
     alpha = params.alpha_term(n)
     if 2 * alpha > 1:
         raise DomainError(f"2 alpha_{n} = {2 * alpha} exceeds 1")
@@ -100,6 +105,7 @@ def event_set(params: ParameterSet, n: int) -> EventSet:
 
 def event_contains(params: ParameterSet, n: int, t: Fraction) -> bool:
     """Membership in the level-n event without materializing the union."""
+    _check_event_level(params, n)
     if not 0 <= t < 1:
         raise DomainError(f"t = {t} outside [0, 1)")
     alpha = params.alpha_term(n)
@@ -132,8 +138,7 @@ def check_event_levels(
     checked before any event is built.
     """
     for n in levels:
-        if not 1 <= n <= params.n_max:
-            raise DomainError(f"level {n} outside [1, {params.n_max}]")
+        _check_event_level(params, n)
         components = params.grid_size(n - 1) + 1
         if components > component_budget:
             raise BudgetExceeded("event components", components, component_budget)
@@ -211,6 +216,10 @@ def sample_event_union(
     with R = getrandbits(48), tested in integers by _event_hit.
     """
     levels = tuple(sorted(set(levels)))
+    if not levels:
+        raise DomainError("no event levels to sample")
+    for n in levels:
+        _check_event_level(params, n)
     expected = Fraction(1)
     for n in levels:
         expected *= 1 - 2 * params.alpha_term(n)
@@ -554,20 +563,8 @@ def curve_lipschitz_upper(evaluator: CurveEvaluator) -> Fraction:
     """Max segment speed of the parametrized polygon (an upper Lipschitz bound)."""
     from .curve import _l1_distance
 
-    tau = evaluator.tau
-    block = tau.gap_len + tau.const_len
-    best = Fraction(0)
-    prev_s: Optional[Fraction] = None
-    prev_p: Optional[tuple[Fraction, ...]] = None
-    ss: list[Fraction] = [Fraction(0), tau.const_len]
-    for i in range(1, tau.grid_size + 1):
-        g_lo = tau.const_len + (i - 1) * block
-        ss.extend((g_lo + tau.gap_len / 2, g_lo + tau.gap_len, g_lo + block))
-    for s in ss:
-        p = evaluator.value(s)
-        if prev_s is not None and s > prev_s:
-            speed = _l1_distance(p, prev_p) / (s - prev_s)
-            if speed > best:
-                best = speed
-        prev_s, prev_p = s, p
-    return best
+    points = [(s, evaluator.value(s)) for s in evaluator.tau.breakpoints()]
+    return max(
+        (_l1_distance(p, q) / (u - s) for (s, p), (u, q) in pairwise(points) if u > s),
+        default=Fraction(0),
+    )

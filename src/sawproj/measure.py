@@ -31,14 +31,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .construction import (
-    DEFAULT_PIECE_BUDGET,
-    Kernel,
-    PLFunction,
-    _component,
-    _component_left_limit,
-    build_pl,
-)
+from .construction import DEFAULT_PIECE_BUDGET, PLFunction, _component, build_pl
 from .errors import BudgetExceeded, DomainError
 from .params import ParameterSet
 from .rational import sqrt_upper
@@ -170,7 +163,7 @@ def erode(u: IntervalUnion, r: Fraction) -> IntervalUnion:
 
 
 class _Shape:
-    """An image in integer numerators over the kernel's denom: its hull [lo, hi],
+    """An image in integer numerators over the table's denom: its hull [lo, hi],
     its measure, and the count copies at offsets i * step, copy i kinds[i % 2],
     whose union it is (none for a leaf). A solid shape, measure hi - lo, is its hull."""
 
@@ -224,10 +217,10 @@ def _merged(parts: list[tuple[int, _Shape]]) -> tuple[tuple[int, int], ...]:
     return IntervalUnion.from_pairs(1, shifted).pairs  # the one merge sweep, on numerators
 
 
-def _image_ints(kernel: Kernel, top: int) -> _Shape:
-    """The image of the level-top truncation as a shape over the kernel's denominator.
+def _image_ints(pl: PLFunction, top: int) -> _Shape:
+    """The image of the level-top truncation as a shape over the table's denominator.
 
-    The kernel is that of a level N >= top; its coeffs a_n and periods
+    The table is that of a level N >= top; its integers a_n and periods
     q_n = 2 M_N/M_n give m_n = q_{n-1} // q_n. In numerators over its
     denom = 4 M_N q_lcm, the image of h_top on a level-l half-cell, less its
     value at the cell's left end, is
@@ -247,7 +240,7 @@ def _image_ints(kernel: Kernel, top: int) -> _Shape:
     (s, odd, l) is built once, from the two keys of its kinds; the two level-0
     half-cells are one more tile.
     """
-    a, steps = kernel.coeffs, kernel.periods
+    a, steps = pl.a, pl.periods
     m = [0] + [steps[n - 1] // steps[n] for n in range(1, top + 1)]
     leaf = steps[top]
 
@@ -276,8 +269,7 @@ def image_measure(
     """Exact image (interval union) and Lebesgue measure of a truncation."""
     if pl.piece_count > piece_budget:
         raise BudgetExceeded("pieces", pl.piece_count, piece_budget)
-    kernel = pl.kernel()
-    union = IntervalUnion(kernel.denom, _image_ints(kernel, pl.level).flatten())
+    union = IntervalUnion(pl.denom, _image_ints(pl, pl.level).flatten())
     return union, union.measure
 
 
@@ -321,13 +313,12 @@ def projection_bracket(
     The per-level stability chain |mu_{k+1} - mu_k| <= 2 |c_{k+1}| is checked
     for every k < N and returned as part of the certificate. The level, the
     tail certificate and the level-N piece budget are checked before any
-    image is computed; every level is then measured over the one level-N kernel.
+    image is computed, by ``build_pl``; every level is then measured over the one
+    level-N table.
     """
-    if not 0 <= level <= params.n_max:
-        raise DomainError(f"level {level} outside [0, {params.n_max}]")
     pl = build_pl(params, functional, level, piece_budget=piece_budget)
-    coeffs, kernel = pl.coeffs, pl.kernel()
-    mus = [Fraction(_image_ints(kernel, k).measure, kernel.denom) for k in range(level + 1)]
+    coeffs = pl.coeffs
+    mus = [Fraction(_image_ints(pl, k).measure, pl.denom) for k in range(level + 1)]
     chain = tuple(
         ChainLink(k + 1, abs(mus[k + 1] - mus[k]), 2 * abs(coeffs[k + 1])) for k in range(level)
     )
@@ -339,7 +330,7 @@ def projection_bracket(
         tail_upper=tail,
         lower=mu - 2 * tail,
         upper=mu + 2 * tail,
-        piece_count=2 * params.grid_size(level),
+        piece_count=pl.piece_count,
         chain=chain,
         mu_levels=tuple(mus),
     )
@@ -422,7 +413,7 @@ def hausdorff_upper(
         b = Fraction(idx + 1, size)
         cell = periodic + tail
         for k in range(n + 1):
-            osc = _component_left_limit(params, k, b) - _component(params, k, a)
+            osc = _component(params, k, b, left=True) - _component(params, k, a)
             cell += combine(alphas[k] * osc)
         total += cell_norm(cell)
 

@@ -101,6 +101,14 @@ def config_int(doc: dict, key: str, default: Optional[int] = None) -> int:
     return as_int(f"config key {key!r}", doc.get(key, default))
 
 
+def config_str(doc: dict, key: str, default: str) -> str:
+    """The one string reader: a config key that must be a quoted string."""
+    value = doc.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a quoted string, got {value!r}")
+    return value
+
+
 def _as_frac(source: str, value) -> Fraction:
     """The one rational reader for config values."""
     try:
@@ -340,11 +348,10 @@ def export_pieces_csv(pl, path: str | Path) -> int:
     """Write the piece table (index, endpoint, slope, value, jump) as CSV.
 
     Returns the piece count; every rational column gets a float companion.
-    Rows are streamed from the kernel's integer numerators.
+    Rows are streamed from the table's integer numerators.
     """
-    kernel, count = pl.kernel(), pl.piece_count
-    denom, jump_num, length = kernel.denom, kernel.jump_num, ratio_cells(1, count)
-    cells = _Cells(denom)  # jumps and slopes, both numerators over denom
+    count, denom, jump_num = pl.piece_count, pl.denom, pl.jump_num
+    length, cells = ratio_cells(1, count), _Cells(denom)  # cells: jumps, slopes over denom
 
     def rows():
         for j, (v, w) in enumerate(pl.piece_value_ints()):

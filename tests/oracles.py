@@ -82,7 +82,7 @@ def direct_image(pl):
     between its endpoint numerators; the pairs are merged by one sort and a
     linear sweep, independently of the shape engine behind image_measure.
     """
-    denom = pl.kernel().denom
+    denom = pl.denom
     merged = []
     for lo, hi in sorted((min(v, w), max(v, w)) for v, w in pl.piece_value_ints()):
         if merged and lo <= merged[-1][1]:

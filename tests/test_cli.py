@@ -167,6 +167,41 @@ def test_bad_budget_value_is_config_error(d1_config, tmp_path, monkeypatch, caps
     assert record["error"] == "config" and "budget" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("validate", []),
+        ("evaluate", ["--t", "1/3", "--level", "2"]),
+        ("measure", ["--level", "1"]),
+        ("scan", ["--level", "1", "--circle", "2"]),
+        ("curve", ["--level", "1"]),
+        ("diagnose", ["--check", "slope-identity", "--samples", "5"]),
+        ("run", []),
+    ],
+)
+def test_unquoted_out_key_is_config_error(command, flags, tmp_path, monkeypatch, capsys):
+    # `out = 5` used to end in a TypeError traceback from Path(5)
+    def no_sampling(*args):
+        raise AssertionError("sampled before the out key was read")
+
+    monkeypatch.setattr(sp.diagnostics, "sample_slope_identities", no_sampling)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "out.cfg"
+    config = D2_CONFIG if command == "curve" else D1_CONFIG
+    if command == "run":
+        config += 'command = "validate"\n'
+    cfg.write_text(config + "out = 5\n")
+    assert main([command, "--config", str(cfg), *flags]) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert record["message"] == "config key 'out' must be a quoted string, got 5"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.cfg"]
+    monkeypatch.undo()  # sampling back on: a quoted out key is the output directory
+    cfg.write_text(config + f'out = "{tmp_path / "res"}"\n')
+    assert main([command, "--config", str(cfg), *flags]) == 0
+    assert (tmp_path / "res").is_dir()
+
+
 def _budget_args(command, source, value, cfg, monkeypatch) -> list[str]:
     """CLI arguments that give `command` the budget `value` through `source`."""
     config, flags = D2_CONFIG if command == "curve" else D1_CONFIG, []

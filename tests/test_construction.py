@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
-from sawproj.construction import _component, _component_left_limit
+from sawproj.construction import _component
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, CertificationError, DomainError
 
@@ -69,20 +69,20 @@ def test_ensemble_scaling(d1):
 
 
 def piece_table(pl) -> list[dict]:
-    """The integer piece table as Fraction rows: kernel.nums for the left value
-    and the slope, kernel.jump_num for the jump at the left end."""
-    kernel, count = pl.kernel(), pl.piece_count
+    """The integer piece table as Fraction rows: pl.nums for the left value
+    and the slope, pl.jump_num for the jump at the left end."""
+    count = pl.piece_count
     rows = []
     for j in range(count):
-        v, w = kernel.nums(j)
+        v, w = pl.nums(j)
         rows.append(
             {
                 "piece_index": j,
                 "left_endpoint": F(j, count),
                 "length": F(1, count),
-                "slope": F((w - v) * count, kernel.denom),
-                "left_value": F(v, kernel.denom),
-                "jump_at_left": F(kernel.jump_num(j), kernel.denom),
+                "slope": F((w - v) * count, pl.denom),
+                "left_value": F(v, pl.denom),
+                "jump_at_left": F(pl.jump_num(j), pl.denom),
             }
         )
     return rows
@@ -124,7 +124,7 @@ def test_right_continuity_at_breakpoints(d1, f1):
     pl = sp.build_pl(d1, f1, 2)
     for row in piece_table(pl)[1:]:
         t = row["left_endpoint"]
-        left = sum(c * _component_left_limit(d1, n, t) for n, c in enumerate(pl.coeffs))
+        left = sum(c * _component(d1, n, t, left=True) for n, c in enumerate(pl.coeffs))
         assert left - pl.value(t) == row["jump_at_left"]
 
 
@@ -181,9 +181,9 @@ def test_periodicity(d1):
 
 
 def test_left_limits(d1):
-    assert _component_left_limit(d1, 1, F(1, 2)) == F(1, 4)
-    assert _component_left_limit(d1, 1, F(3, 8)) == F(1, 8)
-    assert _component_left_limit(d1, 2, F(1)) == F(1, 16)
+    assert _component(d1, 1, F(1, 2), left=True) == F(1, 4)
+    assert _component(d1, 1, F(3, 8), left=True) == F(1, 8)
+    assert _component(d1, 2, F(1), left=True) == F(1, 16)
 
 
 def _grid(factors) -> sp.ParameterSet:
@@ -227,7 +227,7 @@ def test_integer_components_match_sawtooth(case):
     assert _component(params, n, t) == value
     if t > 0:
         at_grid_point = n > 0 and (size * t).denominator == 1
-        assert _component_left_limit(params, n, t) == (F(1, 2 * size) if at_grid_point else value)
+        assert _component(params, n, t, left=True) == (F(1, 2 * size) if at_grid_point else value)
     if t < 1:
         assert sp.component_value(params, n, t) == value
 
@@ -236,7 +236,7 @@ def test_component_rejects_negative_argument(d1):
     with pytest.raises(DomainError):
         _component(d1, 3, F(-1, 7))
     with pytest.raises(DomainError):
-        _component_left_limit(d1, 3, F(0))
+        _component(d1, 3, F(0), left=True)
 
 
 def test_build_pl_budget_and_tail_requirements(d1, f1):

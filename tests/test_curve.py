@@ -209,7 +209,7 @@ def test_evaluator_is_continuous_at_segment_junctions(d2, r1):
     ev = CurveEvaluator(d2, r1, 1, tau)
     speed_bound = curve_lipschitz_upper(ev)
     eps = F(1, 10**9)
-    for s in tau.segment_starts():
+    for s in tau.breakpoints():
         for probe in (s - eps, s + eps):
             if 0 <= probe <= 1:
                 assert _l1_distance(ev.value(probe), ev.value(s)) <= speed_bound * eps

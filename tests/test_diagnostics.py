@@ -96,6 +96,24 @@ def test_event_membership_closed_form_matches_union(d1):
             assert sp.event_contains(d1, n, t) == cells.contains(t)
 
 
+def test_event_levels_outside_one_to_n_max_are_refused():
+    # event_contains answered past n_max and said "level -1" at level 0;
+    # sample_event_union sampled past n_max and passed an empty level set
+    params = sp.harmonic_l2_preset(4)
+    for n in (0, 5):
+        for refused in (
+            lambda: sp.event_set(params, n),
+            lambda: sp.event_contains(params, n, F(1, 3)),
+            lambda: sample_event_union(params, (n,), 100, 1),
+            lambda: sample_event_union(params, (2, n), 100, 1),
+        ):
+            with pytest.raises(DomainError, match=f"level {n} outside \\[1, 4\\]"):
+                refused()
+    with pytest.raises(DomainError, match="no event levels"):
+        sample_event_union(params, (), 100, 1)
+    assert sp.event_contains(params, 4, F(0)) and sample_event_union(params, (4,), 100, 1).hits
+
+
 def test_independence_pairs_and_triples(d1):
     assert sp.independence_check(d1, (1, 2)).measure == F(1, 2)
     assert sp.independence_check(d1, (2, 3)).measure == F(1, 6)

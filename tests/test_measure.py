@@ -11,7 +11,7 @@ from sawproj.cli import circle_directions
 from sawproj.construction import DEFAULT_PIECE_BUDGET
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
-from sawproj import measure
+from sawproj import construction, measure
 from sawproj.measure import IntervalUnion, _merged, _Shape
 from sawproj.records import functional_from_config, load_config, params_from_config
 
@@ -382,7 +382,7 @@ def test_bracket_checks_level_and_budget_first(d1, f1, monkeypatch):
     def no_image(*args):
         raise AssertionError("an image was computed before the checks")
 
-    monkeypatch.setattr(sp.PLFunction, "kernel", no_image)
+    monkeypatch.setattr(construction, "_table", no_image)
     monkeypatch.setattr(measure, "_image_ints", no_image)
     for level in (-1, 9):
         with pytest.raises(DomainError):

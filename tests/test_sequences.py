@@ -6,6 +6,7 @@ from sawproj.errors import CertificationError, DomainError
 from sawproj.sequences import (
     Functional,
     SequenceRule,
+    _zeta4_tail_bracket,
     explicit,
     geometric,
     harmonic,
@@ -73,6 +74,18 @@ def test_harmonic_l2sq_tail_bracket_against_partials(n_from):
     assert lo <= partial + deep_hi
     assert hi >= partial + deep_lo
     assert partial < hi
+
+
+def test_zeta4_tail_bracket_against_partials():
+    # sum_{n > N} 1/n^4 is S + tail(N + 100), with S the exact terms in between
+    for n_from in range(31):
+        lo, hi = _zeta4_tail_bracket(n_from)
+        partial = sum(F(1, n**4) for n in range(n_from + 1, n_from + 101))
+        deep_lo, deep_hi = _zeta4_tail_bracket(n_from + 100)
+        assert lo <= partial + deep_hi
+        assert partial + deep_lo <= hi
+        for a in (F(1, 4), F(3)):
+            assert inverse_square(a).l2sq_tail_enclosure(n_from) == (a**2 * lo, a**2 * hi)
 
 
 @pytest.mark.parametrize("n_from", [1, 2, 8, 50])
