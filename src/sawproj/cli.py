@@ -32,7 +32,6 @@ from .records import (
     config_int,
     config_str,
     content_hash,
-    curve_rows,
     export_pieces_csv,
     finalize_record,
     functional_from_config,
@@ -43,7 +42,6 @@ from .records import (
     read_jsonl,
     write_csv,
     write_jsonl,
-    write_rows,
 )
 
 EXIT_OK = 0
@@ -89,12 +87,9 @@ def _load(args) -> tuple[dict, object, Optional[object]]:
     return config, params, functional
 
 
-def _out_dir(args, config: dict, make: bool = True) -> Path:
-    """--out, else config key 'out', else ./out; made unless make is False."""
-    path = Path(getattr(args, "out", None) or config_str(config, "out", "") or "out")
-    if make:
-        path.mkdir(parents=True, exist_ok=True)
-    return path
+def _out_dir(args, config: dict) -> Path:
+    """--out, else config key 'out', else ./out; writers make it, so a refusal leaves none."""
+    return Path(getattr(args, "out", None) or config_str(config, "out", "") or "out")
 
 
 def _functional_id(functional) -> str:
@@ -307,6 +302,7 @@ def cmd_curve(args) -> int:
         build_curve,
         curve_length,
         curve_length_closed_form,
+        export_curve_csv,
         length_increment,
         sup_distance_bound,
     )
@@ -323,11 +319,7 @@ def cmd_curve(args) -> int:
     out = _out_dir(args, config)
 
     curve = build_curve(params, functional, level, vertex_budget=budget)
-    # zero-padded names keep the sorted header in coordinate order
-    names = [f"coord_{n:0{len(str(level))}d}" for n in range(level + 1)]
-    header = [c for name in names for c in (name, f"{name}_f64")]
-    header += ["is_vertical", "t", "t_f64", "vertex_index"]
-    write_rows(out / "curve.csv", header, curve_rows(curve))
+    export_curve_csv(curve, out / "curve.csv")
 
     ledger = [
         {
@@ -337,7 +329,7 @@ def cmd_curve(args) -> int:
             "level": level,
             "length": curve_length(curve),
             "length_closed_form": curve_length_closed_form(params, functional, level),
-            "vertex_count": len(curve.ks),
+            "vertex_count": curve.vertex_count,
         }
     ]
     for n in range(1, level + 1):
@@ -465,12 +457,12 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:  # Random would seed from its absolute value, aliasing a positive seed
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    out = _out_dir(args, config, make=False)  # checked before sampling, made after
+    out = _out_dir(args, config)  # checked before sampling
     records = _DIAGNOSTICS[args.check](params, args)
     for record in records:
         record.update(schema_version=SCHEMA_VERSION, kind="diagnose", check=args.check)
     name = args.check.replace("-", "_")
-    write_jsonl(records, out / f"diagnose_{name}.jsonl")  # makes the directory
+    write_jsonl(records, out / f"diagnose_{name}.jsonl")
     return EXIT_OK if all(r["passed"] for r in records) else EXIT_VALIDATION
 
 

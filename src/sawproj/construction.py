@@ -25,10 +25,11 @@ t = k/(2 M_N), with q_n = 2 M_N / M_n and c_n = a_n / q_lcm for integers a_n,
 
 and a_n q_n over the same denominator at a left limit where q_n divides k.
 ``PLFunction`` is that integer table, built once by ``build_pl``:
-``PLFunction.coords`` is the formula, ``PLFunction.nums`` gives each piece's
-left value and right limit and ``PLFunction.jump_num`` the jump at its left
-end, all from the closed form, and the curve vertices and the image engine
-read the same integers. ``PLFunction.value`` is the direct Fraction sum they
+``PLFunction.nums`` gives each piece's left value and right limit and
+``PLFunction.jump_num`` the jump at its left end, both from the closed form,
+and ``PLFunction.pattern(n)`` is one period of c_n f_n along the curve's
+vertices, which the polygon repeats, so the curve and the image engine read
+the same integers. ``PLFunction.value`` is the direct Fraction sum they
 all must agree with.
 """
 
@@ -205,22 +206,16 @@ class PLFunction(NamedTuple):
             Fraction(0),
         )
 
-    def coords(self, k: int, left: bool = False) -> list[int]:
-        """(c_0 t, c_1 f_1(t), ..., c_N f_N(t)) at t = k/(2 M_N).
-
-        With left=True these are the left limits (k > 0): a_n q_n where q_n
-        divides k, the value everywhere else.
-        """
-        a, q = self.a, self.periods
-        out = [2 * a[0] * k]
-        for n in range(1, len(a)):
-            r = k % q[n]
-            if left and r == 0:
-                out.append(a[n] * q[n])
-            else:
-                u = 2 * r - q[n]
-                out.append(a[n] * u if u > 0 else 0)
-        return out
+    def pattern(self, n: int) -> tuple[int, ...]:
+        """One period of c_n f_n (n >= 1) along the polygon's vertices: per cell, the
+        value at its midpoint k - 1, then the left limit and the value at its end k,
+        for k = 2, 4, ..., q_n; the left limit is a_n q_n at k = q_n, else the value."""
+        a, q = self.a[n], self.periods[n]
+        out = []
+        for k in range(2, q + 1, 2):
+            end = a * max(0, 2 * (k % q) - q)
+            out += (a * max(0, 2 * k - 2 - q), a * q if k == q else end, end)
+        return tuple(out)
 
     def nums(self, j: int) -> tuple[int, int]:
         """Left value and right limit of piece j: across it c_0 t rises by 2 a_0,

@@ -6,13 +6,12 @@ cell midpoint), then drops along a vertical connector at the right endpoint
 where the sawtooth components jump. The final connector at t = 1 is included,
 so the polygon terminates at the closed right endpoint.
 
-Every vertex lies on the half-grid t = k/(2 M_N), so a ``PolygonalCurve`` is
-an integer table: ``build_curve`` builds the truncation's ``PLFunction`` table
-once and takes each vertex's coordinates from its half-grid formula,
-c_n f_n(k/(2 M_N)) = a_n max(0, 2 (k mod q_n) - q_n) / (4 M_N q_lcm), with
-a_n q_n at the left limits where q_n divides k. ``PolygonalCurve.vertex``
-builds the Fractions of one vertex on request, and the length is a sum of
-integer differences divided once.
+Every vertex lies on the half-grid t = k/(2 M_N): k = 0, then per cell j the
+midpoint 2j + 1 and the end 2j + 2, as left limit and as value. Coordinate 0
+is linear in k; coordinate n >= 1 is 0 at vertex 0 and then repeats M_n times
+one pattern of 3 q_n / 2 integer numerators (q_n = 2 M_N / M_n) from the
+truncation's ``PLFunction`` table. A ``PolygonalCurve`` stores those patterns,
+``vertex`` builds one vertex's Fractions, and the length sums integer differences.
 
 l1 length is total variation per coordinate, which gives closed forms: each
 coordinate n >= 1 rises 1/2 across slants and falls 1/2 across connectors, so
@@ -25,11 +24,14 @@ is |c_N| / (2 M_N), attained where a connector starts.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, cycle
+from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
 from .construction import _component, _table
 from .errors import BudgetExceeded, CertificationError, DomainError
 from .params import L1, ParameterSet
+from .records import ratio_cells, write_lines
 from .sequences import Functional
 
 DEFAULT_VERTEX_BUDGET = 2**22
@@ -41,19 +43,21 @@ class Vertex(NamedTuple):
 
 
 class PolygonalCurve(NamedTuple):
-    """The level-N polygon in integers.
-
-    Vertex i sits at t = ks[i] / t_denom with coordinates nums[i][n] / denom,
-    where t_denom = 2 M_N and denom = 4 M_N q_lcm is the truncation table's.
-    """
+    """The level-N polygon in integers: vertex i sits at t = k / t_denom,
+    k = 2 (i + 1) // 3, with coordinate 0 at 2 a0 k / denom and coordinate
+    n >= 1 at 0 for i = 0, else at patterns[n - 1][(i - 1) % its length] / denom."""
 
     params: ParameterSet
     functional: Functional
     level: int
     t_denom: int
     denom: int
-    ks: tuple[int, ...]
-    nums: tuple[list[int], ...]
+    a0: int
+    patterns: tuple[tuple[int, ...], ...]
+
+    @property
+    def vertex_count(self) -> int:
+        return 3 * self.t_denom // 2 + 1
 
     @property
     def vertical(self) -> tuple[bool, ...]:
@@ -61,20 +65,49 @@ class PolygonalCurve(NamedTuple):
         return (False, False, True) * (self.t_denom // 2)
 
     def vertex(self, i: int) -> Vertex:
-        coords = tuple(Fraction(x, self.denom) for x in self.nums[i])
-        return Vertex(Fraction(self.ks[i], self.t_denom), coords)
+        if not 0 <= i < self.vertex_count:
+            raise IndexError(f"vertex {i} outside [0, {self.vertex_count})")
+        k = 2 * (i + 1) // 3
+        nums = [2 * self.a0 * k] + [p[(i - 1) % len(p)] if i else 0 for p in self.patterns]
+        return Vertex(Fraction(k, self.t_denom), tuple(Fraction(x, self.denom) for x in nums))
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(map(self.vertex, range(len(self.ks))))
+        return tuple(map(self.vertex, range(self.vertex_count)))
 
     def length(self) -> Fraction:
-        """Exact l1 length: per-coordinate total variation summed over segments."""
-        rows, total = self.nums, 0
-        for a, b in zip(rows, rows[1:]):
-            for x, y in zip(a, b):
-                total += abs(y - x)
+        """Exact l1 length, the total variation per coordinate: coordinate 0 is monotone, and
+        coordinate n >= 1 steps from 0 into its pattern, runs it M_n times, joined end to start."""
+        total = abs(2 * self.a0 * self.t_denom)
+        for p in self.patterns:
+            repeats = (self.vertex_count - 1) // len(p)
+            inner = sum(abs(y - x) for x, y in zip(p, p[1:]))
+            total += abs(p[0]) + repeats * inner + (repeats - 1) * abs(p[0] - p[-1])
         return Fraction(total, self.denom)
+
+
+def export_curve_csv(curve, path: str | Path) -> None:
+    """Write one CSV row per polygon vertex (coordinates, is_vertical, t, index): each
+    coordinate's pattern is formatted once and cycled, coordinate 0 and t once per k."""
+    level, denom, rise, t_denom = curve.level, curve.denom, 2 * curve.a0, curve.t_denom
+    # zero-padded names keep the sorted header in coordinate order
+    names = [f"coord_{n:0{len(str(level))}d}" for n in range(level + 1)]
+    header = [c for name in names for c in (name, f"{name}_f64")]
+    cells = {x: ratio_cells(x, denom) for x in {0}.union(*curve.patterns)}
+    columns = (chain([cells[0]], cycle([cells[x] for x in p])) for p in curve.patterns)
+    middles = zip(*columns, chain(["False"], cycle(("False", "True", "False"))))
+
+    def lines():
+        yield f"{cells[0]},{','.join(next(middles))},{ratio_cells(0, t_denom)},0\n"
+        for i, k in zip(range(1, 3 * t_denom, 3), range(1, t_denom, 2)):
+            # a cell: its midpoint k, then its end k + 1 as left limit and as value
+            mid, end = ratio_cells(rise * k, denom), ratio_cells(rise * (k + 1), denom)
+            t_mid, t_end = ratio_cells(k, t_denom), ratio_cells(k + 1, t_denom)
+            yield (f"{mid},{','.join(next(middles))},{t_mid},{i}\n"
+                   f"{end},{','.join(next(middles))},{t_end},{i + 1}\n"
+                   f"{end},{','.join(next(middles))},{t_end},{i + 2}\n")
+
+    write_lines(path, header + ["is_vertical", "t", "t_f64", "vertex_index"], lines())
 
 
 def _point(curve, t: Fraction, left: bool = False) -> tuple[Fraction, ...]:
@@ -105,7 +138,7 @@ def build_curve(
     level: int,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> PolygonalCurve:
-    """The level-N polygon's 3 M_N + 1 vertices as integer numerators."""
+    """The level-N polygon's 3 M_N + 1 vertices, one pattern of integers per coordinate."""
     _require_l1_contraction(params, functional)
     if not 0 <= level <= params.n_max:
         raise DomainError(f"level {level} outside [0, {params.n_max}]")
@@ -115,16 +148,8 @@ def build_curve(
         raise BudgetExceeded("vertices", count, vertex_budget)
 
     table = _table(params, functional, level)
-    # odd k is a cell midpoint; at a cell end (even k > 0) the connector runs
-    # from the left limit to the value
-    steps = [(0, False)]
-    for k in range(1, 2 * size + 1):
-        if k % 2 == 0:
-            steps.append((k, True))
-        steps.append((k, False))
-    ks = tuple(k for k, _ in steps)
-    nums = tuple(table.coords(k, left) for k, left in steps)
-    return PolygonalCurve(params, functional, level, 2 * size, table.denom, ks, nums)
+    patterns = tuple(map(table.pattern, range(1, level + 1)))
+    return PolygonalCurve(params, functional, level, 2 * size, table.denom, table.a[0], patterns)
 
 
 def curve_length(curve: PolygonalCurve) -> Fraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import gcd
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -268,27 +269,17 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
             fh.write("\n")
 
 
-def ratio_cells(num: int, den: int) -> tuple[str, float]:
+def ratio_cells(num: int, den: int) -> str:
     """The reduced "p/q" cell of num/den (den > 0) and its float companion,
-    which equals float(Fraction(num, den)): integer true division rounds correctly."""
+    comma-joined; integer true division rounds as float(Fraction(num, den))."""
     g = gcd(num, den)
-    return f"{num // g}/{den // g}", num / den
-
-
-def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """CSV of a header and rows streamed in its column order."""
-    import csv
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    return f"{num // g}/{den // g},{num / den!r}"
 
 
 def write_csv(records: Sequence[dict], path: str | Path) -> None:
     """CSV of the finalized records; each row is finalized as it is written."""
+    import csv
+
     fields: set[str] = set()
     for record in records:
         for key, value in record.items():
@@ -298,7 +289,22 @@ def write_csv(records: Sequence[dict], path: str | Path) -> None:
     header = sorted(fields)
     cells = ((row.get(k, "") for k in header) for row in map(finalize_record, records))
     rows = ([";".join(map(str, v)) if isinstance(v, list) else v for v in row] for row in cells)
-    write_rows(path, header, rows)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """CSV of a header and of comma-joined lines that end in a newline: only for
+    cells of rationals, floats, bools and ints, which never need quoting."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
@@ -324,20 +330,6 @@ def content_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class _Cells(dict):
-    """The CSV cells of num/den by numerator for one den, each formatted on first use
-    (piece slopes and jumps, and curve coordinates, repeat few numerators). The
-    float is kept as its text, so the CSV writer does not format it again."""
-
-    def __init__(self, den: int):
-        self.den = den
-
-    def __missing__(self, num: int) -> tuple[str, str]:
-        text, value = ratio_cells(num, self.den)
-        self[num] = cells = (text, repr(value))
-        return cells
-
-
 PIECES_HEADER = (
     "jump_at_left", "jump_at_left_f64", "left_endpoint", "left_endpoint_f64", "left_value",
     "left_value_f64", "length", "length_f64", "piece_index", "slope", "slope_f64",
@@ -345,30 +337,18 @@ PIECES_HEADER = (
 
 
 def export_pieces_csv(pl, path: str | Path) -> int:
-    """Write the piece table (index, endpoint, slope, value, jump) as CSV.
+    """Write the piece table (index, endpoint, slope, value, jump) as CSV; return
+    the piece count. A jump is the previous right limit less the left value (piece
+    0's left value is 0); each distinct slope and jump is formatted once."""
+    count, denom, length = pl.piece_count, pl.denom, ratio_cells(1, pl.piece_count)
+    cell = lru_cache(maxsize=None)(partial(ratio_cells, den=denom))
 
-    Returns the piece count; every rational column gets a float companion.
-    Rows are streamed from the table's integer numerators.
-    """
-    count, denom, jump_num = pl.piece_count, pl.denom, pl.jump_num
-    length, cells = ratio_cells(1, count), _Cells(denom)  # cells: jumps, slopes over denom
-
-    def rows():
+    def lines():
+        last = 0
         for j, (v, w) in enumerate(pl.piece_value_ints()):
-            yield (
-                *cells[jump_num(j)], *ratio_cells(j, count), *ratio_cells(v, denom),
-                *length, j, *cells[(w - v) * count],
-            )
+            yield (f"{cell(last - v)},{ratio_cells(j, count)},{ratio_cells(v, denom)},"
+                   f"{length},{j},{cell((w - v) * count)}\n")
+            last = w
 
-    write_rows(path, PIECES_HEADER, rows())
+    write_lines(path, PIECES_HEADER, lines())
     return count
-
-
-def curve_rows(curve) -> Iterable[list]:
-    """The curve CSV cells of every polygon vertex, from the curve's integers."""
-    cells, vertical = _Cells(curve.denom), curve.vertical
-    for idx, (k, nums) in enumerate(zip(curve.ks, curve.nums)):
-        row = [cell for x in nums for cell in cells[x]]
-        row.append(idx < len(vertical) and vertical[idx])
-        row += [*ratio_cells(k, curve.t_denom), idx]
-        yield row

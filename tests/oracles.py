@@ -10,6 +10,10 @@ from the package's seeded generator (``spawn_rng``, ``rand_index``,
 import math
 from fractions import Fraction
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
+import sawproj as sp
 from sawproj.diagnostics import event_contains, rand_fraction, rand_index, spawn_rng
 from sawproj.params import GridCell
 
@@ -156,6 +160,36 @@ def polyline_length(vertices) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+# -- random curve instances, shared by the curve and CLI property tests -----------------
+
+
+@st.composite
+def curve_cases(draw):
+    """An L1 parameter set (factors 1..5, odd and 1 included), a contracting
+    functional (geometric or explicit, signed) and a level with at most 600 vertices."""
+    factors = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    params = sp.ParameterSet(
+        alpha=sp.geometric(Fraction(1, 2), Fraction(1, 2)),
+        m=sp.explicit_refinement(factors),
+        n_max=len(factors),
+        model="L1",
+    )
+    level = draw(st.integers(0, len(factors)))
+    assume(3 * params.grid_size(level) + 1 <= 600)
+    small = st.fractions(0, Fraction(1, 5), max_denominator=12)  # four terms sum below 1
+    if draw(st.booleans()):
+        rule = sp.geometric(draw(small), draw(small))
+    else:
+        rule = sp.explicit(draw(st.lists(small, min_size=4, max_size=4)), 0, 0)
+    functional = sp.Functional(
+        alpha0=draw(st.fractions(-2, 2, max_denominator=12)),
+        rule=rule,
+        signs=tuple(draw(st.lists(st.sampled_from([-1, 1]), max_size=4))),
+        name="C",
+    )
+    return params, functional, level
 
 
 # -- the Fraction routes the integer samplers and row writers replaced -------------------

@@ -2,8 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 import sawproj as sp
 from sawproj.cli import main
@@ -15,7 +14,7 @@ from sawproj.records import (
     write_csv,
 )
 
-from oracles import curve_rows_oracle
+from oracles import curve_cases, curve_rows_oracle
 
 D1_CONFIG = """\
 alpha.kind = "harmonic"
@@ -126,6 +125,16 @@ def test_measure_budget_exit_code(d1_config, tmp_path):
         ]
     )
     assert code == 3
+    assert not (tmp_path / "o").exists()  # a refused call leaves no output directory
+
+
+def test_scan_budget_exit_code(d1_config, tmp_path):
+    out = tmp_path / "o"
+    code = main(
+        ["scan", "--config", str(d1_config), "--level", "7", "--budget", "5", "--out", str(out)]
+    )
+    assert code == 3
+    assert not out.exists()
 
 
 def test_budget_env_override(d1_config, tmp_path, monkeypatch):
@@ -134,6 +143,7 @@ def test_budget_env_override(d1_config, tmp_path, monkeypatch):
         ["measure", "--config", str(d1_config), "--level", "4", "--out", str(tmp_path / "o")]
     )
     assert code == 3
+    assert not (tmp_path / "o").exists()
 
 
 def _error_records(capsys) -> list[dict]:
@@ -151,6 +161,7 @@ def test_level_outside_range_exit_code(command, level, d1_config, tmp_path, caps
     (record,) = _error_records(capsys)
     assert record["error"] == "invalid" and record["exit_code"] == 2
     assert f"level {level} outside [0, 8]" in record["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_budget_value_is_config_error(d1_config, tmp_path, monkeypatch, capsys):
@@ -383,6 +394,7 @@ def test_curve_budget(d2_config, tmp_path):
         ]
     )
     assert code == 3
+    assert not (tmp_path / "o").exists()
 
 
 def test_curve_vertex_budget_zero_is_honoured(d2_config, tmp_path, capsys):
@@ -395,6 +407,7 @@ def test_curve_vertex_budget_zero_is_honoured(d2_config, tmp_path, capsys):
     assert code == 3
     (record,) = _error_records(capsys)
     assert record["error"] == "budget" and record["budget"] == 0 and record["count"] == 7
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -744,33 +757,6 @@ def test_output_bytes_are_pinned(tmp_path):
     assert digests == OUTPUT_DIGESTS
 
 
-@st.composite
-def curve_cases(draw):
-    """An L1 parameter set (factors 1..5, odd and 1 included), a contracting
-    functional (geometric or explicit, signed) and a level with at most 600 vertices."""
-    factors = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
-    params = sp.ParameterSet(
-        alpha=sp.geometric(F(1, 2), F(1, 2)),
-        m=sp.explicit_refinement(factors),
-        n_max=len(factors),
-        model="L1",
-    )
-    level = draw(st.integers(0, len(factors)))
-    assume(3 * params.grid_size(level) + 1 <= 600)
-    small = st.fractions(0, F(1, 5), max_denominator=12)  # four terms sum below 1
-    if draw(st.booleans()):
-        rule = sp.geometric(draw(small), draw(small))
-    else:
-        rule = sp.explicit(draw(st.lists(small, min_size=4, max_size=4)), 0, 0)
-    functional = sp.Functional(
-        alpha0=draw(st.fractions(-2, 2, max_denominator=12)),
-        rule=rule,
-        signs=tuple(draw(st.lists(st.sampled_from([-1, 1]), max_size=4))),
-        name="C",
-    )
-    return params, functional, level
-
-
 @settings(max_examples=60)
 @given(curve_cases())
 def test_curve_csv_matches_fraction_rows(tmp_path_factory, case):
@@ -783,6 +769,22 @@ def test_curve_csv_matches_fraction_rows(tmp_path_factory, case):
     assert main(["curve", "--config", str(config), "--level", str(level), "--out", str(out)]) == 0
     write_csv(curve_rows_oracle(params, functional, level), out / "oracle.csv")
     assert (out / "curve.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+
+def test_streamed_csv_lines_need_no_quoting(tmp_path):
+    """curve.csv and pieces.csv are written as comma-joined lines, not through
+    csv.writer, so every line must read back as exactly its split on commas."""
+    import csv
+    from pathlib import Path
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    out = ["--out", str(tmp_path)]
+    assert main(["curve", "--config", str(configs / "geometric_l1.cfg"), "--level", "4"] + out) == 0
+    l2 = str(configs / "harmonic_l2.cfg")
+    assert main(["measure", "--config", l2, "--level", "4", "--pieces", "--no-cache"] + out) == 0
+    for name in ("curve.csv", "pieces.csv"):
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        assert list(csv.reader(lines)) == [line.split(",") for line in lines]
 
 
 # Run main in a fresh interpreter (pytest has imported every module already)

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import sawproj as sp
 from sawproj.curve import CanonicalTau
 from sawproj.diagnostics import rand_fraction, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
 
-from oracles import curve_vertices_oracle, polyline_length
+from oracles import curve_cases, curve_vertices_oracle, polyline_length
 
 F = Fraction
 
@@ -64,6 +65,38 @@ def test_curve_matches_per_vertex_oracle(instance, d2, r1):
         assert sp.curve_length(curve) == sp.curve_length_closed_form(params, functional, level)
 
 
+@settings(max_examples=80)
+@given(curve_cases())
+def test_period_layout_matches_per_vertex_oracle(case):
+    """One pattern per coordinate gives every vertex and the length of the
+    polygon, on grids with odd factors and m_n = 1 and with signed coefficients."""
+    params, functional, level = case
+    curve = sp.build_curve(params, functional, level)
+    expected = curve_vertices_oracle(params, functional, level)
+    assert [(v.t, v.coords) for v in curve.vertices] == expected
+    assert len(curve.vertices) == curve.vertex_count == 3 * params.grid_size(level) + 1
+    length = sp.curve_length(curve)
+    assert length == polyline_length(expected)
+    assert length == sp.curve_length_closed_form(params, functional, level)
+
+
+def test_curve_csv_streams_in_bounded_memory(tmp_path, d2, r1):
+    """build_curve and curve.csv at level 5 (11,521 vertices) stay under 1 MB
+    of traced allocations; a row per vertex held at once took 4.8 MB."""
+    import tracemalloc
+
+    from sawproj.curve import export_curve_csv
+
+    tracemalloc.start()
+    try:
+        export_curve_csv(sp.build_curve(d2, r1, 5), tmp_path / "curve.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert len((tmp_path / "curve.csv").read_bytes().splitlines()) == 1 + 11521
+
+
 def test_length_ledger(d2, r1):
     lengths = {0: sp.curve_length(sp.build_curve(d2, r1, 0))}
     for n in range(1, 5):
@@ -101,9 +134,12 @@ def test_containment_of_truncated_points(d2, r1):
     rng = spawn_rng(17)
     for _ in range(1000):
         assert sp.point_on_curve(c3, rand_fraction(rng))
-    # a point off the set is rejected
-    moved = c3._replace(nums=([0, c3.denom, 0, 0],) + c3.nums[1:])
-    assert moved.vertex(0).coords == (F(0), F(1), F(0), F(0))
+    # a point off the set is rejected: vertex 1 (and each repeat of coordinate
+    # 1's pattern) moved to coordinate 1 = 1
+    first, *rest = c3.patterns
+    moved = c3._replace(patterns=((c3.denom, *first[1:]), *rest))
+    assert moved.vertex(1).coords[1] == 1 != c3.vertex(1).coords[1]
+    assert moved.vertex(0) == c3.vertex(0)
     assert not sp.point_on_curve(moved, F(1, 10**6))
 
 
