@@ -414,6 +414,7 @@ def _diag_borel_cantelli(params, args) -> list[dict]:
 def _diag_slope_identity(params, args) -> list[dict]:
     from .diagnostics import sample_slope_identities
 
+    _levels(params, args, 1, 5, least=2)  # it checks levels 1..min(5, n_max - 1)
     passed = sample_slope_identities(params, args.samples, args.seed)
     return [_sampled(args, passed_count=passed, passed=passed == args.samples)]
 

@@ -6,13 +6,13 @@ drops by exactly 1/(2 M_n) at every positive multiple of 1/M_n. Components
 are represented right-continuously; the downward jumps are first-class data
 because the measure and curve modules consume them directly.
 
-Pointwise values are computed in integers. For t = A/B and r = (M_n A) mod B,
+``point_nums`` is the one pointwise evaluation. For t = A/B, r = (M_n A) mod B,
 
     f_n(t) = (2r - B) / (2 B M_n)  when 2r >= B,  and 0 otherwise,
 
-and the left limit at a level-n grid point (r = 0) is 1/(2 M_n); one
-``Fraction`` is built per value, at the API boundary. ``sawtooth`` is the
-Fraction definition these formulas reproduce.
+and the left limit at a level-n grid point (r = 0) is 1/(2 M_n): B replaces
+2r - B. Its callers check t and the level and build one ``Fraction`` per
+value. ``sawtooth`` is the Fraction definition these formulas reproduce.
 
 A scalar projection truncated at level N,
 
@@ -25,18 +25,18 @@ t = k/(2 M_N), with q_n = 2 M_N / M_n and c_n = a_n / q_lcm for integers a_n,
 
 and a_n q_n over the same denominator at a left limit where q_n divides k.
 ``PLFunction`` is that integer table, built once by ``build_pl``:
-``PLFunction.nums`` gives each piece's left value and right limit and
-``PLFunction.jump_num`` the jump at its left end, both from the closed form,
-and ``PLFunction.pattern(n)`` is one period of c_n f_n along the curve's
-vertices, which the polygon repeats, so the curve and the image engine read
-the same integers. ``PLFunction.value`` is the direct Fraction sum they
-all must agree with.
+``PLFunction.nums`` gives each piece's left value and right limit from the
+closed form, and ``PLFunction.pattern(n)`` is one period of c_n f_n along the
+curve's vertices, which the polygon repeats, so the curve and the image
+engine read the same integers. ``PLFunction.value`` is the direct sum of
+c_n f_n(t) from ``point_nums`` they all must agree with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded, DomainError
@@ -45,7 +45,6 @@ from .rational import sqrt_lower, sqrt_upper
 from .sequences import Functional
 
 DEFAULT_PIECE_BUDGET = 2**25
-_ZERO = Fraction(0)
 
 
 def sawtooth(t: Fraction) -> Fraction:
@@ -63,41 +62,30 @@ def component_value(params: ParameterSet, n: int, t: Fraction) -> Fraction:
     """f_n(t); f_0 is the identity, f_n scales the sawtooth to level n."""
     if not 0 <= t < 1:
         raise DomainError(f"t = {t} outside [0, 1)")
-    return _component(params, n, t)
-
-
-def _component(params: ParameterSet, n: int, t: Fraction, left: bool = False) -> Fraction:
-    """f_n(t) for t in [0, 1], or with left=True its left limit for t in (0, 1],
-    from t = A/B and r = (M_n A) mod B."""
     if not 0 <= n <= params.n_max:
         raise DomainError(f"component index {n} outside [0, {params.n_max}]")
-    if left and not 0 < t <= 1:
-        raise DomainError(f"t = {t} outside (0, 1]")
-    if n == 0:
-        return Fraction(t)
-    if not isinstance(t, (Fraction, int)):
-        t = Fraction(t)  # a float or Decimal, exactly
-    num, den = t.numerator, t.denominator
-    if num < 0:
-        raise DomainError(f"sawtooth argument {t} is negative")
-    size = params.grid_size(n)
-    r = size * num % den
-    if left and r == 0:
-        return Fraction(1, 2 * size)
-    if 2 * r < den:
-        return _ZERO
-    return Fraction(2 * r - den, 2 * den * size)
+    nums, scale = point_nums_at(params, n, t)
+    return Fraction(nums[n], scale)
 
 
-def point_nums(sizes: tuple[int, ...], num: int, den: int) -> list[int]:
-    """(f_0(t), ..., f_N(t)) at t = num/den as numerators over 2 den M_N,
-    where sizes are M_0, ..., M_N: the formula above scaled by M_N/M_n."""
+def point_nums(sizes: tuple[int, ...], num: int, den: int, left: bool = False) -> list[int]:
+    """(f_0(t), ..., f_N(t)) at t = num/den, or their left limits, as numerators over
+    2 den M_N, where sizes are M_0, ..., M_N: the formulas above scaled by M_N/M_n."""
     top = sizes[-1]
     out = [2 * top * num]
     for size in sizes[1:]:
-        u = 2 * (size * num % den) - den
+        r = size * num % den
+        u = den if left and r == 0 else 2 * r - den
         out.append(top // size * u if u > 0 else 0)
     return out
+
+
+def point_nums_at(params: ParameterSet, level: int, t, left: bool = False) -> tuple[list, int]:
+    """``point_nums`` of levels 0..level at t (a float converted exactly) and their
+    scale 2 den(t) M_level; t and the level are checked by the caller."""
+    t = Fraction(t)
+    sizes = params.grid_sizes[: level + 1]
+    return point_nums(sizes, t.numerator, t.denominator, left), 2 * t.denominator * sizes[-1]
 
 
 class TruncatedPoint(NamedTuple):
@@ -137,6 +125,7 @@ def truncated_point(params: ParameterSet, level: int, t: Fraction) -> TruncatedP
     if not 0 <= level <= params.n_max:
         raise DomainError(f"level {level} outside [0, {params.n_max}]")
     t = Fraction(t)
+    nums, scale = point_nums_at(params, level, t)
     tail_sq = params.point_tail_l2sq_upper(level)
     if level < params.n_max:
         first = params.alpha.term(level + 1) / (2 * params.grid_size(level + 1))
@@ -145,7 +134,7 @@ def truncated_point(params: ParameterSet, level: int, t: Fraction) -> TruncatedP
         tail_sq_lower = Fraction(0)
     return TruncatedPoint(
         level=level,
-        coords=tuple(_component(params, n, t) for n in range(level + 1)),
+        coords=tuple(Fraction(x, scale) for x in nums),
         model=params.model,
         t=t,
         tail_l1_upper=params.point_tail_l1_upper(level),
@@ -198,13 +187,12 @@ class PLFunction(NamedTuple):
         return tuple(Fraction(x, q_lcm) for x in self.a)
 
     def value(self, t: Fraction) -> Fraction:
-        """Direct summation; the authoritative definition."""
+        """Direct sum of a_n f_n(t) / q_lcm over ``point_nums``; the authoritative definition."""
         if not 0 <= t < 1:
             raise DomainError(f"t = {t} outside [0, 1)")
-        return sum(
-            (c * _component(self.params, n, t) for n, c in enumerate(self.coeffs)),
-            Fraction(0),
-        )
+        nums, scale = point_nums_at(self.params, self.level, t)
+        q_lcm = self.denom // (2 * self.periods[0])
+        return Fraction(sum(map(mul, self.a, nums)), q_lcm * scale)
 
     def pattern(self, n: int) -> tuple[int, ...]:
         """One period of c_n f_n (n >= 1) along the polygon's vertices: per cell, the
@@ -228,11 +216,6 @@ class PLFunction(NamedTuple):
                 value += a[n] * u
                 rise += a[n]
         return value, value + 2 * rise
-
-    def jump_num(self, j: int) -> int:
-        """Downward jump h(t-) - h(t) at breakpoint t = j/(2 M_N); 0 at j = 0."""
-        a, q = self.a, self.periods
-        return sum(a[n] * q[n] for n in range(1, len(a)) if j and j % q[n] == 0)
 
     def piece_value_ints(self) -> Iterator[tuple[int, int]]:
         """(left value, right limit) integer numerators of every piece, in order."""

@@ -28,7 +28,7 @@ from itertools import chain, cycle
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
-from .construction import _component, _table
+from .construction import _table, point_nums_at
 from .errors import BudgetExceeded, CertificationError, DomainError
 from .params import L1, ParameterSet
 from .records import ratio_cells, write_lines
@@ -58,11 +58,6 @@ class PolygonalCurve(NamedTuple):
     @property
     def vertex_count(self) -> int:
         return 3 * self.t_denom // 2 + 1
-
-    @property
-    def vertical(self) -> tuple[bool, ...]:
-        """Per segment: two slants, then the vertical connector, in every cell."""
-        return (False, False, True) * (self.t_denom // 2)
 
     def vertex(self, i: int) -> Vertex:
         if not 0 <= i < self.vertex_count:
@@ -112,11 +107,9 @@ def export_curve_csv(curve, path: str | Path) -> None:
 
 def _point(curve, t: Fraction, left: bool = False) -> tuple[Fraction, ...]:
     """The truncated coordinates over t, or their left limits, of a curve or evaluator."""
-    params, functional = curve.params, curve.functional
-    coords = [functional.alpha0 * Fraction(t)]
-    for n in range(1, curve.level + 1):
-        coords.append(functional.coeff(n) * _component(params, n, t, left))
-    return tuple(coords)
+    nums, scale = point_nums_at(curve.params, curve.level, t, left)
+    coeffs = curve.functional.coeffs(curve.level)
+    return tuple(c * Fraction(x, scale) for c, x in zip(coeffs, nums))
 
 
 def _require_l1_contraction(params: ParameterSet, functional: Functional) -> None:

@@ -459,6 +459,10 @@ def sample_slope_identities(params: ParameterSet, samples: int, seed: int) -> in
     |h| < 1/(4 M_n) pointing inward. A quarter cell is 2^48 over 2^50 M_n.
     """
     max_level = min(5, params.n_max - 1)
+    if max_level < 1:
+        raise DomainError(
+            f"slope-identity reads levels 1..5 and needs n_max >= 2, got n_max = {params.n_max}"
+        )
     sizes = params.grid_sizes
     passed = 0
     rng = spawn_rng(seed)

@@ -31,7 +31,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .construction import DEFAULT_PIECE_BUDGET, PLFunction, _component, build_pl
+from .construction import DEFAULT_PIECE_BUDGET, PLFunction, build_pl, point_nums
 from .errors import BudgetExceeded, DomainError
 from .params import ParameterSet
 from .rational import sqrt_upper
@@ -407,14 +407,16 @@ def hausdorff_upper(
         (combine(alphas[k] / (2 * params.grid_size(k))) for k in range(n + 1, N + 1)),
         Fraction(0),
     )
+    # f_k at each cell's start and left limit at its end, over 2 M_n^2; y - x >= 0
+    sizes, scale = params.grid_sizes[: n + 1], 2 * size * size
+    weights = [alphas[k] / scale for k in range(n + 1)]
     total = Fraction(0)
     for idx in range(size):
-        a = Fraction(idx, size)
-        b = Fraction(idx + 1, size)
+        start, end = point_nums(sizes, idx, size), point_nums(sizes, idx + 1, size, left=True)
         cell = periodic + tail
-        for k in range(n + 1):
-            osc = _component(params, k, b, left=True) - _component(params, k, a)
-            cell += combine(alphas[k] * osc)
+        for w, x, y in zip(weights, start, end):
+            if y != x:
+                cell += combine(w * (y - x))
         total += cell_norm(cell)
 
     return CoveringReport(

@@ -9,6 +9,7 @@ from the package's seeded generator (``spawn_rng``, ``rand_index``,
 
 import math
 from fractions import Fraction
+from functools import partial
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import sawproj as sp
 from sawproj.diagnostics import event_contains, rand_fraction, rand_index, spawn_rng
 from sawproj.params import GridCell
+from sawproj.rational import sqrt_upper
 
 
 def saw(t: Fraction) -> Fraction:
@@ -77,6 +79,34 @@ def pl_image_oracle(params, functional, level: int):
     merged = pairwise_merge(intervals)
     measure = sum((hi - lo for lo, hi in merged), Fraction(0))
     return merged, measure
+
+
+def covering_sum_oracle(params, truncation_level: int, grid_level: int) -> Fraction:
+    """sum_upper of hausdorff_upper: one pass over the level-n cells with two
+    Fraction component values per cell and level."""
+    n, N = grid_level, truncation_level
+    size = params.grid_size(n)
+    if params.model == "L2":
+        combine, tail = (lambda x: x * x), params.point_tail_l2sq_upper(N)
+        cell_norm = partial(sqrt_upper, bits=params.sqrt_bits)
+    else:
+        combine = cell_norm = lambda x: x
+        tail = params.point_tail_l1_upper(N)
+    alphas = [params.alpha_term(k) for k in range(N + 1)]
+    periodic = sum(
+        (combine(alphas[k] / (2 * params.grid_size(k))) for k in range(n + 1, N + 1)),
+        Fraction(0),
+    )
+    total = Fraction(0)
+    for idx in range(size):
+        a = Fraction(idx, size)
+        b = Fraction(idx + 1, size)
+        cell = periodic + tail
+        for k in range(n + 1):
+            osc = component_left_limit(params, k, b) - component(params, k, a)
+            cell += combine(alphas[k] * osc)
+        total += cell_norm(cell)
+    return total
 
 
 def direct_image(pl):

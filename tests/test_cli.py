@@ -555,6 +555,7 @@ def test_diagnose_checks(d1_config, tmp_path):
         ("secant", 3, "reads levels 4..7 and needs n_max >= 4"),
         ("borel-cantelli", 3, "reads levels 4..8 and needs n_max >= 4"),
         ("independence", 2, "reads levels 2..6 and needs n_max >= 3"),
+        ("slope-identity", 1, "reads levels 1..5 and needs n_max >= 2"),
     ],
 )
 def test_diagnose_refuses_a_check_with_no_levels(check, n_max, needs, tmp_path, capsys):

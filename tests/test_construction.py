@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
-from sawproj.construction import _component
+from sawproj.construction import point_nums_at
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, CertificationError, DomainError
 
@@ -70,9 +70,10 @@ def test_ensemble_scaling(d1):
 
 def piece_table(pl) -> list[dict]:
     """The integer piece table as Fraction rows: pl.nums for the left value
-    and the slope, pl.jump_num for the jump at the left end."""
+    and the slope, and the jump at the left end as the previous piece's right
+    limit less this piece's left value (0 at piece 0), as pieces.csv has it."""
     count = pl.piece_count
-    rows = []
+    rows, limit = [], None
     for j in range(count):
         v, w = pl.nums(j)
         rows.append(
@@ -82,9 +83,10 @@ def piece_table(pl) -> list[dict]:
                 "length": F(1, count),
                 "slope": F((w - v) * count, pl.denom),
                 "left_value": F(v, pl.denom),
-                "jump_at_left": F(pl.jump_num(j), pl.denom),
+                "jump_at_left": F(limit - v if j else 0, pl.denom),
             }
         )
+        limit = w
     return rows
 
 
@@ -124,7 +126,8 @@ def test_right_continuity_at_breakpoints(d1, f1):
     pl = sp.build_pl(d1, f1, 2)
     for row in piece_table(pl)[1:]:
         t = row["left_endpoint"]
-        left = sum(c * _component(d1, n, t, left=True) for n, c in enumerate(pl.coeffs))
+        nums, scale = point_nums_at(d1, pl.level, t, left=True)
+        left = sum(c * F(x, scale) for c, x in zip(pl.coeffs, nums))
         assert left - pl.value(t) == row["jump_at_left"]
 
 
@@ -181,9 +184,13 @@ def test_periodicity(d1):
 
 
 def test_left_limits(d1):
-    assert _component(d1, 1, F(1, 2), left=True) == F(1, 4)
-    assert _component(d1, 1, F(3, 8), left=True) == F(1, 8)
-    assert _component(d1, 2, F(1), left=True) == F(1, 16)
+    def left(n, t):
+        nums, scale = point_nums_at(d1, n, t, left=True)
+        return F(nums[n], scale)
+
+    assert left(1, F(1, 2)) == F(1, 4)
+    assert left(1, F(3, 8)) == F(1, 8)
+    assert left(2, F(1)) == F(1, 16)
 
 
 def _grid(factors) -> sp.ParameterSet:
@@ -222,21 +229,27 @@ def component_arguments(draw):
 @example((_grid([4, 6]), 2, F(1)))
 def test_integer_components_match_sawtooth(case):
     params, n, t = case
-    size = params.grid_size(n)
-    value = t if n == 0 else sp.sawtooth(size * t) / size
-    assert _component(params, n, t) == value
+    sizes = params.grid_sizes
+    values = [t] + [sp.sawtooth(size * t) / size for size in sizes[1:]]
+    nums, scale = point_nums_at(params, params.n_max, t)
+    assert [F(x, scale) for x in nums] == values
     if t > 0:
-        at_grid_point = n > 0 and (size * t).denominator == 1
-        assert _component(params, n, t, left=True) == (F(1, 2 * size) if at_grid_point else value)
+        # a level-m grid point takes the top of the tooth it ends
+        nums, scale = point_nums_at(params, params.n_max, t, left=True)
+        assert [F(x, scale) for x in nums] == [
+            F(1, 2 * size) if m and (size * t).denominator == 1 else values[m]
+            for m, size in enumerate(sizes)
+        ]
     if t < 1:
-        assert sp.component_value(params, n, t) == value
+        assert sp.component_value(params, n, t) == values[n]
+    # at t = 1 every level sits at a grid point
+    nums, scale = point_nums_at(params, n, F(1), left=True)
+    assert [F(x, scale) for x in nums] == [1] + [F(1, 2 * size) for size in sizes[1 : n + 1]]
 
 
 def test_component_rejects_negative_argument(d1):
     with pytest.raises(DomainError):
-        _component(d1, 3, F(-1, 7))
-    with pytest.raises(DomainError):
-        _component(d1, 3, F(0), left=True)
+        sp.component_value(d1, 3, F(-1, 7))
 
 
 def test_build_pl_budget_and_tail_requirements(d1, f1):

@@ -17,7 +17,6 @@ def test_level_zero_is_a_straight_segment(d2, r1):
     c0 = sp.build_curve(d2, r1, 0)
     assert sp.curve_length(c0) == 1
     assert [v.coords for v in c0.vertices] == [(F(0),), (F(1, 2),), (F(1),), (F(1),)]
-    assert c0.vertical == (False, False, True)
 
 
 def test_level_one_polygon_exact(d2, r1):
@@ -32,7 +31,6 @@ def test_level_one_polygon_exact(d2, r1):
         (F(1), (F(1), F(0))),
     ]
     assert [(v.t, v.coords) for v in c1.vertices] == expected
-    assert c1.vertical == (False, False, True, False, False, True)
     assert sp.curve_length(c1) == F(5, 4)
 
 
@@ -60,7 +58,6 @@ def test_curve_matches_per_vertex_oracle(instance, d2, r1):
         curve = sp.build_curve(params, functional, level)
         expected = curve_vertices_oracle(params, functional, level)
         assert [(v.t, v.coords) for v in curve.vertices] == expected
-        assert curve.vertical == (False, False, True) * params.grid_size(level)
         assert sp.curve_length(curve) == polyline_length(expected)
         assert sp.curve_length(curve) == sp.curve_length_closed_form(params, functional, level)
 

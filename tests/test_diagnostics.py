@@ -294,6 +294,9 @@ def test_slope_identity_rejects_escaping_points(d1):
 
 def test_slope_identity_sampling(d1):
     assert sample_slope_identities(d1, 250, 777) == 250
+    # n_max = 1 leaves no level below n_max to check
+    with pytest.raises(DomainError, match=r"levels 1\.\.5 and needs n_max >= 2, got n_max = 1$"):
+        sample_slope_identities(sp.harmonic_l2_preset(n_max=1), 250, 777)
 
 
 def test_projection_witness_full_interval(d2, r1):

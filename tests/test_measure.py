@@ -15,7 +15,7 @@ from sawproj import construction, measure
 from sawproj.measure import IntervalUnion, _merged, _Shape
 from sawproj.records import functional_from_config, load_config, params_from_config
 
-from oracles import direct_image, pairwise_merge, pl_image_oracle
+from oracles import covering_sum_oracle, direct_image, pairwise_merge, pl_image_oracle
 
 F = Fraction
 
@@ -437,6 +437,45 @@ def test_hausdorff_l1_model(d2):
 def test_hausdorff_cell_budget(d1):
     with pytest.raises(BudgetExceeded):
         sp.hausdorff_upper(d1, 8, 4, cell_budget=100)
+
+
+def _covering_params(model, factors, scales, tails=(0, 0)) -> sp.ParameterSet:
+    return sp.ParameterSet(
+        alpha=sp.explicit(scales, *tails),
+        m=sp.explicit_refinement(factors),
+        n_max=len(factors),
+        model=model,
+    )
+
+
+@st.composite
+def covering_cases(draw):
+    """A parameter set in either model (explicit scales up to 1/2 with
+    certified tails, refinement factors 1..7, odd and 1 included), a
+    truncation level and a grid level of at most 200 cells."""
+    n_max = draw(st.integers(1, 4))
+    scales = st.fractions(0, F(1, 2), max_denominator=12)
+    params = _covering_params(
+        draw(st.sampled_from(["L1", "L2"])),
+        draw(st.lists(st.integers(1, 7), min_size=n_max, max_size=n_max)),
+        draw(st.lists(scales, min_size=n_max, max_size=n_max)),
+        (draw(scales), draw(scales)),
+    )
+    truncation = draw(st.integers(0, n_max))
+    grid = draw(st.integers(0, truncation))
+    while params.grid_size(grid) > 200:
+        grid -= 1
+    return params, truncation, grid
+
+
+@settings(max_examples=200)
+@given(covering_cases())
+@example((_covering_params("L2", [3, 1, 5], [F(1, 2), F(1, 3), F(1, 4)]), 3, 3))
+@example((_covering_params("L1", [2, 3, 1], [F(1, 2), F(1, 5), F(1, 7)]), 3, 2))
+def test_covering_sum_matches_the_cell_oracle(case):
+    params, truncation, grid = case
+    report = sp.hausdorff_upper(params, truncation, grid)
+    assert report.sum_upper == covering_sum_oracle(params, truncation, grid)
 
 
 def test_hausdorff_exact_sums(d1, d2):
