@@ -21,29 +21,28 @@ __version__ = "1.0.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "construction": (
-        "PLFunction", "TruncatedPoint", "build_pl", "component_value", "ensemble_evaluate",
-        "sawtooth", "truncated_point",
+        "PLFunction", "TruncatedPoint", "build_pl", "component_value", "truncated_point",
     ),
     "curve": (
         "CanonicalTau", "CurveEvaluator", "PolygonalCurve", "build_curve", "canonical_tau",
         "curve_length", "curve_length_closed_form", "length_difference", "length_increment",
-        "parametrize", "point_on_curve", "sup_distance", "sup_distance_bound",
+        "parametrize", "sup_distance", "sup_distance_bound",
     ),
     "diagnostics": (
-        "EventSet", "SecantWitness", "event_contains", "event_set", "independence_check",
-        "projection_witness", "sample_event_union", "secant_witness", "slope_identity_check",
+        "EventSet", "SecantWitness", "event_set", "independence_check", "projection_witness",
+        "sample_event_union", "secant_witness",
     ),
     "errors": (
         "BudgetExceeded", "CertificationError", "ConfigError", "DomainError", "SawprojError",
     ),
     "measure": (
-        "IntervalUnion", "MeasureBracket", "dilate", "directional_measure", "erode",
-        "hausdorff_upper", "image_measure", "projection_bracket",
+        "IntervalUnion", "MeasureBracket", "directional_measure", "hausdorff_upper",
+        "image_measure", "projection_bracket",
     ),
     "params": (
-        "GridCell", "ParameterSet", "RefinementRule", "ValidationReport", "block_partition",
-        "cell_of", "constant_refinement", "explicit_refinement", "geometric_l1_preset",
-        "grid_cells", "harmonic_l2_preset", "linear_refinement", "validate",
+        "ParameterSet", "RefinementRule", "ValidationReport", "block_partition",
+        "constant_refinement", "explicit_refinement", "geometric_l1_preset",
+        "harmonic_l2_preset", "linear_refinement", "validate",
     ),
     "rational": ("format_rational", "parse_rational", "sqrt_enclosure"),
     "sequences": (

@@ -12,7 +12,7 @@ because the measure and curve modules consume them directly.
 
 and the left limit at a level-n grid point (r = 0) is 1/(2 M_n): B replaces
 2r - B. Its callers check t and the level and build one ``Fraction`` per
-value. ``sawtooth`` is the Fraction definition these formulas reproduce.
+value.
 
 A scalar projection truncated at level N,
 
@@ -45,17 +45,6 @@ from .rational import sqrt_lower, sqrt_upper
 from .sequences import Functional
 
 DEFAULT_PIECE_BUDGET = 2**25
-
-
-def sawtooth(t: Fraction) -> Fraction:
-    """0 on the lower half of each unit period, then t - [t] - 1/2."""
-    t = Fraction(t)
-    if t < 0:
-        raise DomainError(f"sawtooth argument {t} is negative")
-    frac = t - (t.numerator // t.denominator)
-    if 2 * frac < 1:
-        return Fraction(0)
-    return frac - Fraction(1, 2)
 
 
 def component_value(params: ParameterSet, n: int, t: Fraction) -> Fraction:
@@ -108,16 +97,6 @@ class TruncatedPoint(NamedTuple):
             params.alpha_term(n) * c for n, c in enumerate(self.coords)
         )
 
-    def scaled(self, w: Fraction) -> "TruncatedPoint":
-        return TruncatedPoint(
-            self.level,
-            tuple(w * c for c in self.coords),
-            self.model,
-            self.t,
-            w * self.tail_l1_upper,
-            (w * self.tail_l2_enclosure[0], w * self.tail_l2_enclosure[1]),
-        )
-
 
 def truncated_point(params: ParameterSet, level: int, t: Fraction) -> TruncatedPoint:
     if not 0 <= t < 1:
@@ -143,22 +122,6 @@ def truncated_point(params: ParameterSet, level: int, t: Fraction) -> TruncatedP
             sqrt_upper(tail_sq, params.sqrt_bits),
         ),
     )
-
-
-def ensemble_evaluate(
-    params: ParameterSet,
-    weights: tuple[Fraction, ...],
-    j: int,
-    level: int,
-    t: Fraction,
-) -> TruncatedPoint:
-    """Level-N point of the j-th scaled copy (weights must be 2**-1, 2**-2, ...)."""
-    for i, w in enumerate(weights, start=1):
-        if w != Fraction(1, 2**i):
-            raise DomainError(f"weight {i} is {w}, expected 1/{2**i}")
-    if not 1 <= j <= len(weights):
-        raise DomainError(f"copy index {j} outside [1, {len(weights)}]")
-    return truncated_point(params, level, t).scaled(weights[j - 1])
 
 
 class PLFunction(NamedTuple):

@@ -24,6 +24,7 @@ is |c_N| / (2 M_N), attained where a connector starts.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, cycle
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
@@ -105,13 +106,6 @@ def export_curve_csv(curve, path: str | Path) -> None:
     write_lines(path, header + ["is_vertical", "t", "t_f64", "vertex_index"], lines())
 
 
-def _point(curve, t: Fraction, left: bool = False) -> tuple[Fraction, ...]:
-    """The truncated coordinates over t, or their left limits, of a curve or evaluator."""
-    nums, scale = point_nums_at(curve.params, curve.level, t, left)
-    coeffs = curve.functional.coeffs(curve.level)
-    return tuple(c * Fraction(x, scale) for c, x in zip(coeffs, nums))
-
-
 def _require_l1_contraction(params: ParameterSet, functional: Functional) -> None:
     if params.model != L1:
         raise DomainError("polygonal curves are built in the L1 model")
@@ -190,28 +184,6 @@ def _require_same_family(higher: PolygonalCurve, lower: PolygonalCurve) -> None:
         )
 
 
-def point_on_curve(curve: PolygonalCurve, t: Fraction) -> bool:
-    """Exact test that the truncated point over t lies on the polygon."""
-    if not 0 <= t < 1:
-        raise DomainError(f"t = {t} outside [0, 1)")
-    size = curve.params.grid_size(curve.level)
-    j = int(t * size)
-    lo = Fraction(j, size)
-    mid = Fraction(2 * j + 1, 2 * size)
-    if t < mid:
-        a, b = curve.vertex(3 * j), curve.vertex(3 * j + 1)
-        t_a, t_b = lo, mid
-    else:
-        a, b = curve.vertex(3 * j + 1), curve.vertex(3 * j + 2)
-        t_a, t_b = mid, Fraction(j + 1, size)
-    theta = (Fraction(t) - t_a) / (t_b - t_a)
-    expected = _point(curve, Fraction(t))
-    actual = tuple(
-        ca + theta * (cb - ca) for ca, cb in zip(a.coords, b.coords)
-    )
-    return actual == expected
-
-
 # -- canonical common parametrization ---------------------------------------------
 
 
@@ -280,7 +252,14 @@ def validate_tau(tau: CanonicalTau, params: ParameterSet, level: int) -> None:
         )
 
 
-class CurveEvaluator(NamedTuple):
+class _CurveEvaluator(NamedTuple):
+    params: ParameterSet
+    functional: Functional
+    level: int
+    tau: CanonicalTau
+
+
+class CurveEvaluator(_CurveEvaluator):
     """Exact evaluator s |-> curve point under a shared parametrization.
 
     Constant tau-intervals traverse the vertical connector at their endpoint
@@ -289,19 +268,27 @@ class CurveEvaluator(NamedTuple):
     left limit so the path is continuous.
     """
 
-    params: ParameterSet
-    functional: Functional
-    level: int
-    tau: CanonicalTau
+    @cached_property
+    def _coeffs(self) -> tuple[Fraction, ...]:
+        """(c_0, ..., c_N), read from the functional once per evaluator."""
+        return self.functional.coeffs(self.level)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a CurveEvaluator is immutable")
+
+    def _point(self, t: Fraction, left: bool = False) -> tuple[Fraction, ...]:
+        """The truncated coordinates over t, or their left limits."""
+        nums, scale = point_nums_at(self.params, self.level, t, left)
+        return tuple(c * Fraction(x, scale) for c, x in zip(self._coeffs, nums))
 
     def value(self, s: Fraction) -> tuple[Fraction, ...]:
         kind, i, frac = self.tau.locate(s)
         grid = self.tau.grid_size
         if kind == "gap":  # the left limit at the cell's end
-            return _point(self, Fraction(i - 1, grid) + frac / grid, left=frac == 1)
+            return self._point(Fraction(i - 1, grid) + frac / grid, left=frac == 1)
         if i == 0:
-            return _point(self, Fraction(0))
-        start, end = _point(self, Fraction(i, grid), left=True), _point(self, Fraction(i, grid))
+            return self._point(Fraction(0))
+        start, end = self._point(Fraction(i, grid), left=True), self._point(Fraction(i, grid))
         return tuple(a + frac * (b - a) for a, b in zip(start, end))
 
 

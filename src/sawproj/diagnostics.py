@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 from .construction import point_nums
 from .errors import BudgetExceeded, DomainError
 from .measure import DEFAULT_COMPONENT_BUDGET, IntervalUnion
-from .params import L2, GridCell, ParameterSet
+from .params import L2, ParameterSet
 
 if TYPE_CHECKING:  # only annotations name it; no check needs the curve module
     from .curve import CurveEvaluator
@@ -103,17 +103,6 @@ def event_set(params: ParameterSet, n: int) -> EventSet:
     return EventSet(n, IntervalUnion.from_pairs(denom, pairs))
 
 
-def event_contains(params: ParameterSet, n: int, t: Fraction) -> bool:
-    """Membership in the level-n event without materializing the union."""
-    _check_event_level(params, n)
-    if not 0 <= t < 1:
-        raise DomainError(f"t = {t} outside [0, 1)")
-    alpha = params.alpha_term(n)
-    scaled = Fraction(t) * params.grid_size(n - 1)
-    frac = scaled - (scaled.numerator // scaled.denominator)
-    return frac <= alpha or frac >= 1 - alpha
-
-
 def _event_window(params: ParameterSet, n: int) -> tuple[int, int, int]:
     """(M_{n-1}, den(alpha_n), num(alpha_n) 2^48): the level-n event in the
     integers of t = R / 2^48."""
@@ -122,8 +111,9 @@ def _event_window(params: ParameterSet, n: int) -> tuple[int, int, int]:
 
 
 def _event_hit(window: tuple[int, int, int], r: int) -> bool:
-    """event_contains at t = r / 2^48: the fractional part of t M_{n-1} is
-    x / 2^48 with x = r M_{n-1} mod 2^48, and it must lie within alpha_n of 0 or 1."""
+    """Whether t = r / 2^48 lies in the level-n event: the fractional part of
+    t M_{n-1} is x / 2^48 with x = r M_{n-1} mod 2^48, and it must lie within
+    alpha_n of 0 or 1."""
     size, den, bound = window
     x = r * size & ((1 << SAMPLE_BITS) - 1)
     return x * den <= bound or ((1 << SAMPLE_BITS) - x) * den <= bound
@@ -381,47 +371,18 @@ def sample_secant_witnesses(
 # -- slope translation identity ----------------------------------------------------------
 
 
-class SlopeIdentityReport(NamedTuple):
-    n: int
-    t: Fraction
-    t_shifted: Fraction
-    h: Fraction
-    equal_levels: tuple[int, ...]
-    toggled_sides: tuple[Fraction, Fraction]
-
-    @property
-    def passed(self) -> bool:
-        return True  # constructed only when every check held
-
-
-def slope_identity_check(
-    params: ParameterSet, n: int, cell: GridCell, t: Fraction, h: Fraction
-) -> SlopeIdentityReport:
-    """Verify the half-period translation identity inside one level-n cell.
+def _slope_identity(
+    sizes: tuple[int, ...], n: int, den: int, t: int, h: int, lo: int, hi: int
+) -> tuple[int, tuple[int, ...], tuple[int, int]]:
+    """The half-period translation identity in the level-n cell [lo, hi), all over den.
 
     With t' = t +- 1/(2 M_n) and all four parameters in the cell, every
     component m != n satisfies f_m(t'+h) - f_m(t') = f_m(t+h) - f_m(t)
     exactly (affine below level n, half-period periodic above), while at
-    m = n one side is 0 and the other is h.
+    m = n one side is 0 and the other is h. Returns t', the levels with
+    equal sides and the two level-n sides (over 2 den M_N); raises
+    DomainError on a failure.
     """
-    if cell.level != n:
-        raise DomainError("cell level must match the checked level")
-    values = (Fraction(t), Fraction(h)) + cell.interval()
-    den = lcm(2 * params.grid_size(n), *(x.denominator for x in values))
-    nums = (x.numerator * (den // x.denominator) for x in values)
-    shifted, equal_levels, toggled = _slope_identity(params.grid_sizes, n, den, *nums)
-    scale = 2 * den * params.grid_sizes[-1]
-    return SlopeIdentityReport(
-        n, values[0], Fraction(shifted, den), values[1], equal_levels,
-        (Fraction(toggled[0], scale), Fraction(toggled[1], scale)),
-    )
-
-
-def _slope_identity(
-    sizes: tuple[int, ...], n: int, den: int, t: int, h: int, lo: int, hi: int
-) -> tuple[int, tuple[int, ...], tuple[int, int]]:
-    """t', the levels with equal sides and the two level-n sides (over 2 den M_N)
-    for t, h and the cell [lo, hi) over den; raises DomainError on a failure."""
     half = den // (2 * sizes[n])
     shifted = t + half if t + half < hi else t - half
     points = {"t": t, "t'": shifted, "t+h": t + h, "t'+h": shifted + h}

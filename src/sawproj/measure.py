@@ -45,8 +45,9 @@ class IntervalUnion(NamedTuple):
 
     One common denominator for all integer pairs; Fractions appear only in
     ``from_intervals``, ``intervals`` and ``measure``. Touching intervals are
-    merged on construction; degenerate single points are kept (they carry
-    zero measure but matter to erosion outputs). Equality compares sets.
+    merged on construction; degenerate single points are kept: a zero-slope
+    piece maps onto one point, which carries zero measure but belongs to the
+    image, so ``contains`` must answer for it exactly. Equality compares sets.
     """
 
     denom: int
@@ -136,27 +137,6 @@ class IntervalUnion(NamedTuple):
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         denom = lcm(self.denom, other.denom)
         return IntervalUnion.from_pairs(denom, [*self._scaled(denom), *other._scaled(denom)])
-
-
-def dilate(u: IntervalUnion, r: Fraction) -> IntervalUnion:
-    """Minkowski dilation by the closed interval [-r, r]."""
-    if r < 0:
-        raise DomainError("dilation radius must be nonnegative")
-    denom = lcm(u.denom, Fraction(r).denominator)
-    d = int(r * denom)
-    return IntervalUnion.from_pairs(denom, [(lo - d, hi + d) for lo, hi in u._scaled(denom)])
-
-
-def erode(u: IntervalUnion, r: Fraction) -> IntervalUnion:
-    """Erosion by radius r; components shorter than 2r vanish, length-2r
-    components survive as single points."""
-    if r < 0:
-        raise DomainError("erosion radius must be nonnegative")
-    denom = lcm(u.denom, Fraction(r).denominator)
-    d = int(r * denom)
-    return IntervalUnion.from_pairs(
-        denom, [(lo + d, hi - d) for lo, hi in u._scaled(denom) if hi - lo >= 2 * d]
-    )
 
 
 # -- image measure ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import CertificationError, DomainError
 from .rational import DEFAULT_SQRT_BITS, sqrt_enclosure, sqrt_lower, sqrt_upper
@@ -208,44 +208,6 @@ class ParameterSet(_ParameterSet):
         m_last = self.grid_size(self.n_max)
         tail = self.alpha.l2sq_tail_upper(self.n_max)
         return exact + tail / (16 * m_last**2)
-
-
-class GridCell(NamedTuple):
-    """The level-n cell [(index-1)/M_n, index/M_n), optionally one half of it."""
-
-    level: int
-    index: int
-    grid_size: int
-    half: Optional[str] = None  # None, "L", or "R"
-
-    def interval(self) -> tuple[Fraction, Fraction]:
-        lo = Fraction(self.index - 1, self.grid_size)
-        hi = Fraction(self.index, self.grid_size)
-        if self.half == "L":
-            return lo, (lo + hi) / 2
-        if self.half == "R":
-            return (lo + hi) / 2, hi
-        return lo, hi
-
-    @property
-    def length(self) -> Fraction:
-        lo, hi = self.interval()
-        return hi - lo
-
-
-def grid_cells(params: ParameterSet, n: int) -> Iterator[GridCell]:
-    """All level-n cells in index order."""
-    size = params.grid_size(n)
-    return (GridCell(n, k, size) for k in range(1, size + 1))
-
-
-def cell_of(params: ParameterSet, t: Fraction, n: int) -> GridCell:
-    """The unique level-n cell containing t (cells are left-closed)."""
-    if not 0 <= t < 1:
-        raise DomainError(f"t = {t} outside [0, 1)")
-    size = params.grid_size(n)
-    index = int(t * size) + 1
-    return GridCell(n, index, size)
 
 
 # -- validation ----------------------------------------------------------------

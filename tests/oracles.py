@@ -15,8 +15,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import sawproj as sp
-from sawproj.diagnostics import event_contains, rand_fraction, rand_index, spawn_rng
-from sawproj.params import GridCell
+from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.rational import sqrt_upper
 
 
@@ -245,6 +244,15 @@ def secant_witness_oracle(params, t0: Fraction, n: int):
     return n, t0, tn, delta, norm_sq_upper, delta[n] ** 2 / norm_sq_upper, threshold
 
 
+def event_contains(params, n: int, t: Fraction) -> bool:
+    """Membership of t in the level-n event: the fractional part of t M_{n-1}
+    lies within alpha_n of 0 or 1."""
+    alpha = params.alpha_term(n)
+    scaled = Fraction(t) * params.grid_size(n - 1)
+    frac = scaled - (scaled.numerator // scaled.denominator)
+    return frac <= alpha or frac >= 1 - alpha
+
+
 def event_union_oracle(params, levels, samples: int, seed: int, chunks: int = 8) -> int:
     """hits of sample_event_union, drawn as Fractions and tested by event_contains."""
     per = [samples // chunks] * chunks
@@ -276,10 +284,11 @@ def secant_sample_oracle(params, n: int, samples: int, seed: int):
     return passed, total
 
 
-def slope_identity_oracle(params, n: int, cell, t: Fraction, h: Fraction):
-    """(n, t, t', h, equal_levels, toggled_sides) of the half-period
-    translation identity, or None when a point leaves the cell or a check fails."""
-    lo, hi = cell.interval()
+def slope_identity_oracle(
+    params, n: int, lo: Fraction, hi: Fraction, t: Fraction, h: Fraction
+):
+    """(n, t, t', h, equal_levels, toggled_sides) of the half-period translation
+    identity in the cell [lo, hi), or None when a point leaves it or a check fails."""
     half = Fraction(1, 2 * params.grid_size(n))
     shifted = t + half if t + half < hi else t - half
     if not all(lo <= p < hi for p in (t, shifted, t + h, shifted + h)):
@@ -362,6 +371,6 @@ def slope_sample_oracle(params, samples: int, seed: int):
         lo = Fraction(idx - 1, size)
         u, h = rand_fraction(rng) * quarter, rand_fraction(rng) * quarter
         t = lo + u if rng.getrandbits(1) else lo + 2 * quarter + u
-        if slope_identity_oracle(params, n, GridCell(n, idx, size), t, h) is None:
+        if slope_identity_oracle(params, n, lo, Fraction(idx, size), t, h) is None:
             return None
     return samples

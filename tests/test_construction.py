@@ -9,21 +9,20 @@ from sawproj.construction import point_nums_at
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, CertificationError, DomainError
 
-from oracles import piece_rows_oracle
+from oracles import piece_rows_oracle, saw
 from test_measure import truncations
 
 F = Fraction
 
 
 def test_sawtooth_values():
-    assert sp.sawtooth(F(1, 4)) == 0
-    assert sp.sawtooth(F(3, 4)) == F(1, 4)
-    assert sp.sawtooth(F(5, 2)) == 0
-    assert sp.sawtooth(F(0)) == 0
-    assert sp.sawtooth(F(1, 2)) == 0
-    assert sp.sawtooth(F(9, 10)) == F(2, 5)
-    with pytest.raises(DomainError):
-        sp.sawtooth(F(-1, 4))
+    # the oracle the integer components are checked against
+    assert saw(F(1, 4)) == 0
+    assert saw(F(3, 4)) == F(1, 4)
+    assert saw(F(5, 2)) == 0
+    assert saw(F(0)) == 0
+    assert saw(F(1, 2)) == 0
+    assert saw(F(9, 10)) == F(2, 5)
 
 
 def test_component_values(d1):
@@ -55,17 +54,6 @@ def test_truncated_point_examples(d1):
     lo, hi = p.tail_l2_enclosure
     assert 0 <= lo <= hi
     assert p.embedded(d1) == (F(3, 8), F(1, 16), F(0))
-
-
-def test_ensemble_scaling(d1):
-    weights = tuple(F(1, 2**j) for j in range(1, 5))
-    p = sp.ensemble_evaluate(d1, weights, 2, 1, F(3, 8))
-    assert p.coords == (F(3, 32), F(1, 32))
-    assert sp.ensemble_evaluate(d1, weights, 1, 2, F(0)).coords == (0, 0, 0)
-    with pytest.raises(DomainError):
-        sp.ensemble_evaluate(d1, (F(1, 3),), 1, 1, F(0))
-    with pytest.raises(DomainError):
-        sp.ensemble_evaluate(d1, weights, 5, 1, F(0))
 
 
 def piece_table(pl) -> list[dict]:
@@ -230,7 +218,7 @@ def component_arguments(draw):
 def test_integer_components_match_sawtooth(case):
     params, n, t = case
     sizes = params.grid_sizes
-    values = [t] + [sp.sawtooth(size * t) / size for size in sizes[1:]]
+    values = [t] + [saw(size * t) / size for size in sizes[1:]]
     nums, scale = point_nums_at(params, params.n_max, t)
     assert [F(x, scale) for x in nums] == values
     if t > 0:

@@ -12,6 +12,7 @@ from sawproj.diagnostics import (
     SAMPLE_BITS,
     _event_hit,
     _event_window,
+    _slope_identity,
     curve_lipschitz_upper,
     rand_fraction,
     rand_index,
@@ -27,6 +28,7 @@ from sawproj.measure import IntervalUnion
 
 from oracles import (
     component,
+    event_contains,
     event_union_oracle,
     oscillation_oracle,
     pairwise_merge,
@@ -93,17 +95,15 @@ def test_event_membership_closed_form_matches_union(d1):
         cells = sp.event_set(d1, n).cells
         for _ in range(200):
             t = rand_fraction(rng)
-            assert sp.event_contains(d1, n, t) == cells.contains(t)
+            assert event_contains(d1, n, t) == cells.contains(t)
 
 
 def test_event_levels_outside_one_to_n_max_are_refused():
-    # event_contains answered past n_max and said "level -1" at level 0;
     # sample_event_union sampled past n_max and passed an empty level set
     params = sp.harmonic_l2_preset(4)
     for n in (0, 5):
         for refused in (
             lambda: sp.event_set(params, n),
-            lambda: sp.event_contains(params, n, F(1, 3)),
             lambda: sample_event_union(params, (n,), 100, 1),
             lambda: sample_event_union(params, (2, n), 100, 1),
         ):
@@ -111,7 +111,8 @@ def test_event_levels_outside_one_to_n_max_are_refused():
                 refused()
     with pytest.raises(DomainError, match="no event levels"):
         sample_event_union(params, (), 100, 1)
-    assert sp.event_contains(params, 4, F(0)) and sample_event_union(params, (4,), 100, 1).hits
+    assert sp.event_set(params, 4).cells.contains(F(0))
+    assert sample_event_union(params, (4,), 100, 1).hits
 
 
 def test_independence_pairs_and_triples(d1):
@@ -273,23 +274,16 @@ def test_secant_sampling_without_eligible_parameters_raises(m, alpha, n):
 
 
 def test_slope_identity_example(d1):
-    cell = sp.cell_of(d1, F(1, 8), 1)
-    report = sp.slope_identity_check(d1, 1, cell, F(1, 8), F(1, 16))
-    assert report.t_shifted == F(3, 8)
-    assert set(report.toggled_sides) == {F(0), F(1, 16)}
-    assert 2 in report.equal_levels  # half-period divides the shift
-
-
-def test_slope_identity_zero_shift(d1):
-    cell = sp.cell_of(d1, F(1, 8), 1)
-    report = sp.slope_identity_check(d1, 1, cell, F(1, 8), F(0))
-    assert report.toggled_sides == (F(0), F(0))
-
-
-def test_slope_identity_rejects_escaping_points(d1):
-    cell = sp.cell_of(d1, F(3, 8), 1)
-    with pytest.raises(DomainError):
-        sp.slope_identity_check(d1, 1, cell, F(3, 8), F(1, 4))
+    # level 1 in the cell [0, 1/2): t, h and the cell are numerators over 16,
+    # the two level-1 sides numerators over 2 * 16 * M_N
+    sizes, side = d1.grid_sizes, F(1, 2 * 16 * d1.grid_sizes[-1])
+    shifted, equal_levels, toggled = _slope_identity(sizes, 1, 16, 2, 1, 0, 8)  # t 1/8, h 1/16
+    assert F(shifted, 16) == F(3, 8)
+    assert {x * side for x in toggled} == {F(0), F(1, 16)}
+    assert 2 in equal_levels  # half-period divides the shift
+    assert _slope_identity(sizes, 1, 16, 2, 0, 0, 8)[2] == (0, 0)  # h = 0
+    with pytest.raises(DomainError):  # t = 3/8 and h = 1/4 leave the cell
+        _slope_identity(sizes, 1, 16, 6, 4, 0, 8)
 
 
 def test_slope_identity_sampling(d1):
@@ -456,18 +450,24 @@ def test_secant_sample_counts_match_fraction_oracle(params, seed, data):
 def test_slope_identity_matches_fraction_oracle(params, data):
     n = data.draw(st.integers(1, params.n_max))
     size = params.grid_size(n)
-    half = data.draw(st.sampled_from([None, None, "L", "R"]))
-    cell = sp.GridCell(n, data.draw(st.integers(1, size)), size, half)
-    lo, hi = cell.interval()
+    lo = F(data.draw(st.integers(0, size - 1)), size)
+    # the whole cell, or its left or right half
+    lo, hi = data.draw(st.sampled_from([
+        (lo, lo + F(1, size)), (lo, lo + F(1, size)),
+        (lo, lo + F(1, 2 * size)), (lo + F(1, 2 * size), lo + F(1, size)),
+    ]))
     t = lo + data.draw(st.fractions(0, 1, max_denominator=64).filter(lambda u: u < 1)) * (hi - lo)
     h = data.draw(st.fractions(-1, 1, max_denominator=64)) / (2 * size)
-    expected = slope_identity_oracle(params, n, cell, t, h)
+    expected = slope_identity_oracle(params, n, lo, hi, t, h)
+    den = math.lcm(2 * size, *(x.denominator for x in (t, h, lo, hi)))
+    args = tuple(int(x * den) for x in (t, h, lo, hi))
     if expected is None:  # a point leaves the cell, or odd factors break periodicity
         with pytest.raises(DomainError):
-            sp.slope_identity_check(params, n, cell, t, h)
+            _slope_identity(params.grid_sizes, n, den, *args)
         return
-    r = sp.slope_identity_check(params, n, cell, t, h)
-    assert (r.n, r.t, r.t_shifted, r.h, r.equal_levels, r.toggled_sides) == expected
+    shifted, equal_levels, toggled = _slope_identity(params.grid_sizes, n, den, *args)
+    side = F(1, 2 * den * params.grid_sizes[-1])
+    assert (n, t, F(shifted, den), h, equal_levels, tuple(x * side for x in toggled)) == expected
 
 
 @settings(max_examples=150)
@@ -488,6 +488,7 @@ def test_oscillation_sample_of_the_preset(d1):
 @settings(max_examples=400)
 @given(l2_parameter_sets(), st.data())
 def test_event_hit_matches_event_contains(params, data):
+    # the integer membership test of the sampler against the Fraction oracle
     n = data.draw(st.integers(1, params.n_max))
     size, alpha = params.grid_size(n - 1), params.alpha_term(n)
     # mostly within a few units of 2^-48 of a window edge k/M_{n-1} +- alpha_n/M_{n-1}
@@ -497,7 +498,7 @@ def test_event_hit_matches_event_contains(params, data):
     r = data.draw(st.one_of(st.just(near), st.integers(0, 2**SAMPLE_BITS - 1)))
     assume(0 <= r < 2**SAMPLE_BITS)
     t = F(r, 2**SAMPLE_BITS)
-    assert _event_hit(_event_window(params, n), r) == sp.event_contains(params, n, t)
+    assert _event_hit(_event_window(params, n), r) == event_contains(params, n, t)
 
 
 @settings(max_examples=150)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import sawproj as sp
 from sawproj.cli import circle_directions
 from sawproj.construction import DEFAULT_PIECE_BUDGET
-from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
 from sawproj import construction, measure
 from sawproj.measure import IntervalUnion, _merged, _Shape
@@ -42,30 +41,6 @@ def test_union_contains_and_intersect():
     assert u.union(v).intervals == ((F(0), F(3, 8)),)
 
 
-def test_dilate_erode_examples():
-    assert sp.dilate(iu((0, 1)), F(1, 4)).intervals == ((F(-1, 4), F(5, 4)),)
-    eroded = sp.erode(iu((0, F(1, 8)), (F(1, 4), F(3, 8))), F(1, 16))
-    assert eroded.intervals == ((F(1, 16), F(1, 16)), (F(5, 16), F(5, 16)))
-    assert eroded.measure == 0
-    assert sp.erode(iu((0, F(1, 8))), F(1, 2)).intervals == ()
-    with pytest.raises(DomainError):
-        sp.dilate(iu((0, 1)), F(-1))
-
-
-def test_dilate_erode_sanity_identity():
-    rng = spawn_rng(3)
-    for _ in range(100):
-        pairs = []
-        for _ in range(rand_index(rng, 1, 6)):
-            a = rand_fraction(rng, 16)
-            b = a + rand_fraction(rng, 16) / 4
-            pairs.append((a, b))
-        u = IntervalUnion.from_intervals(pairs)
-        r = rand_fraction(rng, 16) / 8
-        lhs = sp.dilate(u, r).measure + sp.erode(u, r).measure
-        assert lhs <= 2 * u.measure + 2 * r * u.component_count
-
-
 ENDPOINTS = st.fractions(min_value=-2, max_value=2, max_denominator=12)
 RAW_INTERVALS = st.lists(
     st.tuples(ENDPOINTS, ENDPOINTS).map(sorted).map(tuple), max_size=6
@@ -76,11 +51,10 @@ RAW_INTERVALS = st.lists(
 @given(
     RAW_INTERVALS,
     RAW_INTERVALS,
-    st.fractions(min_value=0, max_value=1, max_denominator=12),
     st.lists(ENDPOINTS, max_size=6),
     st.integers(2, 9),
 )
-def test_interval_union_matches_pairwise_merge(a, b, r, points, k):
+def test_interval_union_matches_pairwise_merge(a, b, points, k):
     u, v = IntervalUnion.from_intervals(a), IntervalUnion.from_intervals(b)
     merged = pairwise_merge(a)
     assert list(u.intervals) == merged
@@ -91,12 +65,6 @@ def test_interval_union_matches_pairwise_merge(a, b, r, points, k):
     assert list(u.intersect(v).intervals) == pairwise_merge(
         [(lo, hi) for lo, hi in pieces if lo <= hi]
     )
-    assert list(sp.dilate(u, r).intervals) == pairwise_merge(
-        [(lo - r, hi + r) for lo, hi in a]
-    )
-    assert list(sp.erode(u, r).intervals) == [
-        (lo + r, hi - r) for lo, hi in merged if hi - lo >= 2 * r
-    ]
     for x in points:
         assert u.contains(x) == any(lo <= x <= hi for lo, hi in a)
     # equality and hashing see the set, not the denominator

@@ -24,30 +24,9 @@ def test_grid_sizes(d1):
 
 
 def test_cell_lengths_sum_to_one(d1):
-    for n in range(5):
-        cells = list(sp.grid_cells(d1, n))
-        assert len(cells) == d1.grid_size(n)
-        assert sum(c.length for c in cells) == 1
+    for n in range(1, 5):
         # refinement is exactly m-fold
-        if n >= 1:
-            assert d1.grid_size(n) == d1.grid_size(n - 1) * d1.refinement_factor(n)
-
-
-def test_cell_of_examples(d1):
-    c = sp.cell_of(d1, F(3, 8), 1)
-    assert c.interval() == (F(0), F(1, 2)) and c.index == 1
-    c = sp.cell_of(d1, F(3, 8), 2)
-    assert c.interval() == (F(3, 8), F(4, 8)) and c.index == 4
-    with pytest.raises(DomainError):
-        sp.cell_of(d1, F(1), 1)
-    with pytest.raises(DomainError):
-        sp.cell_of(d1, F(-1, 2), 1)
-
-
-def test_half_cells(d1):
-    c = sp.GridCell(2, 4, 8, half="L")
-    assert c.interval() == (F(3, 8), F(7, 16))
-    assert c.length == F(1, 16)
+        assert d1.grid_size(n) == d1.grid_size(n - 1) * d1.refinement_factor(n)
 
 
 def test_validate_presets_pass(d1, d2):
