@@ -281,9 +281,16 @@ def test_slope_identity_example(d1):
     assert F(shifted, 16) == F(3, 8)
     assert {x * side for x in toggled} == {F(0), F(1, 16)}
     assert 2 in equal_levels  # half-period divides the shift
-    assert _slope_identity(sizes, 1, 16, 2, 0, 0, 8)[2] == (0, 0)  # h = 0
-    with pytest.raises(DomainError):  # t = 3/8 and h = 1/4 leave the cell
-        _slope_identity(sizes, 1, 16, 6, 4, 0, 8)
+
+
+def test_slope_identity_zero_shift(d1):
+    # t = 1/8 and h = 0 in the cell [0, 1/2): both level-1 sides vanish
+    assert _slope_identity(d1.grid_sizes, 1, 16, 2, 0, 0, 8)[2] == (0, 0)
+
+
+def test_slope_identity_rejects_escaping_points(d1):
+    with pytest.raises(DomainError):  # t = 3/8 and h = 1/4 leave the cell [0, 1/2)
+        _slope_identity(d1.grid_sizes, 1, 16, 6, 4, 0, 8)
 
 
 def test_slope_identity_sampling(d1):
