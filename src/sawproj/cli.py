@@ -1,7 +1,8 @@
 """Command-line front end: configuration, orchestration, caching, emission.
 
 Every run is a pure function of its configuration document plus flags; output
-files are byte-identical across reruns. Exit codes:
+files are byte-identical across reruns. A setting comes from its flag, else its
+config key, else its default; `run` only picks the command. Exit codes:
 0 success, 1 malformed config, 2 validation/diagnostic failure, 3 budget
 exceeded. Errors and timings are emitted as JSON records on stderr; output
 files never contain wall-clock data.
@@ -15,6 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 from typing import Optional
@@ -28,9 +30,8 @@ from .params import validate
 from .rational import format_rational, parse_rational
 from .records import (
     SCHEMA_VERSION,
+    as_frac,
     as_int,
-    config_int,
-    config_str,
     content_hash,
     export_pieces_csv,
     finalize_record,
@@ -49,7 +50,6 @@ EXIT_CONFIG = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-BUDGET_ENV = "SAWPROJ_BUDGET"
 WORKERS_HELP = (
     "accepted for compatibility; the image engine runs in one thread, so "
     "this changes neither results nor speed"
@@ -60,22 +60,35 @@ def _stderr_record(record: dict) -> None:
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _resolve_budget(args, config: dict) -> int:
-    from .construction import DEFAULT_PIECE_BUDGET
+def _setting(args, config: dict, name: str, default=None, read=as_int):
+    """The flag ``--name`` if given, else config key ``name``, else ``default``;
+    with no default the setting is required. ``read(source, value)`` checks
+    the value and names its source when it refuses it."""
+    flag = "--" + name.replace("_", "-")
+    if getattr(args, name, None) is not None:
+        return read(flag, getattr(args, name))
+    if name in config:
+        return read(f"config key {name!r}", config[name])
+    if default is None:
+        raise ConfigError(f"{flag} or config key {name!r} is required")
+    return default
 
-    source, value = "--budget", args.budget
-    if value is None:
-        source, value = BUDGET_ENV, os.environ.get(BUDGET_ENV)
-    if value is None:
-        source, value = "config key 'budget'", config.get("budget", DEFAULT_PIECE_BUDGET)
-    return _budget(source, value)
+
+def _at_least(least: int, source: str, value) -> int:
+    number = as_int(source, value)
+    if number < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ConfigError(f"{source} must be {bound}, got {number}")
+    return number
 
 
-def _budget(source: str, value) -> int:
-    budget = as_int(source, value)
-    if budget < 0:
-        raise ConfigError(f"{source} must be nonnegative, got {budget}")
-    return budget
+_nonnegative = partial(_at_least, 0)
+
+
+def _text(source: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{source} must be a quoted string, got {value!r}")
+    return value
 
 
 def _load(args) -> tuple[dict, object, Optional[object]]:
@@ -88,8 +101,8 @@ def _load(args) -> tuple[dict, object, Optional[object]]:
 
 
 def _out_dir(args, config: dict) -> Path:
-    """--out, else config key 'out', else ./out; writers make it, so a refusal leaves none."""
-    return Path(getattr(args, "out", None) or config_str(config, "out", "") or "out")
+    """The `out` setting, ./out when unset or empty; writers make it, so a refusal leaves none."""
+    return Path(_setting(args, config, "out", "", _text) or "out")
 
 
 def _functional_id(functional) -> str:
@@ -180,10 +193,10 @@ def cmd_evaluate(args) -> int:
     from .construction import truncated_point
 
     config, params, _ = _load(args)
-    level = (
-        args.level if args.level is not None else config_int(config, "level", params.n_max)
-    )
-    point = truncated_point(params, level, parse_rational(args.t))
+    level = _setting(args, config, "level", params.n_max)
+    t = _setting(args, config, "t", read=as_frac)  # an unquoted `t = 0` is rational too
+    out = _out_dir(args, config)
+    point = truncated_point(params, level, t)
     record = {
         "schema_version": SCHEMA_VERSION,
         "kind": "evaluate",
@@ -195,7 +208,7 @@ def cmd_evaluate(args) -> int:
         "tail_l2_lower": point.tail_l2_enclosure[0],
         "tail_l2_upper": point.tail_l2_enclosure[1],
     }
-    write_jsonl([record], _out_dir(args, config) / "evaluate.jsonl")
+    write_jsonl([record], out / "evaluate.jsonl")
     return EXIT_OK
 
 
@@ -215,14 +228,14 @@ def _bracket_record(functional, bracket) -> dict:
 
 
 def cmd_measure(args) -> int:
-    from .construction import build_pl
+    from .construction import DEFAULT_PIECE_BUDGET, build_pl
     from .measure import projection_bracket
 
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("measure requires functional.* keys in the config")
-    level = args.level if args.level is not None else config_int(config, "level", 1)
-    budget = _resolve_budget(args, config)
+    level = _setting(args, config, "level", 1)
+    budget = _setting(args, config, "budget", DEFAULT_PIECE_BUDGET, _nonnegative)
     out = _out_dir(args, config)
     if args.pieces:
         pl = build_pl(params, functional, level, piece_budget=budget)
@@ -259,20 +272,19 @@ def _direction(chunk: str) -> tuple[Fraction, Fraction]:
 
 
 def cmd_scan(args) -> int:
-    if args.circle < 1:
-        raise ConfigError(f"--circle must be at least 1, got {args.circle}")
+    _at_least(1, "--circle", args.circle)
     # every direction is checked before the output directory and the cache exist
     if args.directions:
         directions = [_direction(chunk) for chunk in args.directions.split(";")]
     else:
         directions = circle_directions(args.circle)
-    from .measure import directional_measure
+    from .measure import DEFAULT_PIECE_BUDGET, directional_measure
 
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("scan requires functional.* keys in the config")
-    level = args.level if args.level is not None else config_int(config, "level", 1)
-    budget = _resolve_budget(args, config)
+    level = _setting(args, config, "level", 1)
+    budget = _setting(args, config, "budget", DEFAULT_PIECE_BUDGET, _nonnegative)
     out = _out_dir(args, config)
     cache = _Cache(out, enabled=not args.no_cache)
     records = []
@@ -310,12 +322,8 @@ def cmd_curve(args) -> int:
     config, params, functional = _load(args)
     if functional is None:
         raise ConfigError("curve requires functional.* keys in the config")
-    level = args.level if args.level is not None else config_int(config, "level", 1)
-    source, value = "--vertex-budget", args.vertex_budget
-    if value is None:
-        key = "vertex_budget"
-        source, value = f"config key {key!r}", config.get(key, DEFAULT_VERTEX_BUDGET)
-    budget = _budget(source, value)
+    level = _setting(args, config, "level", 1)
+    budget = _setting(args, config, "vertex_budget", DEFAULT_VERTEX_BUDGET, _nonnegative)
     out = _out_dir(args, config)
 
     curve = build_curve(params, functional, level, vertex_budget=budget)
@@ -450,14 +458,14 @@ _DIAGNOSTICS = {
 
 def cmd_diagnose(args) -> int:
     config, params, _ = _load(args)
+    args.check = _setting(args, config, "check", read=_text)
     if args.check not in _DIAGNOSTICS:
         raise ConfigError(
             f"unknown check {args.check!r}; available: {', '.join(sorted(_DIAGNOSTICS))}"
         )
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    if args.seed < 0:  # Random would seed from its absolute value, aliasing a positive seed
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    args.samples = _setting(args, config, "samples", 1000, partial(_at_least, 1))
+    # Random would seed from the absolute value of a negative seed, aliasing a positive one
+    args.seed = _setting(args, config, "seed", 20260811, _nonnegative)
     out = _out_dir(args, config)  # checked before sampling
     records = _DIAGNOSTICS[args.check](params, args)
     for record in records:
@@ -476,25 +484,15 @@ def cmd_emit(args) -> int:
     return EXIT_OK
 
 
-# flags `run` passes on; every subcommand reads `level` and `out` from the
-# config itself
-_RUN_FORWARDS = {
-    "validate": (), "evaluate": ("t",), "measure": (), "scan": (), "curve": (),
-    "diagnose": ("check", "seed", "samples"),
-}
+# the commands a config can name; `run` itself and `emit` read no config
+_RUN_COMMANDS = ("validate", "evaluate", "measure", "scan", "curve", "diagnose")
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
-    command = config.get("command")
-    if command not in _RUN_FORWARDS:
+    command = load_config(args.config).get("command")
+    if command not in _RUN_COMMANDS:
         raise ConfigError(f"config 'command' must name a subcommand, got {command!r}")
-    forwarded = [command, "--config", str(args.config)]
-    for key in _RUN_FORWARDS[command]:
-        if key in config:
-            value = config[key] if key in ("t", "check") else config_int(config, key, 0)
-            forwarded.append(f"--{key}={value}")
-    sub_args = build_parser().parse_args(forwarded)
+    sub_args = build_parser().parse_args([command, "--config", str(args.config)])
     return sub_args.func(sub_args)
 
 
@@ -528,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("validate", "check parameter invariants", cmd_validate)
     p = command("evaluate", "truncated point at a rational parameter", cmd_evaluate)
-    p.add_argument("--t", required=True, help='parameter as "p/q"')
+    p.add_argument("--t", help='parameter as "p/q"')
     p.add_argument("--level", type=int)
     p = command("measure", "certified projection-measure bracket", cmd_measure, engine=True)
     p.add_argument("--pieces", action="store_true", help="also export the piece table CSV")
@@ -539,9 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int)
     p.add_argument("--vertex-budget", type=int, dest="vertex_budget")
     p = command("diagnose", "named quantitative checks", cmd_diagnose)
-    p.add_argument("--check", required=True)
-    p.add_argument("--seed", type=int, default=20260811)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--check")
+    p.add_argument("--seed", type=int, help="default 20260811")
+    p.add_argument("--samples", type=int, help="default 1000")
 
     p = sub.add_parser("emit", help="convert stored records between formats")
     p.add_argument("--records", required=True)

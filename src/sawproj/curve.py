@@ -282,7 +282,10 @@ class CurveEvaluator(_CurveEvaluator):
         return tuple(c * Fraction(x, scale) for c, x in zip(self._coeffs, nums))
 
     def value(self, s: Fraction) -> tuple[Fraction, ...]:
-        kind, i, frac = self.tau.locate(s)
+        return self._at(*self.tau.locate(s))
+
+    def _at(self, kind: str, i: int, frac: Fraction) -> tuple[Fraction, ...]:
+        """The point at ``self.tau.locate``'s (kind, index, frac)."""
         grid = self.tau.grid_size
         if kind == "gap":  # the left limit at the cell's end
             return self._point(Fraction(i - 1, grid) + frac / grid, left=frac == 1)
@@ -308,24 +311,23 @@ def _l1_distance(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
     return total
 
 
-def sup_distance(
-    higher: PolygonalCurve, lower: PolygonalCurve, tau: Optional[CanonicalTau] = None
-) -> Fraction:
-    """Exact sup-norm distance of consecutive-level curves under a common tau.
+def sup_distance(higher: PolygonalCurve, lower: PolygonalCurve) -> Fraction:
+    """Exact sup-norm distance of consecutive-level curves under the canonical
+    tau of the higher level, which serves the lower one too (M_{n-1} divides M_n).
 
     Both curves are affine between consecutive ``tau.breakpoints()`` (tau
     segment boundaries plus the cell midpoints of the higher level), and the
     l1 norm of an affine path is convex, so the supremum is attained at one
-    of them.
+    of them. Each breakpoint is located once for both curves.
     """
     _require_same_family(higher, lower)
-    if tau is None:
-        tau = canonical_tau(higher.params, higher.level)
-    validate_tau(tau, higher.params, higher.level)
-    validate_tau(tau, lower.params, lower.level)
+    tau = canonical_tau(higher.params, higher.level)
     ev_hi = CurveEvaluator(higher.params, higher.functional, higher.level, tau)
     ev_lo = CurveEvaluator(lower.params, lower.functional, lower.level, tau)
-    return max(_l1_distance(ev_hi.value(s), ev_lo.value(s)) for s in tau.breakpoints())
+    return max(
+        _l1_distance(ev_hi._at(*where), ev_lo._at(*where))
+        for where in map(tau.locate, tau.breakpoints())
+    )
 
 
 def sup_distance_bound(

@@ -102,16 +102,8 @@ def config_int(doc: dict, key: str, default: Optional[int] = None) -> int:
     return as_int(f"config key {key!r}", doc.get(key, default))
 
 
-def config_str(doc: dict, key: str, default: str) -> str:
-    """The one string reader: a config key that must be a quoted string."""
-    value = doc.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"config key {key!r} must be a quoted string, got {value!r}")
-    return value
-
-
-def _as_frac(source: str, value) -> Fraction:
-    """The one rational reader for config values."""
+def as_frac(source: str, value) -> Fraction:
+    """The one rational reader for config values and rational settings."""
     try:
         return parse_rational(str(value))
     except DomainError:
@@ -142,7 +134,7 @@ def _rule_from_config(doc: dict, prefix: str) -> SequenceRule:
         fields = dict(a=_frac(doc, f"{prefix}.a"), r=_frac(doc, f"{prefix}.r"))
     elif kind == "explicit":
         fields = dict(
-            values=_config_list(doc, f"{prefix}.values", _as_frac),
+            values=_config_list(doc, f"{prefix}.values", as_frac),
             tail_l1=_frac(doc, f"{prefix}.tail_l1", optional=True),
             tail_l2sq=_frac(doc, f"{prefix}.tail_l2sq", optional=True),
         )
@@ -171,7 +163,7 @@ def _frac(doc: dict, key: str, optional: bool = False) -> Optional[Fraction]:
         if optional:
             return None
         raise ConfigError(f"missing {key}")
-    return _as_frac(f"config key {key!r}", doc[key])
+    return as_frac(f"config key {key!r}", doc[key])
 
 
 def params_from_config(doc: dict) -> ParameterSet:

@@ -137,15 +137,6 @@ def test_scan_budget_exit_code(d1_config, tmp_path):
     assert not out.exists()
 
 
-def test_budget_env_override(d1_config, tmp_path, monkeypatch):
-    monkeypatch.setenv("SAWPROJ_BUDGET", "10")
-    code = main(
-        ["measure", "--config", str(d1_config), "--level", "4", "--out", str(tmp_path / "o")]
-    )
-    assert code == 3
-    assert not (tmp_path / "o").exists()
-
-
 def _error_records(capsys) -> list[dict]:
     lines = capsys.readouterr().err.splitlines()
     return [r for r in map(json.loads, lines) if "error" in r]
@@ -164,18 +155,14 @@ def test_level_outside_range_exit_code(command, level, d1_config, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
-def test_bad_budget_value_is_config_error(d1_config, tmp_path, monkeypatch, capsys):
-    args = ["measure", "--config", str(d1_config), "--level", "1", "--out", str(tmp_path / "o")]
-    monkeypatch.setenv("SAWPROJ_BUDGET", "abc")
-    assert main(args) == 1
-    (record,) = _error_records(capsys)
-    assert record["error"] == "config" and "SAWPROJ_BUDGET" in record["message"]
-    monkeypatch.delenv("SAWPROJ_BUDGET")
+def test_bad_budget_value_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "budget.cfg"
     cfg.write_text(D1_CONFIG + 'budget = "abc"\n')
     assert main(["measure", "--config", str(cfg), "--level", "1", "--out", str(tmp_path / "o")]) == 1
     (record,) = _error_records(capsys)
-    assert record["error"] == "config" and "budget" in record["message"]
+    assert record["error"] == "config"
+    assert record["message"] == "config key 'budget' must be an integer, got 'abc'"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -213,13 +200,11 @@ def test_unquoted_out_key_is_config_error(command, flags, tmp_path, monkeypatch,
     assert (tmp_path / "res").is_dir()
 
 
-def _budget_args(command, source, value, cfg, monkeypatch) -> list[str]:
+def _budget_args(command, source, value, cfg) -> list[str]:
     """CLI arguments that give `command` the budget `value` through `source`."""
     config, flags = D2_CONFIG if command == "curve" else D1_CONFIG, []
     if source.startswith("--"):
         flags = [source, value]
-    elif source == "SAWPROJ_BUDGET":
-        monkeypatch.setenv(source, value)
     else:
         config += f"{source} = {value}\n"
     cfg.write_text(config)
@@ -230,21 +215,20 @@ def _budget_args(command, source, value, cfg, monkeypatch) -> list[str]:
     "command, source, value",
     [
         ("measure", "--budget", "-5"),
-        ("measure", "SAWPROJ_BUDGET", "-5"),
         ("measure", "budget", "-5"),
         ("curve", "--vertex-budget", "-1"),
         ("curve", "vertex_budget", "-1"),
     ],
 )
-def test_negative_budget_is_config_error(command, source, value, tmp_path, monkeypatch, capsys):
+def test_negative_budget_is_config_error(command, source, value, tmp_path, capsys):
     cfg = tmp_path / "budget.cfg"
-    assert main(_budget_args(command, source, value, cfg, monkeypatch)) == 1
+    assert main(_budget_args(command, source, value, cfg)) == 1
     (record,) = _error_records(capsys)
     assert record["error"] == "config" and record["exit_code"] == 1
     assert source in record["message"] and f"must be nonnegative, got {value}" in record["message"]
     assert not (tmp_path / "o").exists()  # refused before any output is written
     # a budget of 0 admits no work: still a budget, refused as exceeded
-    assert main(_budget_args(command, source, "0", cfg, monkeypatch)) == 3
+    assert main(_budget_args(command, source, "0", cfg)) == 3
     (record,) = _error_records(capsys)
     assert record["error"] == "budget" and record["budget"] == 0
 
@@ -476,6 +460,26 @@ def test_bad_config_value_is_config_error(command, key, value, message, tmp_path
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, line, message",
+    [
+        (["evaluate", "--t", "x"], "", "--t must be a rational 'p/q', got 'x'"),
+        (["evaluate"], 't = "x"', "config key 't' must be a rational 'p/q', got 'x'"),
+        (["diagnose"], "check = 5", "config key 'check' must be a quoted string, got 5"),
+        (["diagnose", "--check=secant"], "seed = -1", "config key 'seed' must be nonnegative, got -1"),
+    ],
+    ids=["t-flag", "t-key", "check-key", "seed-key"],
+)
+def test_bad_setting_names_its_source(argv, line, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(D2_CONFIG + line + "\n")
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    (record,) = _error_records(capsys)
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert record["message"] == message
+    assert not (tmp_path / "o").exists()
+
+
 def test_cache_key_carries_engine_version(d1_config, tmp_path, monkeypatch):
     import sawproj.cli
 
@@ -683,17 +687,103 @@ def test_run_bad_config_integer_is_config_error(command, key, tmp_path, capsys):
     assert f"config key '{key}' must be an integer, got 'x'" in record["message"]
 
 
-def test_run_forwards_diagnose_flags(tmp_path):
-    out = tmp_path / "out"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        D2_CONFIG
-        + 'command = "diagnose"\ncheck = "slope-identity"\nseed = 7\nsamples = 50\n'
-        + f'out = "{out}"\n'
-    )
-    assert main(["run", "--config", str(cfg)]) == 0
-    (record,) = read_jsonl(out / "diagnose_slope_identity.jsonl")
-    assert (record["seed"], record["samples"], record["passed_count"]) == (7, 50, 50)
+@pytest.mark.parametrize("command", ["run", "emit"])
+def test_run_refuses_commands_that_read_no_config(command, tmp_path, monkeypatch, capsys):
+    # dispatched, `run` would call itself until RecursionError; `emit` has no --config
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(D1_CONFIG + f'command = "{command}"\n')
+    assert main(["run", "--config", str(cfg)]) == 1
+    (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert record["message"] == f"config 'command' must name a subcommand, got {command!r}"
+    assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+
+
+# config keys every job of a command holds, except the one its row is about
+BASE_SETTINGS = {"evaluate": {"t": '"1/3"'}, "diagnose": {"check": '"slope-identity"', "samples": "20"}}
+
+
+def _required(name: str) -> str:
+    return f"--{name.replace('_', '-')} or config key {name!r} is required"
+
+
+# (command, setting, flag value, config value, shown with both, with the config key
+# only, with neither); a budget shows as the budget of a refused call, None if it ran
+SETTING_SOURCES = [
+    *[(command, "level", "2", "3", 2, 3, 1) for command in ("measure", "scan", "curve")],
+    ("evaluate", "level", "2", "3", 2, 3, 12),  # n_max
+    ("evaluate", "t", "1/3", '"1/4"', "1/3", "1/4", _required("t")),
+    ("evaluate", "t", "1/2", "0", "1/2", "0/1", _required("t")),  # an unquoted integer is rational
+    # level 1 has 4 pieces and 7 vertices: the flag admits them, the config key does not
+    ("measure", "budget", "4", "3", None, 3, None),
+    ("scan", "budget", "4", "3", None, 3, None),
+    ("curve", "vertex_budget", "7", "6", None, 6, None),
+    ("diagnose", "check", "slope-identity", '"oscillation"', "slope-identity", "oscillation",
+     _required("check")),
+    ("diagnose", "seed", "5", "7", 5, 7, 20260811),
+    ("diagnose", "samples", "5", "6", 5, 6, 1000),
+    *[
+        (command, "out", "a", '"b"', "a", "b", "out")
+        for command in ("validate", "evaluate", "measure", "scan", "curve", "diagnose")
+    ],
+]
+
+
+def _call(argv, cwd, monkeypatch, capsys) -> tuple:
+    """Exit code, error records and written files of one call made in the new directory cwd."""
+    cwd.mkdir()
+    with monkeypatch.context() as m:
+        m.chdir(cwd)
+        code = main(argv)
+    files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+    return code, _error_records(capsys), files
+
+
+def _shown(setting: str, result: tuple):
+    """The value of `setting` a call shows: in its first record, its output directory
+    or the record of its refusal."""
+    code, errors, files = result
+    if errors:
+        (record,) = errors
+        return record["budget"] if record["error"] == "budget" else record["message"]
+    assert code == 0
+    if setting == "out":
+        (directory,) = {name.split("/")[0] for name in files}
+        return directory
+    (records,) = [blob for name, blob in files.items() if name.endswith(".jsonl")]
+    return json.loads(records.splitlines()[0]).get(setting)
+
+
+@pytest.mark.parametrize(
+    "command, setting, flag, key, both, config_only, neither",
+    SETTING_SOURCES,
+    ids=[f"{row[0]}-{row[1]}-{row[3].strip(chr(34))}" for row in SETTING_SOURCES],
+)
+def test_setting_comes_from_flag_else_config_key_else_default(
+    command, setting, flag, key, both, config_only, neither, tmp_path, monkeypatch, capsys
+):
+    base = {k: v for k, v in BASE_SETTINGS.get(command, {}).items() if k != setting}
+    if setting != "out":
+        base["out"] = '"o"'
+    job = "".join(f"{k} = {v}\n" for k, v in base.items())
+    plain, with_key = tmp_path / "plain.cfg", tmp_path / "key.cfg"
+    plain.write_text(D2_CONFIG + job)
+    with_key.write_text(D2_CONFIG + job + f"{setting} = {key}\n")
+    flag_args = [f"--{setting.replace('_', '-')}={flag}"]
+
+    def shown(cfg, name, *flags):
+        return _shown(setting, _call([command, "--config", str(cfg), *flags], tmp_path / name, monkeypatch, capsys))
+
+    assert shown(with_key, "both", *flag_args) == both
+    assert shown(with_key, "key") == config_only
+    assert shown(plain, "neither") == neither
+    # `run` reads the job as the command itself does, and writes the same bytes
+    run = tmp_path / "run.cfg"
+    run.write_text(with_key.read_text() + f'command = "{command}"\n')
+    direct = _call([command, "--config", str(run)], tmp_path / "direct", monkeypatch, capsys)
+    assert _call(["run", "--config", str(run)], tmp_path / "run", monkeypatch, capsys) == direct
+    assert _shown(setting, direct) == config_only
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,7 @@
 import importlib
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +84,22 @@ def test_readme_library_example_runs(fresh_env):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     (example,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
     subprocess.run([sys.executable, "-c", example], env=fresh_env, check=True, timeout=120)
+
+
+def test_readme_cli_example_runs(fresh_env, tmp_path):
+    # every line of the README's CLI block, in order, beside a copy of configs/
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    (lines,) = [b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if b.startswith("sawproj ")]
+    (job,) = re.findall(r"```cfg\n(.*?)```", text, re.S)
+    shutil.copytree(root / "configs", tmp_path / "configs")
+    (tmp_path / "job.cfg").write_text((root / "configs" / "harmonic_l2.cfg").read_text() + job)
+    for line in lines.splitlines():
+        name, *args = shlex.split(line, comments=True)
+        assert name == "sawproj"
+        run = subprocess.run(
+            [sys.executable, "-m", "sawproj.cli", *args],
+            cwd=tmp_path, env=fresh_env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, (line, run.stderr)
+    assert (tmp_path / "out" / "scan2.csv").is_file()
