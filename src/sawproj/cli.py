@@ -146,6 +146,15 @@ class _Cache:
         record = stored.get("record")
         return record if isinstance(record, dict) else None
 
+    def bracket_record(self, key: Optional[str], functional, bracket, **fields) -> dict:
+        """The record cached under key, else that of ``bracket()`` with ``fields`` set,
+        finalized and stored under key."""
+        record = self.get(key)
+        if record is None:
+            record = finalize_record(dict(_bracket_record(functional, bracket()), **fields))
+            self.put(key, record)
+        return record
+
     def put(self, key: str, record: dict) -> None:
         if not self.enabled:
             return
@@ -242,11 +251,8 @@ def cmd_measure(args) -> int:
         export_pieces_csv(pl, out / "pieces.csv")
     cache = _Cache(out, enabled=not args.no_cache)
     key = cache.key("measure", params, functional, level)
-    record = cache.get(key)
-    if record is None:
-        bracket = projection_bracket(params, functional, level, piece_budget=budget)
-        record = finalize_record(_bracket_record(functional, bracket))
-        cache.put(key, record)
+    bracket = partial(projection_bracket, params, functional, level, piece_budget=budget)
+    record = cache.bracket_record(key, functional, bracket)
     write_jsonl([record], out / "measure.jsonl")
     write_csv([record], out / "measure.csv")
     return EXIT_OK
@@ -289,18 +295,13 @@ def cmd_scan(args) -> int:
     cache = _Cache(out, enabled=not args.no_cache)
     records = []
     for idx, (p, q) in enumerate(directions):
-        key = cache.key(
-            "scan", params, functional, level, direction=[format_rational(p), format_rational(q)]
+        direction = [format_rational(p), format_rational(q)]
+        key = cache.key("scan", params, functional, level, direction=direction)
+        bracket = partial(
+            directional_measure, params, functional, (p, q), level, piece_budget=budget
         )
-        record = cache.get(key)
-        if record is None:
-            bracket = directional_measure(
-                params, functional, (p, q), level, piece_budget=budget
-            )
-            record = _bracket_record(functional, bracket)
-            record.update(kind="scan", direction_index=idx, direction_p=p, direction_q=q)
-            record = finalize_record(record)
-            cache.put(key, record)
+        fields = {"kind": "scan", "direction_index": idx, "direction_p": p, "direction_q": q}
+        record = cache.bracket_record(key, functional, bracket, **fields)
         # the key leaves the index out, so an entry from another scan carries its own
         records.append(dict(record, direction_index=idx))
     write_jsonl(records, out / "scan.jsonl")

@@ -11,25 +11,27 @@ midpoint 2j + 1 and the end 2j + 2, as left limit and as value. Coordinate 0
 is linear in k; coordinate n >= 1 is 0 at vertex 0 and then repeats M_n times
 one pattern of 3 q_n / 2 integer numerators (q_n = 2 M_N / M_n) from the
 truncation's ``PLFunction`` table. A ``PolygonalCurve`` stores those patterns,
-``vertex`` builds one vertex's Fractions, and the length sums integer differences.
+``nums`` gives one vertex's integer numerators and ``vertex`` its Fractions, and
+the length sums integer differences.
 
 l1 length is total variation per coordinate, which gives closed forms: each
 coordinate n >= 1 rises 1/2 across slants and falls 1/2 across connectors, so
 level n adds exactly |c_n| of length. A canonical common parametrization
 reserves an s-interval at every level-N grid endpoint for the connectors and
 is affine elsewhere; with it the supremum distance between consecutive levels
-is |c_N| / (2 M_N), attained where a connector starts.
+is |c_N| / (2 M_N), attained where a connector starts. The evaluator and the
+supremum distance both read the polygons' vertex integers, nothing else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, cycle
+from math import lcm
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
-from .construction import _table, point_nums_at
+from .construction import _table
 from .errors import BudgetExceeded, CertificationError, DomainError
 from .params import L1, ParameterSet
 from .records import ratio_cells, write_lines
@@ -60,12 +62,16 @@ class PolygonalCurve(NamedTuple):
     def vertex_count(self) -> int:
         return 3 * self.t_denom // 2 + 1
 
-    def vertex(self, i: int) -> Vertex:
+    def nums(self, i: int) -> list[int]:
+        """Vertex i's coordinate numerators over ``denom``."""
         if not 0 <= i < self.vertex_count:
             raise IndexError(f"vertex {i} outside [0, {self.vertex_count})")
         k = 2 * (i + 1) // 3
-        nums = [2 * self.a0 * k] + [p[(i - 1) % len(p)] if i else 0 for p in self.patterns]
-        return Vertex(Fraction(k, self.t_denom), tuple(Fraction(x, self.denom) for x in nums))
+        return [2 * self.a0 * k] + [p[(i - 1) % len(p)] if i else 0 for p in self.patterns]
+
+    def vertex(self, i: int) -> Vertex:
+        t = Fraction(2 * (i + 1) // 3, self.t_denom)
+        return Vertex(t, tuple(Fraction(x, self.denom) for x in self.nums(i)))
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -200,9 +206,6 @@ class CanonicalTau(NamedTuple):
     gap_len: Fraction
 
     def value(self, s: Fraction) -> Fraction:
-        s = Fraction(s)
-        if not 0 <= s <= 1:
-            raise DomainError(f"s = {s} outside [0, 1]")
         kind, i, frac = self.locate(s)
         if kind == "const":
             return Fraction(i, self.grid_size)
@@ -211,6 +214,8 @@ class CanonicalTau(NamedTuple):
     def locate(self, s: Fraction) -> tuple[str, int, Fraction]:
         """("const", endpoint index, u in [0,1]) or ("gap", cell index, frac)."""
         s = Fraction(s)
+        if not 0 <= s <= 1:
+            raise DomainError(f"s = {s} outside [0, 1]")
         if s <= self.const_len:
             return "const", 0, s / self.const_len
         block = self.gap_len + self.const_len
@@ -240,94 +245,63 @@ def canonical_tau(params: ParameterSet, level: int) -> CanonicalTau:
     return CanonicalTau(size, const_len, gap_len)
 
 
-def validate_tau(tau: CanonicalTau, params: ParameterSet, level: int) -> None:
-    if tau.const_len <= 0 or tau.gap_len <= 0:
-        raise DomainError("tau must be nondecreasing with nondegenerate pieces")
-    total = (tau.grid_size + 1) * tau.const_len + tau.grid_size * tau.gap_len
-    if total != 1:
-        raise DomainError("tau does not parametrize the full interval")
-    if tau.grid_size % params.grid_size(level):
-        raise DomainError(
-            "tau constant intervals do not cover the grid endpoints of this level"
-        )
+class CurveEvaluator(NamedTuple):
+    """Exact evaluator s |-> curve point under the curve's canonical tau.
 
-
-class _CurveEvaluator(NamedTuple):
-    params: ParameterSet
-    functional: Functional
-    level: int
-    tau: CanonicalTau
-
-
-class CurveEvaluator(_CurveEvaluator):
-    """Exact evaluator s |-> curve point under a shared parametrization.
-
-    Constant tau-intervals traverse the vertical connector at their endpoint
-    linearly (a degenerate connector yields a constant point); affine pieces
-    follow the truncated coordinates, approaching each endpoint through its
-    left limit so the path is continuous.
+    A gap (i, frac) is at vertex position 3 (i - 1) + 2 frac, a constant interval
+    (i >= 1, frac) at 3 i - 1 + frac, down the connector, and the one at s = 0 at
+    vertex 0; a point interpolates two consecutive vertices' integers.
     """
 
-    @cached_property
-    def _coeffs(self) -> tuple[Fraction, ...]:
-        """(c_0, ..., c_N), read from the functional once per evaluator."""
-        return self.functional.coeffs(self.level)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign {name!r}: a CurveEvaluator is immutable")
-
-    def _point(self, t: Fraction, left: bool = False) -> tuple[Fraction, ...]:
-        """The truncated coordinates over t, or their left limits."""
-        nums, scale = point_nums_at(self.params, self.level, t, left)
-        return tuple(c * Fraction(x, scale) for c, x in zip(self._coeffs, nums))
+    curve: PolygonalCurve
+    tau: CanonicalTau
 
     def value(self, s: Fraction) -> tuple[Fraction, ...]:
-        return self._at(*self.tau.locate(s))
-
-    def _at(self, kind: str, i: int, frac: Fraction) -> tuple[Fraction, ...]:
-        """The point at ``self.tau.locate``'s (kind, index, frac)."""
-        grid = self.tau.grid_size
-        if kind == "gap":  # the left limit at the cell's end
-            return self._point(Fraction(i - 1, grid) + frac / grid, left=frac == 1)
-        if i == 0:
-            return self._point(Fraction(0))
-        start, end = self._point(Fraction(i, grid), left=True), self._point(Fraction(i, grid))
-        return tuple(a + frac * (b - a) for a, b in zip(start, end))
-
-
-def parametrize(curve: PolygonalCurve, tau: Optional[CanonicalTau] = None) -> CurveEvaluator:
-    if tau is None:
-        tau = canonical_tau(curve.params, curve.level)
-    validate_tau(tau, curve.params, curve.level)
-    return CurveEvaluator(curve.params, curve.functional, curve.level, tau)
+        kind, i, frac = self.tau.locate(s)
+        if kind == "gap":
+            pos = 3 * (i - 1) + 2 * frac
+        else:
+            pos = 3 * i - 1 + frac if i else Fraction(0)
+        v, r = divmod(pos.numerator, pos.denominator)
+        a = self.curve.nums(v)
+        b = self.curve.nums(v + 1) if r else a
+        scale = pos.denominator * self.curve.denom
+        return tuple(Fraction(x * (pos.denominator - r) + y * r, scale) for x, y in zip(a, b))
 
 
-def _l1_distance(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
-    short, long_ = (a, b) if len(a) <= len(b) else (b, a)
-    total = sum(
-        (abs(x - y) for x, y in zip(short, long_)), Fraction(0)
-    )
-    total += sum((abs(x) for x in long_[len(short):]), Fraction(0))
-    return total
+def parametrize(curve: PolygonalCurve) -> CurveEvaluator:
+    return CurveEvaluator(curve, canonical_tau(curve.params, curve.level))
 
 
 def sup_distance(higher: PolygonalCurve, lower: PolygonalCurve) -> Fraction:
     """Exact sup-norm distance of consecutive-level curves under the canonical
     tau of the higher level, which serves the lower one too (M_{n-1} divides M_n).
 
-    Both curves are affine between consecutive ``tau.breakpoints()`` (tau
-    segment boundaries plus the cell midpoints of the higher level), and the
-    l1 norm of an affine path is convex, so the supremum is attained at one
-    of them. Each breakpoint is located once for both curves.
+    Both curves are affine between the higher one's vertices, and the l1 norm
+    of an affine path is convex, so the supremum is attained at one of them.
+    Higher vertex v sits at half-grid index k = 2 (v + 1) // 3 = m_n x + r. The
+    lower curve is there between its vertices x + x // 2 and the next, weighted
+    r / m_n, except at a left limit (v % 3 == 2) on a lower grid point (r = 0,
+    x even): that is lower vertex x + x // 2 - 1. All sums share one denominator.
     """
     _require_same_family(higher, lower)
-    tau = canonical_tau(higher.params, higher.level)
-    ev_hi = CurveEvaluator(higher.params, higher.functional, higher.level, tau)
-    ev_lo = CurveEvaluator(lower.params, lower.functional, lower.level, tau)
-    return max(
-        _l1_distance(ev_hi._at(*where), ev_lo._at(*where))
-        for where in map(tau.locate, tau.breakpoints())
-    )
+    m = higher.t_denom // lower.t_denom
+    den = lcm(higher.denom, m * lower.denom)
+    up, down = den // higher.denom, den // (m * lower.denom)
+    worst = 0
+    for v in range(higher.vertex_count):
+        x, r = divmod(2 * (v + 1) // 3, m)
+        pos = x + x // 2
+        if v % 3 == 2 and r == 0 and x % 2 == 0:
+            pos -= 1
+        a = lower.nums(pos)
+        b = lower.nums(pos + 1) if r else a
+        h = higher.nums(v)
+        dist = up * abs(h[-1]) + sum(
+            abs(up * y - down * (p * (m - r) + q * r)) for y, p, q in zip(h, a, b)
+        )
+        worst = max(worst, dist)
+    return Fraction(worst, den)
 
 
 def sup_distance_bound(

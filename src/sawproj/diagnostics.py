@@ -526,10 +526,12 @@ def projection_witness(
 
 def curve_lipschitz_upper(evaluator: CurveEvaluator) -> Fraction:
     """Max segment speed of the parametrized polygon (an upper Lipschitz bound)."""
-    from .curve import _l1_distance
-
     points = [(s, evaluator.value(s)) for s in evaluator.tau.breakpoints()]
     return max(
-        (_l1_distance(p, q) / (u - s) for (s, p), (u, q) in pairwise(points) if u > s),
+        (
+            sum(abs(y - x) for x, y in zip(p, q)) / (u - s)
+            for (s, p), (u, q) in pairwise(points)
+            if u > s
+        ),
         default=Fraction(0),
     )

@@ -159,6 +159,12 @@ def projection_witness_oracle(evaluator, components, weights, lipschitz):
     return best
 
 
+def curve_point(params, coeffs, t: Fraction, left: bool = False):
+    """c_n times this module's component (or its left limit) over t, per coordinate."""
+    value = component_left_limit if left else component
+    return tuple(c * value(params, n, t) for n, c in enumerate(coeffs))
+
+
 def curve_vertices_oracle(params, functional, level: int):
     """(t, coords) of every level-N polygon vertex, one Fraction at a time.
 
@@ -168,16 +174,30 @@ def curve_vertices_oracle(params, functional, level: int):
     """
     size = params.grid_size(level)
     coeffs = [functional.coeff(n) for n in range(level + 1)]
-
-    def point(t, left=False):
-        value = component_left_limit if left else component
-        return tuple(c * value(params, n, t) for n, c in enumerate(coeffs))
-
+    point = partial(curve_point, params, coeffs)
     vertices = [(Fraction(0), point(Fraction(0)))]
     for j in range(size):
         mid, right = Fraction(2 * j + 1, 2 * size), Fraction(j + 1, size)
         vertices += [(mid, point(mid)), (right, point(right, left=True)), (right, point(right))]
     return vertices
+
+
+def curve_point_oracle(params, functional, level: int, tau, s: Fraction):
+    """The level-N curve at s under tau, whose grid may refine the level's.
+
+    Over a gap the point follows the coordinates over tau(s), taking left limits
+    at the gap's end; over a constant interval it runs linearly from the left
+    limit to the value at its grid point (a degenerate connector stays put).
+    """
+    point = partial(curve_point, params, [functional.coeff(n) for n in range(level + 1)])
+    kind, i, frac = tau.locate(s)
+    grid = tau.grid_size
+    if kind == "gap":
+        return point(Fraction(i - 1, grid) + frac / grid, left=frac == 1)
+    if i == 0:
+        return point(Fraction(0))
+    start, end = point(Fraction(i, grid), left=True), point(Fraction(i, grid))
+    return tuple(a + frac * (b - a) for a, b in zip(start, end))
 
 
 def polyline_length(vertices) -> Fraction:

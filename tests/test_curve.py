@@ -1,14 +1,15 @@
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sawproj as sp
-from sawproj.curve import CanonicalTau
 from sawproj.diagnostics import rand_fraction, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
 
-from oracles import curve_cases, curve_vertices_oracle, polyline_length
+from oracles import curve_cases, curve_point_oracle, curve_vertices_oracle, polyline_length
 
 F = Fraction
 
@@ -184,14 +185,13 @@ def test_canonical_tau_structure(d2):
         prev = v
 
 
-def test_tau_validation(d2, r1):
-    c1 = sp.build_curve(d2, r1, 1)
-    bad = CanonicalTau(3, F(1, 48), F(1, 48))  # wrong grid, wrong total
-    with pytest.raises(DomainError):
-        sp.parametrize(c1, bad)
-    degenerate = CanonicalTau(2, F(0), F(1, 2))
-    with pytest.raises(DomainError):
-        sp.parametrize(c1, degenerate)
+def test_s_outside_the_unit_interval_is_refused(d2, r1):
+    ev = sp.parametrize(sp.build_curve(d2, r1, 1))
+    for s in (F(-1), F(2)):
+        with pytest.raises(DomainError):
+            ev.tau.value(s)
+        with pytest.raises(DomainError):
+            ev.value(s)
 
 
 def test_evaluator_traverses_connectors(d2, r1):
@@ -235,29 +235,46 @@ def test_sup_distance_zero_functional(d2):
     assert sp.sup_distance(c1, c0) == 0
 
 
-def test_sup_distance_dominates_a_fine_parameter_sweep(d2, r1):
-    from sawproj.curve import CurveEvaluator, _l1_distance
+def l1_distance(a, b) -> Fraction:
+    """l1 distance of two points, the shorter padded with zero coordinates."""
+    return sum((abs(x - y) for x, y in zip_longest(a, b, fillvalue=0)), F(0))
 
-    c2, c1 = sp.build_curve(d2, r1, 2), sp.build_curve(d2, r1, 1)
-    sup = sp.sup_distance(c2, c1)
-    tau = sp.canonical_tau(d2, 2)
-    ev2 = CurveEvaluator(d2, r1, 2, tau)
-    ev1 = CurveEvaluator(d2, r1, 1, tau)
-    sweep = max(
-        _l1_distance(ev2.value(F(k, 997)), ev1.value(F(k, 997))) for k in range(998)
-    )
-    assert sweep <= sup
+
+def test_sup_distance_dominates_a_fine_parameter_sweep(d2, r1):
+    c2 = sp.build_curve(d2, r1, 2)
+    sup = sp.sup_distance(c2, sp.build_curve(d2, r1, 1))
+    ev2 = sp.parametrize(c2)
+
+    def gap(s):
+        return l1_distance(ev2.value(s), curve_point_oracle(d2, r1, 1, ev2.tau, s))
+
+    assert max(gap(F(k, 997)) for k in range(998)) <= sup
+    assert max(map(gap, ev2.tau.breakpoints())) == sup
 
 
 def test_evaluator_is_continuous_at_segment_junctions(d2, r1):
-    from sawproj.curve import CurveEvaluator, _l1_distance
     from sawproj.diagnostics import curve_lipschitz_upper
 
-    tau = sp.canonical_tau(d2, 1)
-    ev = CurveEvaluator(d2, r1, 1, tau)
+    ev = sp.parametrize(sp.build_curve(d2, r1, 1))
     speed_bound = curve_lipschitz_upper(ev)
     eps = F(1, 10**9)
-    for s in tau.breakpoints():
+    for s in ev.tau.breakpoints():
         for probe in (s - eps, s + eps):
             if 0 <= probe <= 1:
-                assert _l1_distance(ev.value(probe), ev.value(s)) <= speed_bound * eps
+                assert l1_distance(ev.value(probe), ev.value(s)) <= speed_bound * eps
+
+
+@settings(max_examples=200)
+@given(curve_cases(), st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=8))
+def test_evaluator_and_sup_distance_match_the_point_oracle(case, drawn):
+    """The interpolating evaluator equals the Fraction route at drawn parameters
+    and every breakpoint, and the integer walk attains the closed-form distance."""
+    params, functional, level = case
+    curve = sp.build_curve(params, functional, level)
+    ev = sp.parametrize(curve)
+    for s in [*drawn, *ev.tau.breakpoints()]:
+        assert ev.value(s) == curve_point_oracle(params, functional, level, ev.tau, s)
+    if level:
+        lower = sp.build_curve(params, functional, level - 1)
+        bound = sp.sup_distance_bound(params, functional, level)
+        assert sp.sup_distance(curve, lower) == bound

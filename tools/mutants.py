@@ -1,0 +1,169 @@
+#!/usr/bin/env python3
+"""Re-run the recorded mutation checks: every mutant must fail its named tests.
+
+Each entry of MUTANTS names a mutant, the file it edits, an exact snippet that
+occurs once in that file, the snippet's replacement and the pytest node ids
+that must fail. The script copies the repository to a temporary directory and
+first runs all named node ids on the unmutated copy, which must pass. Then it
+applies one mutant at a time and runs each of its node ids on its own. It
+exits 1 if a snippet no longer occurs exactly once, a node id does not pass on
+the unmutated copy, or a node id passes (or is not found) under its mutant.
+A stale snippet is reported, never skipped.
+
+Usage, from anywhere: python3 tools/mutants.py  (standard library only; the
+tests need pytest and hypothesis)
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+CURVE, CONSTRUCTION = "src/sawproj/curve.py", "src/sawproj/construction.py"
+TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_construction.py::"
+
+MUTANTS = (
+    Mutant(
+        "sup_distance: a left limit on a lower grid point read as the value there",
+        CURVE,
+        "        if v % 3 == 2 and r == 0 and x % 2 == 0:\n            pos -= 1\n",
+        "",
+        (
+            TEST_CURVE + "test_sup_distance_enumeration_matches_closed_form",
+            TEST_CURVE + "test_evaluator_and_sup_distance_match_the_point_oracle",
+        ),
+    ),
+    Mutant(
+        "sup_distance: interpolation weights swapped",
+        CURVE,
+        "down * (p * (m - r) + q * r)",
+        "down * (p * r + q * (m - r))",
+        (
+            TEST_CURVE + "test_sup_distance_enumeration_matches_closed_form",
+            TEST_CURVE + "test_sup_distance_dominates_a_fine_parameter_sweep",
+        ),
+    ),
+    Mutant(
+        "CurveEvaluator.value: the connector's frac ignored",
+        CURVE,
+        "pos = 3 * i - 1 + frac if i else Fraction(0)",
+        "pos = 3 * i - 1 if i else Fraction(0)",
+        (
+            TEST_CURVE + "test_evaluator_traverses_connectors",
+            TEST_CURVE + "test_evaluator_and_sup_distance_match_the_point_oracle",
+        ),
+    ),
+    Mutant(
+        "CanonicalTau.locate: the 0 <= s <= 1 check dropped",
+        CURVE,
+        '        if not 0 <= s <= 1:\n            raise DomainError(f"s = {s} outside [0, 1]")\n'
+        "        if s <= self.const_len:",
+        "        if s <= self.const_len:",
+        (TEST_CURVE + "test_s_outside_the_unit_interval_is_refused",),
+    ),
+    Mutant(
+        "point_nums: the left-limit branch dropped",
+        CONSTRUCTION,
+        "u = den if left and r == 0 else 2 * r - den",
+        "u = 2 * r - den",
+        (
+            TEST_CONSTRUCTION + "test_left_limits",
+            TEST_CONSTRUCTION + "test_integer_components_match_sawtooth",
+        ),
+    ),
+    Mutant(
+        "point_nums: 2r - den left unclamped at r = 0",
+        CONSTRUCTION,
+        "out.append(top // size * u if u > 0 else 0)",
+        "out.append(top // size * u if u > 0 or r == 0 else 0)",
+        (
+            TEST_CONSTRUCTION + "test_component_values",
+            TEST_CONSTRUCTION + "test_integer_components_match_sawtooth",
+        ),
+    ),
+    Mutant(
+        "hausdorff_upper: cell scale 2 M_n in place of 2 M_n^2",
+        "src/sawproj/measure.py",
+        "scale = params.grid_sizes[: n + 1], 2 * size * size",
+        "scale = params.grid_sizes[: n + 1], 2 * size",
+        (
+            "tests/test_measure.py::test_hausdorff_exact_sums",
+            "tests/test_measure.py::test_covering_sum_matches_the_cell_oracle",
+        ),
+    ),
+    Mutant(
+        "PLFunction.value: the q_lcm divisor dropped",
+        CONSTRUCTION,
+        "Fraction(sum(map(mul, self.a, nums)), q_lcm * scale)",
+        "Fraction(sum(map(mul, self.a, nums)), scale)",
+        (
+            TEST_CONSTRUCTION + "test_pl_value_spot_checks",
+            TEST_CONSTRUCTION + "test_piece_evaluation_matches_direct_sum",
+        ),
+    ),
+)
+
+
+def pytest(tree: Path, node_ids) -> int:
+    """pytest's exit status over node_ids in tree: 0 all passed, 1 some failed,
+    anything else an error such as a node id not found. No bytecode is written,
+    so a mutated module is always compiled from its source."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *node_ids]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    start = time.perf_counter()
+    problems = []
+    for m in MUTANTS:
+        count = (ROOT / m.path).read_text(encoding="utf-8").count(m.snippet)
+        if count != 1:
+            problems.append(f"stale snippet ({count} occurrences in {m.path}): {m.name}")
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "repo"
+        ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+        shutil.copytree(ROOT, tree, ignore=ignore)
+        all_ids = sorted({node for m in MUTANTS for node in m.tests})
+        if pytest(tree, all_ids) != 0:
+            problems.append("the named tests do not all pass on the unmutated tree")
+        for m in MUTANTS:
+            if any(p.endswith(m.name) for p in problems):
+                continue
+            target = tree / m.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
+            try:
+                for node in m.tests:
+                    status = pytest(tree, [node])
+                    verdict = "killed" if status == 1 else f"NOT KILLED (pytest exit {status})"
+                    print(f"{verdict}: {m.name} by {node}")
+                    if status != 1:
+                        problems.append(f"{m.name} survives {node}")
+            finally:
+                target.write_text(original, encoding="utf-8")
+    for problem in problems:
+        print(f"error: {problem}")
+    print(f"{len(MUTANTS)} mutants, {len(problems)} problems, {time.perf_counter() - start:.0f} s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
