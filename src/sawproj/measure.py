@@ -9,8 +9,12 @@ periodic across the level-l half-cells, so on each of them h_N is an offset
 plus a shape fixed by l, the slope there and the cell's parity. As parities
 alternate, a shape is a tile of two next-level shapes a and b, copied at a
 fixed step. The tile rule: copies that share at most a point add measures;
-solid copies that each meet the next are one interval, the hull; any other
-tile merges the components of its copies once.
+solid copies that each meet the next are one interval, the hull; when only
+neighbouring copies can overlap and a or b is solid, the measures add less
+the neighbours' overlaps (inclusion-exclusion), each the other kind's measure
+inside the solid kind's interval, which recurses only into the copies that
+cross the interval's ends; any other tile merges the components of its copies
+once.
 
 Brackets for the untruncated projection rest on the per-level stability
 chain: raising the level by one moves each of the 2 M_{k+1} piece images by
@@ -24,7 +28,7 @@ certified statement.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm
@@ -145,34 +149,67 @@ class IntervalUnion(NamedTuple):
 class _Shape:
     """An image in integer numerators over the table's denom: its hull [lo, hi],
     its measure, and the count copies at offsets i * step, copy i kinds[i % 2],
-    whose union it is (none for a leaf). A solid shape, measure hi - lo, is its hull."""
+    whose union it is (none for a leaf). A solid shape, measure hi - lo, is its hull.
+    When only neighbouring copies overlap, overlaps holds |a & (b + step)| and
+    |b & (a + step)|; it is None for a leaf, a solid chain and a tile that merged."""
 
-    __slots__ = ("lo", "hi", "measure", "solid", "kinds", "step", "count", "_flat")
+    __slots__ = ("lo", "hi", "measure", "solid", "kinds", "step", "count", "overlaps", "_flat")
 
-    def __init__(self, lo: int, hi: int, measure: int, kinds=(), step=0, count=0):
+    def __init__(self, lo: int, hi: int, measure: int, kinds=(), step=0, count=0, overlaps=None):
         self.lo, self.hi, self.measure = lo, hi, measure
-        self.kinds, self.step, self.count = kinds, step, count
+        self.kinds, self.step, self.count, self.overlaps = kinds, step, count, overlaps
         self.solid, self._flat = measure == hi - lo, None
 
     @staticmethod
     def tile(a: "_Shape", b: "_Shape", step: int, count: int) -> "_Shape":
-        """The union of count copies at offsets i * step alternating a and b; its
-        hull is that of the first two and the last two copies, its measure the
-        sum (no overlaps), the hull (solid chained copies) or that of the merged
-        components of its copies."""
+        """The union of count copies at offsets i * step alternating a and b (with
+        step 0, each kind once); its hull is that of the first two and the last
+        two copies. Its measure is the sum when copies share at most a point, the
+        hull when solid copies each meet the next, the sum less the neighbours'
+        overlaps when only neighbours overlap and a or b is solid, and else that
+        of the merged components of its copies."""
+        count = count if step else min(count, 2)
         if count == 1:
             return a
         kinds, last = (a, b), (count - 1) * step
         y, z = kinds[count % 2], kinds[(count - 1) % 2]  # the last two copies
         lo = min(a.lo, step + b.lo, last - step + y.lo, last + z.lo)
         hi = max(a.hi, step + b.hi, last - step + y.hi, last + z.hi)
-        if step and max(a.hi, b.hi) - min(a.lo, b.lo) <= abs(step):
-            measure = (count + 1) // 2 * a.measure + count // 2 * b.measure
+        span, overlaps = max(a.hi, b.hi) - min(a.lo, b.lo), None
+        if step and span <= abs(step):
+            overlaps = (0, 0)
         elif a.solid and b.solid and _meets(a, b, step) and (count < 3 or _meets(b, a, step)):
-            measure = hi - lo
+            return _Shape(lo, hi, hi - lo, kinds, step, count)
+        elif (a.solid or b.solid) and (count == 2 or span <= 2 * abs(step)):
+            overlaps = (_overlap(a, b, step, a.lo, a.hi), _overlap(b, a, step, b.lo, b.hi))
         else:
             measure = sum(hi - lo for lo, hi in _merged(_copies(kinds, step, count)))
-        return _Shape(lo, hi, measure, kinds, step, count)
+            return _Shape(lo, hi, measure, kinds, step, count)
+        # inclusion-exclusion: copy i meets only copies i - 1 and i + 1
+        measure = (count + 1) // 2 * a.measure + count // 2 * (b.measure - overlaps[0])
+        measure -= (count - 1) // 2 * overlaps[1]
+        return _Shape(lo, hi, measure, kinds, step, count, overlaps)
+
+    def window(self, lo: int, hi: int) -> int:
+        """The measure of the image's part in [lo, hi]."""
+        lo, hi = max(lo, self.lo), min(hi, self.hi)
+        if hi <= lo:
+            return 0
+        if self.solid:
+            return hi - lo
+        if (lo, hi) == (self.lo, self.hi):
+            return self.measure
+        if self.overlaps is None:
+            flat = self.flatten()
+            i, j = bisect_right(flat, lo, key=itemgetter(1)), bisect_left(flat, hi, key=itemgetter(0))
+            return sum(min(y, hi) - max(x, lo) for x, y in flat[i:j])
+        total = 0
+        for i in range(self.count):
+            x, y, off = self.kinds[i % 2], self.kinds[1 - i % 2], i * self.step
+            total += x.window(lo - off, hi - off)
+            if i + 1 < self.count and self.overlaps[i % 2]:
+                total -= _overlap(x, y, self.step, lo - off, hi - off)
+        return total
 
     def flatten(self) -> tuple[tuple[int, int], ...]:
         """The image's disjoint components, merged once and kept."""
@@ -183,8 +220,16 @@ class _Shape:
 
 
 def _copies(kinds: tuple, step: int, count: int) -> list[tuple[int, _Shape]]:
-    """The (offset, shape) copies of a tile; with step 0, each kind once."""
-    return [(i * step, kinds[i % 2]) for i in range(count if step else min(count, 2))]
+    """The (offset, shape) copies of a tile."""
+    return [(i * step, kinds[i % 2]) for i in range(count)]
+
+
+def _overlap(x: _Shape, y: _Shape, step: int, lo: int, hi: int) -> int:
+    """|x & (y + step) & [lo, hi]| with x or y solid: the other one's measure
+    over the solid one's hull, clamped to the window."""
+    if x.solid:
+        return y.window(max(lo, x.lo) - step, min(hi, x.hi) - step)
+    return x.window(max(lo, y.lo + step), min(hi, y.hi + step))
 
 
 def _meets(x: _Shape, y: _Shape, step: int) -> bool:
@@ -216,7 +261,8 @@ def _image_ints(pl: PLFunction, top: int) -> _Shape:
     odd. As p_i alternates, Img(l, s, odd) is a tile of a = Img(l+1, ., p_0)
     and b = Img(l+1, ., 1 - p_0); ``_Shape.tile`` measures it in O(1) when
     copies share at most a point or a and b are solid and each copy meets the
-    next, and by merging the components of its copies otherwise. Each distinct
+    next, from the neighbours' overlaps when only neighbours overlap and a or
+    b is solid, and by merging the components of its copies otherwise. Each distinct
     (s, odd, l) is built once, from the two keys of its kinds; the two level-0
     half-cells are one more tile.
     """

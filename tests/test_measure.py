@@ -234,10 +234,28 @@ TILE_TREES = st.recursive(
 @example(((0, 2), (0, 5), 2, 3))  # chained: a -> b touch at a point
 @example(((0, 5), (0, 2), 2, 3))  # chained: b -> a touch at a point
 @example(((0, 4), (0, 1), 3, 3))  # a -> b chained, b -> a gapped
+@example((COMB, (1, 3), 1, 2))  # two copies, b solid, hulls overlap
+@example(((1, 4), COMB, 2, 2))  # two copies, a solid, hulls overlap
+@example(((0, 5), COMB, 4, 4))  # neighbours overlap: |step| < span <= 2 |step|, count 4
+@example(((0, 5), COMB, -4, 4))  # the same with a negative step
+@example((COMB, (1, 6), 0, 3))  # step 0 with one solid kind
+@example(((0, 7), COMB, 3, 3))  # 2 |step| < span: copies 0 and 2 overlap, so it merges
 @example(((0, 3), (5, 1), 7, 1))  # count 1
 @example((COMB, (0, 1), -4, 1))  # count 1 of a comb
 def test_shape_tile_matches_pairwise_merge(tree):
     _assert_matches_merge(*_tile_tree(tree))
+
+
+@settings(max_examples=300)
+@given(TILE_TREES, st.integers(-5, 105), st.integers(-5, 105))
+@example((((0, 5), COMB, 4, 4), (0, 2), 30, 2), 25, 75)  # a window cuts overlapping pairs
+@example(((0, 7), COMB, 3, 3), 20, 60)  # a window cuts a tile that merged
+def test_shape_window_matches_pairwise_merge(tree, u, v):
+    # the window runs from u% to v% of the hull, a little past it at either end
+    shape, pairs = _tile_tree(tree)
+    lo, hi = (shape.lo + (shape.hi - shape.lo) * t // 100 for t in sorted((u, v)))
+    expected = sum(max(0, min(y, hi) - max(x, lo)) for x, y in pairwise_merge(pairs))
+    assert shape.window(lo, hi) == expected
 
 
 @settings(max_examples=300)
@@ -284,6 +302,19 @@ def test_level_seven_tiles_need_no_sweep(d1, f1, monkeypatch):
     monkeypatch.setattr(measure, "_merged", no_merge)
     assert sp.projection_bracket(d1, f1, 7).mu == F(64491960451, 113799168000)
     assert sp.directional_measure(d1, f1, (F(-2048), F(1536)), 7).mu == F(3637276, 3675)
+
+
+def test_two_copy_tiles_need_no_merge(d1, f1, monkeypatch):
+    # direction 42 of the 64-direction scan: its costly tiles are two copies, one
+    # of them a single interval, so each is measured from the copies' overlap
+    def no_merge(parts):
+        raise AssertionError("a tile merged the components of its copies")
+
+    monkeypatch.setattr(measure, "_merged", no_merge)
+    for level, mu in ((7, F(9847661387, 67737600)), (8, F(5003530198069, 34681651200))):
+        bracket = sp.directional_measure(d1, f1, (F(-1280), F(1848)), level)
+        assert bracket.mu == mu
+        assert bracket.chain_holds
 
 
 def test_projection_bracket_f1(d1, f1):

@@ -37,7 +37,9 @@ class Mutant(NamedTuple):
 
 
 CURVE, CONSTRUCTION = "src/sawproj/curve.py", "src/sawproj/construction.py"
+MEASURE = "src/sawproj/measure.py"
 TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_construction.py::"
+TEST_MEASURE = "tests/test_measure.py::"
 
 MUTANTS = (
     Mutant(
@@ -100,12 +102,12 @@ MUTANTS = (
     ),
     Mutant(
         "hausdorff_upper: cell scale 2 M_n in place of 2 M_n^2",
-        "src/sawproj/measure.py",
+        MEASURE,
         "scale = params.grid_sizes[: n + 1], 2 * size * size",
         "scale = params.grid_sizes[: n + 1], 2 * size",
         (
-            "tests/test_measure.py::test_hausdorff_exact_sums",
-            "tests/test_measure.py::test_covering_sum_matches_the_cell_oracle",
+            TEST_MEASURE + "test_hausdorff_exact_sums",
+            TEST_MEASURE + "test_covering_sum_matches_the_cell_oracle",
         ),
     ),
     Mutant(
@@ -117,6 +119,48 @@ MUTANTS = (
             TEST_CONSTRUCTION + "test_pl_value_spot_checks",
             TEST_CONSTRUCTION + "test_piece_evaluation_matches_direct_sum",
         ),
+    ),
+    Mutant(
+        "PolygonalCurve.length: one repeat of each pattern short",
+        CURVE,
+        "repeats * inner",
+        "(repeats - 1) * inner",
+        (TEST_CURVE + "test_period_layout_matches_per_vertex_oracle",),
+    ),
+    Mutant(
+        "PLFunction.pattern: the left limit at k = q_n read as the value there",
+        CONSTRUCTION,
+        "a * q if k == q else end",
+        "end",
+        (TEST_CURVE + "test_period_layout_matches_per_vertex_oracle",),
+    ),
+    Mutant(
+        "_Shape.tile: the b & (a + step) overlap counted count // 2 times",
+        MEASURE,
+        "(count - 1) // 2 * overlaps[1]",
+        "count // 2 * overlaps[1]",
+        (
+            TEST_MEASURE + "test_shape_tile_matches_pairwise_merge",
+            TEST_MEASURE + "test_shape_window_matches_pairwise_merge",
+        ),
+    ),
+    Mutant(
+        "_Shape.tile: neighbour overlaps assumed up to span 3 |step|",
+        MEASURE,
+        "span <= 2 * abs(step)",
+        "span <= 3 * abs(step)",
+        (
+            TEST_MEASURE + "test_shape_tile_matches_pairwise_merge",
+            TEST_MEASURE + "test_shape_window_matches_pairwise_merge",
+        ),
+    ),
+    Mutant(
+        "_overlap: the pair term not clamped to the window",
+        MEASURE,
+        "y.window(max(lo, x.lo) - step, min(hi, x.hi) - step)\n"
+        "    return x.window(max(lo, y.lo + step), min(hi, y.hi + step))",
+        "y.window(x.lo - step, x.hi - step)\n    return x.window(y.lo + step, y.hi + step)",
+        (TEST_MEASURE + "test_shape_window_matches_pairwise_merge",),
     ),
 )
 
