@@ -14,7 +14,11 @@ neighbouring copies can overlap and a or b is solid, the measures add less
 the neighbours' overlaps (inclusion-exclusion), each the other kind's measure
 inside the solid kind's interval, which recurses only into the copies that
 cross the interval's ends; any other tile merges the components of its copies
-once.
+once. ``image_measure`` always builds shapes; a bracket skips them at level k
+when c_1..c_k share a sign s (zeros allowed), as every jump of s h_k goes down:
+if s c_0 >= 0, s h_k >= 0 = h_k(0) takes every value below its supremum, of
+measure s (c_0 + sum c_n / (2 M_n)); if s (c_0 + sum c_n) <= 0, no slope is
+positive, the pieces' images only touch and the measure is -s (c_0 + sum c_n/2).
 
 Brackets for the untruncated projection rest on the per-level stability
 chain: raising the level by one moves each of the 2 M_{k+1} piece images by
@@ -299,6 +303,22 @@ def image_measure(
     return union, union.measure
 
 
+def _monotone_nums(a: Sequence[int], q: Sequence[int]) -> list[int | None]:
+    """Per level k, h_k's measure over the table's denom by the one-signed rule, else None."""
+    out, total, top, sign = [], 0, 0, 0
+    for n, x in enumerate(a):
+        if x * sign < 0:
+            break  # mixed signs at this level and every later one
+        if n:
+            sign, total, top = sign or (x > 0) - (x < 0), total + x, top + x * q[n]
+        s = sign or 1
+        if s * a[0] >= 0:
+            out.append(s * (2 * q[0] * a[0] + top))
+        else:
+            out.append(-s * q[0] * (2 * a[0] + total) if s * (a[0] + total) <= 0 else None)
+    return out + [None] * (len(a) - len(out))
+
+
 # -- certified brackets ---------------------------------------------------------
 
 
@@ -340,11 +360,16 @@ def projection_bracket(
     for every k < N and returned as part of the certificate. The level, the
     tail certificate and the level-N piece budget are checked before any
     image is computed, by ``build_pl``; every level is then measured over the one
-    level-N table.
+    level-N table, by the module's one-signed rule where it applies: on
+    ``harmonic_l2.cfg`` that is every level of F1's brackets and 424 of the
+    448 levels of the 64-direction level-6 scan.
     """
     pl = build_pl(params, functional, level, piece_budget=piece_budget)
     coeffs = pl.coeffs
-    mus = [Fraction(_image_ints(pl, k).measure, pl.denom) for k in range(level + 1)]
+    mus = [
+        Fraction(_image_ints(pl, k).measure if num is None else num, pl.denom)
+        for k, num in enumerate(_monotone_nums(pl.a, pl.periods))
+    ]
     chain = tuple(
         ChainLink(k + 1, abs(mus[k + 1] - mus[k]), 2 * abs(coeffs[k + 1])) for k in range(level)
     )

@@ -3,12 +3,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 import sawproj as sp
 
 # property tests are deterministic and unhurried unless a test says otherwise
 settings.register_profile("sawproj", deadline=None, derandomize=True)
+# tools/mutants.py only needs a failing example, not the smallest one
+settings.register_profile(
+    "mutants",
+    settings.get_profile("sawproj"),
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
 settings.load_profile("sawproj")
 
 

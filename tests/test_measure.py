@@ -284,24 +284,103 @@ def test_scan_directions_match_flattened_and_direct_images():
 
 def test_dense_direction_builds_no_union(d1, f1, monkeypatch):
     # direction 48 of the 64-direction scan: its level-7 image has 645,120
-    # components, yet its measure needs none of them merged
+    # components, yet the shape engine needs none of them merged (its bracket
+    # takes the closed form and builds no shapes at all)
     def no_union(denom, pairs):
         raise AssertionError("an interval union was built")
 
     monkeypatch.setattr(IntervalUnion, "from_pairs", staticmethod(no_union))
-    bracket = sp.directional_measure(d1, f1, (F(-2048), F(1536)), 7)
-    assert bracket.mu == F(3637276, 3675)
+    pl = sp.build_pl(d1, f1.with_direction(F(-2048), F(1536)), 7)
+    assert F(measure._image_ints(pl, 7).measure, pl.denom) == F(3637276, 3675)
 
 
 def test_level_seven_tiles_need_no_sweep(d1, f1, monkeypatch):
-    # every tile of these brackets is measured in O(1): its copies share at
+    # every tile of these images is measured in O(1): its copies share at
     # most a point, or they are solid and each meets the next, so none merges
     def no_merge(parts):
         raise AssertionError("a tile merged the components of its copies")
 
     monkeypatch.setattr(measure, "_merged", no_merge)
+    for functional, mu in (
+        (f1, F(64491960451, 113799168000)),
+        (f1.with_direction(F(-2048), F(1536)), F(3637276, 3675)),
+    ):
+        pl = sp.build_pl(d1, functional, 7)
+        assert F(measure._image_ints(pl, 7).measure, pl.denom) == mu
+
+
+def test_one_signed_brackets_build_no_shapes(d1, f1, monkeypatch):
+    # F1 and direction 48 have one-signed tails and are monotone at every level
+    def no_shapes(pl, top):
+        raise AssertionError("a shape was built")
+
+    monkeypatch.setattr(measure, "_image_ints", no_shapes)
     assert sp.projection_bracket(d1, f1, 7).mu == F(64491960451, 113799168000)
     assert sp.directional_measure(d1, f1, (F(-2048), F(1536)), 7).mu == F(3637276, 3675)
+
+
+def test_level_six_scan_builds_shapes_for_24_levels(monkeypatch):
+    # of the 448 levels of the 64-direction level-6 scan, only 24 in directions
+    # 40-44 have mixed-sign or non-monotone truncations
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "harmonic_l2.cfg")
+    params, functional = params_from_config(config), functional_from_config(config)
+    calls = []
+
+    def counted(pl, top):
+        calls.append(top)
+        return image_ints(pl, top)
+
+    image_ints = measure._image_ints
+    monkeypatch.setattr(measure, "_image_ints", counted)
+    for p, q in circle_directions(64):
+        sp.directional_measure(params, functional, (p, q), 6)
+    assert len(calls) == 24
+
+
+@st.composite
+def one_signed_truncations(draw):
+    """``truncations`` with c_1..c_N of one sign, zeros included, c_0 of either
+    sign or 0, and an optional direction, whose q < 0 flips the tail's sign."""
+    factors = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    level = draw(st.integers(1, len(factors)))  # every level k <= level is checked
+    while 2 * prod(factors[:level]) > DIRECT_PIECE_LIMIT:
+        level -= 1
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    sizes = st.fractions(min_value=0, max_value=4, max_denominator=12)
+    sign = draw(st.sampled_from([1, -1]))
+    coeffs = [sign * c for c in draw(st.lists(sizes, min_size=level, max_size=level))]
+    alpha0 = draw(st.one_of(st.just(F(0)), rationals))
+    direction = draw(st.one_of(st.just((0, 0)), st.tuples(rationals, rationals)))
+    return explicit_truncation(factors, alpha0, coeffs, direction)
+
+
+@settings(max_examples=300)
+@given(one_signed_truncations())
+@example((sp.harmonic_l2_preset(n_max=4), sp.inverse_square_functional(), 4))  # F1
+@example(  # direction 48 of the 64-direction scan: no positive slope
+    (
+        sp.harmonic_l2_preset(n_max=4),
+        sp.inverse_square_functional().with_direction(F(-2048), F(1536)),
+        4,
+    )
+)
+@example(explicit_truncation([2, 3], "1/2", ["1/4", "1/9"], (-3, 0)))  # q = 0: no tail
+@example(explicit_truncation([2, 4, 3], "1/2", ["1/4", "1/16", "1/36"], (-1, -2)))  # all < 0
+@example(explicit_truncation([3], -2, []))  # k = 0 with c_0 < 0
+@example(explicit_truncation([1, 3, 1, 5], "1/2", ["3/4", 0, "5/3", 1]))  # m_n = 1, odd
+def test_one_signed_levels_match_the_engine_and_direct_images(case):
+    params, functional, level = case
+    pl = sp.build_pl(params, functional, level)
+    nums = measure._monotone_nums(pl.a, pl.periods)
+    assert len(nums) == level + 1
+    signs = {x > 0 for x in pl.a[1:] if x}
+    s = -1 if signs == {False} else 1
+    if s * pl.a[0] >= 0 or s * sum(pl.a) <= 0:
+        assert None not in nums  # the rule applies at every level
+    for k, num in enumerate(nums):
+        if num is not None:
+            assert num == measure._image_ints(pl, k).measure
+            assert F(num, pl.denom) == direct_image(sp.build_pl(params, functional, k))[1]
 
 
 def test_two_copy_tiles_need_no_merge(d1, f1, monkeypatch):
@@ -398,6 +477,10 @@ def test_bracket_beyond_default_budget(f1):
     assert bracket.piece_count == 2 * deep.grid_size(10) > DEFAULT_PIECE_BUDGET
     assert len(bracket.mu_levels) == 11 and bracket.chain_holds
     assert 0 < bracket.lower < bracket.upper
+    # direction 42 of the 64-direction scan still measures its top levels by shapes
+    mixed = sp.directional_measure(deep, f1, (F(-1280), F(1848)), 10, piece_budget=2**33)
+    assert len(mixed.mu_levels) == 11 and mixed.chain_holds
+    assert 0 < mixed.mu < mixed.upper
 
 
 def test_image_budget(d1, f1):

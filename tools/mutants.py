@@ -162,15 +162,38 @@ MUTANTS = (
         "y.window(x.lo - step, x.hi - step)\n    return x.window(y.lo + step, y.hi + step)",
         (TEST_MEASURE + "test_shape_window_matches_pairwise_merge",),
     ),
+    Mutant(
+        "_monotone_nums: the 2 dropped from 2 q_0 a_0 in the nondecreasing case",
+        MEASURE,
+        "s * (2 * q[0] * a[0] + top)",
+        "s * (q[0] * a[0] + top)",
+        (TEST_MEASURE + "test_one_signed_levels_match_the_engine_and_direct_images",),
+    ),
+    Mutant(
+        "_monotone_nums: sum a_n read as 2 sum a_n in the nonincreasing case",
+        MEASURE,
+        "q[0] * (2 * a[0] + total)",
+        "q[0] * (2 * a[0] + 2 * total)",
+        (TEST_MEASURE + "test_one_signed_levels_match_the_engine_and_direct_images",),
+    ),
+    Mutant(
+        "_monotone_nums: the sign of an all-negative tail ignored",
+        MEASURE,
+        "s = sign or 1",
+        "s = 1",
+        (TEST_MEASURE + "test_one_signed_levels_match_the_engine_and_direct_images",),
+    ),
 )
 
 
 def pytest(tree: Path, node_ids) -> int:
     """pytest's exit status over node_ids in tree: 0 all passed, 1 some failed,
     anything else an error such as a node id not found. No bytecode is written,
-    so a mutated module is always compiled from its source."""
+    so a mutated module is always compiled from its source, and the ``mutants``
+    hypothesis profile of tests/conftest.py skips shrinking a failing example."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *node_ids]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    cmd += ["--hypothesis-profile=mutants", *node_ids]
     return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
 
 
