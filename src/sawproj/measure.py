@@ -8,14 +8,14 @@ rather than from the 2 M_N pieces: every component above level l is
 periodic across the level-l half-cells, so on each of them h_N is an offset
 plus a shape fixed by l, the slope there and the cell's parity. As parities
 alternate, a shape is a tile of two next-level shapes a and b, copied at a
-fixed step. The tile rule: copies that share at most a point add measures;
-solid copies that each meet the next are one interval, the hull; when only
-neighbouring copies can overlap and a or b is solid, the measures add less
-the neighbours' overlaps (inclusion-exclusion), each the other kind's measure
-inside the solid kind's interval, which recurses only into the copies that
-cross the interval's ends; any other tile merges the components of its copies
-once. ``image_measure`` always builds shapes; a bracket skips them at level k
-when c_1..c_k share a sign s (zeros allowed), as every jump of s h_k goes down:
+fixed step. The one tile rule: the solid copies (each one interval) merge
+into disjoint pairs, and the other, loose copies stay copies while no two of
+their hulls share more than a point; the measure in a window is then that of
+the pairs cut to it plus, per loose copy, its part in the window less its
+parts in those pairs. A tile whose loose copies overlap merges the
+components of every copy once. ``image_measure`` always builds shapes; a
+bracket skips them at level k when c_1..c_k share a sign s (zeros allowed),
+as every jump of s h_k goes down:
 if s c_0 >= 0, s h_k >= 0 = h_k(0) takes every value below its supremum, of
 measure s (c_0 + sum c_n / (2 M_n)); if s (c_0 + sum c_n) <= 0, no slope is
 positive, the pieces' images only touch and the measure is -s (c_0 + sum c_n/2).
@@ -152,26 +152,23 @@ class IntervalUnion(NamedTuple):
 
 class _Shape:
     """An image in integer numerators over the table's denom: its hull [lo, hi],
-    its measure, and the count copies at offsets i * step, copy i kinds[i % 2],
-    whose union it is (none for a leaf). A solid shape, measure hi - lo, is its hull.
-    When only neighbouring copies overlap, overlaps holds |a & (b + step)| and
-    |b & (a + step)|; it is None for a leaf, a solid chain and a tile that merged."""
+    its measure, the disjoint intervals pairs that its solid copies cover, and
+    its loose copies, the non-solid ones, as (offset, shape), no two of whose
+    hulls share more than a point. A leaf, and any solid shape, is one pair; a
+    tile whose loose copies overlap keeps its merged components as pairs."""
 
-    __slots__ = ("lo", "hi", "measure", "solid", "kinds", "step", "count", "overlaps", "_flat")
+    __slots__ = ("lo", "hi", "measure", "solid", "pairs", "loose")
 
-    def __init__(self, lo: int, hi: int, measure: int, kinds=(), step=0, count=0, overlaps=None):
-        self.lo, self.hi, self.measure = lo, hi, measure
-        self.kinds, self.step, self.count, self.overlaps = kinds, step, count, overlaps
-        self.solid, self._flat = measure == hi - lo, None
+    def __init__(self, lo: int, hi: int, measure: int, pairs: tuple, loose: tuple = ()):
+        self.lo, self.hi, self.measure, self.solid = lo, hi, measure, measure == hi - lo
+        self.pairs, self.loose = (((lo, hi),), ()) if self.solid else (pairs, loose)
 
     @staticmethod
     def tile(a: "_Shape", b: "_Shape", step: int, count: int) -> "_Shape":
         """The union of count copies at offsets i * step alternating a and b (with
         step 0, each kind once); its hull is that of the first two and the last
-        two copies. Its measure is the sum when copies share at most a point, the
-        hull when solid copies each meet the next, the sum less the neighbours'
-        overlaps when only neighbours overlap and a or b is solid, and else that
-        of the merged components of its copies."""
+        two copies. The solid copies merge into pairs and the others stay loose,
+        unless two loose hulls overlap: then every component merges."""
         count = count if step else min(count, 2)
         if count == 1:
             return a
@@ -179,71 +176,56 @@ class _Shape:
         y, z = kinds[count % 2], kinds[(count - 1) % 2]  # the last two copies
         lo = min(a.lo, step + b.lo, last - step + y.lo, last + z.lo)
         hi = max(a.hi, step + b.hi, last - step + y.hi, last + z.hi)
-        span, overlaps = max(a.hi, b.hi) - min(a.lo, b.lo), None
-        if step and span <= abs(step):
-            overlaps = (0, 0)
-        elif a.solid and b.solid and _meets(a, b, step) and (count < 3 or _meets(b, a, step)):
-            return _Shape(lo, hi, hi - lo, kinds, step, count)
-        elif (a.solid or b.solid) and (count == 2 or span <= 2 * abs(step)):
-            overlaps = (_overlap(a, b, step, a.lo, a.hi), _overlap(b, a, step, b.lo, b.hi))
+        pairs, loose = [], []
+        for first, x in enumerate(kinds):
+            if x.solid:
+                pairs += [(x.lo + i * step, x.hi + i * step) for i in range(first, count, 2)]
+            else:
+                loose += [(i * step, x) for i in range(first, count, 2)]
+        hulls = sorted([(off + x.lo, off + x.hi) for off, x in loose])
+        if any(v[0] < u[1] for u, v in zip(hulls, hulls[1:])):
+            pairs, loose = _merged(pairs, loose), ()
         else:
-            measure = sum(hi - lo for lo, hi in _merged(_copies(kinds, step, count)))
-            return _Shape(lo, hi, measure, kinds, step, count)
-        # inclusion-exclusion: copy i meets only copies i - 1 and i + 1
-        measure = (count + 1) // 2 * a.measure + count // 2 * (b.measure - overlaps[0])
-        measure -= (count - 1) // 2 * overlaps[1]
-        return _Shape(lo, hi, measure, kinds, step, count, overlaps)
+            pairs, loose = IntervalUnion.from_pairs(1, pairs).pairs, tuple(loose)
+        return _Shape(lo, hi, _measure(pairs, loose, lo, hi), pairs, loose)
 
     def window(self, lo: int, hi: int) -> int:
         """The measure of the image's part in [lo, hi]."""
-        lo, hi = max(lo, self.lo), min(hi, self.hi)
-        if hi <= lo:
-            return 0
-        if self.solid:
-            return hi - lo
-        if (lo, hi) == (self.lo, self.hi):
+        if lo <= self.lo and self.hi <= hi:
             return self.measure
-        if self.overlaps is None:
-            flat = self.flatten()
-            i, j = bisect_right(flat, lo, key=itemgetter(1)), bisect_left(flat, hi, key=itemgetter(0))
-            return sum(min(y, hi) - max(x, lo) for x, y in flat[i:j])
-        total = 0
-        for i in range(self.count):
-            x, y, off = self.kinds[i % 2], self.kinds[1 - i % 2], i * self.step
-            total += x.window(lo - off, hi - off)
-            if i + 1 < self.count and self.overlaps[i % 2]:
-                total -= _overlap(x, y, self.step, lo - off, hi - off)
-        return total
+        lo, hi = max(lo, self.lo), min(hi, self.hi)
+        return _measure(self.pairs, self.loose, lo, hi) if lo < hi else 0
 
     def flatten(self) -> tuple[tuple[int, int], ...]:
-        """The image's disjoint components, merged once and kept."""
-        if self._flat is None:
-            copies = _copies(self.kinds, self.step, self.count)
-            self._flat = ((self.lo, self.hi),) if self.solid else _merged(copies)
-        return self._flat
+        """The image's disjoint components, merged once and kept as its pairs."""
+        if self.loose:
+            shifted = [(lo + off, hi + off) for off, x in self.loose for lo, hi in x.flatten()]
+            self.pairs = IntervalUnion.from_pairs(1, [*self.pairs, *shifted]).pairs
+            self.loose = ()
+        return self.pairs
 
 
-def _copies(kinds: tuple, step: int, count: int) -> list[tuple[int, _Shape]]:
-    """The (offset, shape) copies of a tile."""
-    return [(i * step, kinds[i % 2]) for i in range(count)]
+def _measure(pairs: tuple, loose: tuple, lo: int, hi: int) -> int:
+    """The measure inside [lo, hi], lo <= hi, of disjoint pairs and loose copies
+    that share at most a point with each other: the pairs cut to the window,
+    plus each copy's part in the window less its parts in those cut pairs."""
+    i, j = bisect_right(pairs, lo, key=itemgetter(1)), bisect_left(pairs, hi, key=itemgetter(0))
+    cut = pairs[i:j]  # only the first and the last may stick out of the window
+    total = sum(y - x for x, y in cut)
+    if cut:
+        total -= max(0, lo - cut[0][0]) + max(0, cut[-1][1] - hi)
+    for off, shape in loose:
+        total += shape.window(lo - off, hi - off)
+        i = bisect_right(cut, shape.lo + off, key=itemgetter(1))
+        j = bisect_left(cut, shape.hi + off, key=itemgetter(0))
+        total -= sum(shape.window(max(x, lo) - off, min(y, hi) - off) for x, y in cut[i:j])
+    return total
 
 
-def _overlap(x: _Shape, y: _Shape, step: int, lo: int, hi: int) -> int:
-    """|x & (y + step) & [lo, hi]| with x or y solid: the other one's measure
-    over the solid one's hull, clamped to the window."""
-    if x.solid:
-        return y.window(max(lo, x.lo) - step, min(hi, x.hi) - step)
-    return x.window(max(lo, y.lo + step), min(hi, y.hi + step))
-
-
-def _meets(x: _Shape, y: _Shape, step: int) -> bool:
-    """Whether the hull of x meets the hull of y shifted by step."""
-    return x.lo <= step + y.hi and step + y.lo <= x.hi
-
-
-def _merged(parts: list[tuple[int, _Shape]]) -> tuple[tuple[int, int], ...]:
-    shifted = [(lo + off, hi + off) for off, shape in parts for lo, hi in shape.flatten()]
-    return IntervalUnion.from_pairs(1, shifted).pairs  # the one merge sweep, on numerators
+def _merged(pairs: list[tuple[int, int]], loose: list[tuple[int, _Shape]]) -> tuple:
+    """The disjoint components of pairs and of the loose copies' components."""
+    shifted = [(lo + off, hi + off) for off, shape in loose for lo, hi in shape.flatten()]
+    return IntervalUnion.from_pairs(1, [*pairs, *shifted]).pairs  # the one merge sweep
 
 
 def _image_ints(pl: PLFunction, top: int) -> _Shape:
@@ -263,12 +245,12 @@ def _image_ints(pl: PLFunction, top: int) -> _Shape:
     cell exactly when p_i = 1, and every f_n with n > l vanishes at each
     level-l half-cell's left end. The parity is folded to 0 unless m_{l+1} is
     odd. As p_i alternates, Img(l, s, odd) is a tile of a = Img(l+1, ., p_0)
-    and b = Img(l+1, ., 1 - p_0); ``_Shape.tile`` measures it in O(1) when
-    copies share at most a point or a and b are solid and each copy meets the
-    next, from the neighbours' overlaps when only neighbours overlap and a or
-    b is solid, and by merging the components of its copies otherwise. Each distinct
-    (s, odd, l) is built once, from the two keys of its kinds; the two level-0
-    half-cells are one more tile.
+    and b = Img(l+1, ., 1 - p_0); ``_Shape.tile`` merges its solid copies into
+    pairs, keeps the others as loose copies while no two of their hulls
+    overlap, and measures the pairs plus each loose copy's part outside them;
+    only a tile whose loose copies overlap merges the components of every copy.
+    Each distinct (s, odd, l) is built once, from the two keys of its kinds;
+    the two level-0 half-cells are one more tile.
     """
     a, steps = pl.a, pl.periods
     m = [0] + [steps[n - 1] // steps[n] for n in range(1, top + 1)]
@@ -280,8 +262,8 @@ def _image_ints(pl: PLFunction, top: int) -> _Shape:
     @cache
     def shape(slope: int, odd: int, level: int) -> _Shape:
         if level == top:
-            rise = leaf * slope
-            return _Shape(min(0, rise), max(0, rise), abs(rise))
+            lo, hi = sorted((0, leaf * slope))
+            return _Shape(lo, hi, hi - lo, ((lo, hi),))
         n = level + 1
         p = odd * m[n] % 2  # kind a; kind b exists when m_n > 1
         kinds = [shape(*key(slope + a[n] * q, q, n)) for q in (p, 1 - p)[: m[n]]]

@@ -189,29 +189,25 @@ def test_hull_cluster_measures_match_flattened_and_direct_images(case):
         assert mus[k] == sp.image_measure(pl)[1] == direct_image(pl)[1]
 
 
-def _assert_matches_merge(shape, pairs):
-    merged = pairwise_merge(pairs)
-    assert list(shape.flatten()) == merged
-    assert shape.measure == sum(hi - lo for lo, hi in merged)
-    assert (shape.lo, shape.hi) == (merged[0][0], merged[-1][1])
-    assert shape.solid == (len(merged) == 1)
-
-
 def _tile_tree(tree):
     """A _Shape built from a tree, with the leaf intervals it covers.
 
     A tree is a leaf (lo, length) or a tile (a, b, step, count) of two
-    subtrees; every tile in it is checked against a pairwise merge."""
+    subtrees. Every tile's hull, measure and solidity are checked against a
+    pairwise merge; none is flattened, so every tile keeps its loose copies."""
     if len(tree) == 2:
         lo, length = tree
-        return _Shape(lo, lo + length, length), [(lo, lo + length)]
+        return _Shape(lo, lo + length, length, ((lo, lo + length),)), [(lo, lo + length)]
     a, b, step, count = tree
     kinds = [_tile_tree(a), _tile_tree(b)]
     pairs = sorted(
         {(lo + i * step, hi + i * step) for i in range(count) for lo, hi in kinds[i % 2][1]}
     )
     shape = _Shape.tile(kinds[0][0], kinds[1][0], step, count)
-    _assert_matches_merge(shape, pairs)
+    merged = pairwise_merge(pairs)
+    assert (shape.lo, shape.hi) == (merged[0][0], merged[-1][1])
+    assert shape.measure == sum(hi - lo for lo, hi in merged)
+    assert shape.solid == (len(merged) == 1)
     return shape, pairs
 
 
@@ -234,27 +230,35 @@ TILE_TREES = st.recursive(
 @example(((0, 2), (0, 5), 2, 3))  # chained: a -> b touch at a point
 @example(((0, 5), (0, 2), 2, 3))  # chained: b -> a touch at a point
 @example(((0, 4), (0, 1), 3, 3))  # a -> b chained, b -> a gapped
+@example(((0, 7), (10, 1), 3, 4))  # solid kinds that do not chain, 2 |step| < span
 @example((COMB, (1, 3), 1, 2))  # two copies, b solid, hulls overlap
 @example(((1, 4), COMB, 2, 2))  # two copies, a solid, hulls overlap
-@example(((0, 5), COMB, 4, 4))  # neighbours overlap: |step| < span <= 2 |step|, count 4
+@example(((0, 5), COMB, 4, 4))  # |step| < span <= 2 |step|, count 4
 @example(((0, 5), COMB, -4, 4))  # the same with a negative step
+@example(((0, 9), COMB, 4, 4))  # 2 |step| < span, loose copies that only touch
 @example((COMB, (1, 6), 0, 3))  # step 0 with one solid kind
-@example(((0, 7), COMB, 3, 3))  # 2 |step| < span: copies 0 and 2 overlap, so it merges
+@example(((0, 7), COMB, 3, 3))  # one loose copy inside the solid copies' interval
+@example((COMB, (1, 3), 2, 4))  # loose copies that overlap, so it merges
+@example((COMB, COMB, 0, 2))  # step 0, both kinds loose at one offset: it merges
 @example(((0, 3), (5, 1), 7, 1))  # count 1
 @example((COMB, (0, 1), -4, 1))  # count 1 of a comb
 def test_shape_tile_matches_pairwise_merge(tree):
-    _assert_matches_merge(*_tile_tree(tree))
+    shape, pairs = _tile_tree(tree)
+    assert list(shape.flatten()) == pairwise_merge(pairs)  # last: it keeps the merge
 
 
 @settings(max_examples=300)
 @given(TILE_TREES, st.integers(-5, 105), st.integers(-5, 105))
 @example((((0, 5), COMB, 4, 4), (0, 2), 30, 2), 25, 75)  # a window cuts overlapping pairs
-@example(((0, 7), COMB, 3, 3), 20, 60)  # a window cuts a tile that merged
+@example((COMB, (1, 3), 2, 4), 20, 60)  # a window cuts a tile that merged
+@example((((0, 9), COMB, 4, 4), (0, 1), 40, 2), 0, 47)  # a window cuts a loose grandchild
 def test_shape_window_matches_pairwise_merge(tree, u, v):
     # the window runs from u% to v% of the hull, a little past it at either end
     shape, pairs = _tile_tree(tree)
     lo, hi = (shape.lo + (shape.hi - shape.lo) * t // 100 for t in sorted((u, v)))
     expected = sum(max(0, min(y, hi) - max(x, lo)) for x, y in pairwise_merge(pairs))
+    assert shape.window(lo, hi) == expected
+    shape.flatten()
     assert shape.window(lo, hi) == expected
 
 
@@ -269,7 +273,7 @@ def test_shape_stack_matches_pairwise_merge(parts):
         shapes.append((off, shape))
         pairs += [(lo + off, hi + off) for lo, hi in leaves]
     merged = pairwise_merge(pairs)
-    assert list(_merged(shapes)) == merged
+    assert list(_merged([], shapes)) == merged
 
 
 def test_scan_directions_match_flattened_and_direct_images():
@@ -284,20 +288,22 @@ def test_scan_directions_match_flattened_and_direct_images():
 
 def test_dense_direction_builds_no_union(d1, f1, monkeypatch):
     # direction 48 of the 64-direction scan: its level-7 image has 645,120
-    # components, yet the shape engine needs none of them merged (its bracket
-    # takes the closed form and builds no shapes at all)
-    def no_union(denom, pairs):
-        raise AssertionError("an interval union was built")
+    # components, yet the shape engine lists none of them: each union it builds
+    # merges the solid copies of one tile, at most max m_n = 14 of them (its
+    # bracket takes the closed form and builds no shapes at all)
+    def small_union(denom, pairs):
+        assert len(pairs) <= 14, "the components of an image were listed"
+        return from_pairs(denom, pairs)
 
-    monkeypatch.setattr(IntervalUnion, "from_pairs", staticmethod(no_union))
+    from_pairs = IntervalUnion.from_pairs
+    monkeypatch.setattr(IntervalUnion, "from_pairs", staticmethod(small_union))
     pl = sp.build_pl(d1, f1.with_direction(F(-2048), F(1536)), 7)
     assert F(measure._image_ints(pl, 7).measure, pl.denom) == F(3637276, 3675)
 
 
 def test_level_seven_tiles_need_no_sweep(d1, f1, monkeypatch):
-    # every tile of these images is measured in O(1): its copies share at
-    # most a point, or they are solid and each meets the next, so none merges
-    def no_merge(parts):
+    # no tile of these images has two loose copies that overlap, so none merges
+    def no_merge(pairs, loose):
         raise AssertionError("a tile merged the components of its copies")
 
     monkeypatch.setattr(measure, "_merged", no_merge)
@@ -385,8 +391,8 @@ def test_one_signed_levels_match_the_engine_and_direct_images(case):
 
 def test_two_copy_tiles_need_no_merge(d1, f1, monkeypatch):
     # direction 42 of the 64-direction scan: its costly tiles are two copies, one
-    # of them a single interval, so each is measured from the copies' overlap
-    def no_merge(parts):
+    # of them a single interval, so the other copy is the tile's only loose one
+    def no_merge(pairs, loose):
         raise AssertionError("a tile merged the components of its copies")
 
     monkeypatch.setattr(measure, "_merged", no_merge)
@@ -394,6 +400,22 @@ def test_two_copy_tiles_need_no_merge(d1, f1, monkeypatch):
         bracket = sp.directional_measure(d1, f1, (F(-1280), F(1848)), level)
         assert bracket.mu == mu
         assert bracket.chain_holds
+
+
+def test_level_nine_scan_needs_no_merge(f1, monkeypatch):
+    # no tile of the 64-direction level-9 scan has two loose copies that
+    # overlap; a merge this deep lists millions of components (2.1 GB for
+    # direction 43)
+    def no_merge(pairs, loose):
+        raise AssertionError("a tile merged the components of its copies")
+
+    monkeypatch.setattr(measure, "_merged", no_merge)
+    params = sp.harmonic_l2_preset(n_max=10)
+    for k, direction in enumerate(circle_directions(64)):
+        bracket = sp.directional_measure(params, f1, direction, 9, piece_budget=2**33)
+        assert bracket.chain_holds
+        if k == 43:
+            assert bracket.mu == F(5861837392018091, 28092137472000)
 
 
 def test_projection_bracket_f1(d1, f1):

@@ -5,9 +5,10 @@ Each entry of MUTANTS names a mutant, the file it edits, an exact snippet that
 occurs once in that file, the snippet's replacement and the pytest node ids
 that must fail. The script copies the repository to a temporary directory and
 first runs all named node ids on the unmutated copy, which must pass. Then it
-applies one mutant at a time and runs each of its node ids on its own. It
-exits 1 if a snippet no longer occurs exactly once, a node id does not pass on
-the unmutated copy, or a node id passes (or is not found) under its mutant.
+applies one mutant at a time and runs all of its node ids in one pytest
+process, reading each node's outcome from pytest's junit XML report. It exits
+1 if a snippet no longer occurs exactly once, a node id does not pass on the
+unmutated copy, or a node id passes (or is not reported) under its mutant.
 A stale snippet is reported, never skipped.
 
 Usage, from anywhere: python3 tools/mutants.py  (standard library only; the
@@ -24,6 +25,7 @@ import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -135,32 +137,39 @@ MUTANTS = (
         (TEST_CURVE + "test_period_layout_matches_per_vertex_oracle",),
     ),
     Mutant(
-        "_Shape.tile: the b & (a + step) overlap counted count // 2 times",
+        "_Shape.tile: loose copies whose hulls overlap kept as loose",
         MEASURE,
-        "(count - 1) // 2 * overlaps[1]",
-        "count // 2 * overlaps[1]",
+        "if any(v[0] < u[1] for u, v in zip(hulls, hulls[1:])):",
+        "if False:",
+        (TEST_MEASURE + "test_shape_tile_matches_pairwise_merge",),
+    ),
+    Mutant(
+        "_measure: a loose copy's part in the pairs not subtracted",
+        MEASURE,
+        "        total -= sum(shape.window(max(x, lo) - off, min(y, hi) - off) for x, y in cut[i:j])\n",
+        "",
         (
             TEST_MEASURE + "test_shape_tile_matches_pairwise_merge",
             TEST_MEASURE + "test_shape_window_matches_pairwise_merge",
+            TEST_MEASURE + "test_image_engine_equals_direct_enumeration",
         ),
     ),
     Mutant(
-        "_Shape.tile: neighbour overlaps assumed up to span 3 |step|",
+        "_measure: a loose copy's part in the window read as its whole measure",
         MEASURE,
-        "span <= 2 * abs(step)",
-        "span <= 3 * abs(step)",
-        (
-            TEST_MEASURE + "test_shape_tile_matches_pairwise_merge",
-            TEST_MEASURE + "test_shape_window_matches_pairwise_merge",
-        ),
-    ),
-    Mutant(
-        "_overlap: the pair term not clamped to the window",
-        MEASURE,
-        "y.window(max(lo, x.lo) - step, min(hi, x.hi) - step)\n"
-        "    return x.window(max(lo, y.lo + step), min(hi, y.hi + step))",
-        "y.window(x.lo - step, x.hi - step)\n    return x.window(y.lo + step, y.hi + step)",
+        "total += shape.window(lo - off, hi - off)",
+        "total += shape.measure",
         (TEST_MEASURE + "test_shape_window_matches_pairwise_merge",),
+    ),
+    Mutant(
+        "_Shape.flatten: the pairs dropped",
+        MEASURE,
+        "from_pairs(1, [*self.pairs, *shifted])",
+        "from_pairs(1, shifted)",
+        (
+            TEST_MEASURE + "test_shape_tile_matches_pairwise_merge",
+            TEST_MEASURE + "test_image_engine_equals_direct_enumeration",
+        ),
     ),
     Mutant(
         "_monotone_nums: the 2 dropped from 2 q_0 a_0 in the nondecreasing case",
@@ -186,15 +195,30 @@ MUTANTS = (
 )
 
 
-def pytest(tree: Path, node_ids) -> int:
-    """pytest's exit status over node_ids in tree: 0 all passed, 1 some failed,
-    anything else an error such as a node id not found. No bytecode is written,
-    so a mutated module is always compiled from its source, and the ``mutants``
-    hypothesis profile of tests/conftest.py skips shrinking a failing example."""
+def pytest(tree: Path, node_ids) -> dict[str, str]:
+    """Each node id's outcome in tree: "passed", "failed" (a failure or an
+    error) or "skipped"; a node id that pytest did not report is missing. No
+    bytecode is written, so a mutated module is always compiled from its
+    source; asserts are left plain, as rewriting them (hypothesis included)
+    without a bytecode cache costs more than a second per run; and the
+    ``mutants`` hypothesis profile of tests/conftest.py skips shrinking a
+    failing example."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-    cmd += ["--hypothesis-profile=mutants", *node_ids]
-    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+    report = tree / "junit.xml"
+    report.unlink(missing_ok=True)
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--assert=plain"]
+    cmd += ["--hypothesis-profile=mutants", f"--junitxml={report}", "-o", "junit_family=xunit1"]
+    subprocess.run([*cmd, *node_ids], cwd=tree, env=env, capture_output=True)
+    outcomes = {}
+    if report.exists():
+        for case in ElementTree.parse(report).iter("testcase"):
+            module = case.get("file", "").removesuffix(".py").replace("/", ".")
+            classes = case.get("classname", "").removeprefix(module).split(".")
+            node = "::".join([case.get("file", ""), *filter(None, classes), case.get("name", "")])
+            tags = {child.tag for child in case}
+            failed = "failure" in tags or "error" in tags
+            outcomes[node] = "failed" if failed else "skipped" if "skipped" in tags else "passed"
+    return outcomes
 
 
 def main() -> int:
@@ -209,8 +233,10 @@ def main() -> int:
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
         shutil.copytree(ROOT, tree, ignore=ignore)
         all_ids = sorted({node for m in MUTANTS for node in m.tests})
-        if pytest(tree, all_ids) != 0:
-            problems.append("the named tests do not all pass on the unmutated tree")
+        outcomes = pytest(tree, all_ids)
+        for node in all_ids:
+            if outcomes.get(node) != "passed":
+                problems.append(f"{node} is {outcomes.get(node, 'missing')} on the unmutated tree")
         for m in MUTANTS:
             if any(p.endswith(m.name) for p in problems):
                 continue
@@ -218,14 +244,15 @@ def main() -> int:
             original = target.read_text(encoding="utf-8")
             target.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
             try:
-                for node in m.tests:
-                    status = pytest(tree, [node])
-                    verdict = "killed" if status == 1 else f"NOT KILLED (pytest exit {status})"
-                    print(f"{verdict}: {m.name} by {node}")
-                    if status != 1:
-                        problems.append(f"{m.name} survives {node}")
+                outcomes = pytest(tree, m.tests)
             finally:
                 target.write_text(original, encoding="utf-8")
+            for node in m.tests:
+                outcome = outcomes.get(node, "missing")
+                print(f"{'killed' if outcome == 'failed' else f'NOT KILLED ({outcome})'}: "
+                      f"{m.name} by {node}")
+                if outcome != "failed":
+                    problems.append(f"{m.name} survives {node}")
     for problem in problems:
         print(f"error: {problem}")
     print(f"{len(MUTANTS)} mutants, {len(problems)} problems, {time.perf_counter() - start:.0f} s")
