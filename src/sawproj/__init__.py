@@ -35,9 +35,10 @@ _EXPORTS = {
     "errors": (
         "BudgetExceeded", "CertificationError", "ConfigError", "DomainError", "SawprojError",
     ),
+    "intervals": ("IntervalUnion",),
     "measure": (
-        "IntervalUnion", "MeasureBracket", "directional_measure", "hausdorff_upper",
-        "image_measure", "projection_bracket",
+        "MeasureBracket", "directional_measure", "hausdorff_upper", "image_measure",
+        "projection_bracket",
     ),
     "params": (
         "ParameterSet", "RefinementRule", "ValidationReport", "block_partition",

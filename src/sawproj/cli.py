@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Optional
 
 # Each command imports the engine modules it runs inside its own body, so a call
-# loads only those: `curve` never imports measure, and `--version` imports none of
-# construction, measure, curve and diagnostics.
+# loads only those: neither `curve` nor `diagnose` imports measure, and `--version`
+# imports none of construction, intervals, measure, curve and diagnostics.
 from . import __version__
 from .errors import BudgetExceeded, ConfigError, DomainError, SawprojError
 from .params import validate
@@ -429,10 +429,11 @@ def _diag_slope_identity(params, args) -> list[dict]:
 
 
 def _diag_secant(params, args) -> list[dict]:
-    from .diagnostics import sample_secant_witnesses
+    from .diagnostics import check_secant_levels, sample_secant_witnesses
 
-    records = []
-    for n in _levels(params, args, 4, 7):
+    records, levels = [], _levels(params, args, 4, 7)
+    check_secant_levels(params, levels)
+    for n in levels:
         hits, total = sample_secant_witnesses(params, n, args.samples, args.seed)
         records.append(
             _sampled(args, level=n, samples=total, passed_count=hits, passed=10 * hits >= 9 * total)

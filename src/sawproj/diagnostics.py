@@ -5,7 +5,8 @@ The level-n refinement event marks parameters living in the first or last
 alpha_n * m_n level-n subcells of their level-(n-1) cell, i.e. within
 alpha_n / M_{n-1} of the coarse grid. Its measure is exactly 2 alpha_n, and
 because membership depends only on the level-n refinement digit, events at
-distinct levels intersect with exactly multiplicative measure.
+distinct levels intersect with exactly multiplicative measure. Events are
+``intervals.IntervalUnion`` values, so no check loads the image engine.
 
 Secant witnesses work at the fine scale instead: an eligible parameter sits
 within alpha_n / M_n of a level-n grid point beta that lies on no coarser
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .construction import point_nums
 from .errors import BudgetExceeded, DomainError
-from .measure import DEFAULT_COMPONENT_BUDGET, IntervalUnion
+from .intervals import DEFAULT_COMPONENT_BUDGET, IntervalUnion
 from .params import L2, ParameterSet
 
 if TYPE_CHECKING:  # only annotations name it; no check needs the curve module
@@ -334,23 +335,27 @@ def _secant_partner(
     return beta if a0 < beta else beta - radius
 
 
+def check_secant_levels(params: ParameterSet, levels: Sequence[int]) -> None:
+    """Refuse, before any level is sampled, a level where no parameter can be
+    eligible: with m_n = 1 every level-n grid point lies on the coarser grid,
+    and with alpha_n = 0 no parameter is near enough to one."""
+    _require_l2(params)
+    for n in levels:
+        m_n, alpha_n = params.refinement_factor(n), params.alpha_term(n)
+        if m_n == 1 or alpha_n == 0:
+            raise DomainError(
+                f"no eligible secant parameter at level {n}: m_n = {m_n}, alpha_n = {alpha_n}"
+            )
+
+
 def sample_secant_witnesses(
     params: ParameterSet, n: int, samples: int, seed: int
 ) -> tuple[int, int]:
-    """(passed, total) over seeded eligible parameters near level-n boundaries.
-
-    Raises DomainError up front when no parameter can be eligible: with
-    m_n = 1 every level-n grid point lies on the coarser grid, and with
-    alpha_n = 0 no parameter is near enough to one. Every t0 and partner is
-    a numerator over den = 2^48 den(alpha_n) M_n.
-    """
-    _require_l2(params)
+    """(passed, total) over seeded eligible parameters near level-n boundaries,
+    each t0 and partner a numerator over den = 2^48 den(alpha_n) M_n."""
+    check_secant_levels(params, (n,))
     rng = spawn_rng(seed, n)
     size, m_n, alpha_n = params.grid_size(n), params.refinement_factor(n), params.alpha_term(n)
-    if m_n == 1 or alpha_n == 0:
-        raise DomainError(
-            f"no eligible secant parameter at level {n}: m_n = {m_n}, alpha_n = {alpha_n}"
-        )
     consts = _SecantConstants.of(params)
     step = alpha_n.denominator << SAMPLE_BITS
     den, radius = step * size, alpha_n.numerator << SAMPLE_BITS

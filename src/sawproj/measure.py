@@ -3,7 +3,8 @@
 Each affine piece of a truncated projection maps onto the closed interval
 between its endpoint values; jump points are single points and contribute no
 measure. The image of the truncation is therefore a finite union of closed
-rational intervals, measured exactly. It is built from self-similar shapes
+rational intervals, measured exactly: an ``IntervalUnion`` from ``intervals``,
+bound here too, as is its budget constant. It is built from self-similar shapes
 rather than from the 2 M_N pieces: every component above level l is
 periodic across the level-l half-cells, so on each of them h_N is an offset
 plus a shape fixed by l, the slope there and the cell's parity. As parities
@@ -35,116 +36,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, partial
-from math import lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .construction import DEFAULT_PIECE_BUDGET, PLFunction, build_pl, point_nums
 from .errors import BudgetExceeded, DomainError
+from .intervals import DEFAULT_COMPONENT_BUDGET, IntervalUnion
 from .params import ParameterSet
 from .rational import sqrt_upper
 from .sequences import Functional
-
-DEFAULT_COMPONENT_BUDGET = 2**20
-
-
-class IntervalUnion(NamedTuple):
-    """Sorted union of disjoint closed intervals [lo/denom, hi/denom].
-
-    One common denominator for all integer pairs; Fractions appear only in
-    ``from_intervals``, ``intervals`` and ``measure``. Touching intervals are
-    merged on construction; degenerate single points are kept: a zero-slope
-    piece maps onto one point, which carries zero measure but belongs to the
-    image, so ``contains`` must answer for it exactly. Equality compares sets.
-    """
-
-    denom: int
-    pairs: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def from_intervals(items: Iterable[tuple[Fraction, Fraction]]) -> "IntervalUnion":
-        cleaned = []
-        for lo, hi in items:
-            if lo > hi:
-                raise DomainError(f"interval [{lo}, {hi}] is reversed")
-            cleaned.append((Fraction(lo), Fraction(hi)))
-        denom = lcm(*(x.denominator for pair in cleaned for x in pair))
-        return IntervalUnion.from_pairs(
-            denom, [(int(lo * denom), int(hi * denom)) for lo, hi in cleaned]
-        )
-
-    @staticmethod
-    def from_pairs(denom: int, pairs: list[tuple[int, int]]) -> "IntervalUnion":
-        """Union of [lo/denom, hi/denom] over integer pairs with lo <= hi: the one
-        merge sweep. Sorts ``pairs`` in place; a pair that stays whole is kept
-        as the same tuple object."""
-        pairs.sort()
-        merged: list[tuple[int, int]] = []
-        for pair in pairs:
-            if merged and pair[0] <= merged[-1][1]:
-                if pair[1] > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], pair[1])
-            else:
-                merged.append(pair)
-        return IntervalUnion(denom, tuple(merged))
-
-    def _scaled(self, denom: int) -> Sequence[tuple[int, int]]:
-        """The pairs as numerators over denom, a multiple of self.denom."""
-        k = denom // self.denom
-        return self.pairs if k == 1 else [(lo * k, hi * k) for lo, hi in self.pairs]
-
-    @property
-    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        d = self.denom
-        return tuple((Fraction(lo, d), Fraction(hi, d)) for lo, hi in self.pairs)
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(sum(hi - lo for lo, hi in self.pairs), self.denom)
-
-    @property
-    def component_count(self) -> int:
-        return len(self.pairs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntervalUnion):
-            return NotImplemented
-        d, e = self.denom, other.denom
-        return len(self.pairs) == len(other.pairs) and all(
-            lo * e == olo * d and hi * e == ohi * d
-            for (lo, hi), (olo, ohi) in zip(self.pairs, other.pairs)
-        )
-
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple inequality
-
-    def __hash__(self) -> int:
-        return hash(self.intervals)
-
-    def contains(self, x: Fraction) -> bool:
-        x = Fraction(x) * self.denom
-        i = bisect_right(self.pairs, x, key=itemgetter(0))
-        return i > 0 and x <= self.pairs[i - 1][1]
-
-    def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        denom = lcm(self.denom, other.denom)
-        a, b = self._scaled(denom), other._scaled(denom)
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        # pieces from distinct components never touch, so out needs no merge
-        return IntervalUnion(denom, tuple(out))
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        denom = lcm(self.denom, other.denom)
-        return IntervalUnion.from_pairs(denom, [*self._scaled(denom), *other._scaled(denom)])
 
 
 # -- image measure ----------------------------------------------------------------

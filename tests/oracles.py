@@ -64,6 +64,24 @@ def pairwise_merge(intervals: list[tuple[Fraction, Fraction]]):
     return sorted(tuple(w) for w in work)
 
 
+def two_pointer_intersect(u, v) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(denom, pairs) of u.intersect(v) by one walk over both unions' pairs,
+    advancing past whichever current component ends first."""
+    denom = math.lcm(u.denom, v.denom)
+    a = [(lo * (denom // u.denom), hi * (denom // u.denom)) for lo, hi in u.pairs]
+    b = [(lo * (denom // v.denom), hi * (denom // v.denom)) for lo, hi in v.pairs]
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return denom, tuple(out)
+
+
 def pl_image_oracle(params, functional, level: int):
     """Image union and measure of the level-N truncated projection."""
     pieces = 2 * params.grid_size(level)

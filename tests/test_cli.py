@@ -597,6 +597,24 @@ def test_diagnose_checks_event_sizes_before_building_any(check, tmp_path, monkey
     assert not out.exists()
 
 
+def test_diagnose_secant_checks_every_level_before_sampling_any(tmp_path, monkeypatch, capsys):
+    # m_5 = 1 leaves level 5 without an eligible parameter; the check used to
+    # sample 1000 level-4 witnesses before it refused level 5
+    def no_sampler(params, n, samples, seed):
+        raise AssertionError(f"level {n} was sampled")
+
+    monkeypatch.setattr(sp.diagnostics, "sample_secant_witnesses", no_sampler)
+    cfg = tmp_path / "flat.cfg"
+    explicit = 'm.kind = "explicit"\nm.values = "2,2,2,2,1,2,2,2"'
+    cfg.write_text(D1_CONFIG.replace('m.kind = "linear"\nm.k = 2', explicit))
+    out = tmp_path / "o"
+    assert main(["diagnose", "--config", str(cfg), "--check", "secant", "--out", str(out)]) == 2
+    (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+    assert record["error"] == "invalid" and record["exit_code"] == 2
+    assert "no eligible secant parameter at level 5: m_n = 1" in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "measure", "curve", "diagnose", "run"])
 def test_config_not_utf8_is_config_error(command, tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
@@ -913,9 +931,13 @@ def test_each_command_loads_only_its_engine_modules(d1_config, d2_config, tmp_pa
     curve = loaded_by("curve", "--config", str(d2_config), "--level", "2", *out)
     assert "curve" in curve and not curve & {"measure", "diagnostics"}
     secant = loaded_by("diagnose", *d1, "--check", "secant", "--samples", "5", *out)
-    assert "diagnostics" in secant and "curve" not in secant
+    assert "diagnostics" in secant and not secant & {"measure", "curve"}
+    events = loaded_by("diagnose", *d1, "--check", "event-measure", *out)
+    assert {"diagnostics", "intervals"} <= events and not events & {"measure", "curve"}
     version = loaded_by("--version")
-    assert "cli" in version and not version & {"construction", "measure", "curve", "diagnostics"}
-    for loaded in (measure, scan, curve, secant, version):
+    engine = {"construction", "intervals", "measure", "curve", "diagnostics"}
+    assert "cli" in version and not version & engine
+    for loaded in (measure, scan, curve, secant, events, version):
         assert not loaded & {"dataclasses", "inspect"}
-    assert all((tmp_path / name).is_file() for name in ("measure.jsonl", "diagnose_secant.jsonl"))
+    written = ("measure.jsonl", "diagnose_secant.jsonl", "diagnose_event_measure.jsonl")
+    assert all((tmp_path / name).is_file() for name in written)

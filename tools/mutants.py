@@ -39,9 +39,9 @@ class Mutant(NamedTuple):
 
 
 CURVE, CONSTRUCTION = "src/sawproj/curve.py", "src/sawproj/construction.py"
-MEASURE = "src/sawproj/measure.py"
+MEASURE, INTERVALS = "src/sawproj/measure.py", "src/sawproj/intervals.py"
 TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_construction.py::"
-TEST_MEASURE = "tests/test_measure.py::"
+TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
 
 MUTANTS = (
     Mutant(
@@ -191,6 +191,13 @@ MUTANTS = (
         "s = sign or 1",
         "s = 1",
         (TEST_MEASURE + "test_one_signed_levels_match_the_engine_and_direct_images",),
+    ),
+    Mutant(
+        "IntervalUnion.intersect: the last component met left unclipped",
+        INTERVALS,
+        "out.append((last[0], min(hi, last[1])))",
+        "out.append(last)",
+        (TEST_INTERVALS + "test_intersect_matches_the_two_pointer_walk",),
     ),
 )
 
