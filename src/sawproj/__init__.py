@@ -20,6 +20,7 @@ __version__ = "1.0.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
+    "certificates": ("ValidationReport", "block_partition", "hausdorff_upper", "validate"),
     "construction": (
         "PLFunction", "TruncatedPoint", "build_pl", "component_value", "truncated_point",
     ),
@@ -37,13 +38,11 @@ _EXPORTS = {
     ),
     "intervals": ("IntervalUnion",),
     "measure": (
-        "MeasureBracket", "directional_measure", "hausdorff_upper", "image_measure",
-        "projection_bracket",
+        "MeasureBracket", "directional_measure", "image_measure", "projection_bracket",
     ),
     "params": (
-        "ParameterSet", "RefinementRule", "ValidationReport", "block_partition",
-        "constant_refinement", "explicit_refinement", "geometric_l1_preset",
-        "harmonic_l2_preset", "linear_refinement", "validate",
+        "ParameterSet", "RefinementRule", "constant_refinement", "explicit_refinement",
+        "geometric_l1_preset", "harmonic_l2_preset", "linear_refinement",
     ),
     "rational": ("format_rational", "parse_rational", "sqrt_enclosure"),
     "sequences": (

@@ -22,11 +22,11 @@ from pathlib import Path
 from typing import Optional
 
 # Each command imports the engine modules it runs inside its own body, so a call
-# loads only those: neither `curve` nor `diagnose` imports measure, and `--version`
-# imports none of construction, intervals, measure, curve and diagnostics.
+# loads only those: neither `curve` nor `diagnose` imports measure, only `validate`
+# imports certificates, and `--version` imports none of certificates, construction,
+# intervals, measure, curve and diagnostics.
 from . import __version__
 from .errors import BudgetExceeded, ConfigError, DomainError, SawprojError
-from .params import validate
 from .rational import format_rational, parse_rational
 from .records import (
     SCHEMA_VERSION,
@@ -175,6 +175,8 @@ class _Cache:
 
 
 def cmd_validate(args) -> int:
+    from .certificates import validate
+
     config, params, _ = _load(args)
     report = validate(params)
     records = [
@@ -279,8 +281,8 @@ def _direction(chunk: str) -> tuple[Fraction, Fraction]:
 
 def cmd_scan(args) -> int:
     _at_least(1, "--circle", args.circle)
-    # every direction is checked before the output directory and the cache exist
-    if args.directions:
+    # every direction, of an empty list too, is checked before the output and cache exist
+    if args.directions is not None:
         directions = [_direction(chunk) for chunk in args.directions.split(";")]
     else:
         directions = circle_directions(args.circle)
@@ -494,7 +496,7 @@ def cmd_run(args) -> int:
     command = load_config(args.config).get("command")
     if command not in _RUN_COMMANDS:
         raise ConfigError(f"config 'command' must name a subcommand, got {command!r}")
-    sub_args = build_parser().parse_args([command, "--config", str(args.config)])
+    sub_args = build_parser(command).parse_args([command, "--config", str(args.config)])
     return sub_args.func(sub_args)
 
 
@@ -505,7 +507,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(invoked: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser listing every subcommand with its help line. Only the
+    ``invoked`` subcommand gets its options and handler: a call parses one,
+    and adding all of their options costs several times the bare list."""
     parser = _Parser(
         prog="sawproj",
         description="Exact-arithmetic sawtooth-sum constructions, projection "
@@ -514,10 +519,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, func, engine: bool = False):
+    def command(name: str, summary: str, func, engine: bool = False, config: bool = True):
+        """The subcommand's parser with its common options, or None when not invoked."""
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", required=True, help="flat key = value document")
-        p.add_argument("--out", help="output directory (default from config or ./out)")
+        if name != invoked:
+            return None
+        if config:  # every command but emit and run
+            p.add_argument("--config", required=True, help="flat key = value document")
+            p.add_argument("--out", help="output directory (default from config or ./out)")
         if engine:  # measure and scan
             p.add_argument("--level", type=int)
             p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
@@ -527,39 +536,37 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("validate", "check parameter invariants", cmd_validate)
-    p = command("evaluate", "truncated point at a rational parameter", cmd_evaluate)
-    p.add_argument("--t", help='parameter as "p/q"')
-    p.add_argument("--level", type=int)
-    p = command("measure", "certified projection-measure bracket", cmd_measure, engine=True)
-    p.add_argument("--pieces", action="store_true", help="also export the piece table CSV")
-    p = command("scan", "brackets across rational directions", cmd_scan, engine=True)
-    p.add_argument("--circle", type=int, default=64, help="built-in direction count")
-    p.add_argument("--directions", help='explicit list "p,q;p,q;..."')
-    p = command("curve", "polygonal approximation CSV and length ledger", cmd_curve)
-    p.add_argument("--level", type=int)
-    p.add_argument("--vertex-budget", type=int, dest="vertex_budget")
-    p = command("diagnose", "named quantitative checks", cmd_diagnose)
-    p.add_argument("--check")
-    p.add_argument("--seed", type=int, help="default 20260811")
-    p.add_argument("--samples", type=int, help="default 1000")
-
-    p = sub.add_parser("emit", help="convert stored records between formats")
-    p.add_argument("--records", required=True)
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_emit)
-
-    p = sub.add_parser("run", help="execute the command named in the config")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_run)
-
+    if p := command("evaluate", "truncated point at a rational parameter", cmd_evaluate):
+        p.add_argument("--t", help='parameter as "p/q"')
+        p.add_argument("--level", type=int)
+    if p := command("measure", "certified projection-measure bracket", cmd_measure, engine=True):
+        p.add_argument("--pieces", action="store_true", help="also export the piece table CSV")
+    if p := command("scan", "brackets across rational directions", cmd_scan, engine=True):
+        p.add_argument("--circle", type=int, default=64, help="built-in direction count")
+        p.add_argument("--directions", help='explicit list "p,q;p,q;..."')
+    if p := command("curve", "polygonal approximation CSV and length ledger", cmd_curve):
+        p.add_argument("--level", type=int)
+        p.add_argument("--vertex-budget", type=int, dest="vertex_budget")
+    if p := command("diagnose", "named quantitative checks", cmd_diagnose):
+        p.add_argument("--check")
+        p.add_argument("--seed", type=int, help="default 20260811")
+        p.add_argument("--samples", type=int, help="default 1000")
+    if p := command("emit", "convert stored records between formats", cmd_emit, config=False):
+        p.add_argument("--records", required=True)
+        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+        p.add_argument("--out", required=True)
+    if p := command("run", "execute the command named in the config", cmd_run, config=False):
+        p.add_argument("--config", required=True)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     started = time.monotonic()
+    argv = sys.argv[1:] if argv is None else argv
+    # no top-level option takes a value, so the first other word names the subcommand
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         code = args.func(args)
     except ConfigError as exc:
         _stderr_record({"error": "config", "message": str(exc), "exit_code": EXIT_CONFIG})

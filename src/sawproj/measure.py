@@ -28,22 +28,21 @@ at most |c_{k+1}|/(2 M_{k+1}), so the union measure moves by at most
 measure within [mu_N - 2 T_N, mu_N + 2 T_N] where T_N is the certified
 absolute coefficient tail. Whether the truncated measures converge to the
 measure of the full projection is not established; the bracket is the
-certified statement.
+certified statement. Covering sums (``hausdorff_upper``) are in ``certificates``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .construction import DEFAULT_PIECE_BUDGET, PLFunction, build_pl, point_nums
-from .errors import BudgetExceeded, DomainError
+from .construction import DEFAULT_PIECE_BUDGET, PLFunction, build_pl
+from .errors import BudgetExceeded
 from .intervals import DEFAULT_COMPONENT_BUDGET, IntervalUnion
 from .params import ParameterSet
-from .rational import sqrt_upper
 from .sequences import Functional
 
 
@@ -285,76 +284,3 @@ def directional_measure(
     p, q = direction
     combined = functional.with_direction(Fraction(p), Fraction(q))
     return projection_bracket(params, combined, level, piece_budget=piece_budget)
-
-
-# -- covering sums ----------------------------------------------------------------
-
-
-class CoveringReport(NamedTuple):
-    grid_level: int
-    truncation_level: int
-    sum_upper: Fraction
-    norm_bound_upper: Fraction
-
-    @property
-    def within_norm_bound(self) -> bool:
-        return self.sum_upper <= self.norm_bound_upper
-
-
-def hausdorff_upper(
-    params: ParameterSet,
-    truncation_level: int,
-    grid_level: int,
-    *,
-    cell_budget: int = DEFAULT_COMPONENT_BUDGET,
-) -> CoveringReport:
-    """Upper enclosure of the level-n covering sum of image diameters.
-
-    Per cell, each component oscillates by at most the cell length (exact
-    oscillations are computed from endpoint values and left limits), the
-    oscillations combine in the model norm, and the discarded levels
-    contribute a certified tail. The sum must stay within the enclosure of
-    the unit-box norm bound.
-    """
-    n, N = grid_level, truncation_level
-    if not 0 <= n <= N <= params.n_max:
-        raise DomainError(
-            f"need 0 <= grid level <= truncation level <= n_max, got {n}, {N}"
-        )
-    size = params.grid_size(n)
-    if size > cell_budget:
-        raise BudgetExceeded("cells", size, cell_budget)
-
-    # per cell: squares under a root (L2) or a plain sum (L1)
-    if params.model == "L2":
-        combine, tail = (lambda x: x * x), params.point_tail_l2sq_upper(N)
-        cell_norm = partial(sqrt_upper, bits=params.sqrt_bits)
-        norm_hi = cell_norm(params.box_norm_sq_enclosure()[1])
-    else:
-        combine = cell_norm = lambda x: x
-        tail = params.point_tail_l1_upper(N)
-        norm_hi = params.box_norm_enclosure()[1]
-    alphas = [params.alpha_term(k) for k in range(N + 1)]
-    # constant per-cell contribution of the fully-periodic levels n < k <= N
-    periodic = sum(
-        (combine(alphas[k] / (2 * params.grid_size(k))) for k in range(n + 1, N + 1)),
-        Fraction(0),
-    )
-    # f_k at each cell's start and left limit at its end, over 2 M_n^2; y - x >= 0
-    sizes, scale = params.grid_sizes[: n + 1], 2 * size * size
-    weights = [alphas[k] / scale for k in range(n + 1)]
-    total = Fraction(0)
-    for idx in range(size):
-        start, end = point_nums(sizes, idx, size), point_nums(sizes, idx + 1, size, left=True)
-        cell = periodic + tail
-        for w, x, y in zip(weights, start, end):
-            if y != x:
-                cell += combine(w * (y - x))
-        total += cell_norm(cell)
-
-    return CoveringReport(
-        grid_level=n,
-        truncation_level=N,
-        sum_upper=total,
-        norm_bound_upper=norm_hi,
-    )

@@ -288,8 +288,10 @@ def test_scan_checks_directions_before_any_work(d1_config, tmp_path, capsys):
     # direction was measured and its cache entry written
     out = tmp_path / "o"
     args = ["scan", "--config", str(d1_config), "--level", "2", "--out", str(out)]
-    for chunk in ("0,0", "0/3,0", "1/2", "1,2,3", "a,b", ""):
-        assert main(args + [f"--directions=-1280,1848;{chunk}"]) == 2
+    rows = [(f"-1280,1848;{chunk}", chunk) for chunk in ("0,0", "0/3,0", "1/2", "1,2,3", "a,b", "")]
+    rows.append(("", ""))  # an empty list used to scan the 64-direction circle
+    for directions, chunk in rows:
+        assert main(args + [f"--directions={directions}"]) == 2
         (record,) = map(json.loads, capsys.readouterr().err.splitlines())
         assert record["error"] == "invalid" and record["exit_code"] == 2
         assert repr(chunk) in record["message"] and '"p,q"' in record["message"]
@@ -322,6 +324,67 @@ def test_help_still_prints_usage(capsys):
         main(["measure", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: sawproj measure")
+
+
+# every subcommand's help line and option strings, in the order --help lists them
+SUBCOMMANDS = {
+    "validate": ("check parameter invariants", ["--config", "--out"]),
+    "evaluate": (
+        "truncated point at a rational parameter", ["--config", "--out", "--t", "--level"],
+    ),
+    "measure": (
+        "certified projection-measure bracket",
+        ["--config", "--out", "--level", "--workers", "--budget", "--no-cache", "--pieces"],
+    ),
+    "scan": (
+        "brackets across rational directions",
+        ["--config", "--out", "--level", "--workers", "--budget", "--no-cache", "--circle",
+         "--directions"],
+    ),
+    "curve": (
+        "polygonal approximation CSV and length ledger",
+        ["--config", "--out", "--level", "--vertex-budget"],
+    ),
+    "diagnose": (
+        "named quantitative checks", ["--config", "--out", "--check", "--seed", "--samples"],
+    ),
+    "emit": ("convert stored records between formats", ["--records", "--format", "--out"]),
+    "run": ("execute the command named in the config", ["--config"]),
+}
+
+
+def _help(capsys, *argv: str) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_parser_keeps_every_subcommand_and_option(d1_config, tmp_path, capsys):
+    # the parser adds options only to the invoked subcommand; what a user sees must not change
+    import re
+
+    listing = _help(capsys, "--help")
+    for name, (summary, _) in SUBCOMMANDS.items():
+        assert re.search(rf"^ +{name} +{re.escape(summary)}$", listing, re.M), name
+    for name, (_, options) in SUBCOMMANDS.items():
+        text = _help(capsys, name, "--help")
+        assert re.findall(r"^  (--[a-z-]+)", text, re.M) == options, name
+    # run builds the options of the command its config names: measure reads --pieces
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(D1_CONFIG + f'command = "measure"\nlevel = 2\nout = "{tmp_path / "o"}"\n')
+    assert main(["run", "--config", str(cfg)]) == 0
+    (record,) = read_jsonl(tmp_path / "o" / "measure.jsonl")
+    assert record["level"] == 2
+    capsys.readouterr()
+    # an unknown option, or one of another subcommand, is one JSON record and exit 1
+    for option in ("--bogus", "--pieces"):
+        assert main(["diagnose", "--config", str(d1_config), option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (record,) = map(json.loads, captured.err.splitlines())
+        assert record["error"] == "config" and record["exit_code"] == 1
+        assert f"unrecognized arguments: {option}" in record["message"]
 
 
 def test_measure_cache_transparency(d1_config, tmp_path):
@@ -930,14 +993,25 @@ def test_each_command_loads_only_its_engine_modules(d1_config, d2_config, tmp_pa
         assert not loaded & {"curve", "diagnostics"}
     curve = loaded_by("curve", "--config", str(d2_config), "--level", "2", *out)
     assert "curve" in curve and not curve & {"measure", "diagnostics"}
-    secant = loaded_by("diagnose", *d1, "--check", "secant", "--samples", "5", *out)
-    assert "diagnostics" in secant and not secant & {"measure", "curve"}
-    events = loaded_by("diagnose", *d1, "--check", "event-measure", *out)
-    assert {"diagnostics", "intervals"} <= events and not events & {"measure", "curve"}
+    checks = {
+        check: loaded_by("diagnose", *d1, "--check", check, "--samples", "5", *out)
+        for check in ("event-measure", "independence", "borel-cantelli", "slope-identity",
+                      "secant", "oscillation")
+    }
+    for loaded in checks.values():
+        assert "diagnostics" in loaded and not loaded & {"measure", "curve"}
+    assert "intervals" in checks["event-measure"]
+    # only the sampled checks evaluate points, so only they load construction
+    for check in ("event-measure", "independence", "borel-cantelli"):
+        assert "construction" not in checks[check], check
     version = loaded_by("--version")
     engine = {"construction", "intervals", "measure", "curve", "diagnostics"}
     assert "cli" in version and not version & engine
-    for loaded in (measure, scan, curve, secant, events, version):
+    # the validation and covering certificates load only for the command that runs them
+    assert "certificates" in loaded_by("validate", *d1, *out)
+    for loaded in (measure, scan, curve, version, *checks.values()):
+        assert "certificates" not in loaded
         assert not loaded & {"dataclasses", "inspect"}
     written = ("measure.jsonl", "diagnose_secant.jsonl", "diagnose_event_measure.jsonl")
     assert all((tmp_path / name).is_file() for name in written)
+    assert (tmp_path / "validate.jsonl").is_file()

@@ -26,8 +26,8 @@ PUBLIC_NAMES = [
     "sup_distance", "sup_distance_bound", "truncated_point", "validate",
 ]
 SUBMODULES = [
-    "construction", "curve", "diagnostics", "errors", "intervals", "measure", "params", "rational",
-    "sequences",
+    "certificates", "construction", "curve", "diagnostics", "errors", "intervals", "measure",
+    "params", "rational", "sequences",
 ]
 
 

@@ -4,14 +4,14 @@ from math import factorial
 import pytest
 
 import sawproj as sp
-from sawproj.errors import CertificationError, DomainError
-from sawproj.params import (
+from sawproj.certificates import (
     CHECK_ALPHA_M_INTEGER,
     CHECK_EVEN_REFINEMENT,
     CHECK_L1_NORM,
     CHECK_L2_NORM,
     CHECK_TAIL_CERTIFIED,
 )
+from sawproj.errors import CertificationError, DomainError
 
 F = Fraction
 

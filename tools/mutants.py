@@ -40,8 +40,10 @@ class Mutant(NamedTuple):
 
 CURVE, CONSTRUCTION = "src/sawproj/curve.py", "src/sawproj/construction.py"
 MEASURE, INTERVALS = "src/sawproj/measure.py", "src/sawproj/intervals.py"
+CERTIFICATES = "src/sawproj/certificates.py"
 TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_construction.py::"
 TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
+TEST_PARAMS = "tests/test_params.py::"
 
 MUTANTS = (
     Mutant(
@@ -104,13 +106,20 @@ MUTANTS = (
     ),
     Mutant(
         "hausdorff_upper: cell scale 2 M_n in place of 2 M_n^2",
-        MEASURE,
+        CERTIFICATES,
         "scale = params.grid_sizes[: n + 1], 2 * size * size",
         "scale = params.grid_sizes[: n + 1], 2 * size",
         (
             TEST_MEASURE + "test_hausdorff_exact_sums",
             TEST_MEASURE + "test_covering_sum_matches_the_cell_oracle",
         ),
+    ),
+    Mutant(
+        "validate: the l1 norm check dropped",
+        CERTIFICATES,
+        '        check(CHECK_L1_NORM, hi < 1, f"sum alpha_n <= {hi} (slack {1 - hi})")\n',
+        "",
+        (TEST_PARAMS + "test_validate_failure_kinds_flip_one_at_a_time",),
     ),
     Mutant(
         "PLFunction.value: the q_lcm divisor dropped",
