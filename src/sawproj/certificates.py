@@ -4,7 +4,8 @@ block partition and covering sums.
 ``validate`` checks every parameter invariant up to n_max with exact
 witnesses. ``block_partition`` builds the greedy block-norm certificate
 sum_m ||alpha|A_m|| < (1 + eps)^(1/2) ||alpha||. ``hausdorff_upper`` bounds
-the level-n covering sum of image diameters, the route to finite H^1.
+the level-n covering sum of image diameters, the route to finite H^1, reading
+the components through ``params.point_nums``.
 
 Only the ``validate`` command and library callers import this module, so no
 other command compiles it.
@@ -16,9 +17,8 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .errors import BudgetExceeded, CertificationError, DomainError
-from .intervals import DEFAULT_COMPONENT_BUDGET
-from .params import L2, ParameterSet
+from .errors import DEFAULT_COMPONENT_BUDGET, BudgetExceeded, CertificationError, DomainError
+from .params import L2, ParameterSet, point_nums
 from .rational import DEFAULT_SQRT_BITS, sqrt_enclosure, sqrt_upper
 from .sequences import SequenceRule
 
@@ -295,8 +295,6 @@ def hausdorff_upper(
     contribute a certified tail. The sum must stay within the enclosure of
     the unit-box norm bound.
     """
-    from .construction import point_nums
-
     n, N = grid_level, truncation_level
     if not 0 <= n <= N <= params.n_max:
         raise DomainError(

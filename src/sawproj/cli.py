@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from pathlib import Path
 from typing import Optional
@@ -26,6 +26,7 @@ from typing import Optional
 # imports certificates, and `--version` imports none of certificates, construction,
 # intervals, measure, curve and diagnostics.
 from . import __version__
+from .errors import DEFAULT_PIECE_BUDGET, DEFAULT_VERTEX_BUDGET
 from .errors import BudgetExceeded, ConfigError, DomainError, SawprojError
 from .rational import format_rational, parse_rational
 from .records import (
@@ -111,20 +112,32 @@ def _functional_id(functional) -> str:
     )[:16]
 
 
+@lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 of the package's sources, computed once: ``__version__`` outlives engine edits."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 class _Cache:
     def __init__(self, root: Path, enabled: bool = True):
         self.dir = root / ".cache"
         self.enabled = enabled
 
     def key(self, kind: str, params, functional, level: int, **extra) -> Optional[str]:
-        """Content hash of what a record is a pure function of, engine version
-        included; None when the cache is off, since nothing reads the key then."""
+        """Content hash of what a record is a pure function of, engine version and
+        sources included; None when the cache is off, since nothing reads the key then."""
         if not self.enabled:
             return None
         return content_hash(
             {
                 "schema_version": SCHEMA_VERSION,
                 "engine_version": __version__,
+                "engine_sources": _source_digest(),
                 "kind": kind,
                 "params": params_to_config(params),
                 "functional": functional_to_config(functional),
@@ -239,7 +252,7 @@ def _bracket_record(functional, bracket) -> dict:
 
 
 def cmd_measure(args) -> int:
-    from .construction import DEFAULT_PIECE_BUDGET, build_pl
+    from .construction import build_pl
     from .measure import projection_bracket
 
     config, params, functional = _load(args)
@@ -286,7 +299,7 @@ def cmd_scan(args) -> int:
         directions = [_direction(chunk) for chunk in args.directions.split(";")]
     else:
         directions = circle_directions(args.circle)
-    from .measure import DEFAULT_PIECE_BUDGET, directional_measure
+    from .measure import directional_measure
 
     config, params, functional = _load(args)
     if functional is None:
@@ -313,7 +326,6 @@ def cmd_scan(args) -> int:
 
 def cmd_curve(args) -> int:
     from .curve import (
-        DEFAULT_VERTEX_BUDGET,
         build_curve,
         curve_length,
         curve_length_closed_form,

@@ -4,15 +4,8 @@ The level-n component rises with slope 1 on the right half of each level-n
 cell and vanishes on the left half, so it takes values in [0, 1/(2 M_n)) and
 drops by exactly 1/(2 M_n) at every positive multiple of 1/M_n. Components
 are represented right-continuously; the downward jumps are first-class data
-because the measure and curve modules consume them directly.
-
-``point_nums`` is the one pointwise evaluation. For t = A/B, r = (M_n A) mod B,
-
-    f_n(t) = (2r - B) / (2 B M_n)  when 2r >= B,  and 0 otherwise,
-
-and the left limit at a level-n grid point (r = 0) is 1/(2 M_n): B replaces
-2r - B. Its callers check t and the level and build one ``Fraction`` per
-value.
+because the measure and curve modules consume them directly. Pointwise
+values come from the integer kernel ``params.point_nums``.
 
 A scalar projection truncated at level N,
 
@@ -39,12 +32,10 @@ from math import lcm
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .errors import BudgetExceeded, DomainError
-from .params import ParameterSet
+from .errors import DEFAULT_PIECE_BUDGET, BudgetExceeded, DomainError
+from .params import ParameterSet, point_nums_at
 from .rational import sqrt_lower, sqrt_upper
 from .sequences import Functional
-
-DEFAULT_PIECE_BUDGET = 2**25
 
 
 def component_value(params: ParameterSet, n: int, t: Fraction) -> Fraction:
@@ -55,26 +46,6 @@ def component_value(params: ParameterSet, n: int, t: Fraction) -> Fraction:
         raise DomainError(f"component index {n} outside [0, {params.n_max}]")
     nums, scale = point_nums_at(params, n, t)
     return Fraction(nums[n], scale)
-
-
-def point_nums(sizes: tuple[int, ...], num: int, den: int, left: bool = False) -> list[int]:
-    """(f_0(t), ..., f_N(t)) at t = num/den, or their left limits, as numerators over
-    2 den M_N, where sizes are M_0, ..., M_N: the formulas above scaled by M_N/M_n."""
-    top = sizes[-1]
-    out = [2 * top * num]
-    for size in sizes[1:]:
-        r = size * num % den
-        u = den if left and r == 0 else 2 * r - den
-        out.append(top // size * u if u > 0 else 0)
-    return out
-
-
-def point_nums_at(params: ParameterSet, level: int, t, left: bool = False) -> tuple[list, int]:
-    """``point_nums`` of levels 0..level at t (a float converted exactly) and their
-    scale 2 den(t) M_level; t and the level are checked by the caller."""
-    t = Fraction(t)
-    sizes = params.grid_sizes[: level + 1]
-    return point_nums(sizes, t.numerator, t.denominator, left), 2 * t.denominator * sizes[-1]
 
 
 class TruncatedPoint(NamedTuple):

@@ -32,12 +32,10 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .construction import _table
-from .errors import BudgetExceeded, CertificationError, DomainError
+from .errors import DEFAULT_VERTEX_BUDGET, BudgetExceeded, CertificationError, DomainError
 from .params import L1, ParameterSet
 from .records import ratio_cells, write_lines
 from .sequences import Functional
-
-DEFAULT_VERTEX_BUDGET = 2**22
 
 
 class Vertex(NamedTuple):

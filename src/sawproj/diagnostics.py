@@ -6,8 +6,8 @@ alpha_n * m_n level-n subcells of their level-(n-1) cell, i.e. within
 alpha_n / M_{n-1} of the coarse grid. Its measure is exactly 2 alpha_n, and
 because membership depends only on the level-n refinement digit, events at
 distinct levels intersect with exactly multiplicative measure. Events are
-``intervals.IntervalUnion`` values, so no check loads the image engine, and
-only the sampled checks import ``construction``, once each, for ``point_nums``.
+``intervals.IntervalUnion`` values and the sampled checks read
+``params.point_nums``, so no check loads ``construction`` or the image engine.
 
 Secant witnesses work at the fine scale instead: an eligible parameter sits
 within alpha_n / M_n of a level-n grid point beta that lies on no coarser
@@ -26,11 +26,11 @@ import random
 from fractions import Fraction
 from itertools import pairwise
 from math import lcm
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceeded, DomainError
-from .intervals import DEFAULT_COMPONENT_BUDGET, IntervalUnion
-from .params import L2, ParameterSet
+from .errors import DEFAULT_COMPONENT_BUDGET, BudgetExceeded, DomainError
+from .intervals import IntervalUnion
+from .params import L2, ParameterSet, point_nums
 
 if TYPE_CHECKING:  # only annotations name it; no check needs the curve module
     from .curve import CurveEvaluator
@@ -255,30 +255,27 @@ def secant_threshold(params: ParameterSet) -> Fraction:
 class _SecantConstants(NamedTuple):
     """What every witness of one parameter set shares: the grid sizes, the
     weights alpha_k = weights[k] / q with q = lcm den(alpha_k), the threshold,
-    the tail certificate of the squared coordinates past n_max and point_nums."""
+    and the tail certificate of the squared coordinates past n_max."""
 
     sizes: tuple[int, ...]
     weights: tuple[int, ...]
     q: int
     threshold: Fraction
     tail_sq: Fraction
-    point_nums: Callable[..., list[int]]
 
     @staticmethod
     def of(params: ParameterSet) -> "_SecantConstants":
-        from .construction import point_nums
-
         alphas = [params.alpha_term(k) for k in range(params.n_max + 1)]
         q = lcm(*(a.denominator for a in alphas))
         weights = tuple(a.numerator * (q // a.denominator) for a in alphas)
         tail_sq = params.point_tail_l2sq_upper(params.n_max)
         threshold = secant_threshold(params)
-        return _SecantConstants(params.grid_sizes, weights, q, threshold, tail_sq, point_nums)
+        return _SecantConstants(params.grid_sizes, weights, q, threshold, tail_sq)
 
     def deltas(self, den: int, a0: int, an: int) -> tuple[list[int], int]:
         """alpha_k (f_k(tn) - f_k(t0)) at t0 = a0/den, tn = an/den, as
         numerators over the returned scale S = 2 den M_N q."""
-        p0, pn = self.point_nums(self.sizes, a0, den), self.point_nums(self.sizes, an, den)
+        p0, pn = point_nums(self.sizes, a0, den), point_nums(self.sizes, an, den)
         deltas = [w * (y - x) for w, x, y in zip(self.weights, p0, pn)]
         return deltas, 2 * den * self.sizes[-1] * self.q
 
@@ -381,7 +378,7 @@ def sample_secant_witnesses(
 
 
 def _slope_identity(
-    sizes: tuple[int, ...], n: int, den: int, t: int, h: int, lo: int, hi: int, *, point_nums
+    sizes: tuple[int, ...], n: int, den: int, t: int, h: int, lo: int, hi: int
 ) -> tuple[int, tuple[int, ...], tuple[int, int]]:
     """The half-period translation identity in the level-n cell [lo, hi), all over den.
 
@@ -390,7 +387,7 @@ def _slope_identity(
     exactly (affine below level n, half-period periodic above), while at
     m = n one side is 0 and the other is h. Returns t', the levels with
     equal sides and the two level-n sides (over 2 den M_N); raises
-    DomainError on a failure. The caller imports ``point_nums`` once.
+    DomainError on a failure.
     """
     half = den // (2 * sizes[n])
     shifted = t + half if t + half < hi else t - half
@@ -428,8 +425,6 @@ def sample_slope_identities(params: ParameterSet, samples: int, seed: int) -> in
     cell (shift goes right) or the last quarter (shift goes left), and
     |h| < 1/(4 M_n) pointing inward. A quarter cell is 2^48 over 2^50 M_n.
     """
-    from .construction import point_nums
-
     max_level = min(5, params.n_max - 1)
     if max_level < 1:
         raise DomainError(
@@ -445,7 +440,7 @@ def sample_slope_identities(params: ParameterSet, samples: int, seed: int) -> in
         # first quarter (the shift goes right) or third (it goes left); h >= 0
         t = lo + u if rng.getrandbits(1) else lo + (2 << SAMPLE_BITS) + u
         den, hi = sizes[n] << (SAMPLE_BITS + 2), lo + (4 << SAMPLE_BITS)
-        _slope_identity(sizes, n, den, t, h, lo, hi, point_nums=point_nums)
+        _slope_identity(sizes, n, den, t, h, lo, hi)
         passed += 1
     return passed
 
@@ -453,8 +448,6 @@ def sample_slope_identities(params: ParameterSet, samples: int, seed: int) -> in
 def sample_oscillation(params: ParameterSet, samples: int, seed: int) -> tuple[Fraction, bool]:
     """The worst |f_k(t) - f_k(u)| over every k and seeded pairs t, u in one
     level-n cell (n <= 6; t over den = 2^48 M_6), and whether all are <= 1/M_n."""
-    from .construction import point_nums
-
     top, sizes = min(6, params.n_max), params.grid_sizes
     den = sizes[top] << SAMPLE_BITS
     rng = spawn_rng(seed)

@@ -11,6 +11,11 @@ class DomainError(SawprojError, ValueError):
     """An argument is outside an operation's stated domain."""
 
 
+DEFAULT_PIECE_BUDGET = 2**25
+DEFAULT_COMPONENT_BUDGET = 2**20
+DEFAULT_VERTEX_BUDGET = 2**22
+
+
 class BudgetExceeded(SawprojError):
     """A piece / vertex / component budget would be exceeded.
 

@@ -11,8 +11,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
 
-DEFAULT_COMPONENT_BUDGET = 2**20
-
 
 class IntervalUnion(NamedTuple):
     """Sorted union of disjoint closed intervals [lo/denom, hi/denom].

@@ -4,7 +4,7 @@ Each affine piece of a truncated projection maps onto the closed interval
 between its endpoint values; jump points are single points and contribute no
 measure. The image of the truncation is therefore a finite union of closed
 rational intervals, measured exactly: an ``IntervalUnion`` from ``intervals``,
-bound here too, as is its budget constant. It is built from self-similar shapes
+bound here too, as are two ``errors`` budgets. It is built from self-similar shapes
 rather than from the 2 M_N pieces: every component above level l is
 periodic across the level-l half-cells, so on each of them h_N is an offset
 plus a shape fixed by l, the slope there and the cell's parity. As parities
@@ -39,9 +39,9 @@ from functools import cache
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .construction import DEFAULT_PIECE_BUDGET, PLFunction, build_pl
-from .errors import BudgetExceeded
-from .intervals import DEFAULT_COMPONENT_BUDGET, IntervalUnion
+from .construction import PLFunction, build_pl
+from .errors import DEFAULT_COMPONENT_BUDGET, DEFAULT_PIECE_BUDGET, BudgetExceeded
+from .intervals import IntervalUnion
 from .params import ParameterSet
 from .sequences import Functional
 
@@ -98,9 +98,7 @@ class _Shape:
     def flatten(self) -> tuple[tuple[int, int], ...]:
         """The image's disjoint components, merged once and kept as its pairs."""
         if self.loose:
-            shifted = [(lo + off, hi + off) for off, x in self.loose for lo, hi in x.flatten()]
-            self.pairs = IntervalUnion.from_pairs(1, [*self.pairs, *shifted]).pairs
-            self.loose = ()
+            self.pairs, self.loose = _merged(self.pairs, self.loose), ()
         return self.pairs
 
 
@@ -121,7 +119,7 @@ def _measure(pairs: tuple, loose: tuple, lo: int, hi: int) -> int:
     return total
 
 
-def _merged(pairs: list[tuple[int, int]], loose: list[tuple[int, _Shape]]) -> tuple:
+def _merged(pairs: Sequence[tuple[int, int]], loose: Sequence[tuple[int, _Shape]]) -> tuple:
     """The disjoint components of pairs and of the loose copies' components."""
     shifted = [(lo + off, hi + off) for off, shape in loose for lo, hi in shape.flatten()]
     return IntervalUnion.from_pairs(1, [*pairs, *shifted]).pairs  # the one merge sweep

@@ -9,6 +9,15 @@ Everything here is a pure function of immutable inputs; certified norm
 statements combine exact partial sums with the closed-form tail enclosures
 of the sequence rules. Every command imports this module; ``validate`` and
 the block partition live in ``certificates``, which only ``validate`` loads.
+
+``point_nums``, the one pointwise evaluation of the sawtooth components f_n,
+lives here beside the grid sizes it reads. For t = A/B, r = (M_n A) mod B,
+
+    f_n(t) = (2r - B) / (2 B M_n)  when 2r >= B,  and 0 otherwise,
+
+and the left limit at a level-n grid point (r = 0) is 1/(2 M_n): B replaces
+2r - B. Its callers check t and the level and build one ``Fraction`` per
+value.
 """
 
 from __future__ import annotations
@@ -208,6 +217,26 @@ class ParameterSet(_ParameterSet):
         m_last = self.grid_size(self.n_max)
         tail = self.alpha.l2sq_tail_upper(self.n_max)
         return exact + tail / (16 * m_last**2)
+
+
+def point_nums(sizes: tuple[int, ...], num: int, den: int, left: bool = False) -> list[int]:
+    """(f_0(t), ..., f_N(t)) at t = num/den, or their left limits, as numerators over
+    2 den M_N, where sizes are M_0, ..., M_N: the formulas above scaled by M_N/M_n."""
+    top = sizes[-1]
+    out = [2 * top * num]
+    for size in sizes[1:]:
+        r = size * num % den
+        u = den if left and r == 0 else 2 * r - den
+        out.append(top // size * u if u > 0 else 0)
+    return out
+
+
+def point_nums_at(params: ParameterSet, level: int, t, left: bool = False) -> tuple[list, int]:
+    """``point_nums`` of levels 0..level at t (a float converted exactly) and their
+    scale 2 den(t) M_level; t and the level are checked by the caller."""
+    t = Fraction(t)
+    sizes = params.grid_sizes[: level + 1]
+    return point_nums(sizes, t.numerator, t.denominator, left), 2 * t.denominator * sizes[-1]
 
 
 def harmonic_l2_preset(n_max: int = 8) -> ParameterSet:

@@ -269,17 +269,12 @@ def ratio_cells(num: int, den: int) -> str:
 
 
 def write_csv(records: Sequence[dict], path: str | Path) -> None:
-    """CSV of the finalized records; each row is finalized as it is written."""
+    """CSV of the finalized records under the sorted union of their keys."""
     import csv
 
-    fields: set[str] = set()
-    for record in records:
-        for key, value in record.items():
-            fields.add(key)
-            if _is_rational(value):
-                fields.add(f"{key}_f64")
-    header = sorted(fields)
-    cells = ((row.get(k, "") for k in header) for row in map(finalize_record, records))
+    finalized = [finalize_record(record) for record in records]
+    header = sorted({key for row in finalized for key in row})
+    cells = ((row.get(k, "") for k in header) for row in finalized)
     rows = ([";".join(map(str, v)) if isinstance(v, list) else v for v in row] for row in cells)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

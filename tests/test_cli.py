@@ -563,6 +563,35 @@ def test_cache_key_carries_engine_version(d1_config, tmp_path, monkeypatch):
         assert (out / f"{command}.jsonl").read_bytes() == cold
 
 
+def test_cache_key_carries_engine_sources(d1_config, tmp_path):
+    # __version__ stays put through engine rewrites, so an edited source must miss
+    import os
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    package = tmp_path / "src" / "sawproj"
+    source = Path(sp.__file__).resolve().parent
+    shutil.copytree(source, package, ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    out = tmp_path / "out"
+    run = "import sys; from sawproj.cli import main; sys.exit(main(sys.argv[1:]))"
+    args = ["measure", "--config", str(d1_config), "--level", "2", "--out", str(out)]
+
+    def entries() -> list:
+        subprocess.run([sys.executable, "-c", run, *args], env=env, check=True, timeout=120)
+        return sorted((p.name, p.stat().st_mtime_ns) for p in (out / ".cache").iterdir())
+
+    written = entries()
+    cold = (out / "measure.jsonl").read_bytes()
+    assert len(written) == 1 and entries() == written  # same sources: a hit, nothing rewritten
+    with (package / "measure.py").open("a", encoding="utf-8") as fh:
+        fh.write("# an edit that changes no result\n")
+    assert len(entries()) == 2  # the edited engine misses and writes a new entry
+    assert (out / "measure.jsonl").read_bytes() == cold
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 @pytest.mark.parametrize(
     "check",
@@ -1001,14 +1030,15 @@ def test_each_command_loads_only_its_engine_modules(d1_config, d2_config, tmp_pa
     for loaded in checks.values():
         assert "diagnostics" in loaded and not loaded & {"measure", "curve"}
     assert "intervals" in checks["event-measure"]
-    # only the sampled checks evaluate points, so only they load construction
-    for check in ("event-measure", "independence", "borel-cantelli"):
-        assert "construction" not in checks[check], check
+    # the sampled checks read the components through params, so no check loads construction
+    for check, loaded in checks.items():
+        assert "construction" not in loaded, check
     version = loaded_by("--version")
     engine = {"construction", "intervals", "measure", "curve", "diagnostics"}
     assert "cli" in version and not version & engine
     # the validation and covering certificates load only for the command that runs them
-    assert "certificates" in loaded_by("validate", *d1, *out)
+    validate = loaded_by("validate", *d1, *out)
+    assert "certificates" in validate and "intervals" not in validate
     for loaded in (measure, scan, curve, version, *checks.values()):
         assert "certificates" not in loaded
         assert not loaded & {"dataclasses", "inspect"}

@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
-from sawproj.construction import point_nums_at
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, CertificationError, DomainError
+from sawproj.params import point_nums_at
 
 from oracles import piece_rows_oracle, saw
 from test_measure import truncations

@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
-from sawproj.construction import point_nums
 from sawproj.diagnostics import (
     SAMPLE_BITS,
     _event_hit,
@@ -278,7 +277,7 @@ def test_slope_identity_example(d1):
     # level 1 in the cell [0, 1/2): t, h and the cell are numerators over 16,
     # the two level-1 sides numerators over 2 * 16 * M_N
     sizes, side = d1.grid_sizes, F(1, 2 * 16 * d1.grid_sizes[-1])
-    identity = _slope_identity(sizes, 1, 16, 2, 1, 0, 8, point_nums=point_nums)  # t 1/8, h 1/16
+    identity = _slope_identity(sizes, 1, 16, 2, 1, 0, 8)  # t 1/8, h 1/16
     shifted, equal_levels, toggled = identity
     assert F(shifted, 16) == F(3, 8)
     assert {x * side for x in toggled} == {F(0), F(1, 16)}
@@ -287,12 +286,12 @@ def test_slope_identity_example(d1):
 
 def test_slope_identity_zero_shift(d1):
     # t = 1/8 and h = 0 in the cell [0, 1/2): both level-1 sides vanish
-    assert _slope_identity(d1.grid_sizes, 1, 16, 2, 0, 0, 8, point_nums=point_nums)[2] == (0, 0)
+    assert _slope_identity(d1.grid_sizes, 1, 16, 2, 0, 0, 8)[2] == (0, 0)
 
 
 def test_slope_identity_rejects_escaping_points(d1):
     with pytest.raises(DomainError):  # t = 3/8 and h = 1/4 leave the cell [0, 1/2)
-        _slope_identity(d1.grid_sizes, 1, 16, 6, 4, 0, 8, point_nums=point_nums)
+        _slope_identity(d1.grid_sizes, 1, 16, 6, 4, 0, 8)
 
 
 def test_slope_identity_sampling(d1):
@@ -472,11 +471,9 @@ def test_slope_identity_matches_fraction_oracle(params, data):
     args = tuple(int(x * den) for x in (t, h, lo, hi))
     if expected is None:  # a point leaves the cell, or odd factors break periodicity
         with pytest.raises(DomainError):
-            _slope_identity(params.grid_sizes, n, den, *args, point_nums=point_nums)
+            _slope_identity(params.grid_sizes, n, den, *args)
         return
-    shifted, equal_levels, toggled = _slope_identity(
-        params.grid_sizes, n, den, *args, point_nums=point_nums
-    )
+    shifted, equal_levels, toggled = _slope_identity(params.grid_sizes, n, den, *args)
     side = F(1, 2 * den * params.grid_sizes[-1])
     assert (n, t, F(shifted, den), h, equal_levels, tuple(x * side for x in toggled)) == expected
 

@@ -53,10 +53,10 @@ def test_public_name_is_its_module_attribute():
 
 def test_measure_keeps_the_interval_names_bound():
     # callers and the benchmark's hooks still reach them through sawproj.measure
-    from sawproj import intervals, measure
+    from sawproj import errors, intervals, measure
 
     assert measure.IntervalUnion is intervals.IntervalUnion
-    assert measure.DEFAULT_COMPONENT_BUDGET is intervals.DEFAULT_COMPONENT_BUDGET
+    assert measure.DEFAULT_COMPONENT_BUDGET is errors.DEFAULT_COMPONENT_BUDGET
 
 
 def test_dir_and_star_import_cover_every_name():

@@ -39,8 +39,8 @@ class Mutant(NamedTuple):
 
 
 CURVE, CONSTRUCTION = "src/sawproj/curve.py", "src/sawproj/construction.py"
+PARAMS, CERTIFICATES = "src/sawproj/params.py", "src/sawproj/certificates.py"
 MEASURE, INTERVALS = "src/sawproj/measure.py", "src/sawproj/intervals.py"
-CERTIFICATES = "src/sawproj/certificates.py"
 TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_construction.py::"
 TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
 TEST_PARAMS = "tests/test_params.py::"
@@ -86,7 +86,7 @@ MUTANTS = (
     ),
     Mutant(
         "point_nums: the left-limit branch dropped",
-        CONSTRUCTION,
+        PARAMS,
         "u = den if left and r == 0 else 2 * r - den",
         "u = 2 * r - den",
         (
@@ -96,7 +96,7 @@ MUTANTS = (
     ),
     Mutant(
         "point_nums: 2r - den left unclamped at r = 0",
-        CONSTRUCTION,
+        PARAMS,
         "out.append(top // size * u if u > 0 else 0)",
         "out.append(top // size * u if u > 0 or r == 0 else 0)",
         (
@@ -171,9 +171,9 @@ MUTANTS = (
         (TEST_MEASURE + "test_shape_window_matches_pairwise_merge",),
     ),
     Mutant(
-        "_Shape.flatten: the pairs dropped",
+        "_merged, so _Shape.flatten: the pairs dropped",
         MEASURE,
-        "from_pairs(1, [*self.pairs, *shifted])",
+        "from_pairs(1, [*pairs, *shifted])",
         "from_pairs(1, shifted)",
         (
             TEST_MEASURE + "test_shape_tile_matches_pairwise_merge",
