@@ -6,16 +6,23 @@ alpha_n * m_n level-n subcells of their level-(n-1) cell, i.e. within
 alpha_n / M_{n-1} of the coarse grid. Its measure is exactly 2 alpha_n, and
 because membership depends only on the level-n refinement digit, events at
 distinct levels intersect with exactly multiplicative measure. Events are
-``intervals.IntervalUnion`` values and the sampled checks read
-``params.point_nums``, so no check loads ``construction`` or the image engine.
+``intervals.IntervalUnion`` values, which only ``event_set`` builds (for the
+event-measure and independence checks); the sampled checks compute the
+sawtooth kernel of ``params`` in integers, so they load neither ``intervals``
+nor ``construction``, and no check loads the image engine.
 
 Secant witnesses work at the fine scale instead: an eligible parameter sits
 within alpha_n / M_n of a level-n grid point beta that lies on no coarser
 grid. Stepping just across beta changes component n by at least
-(1/2 - alpha_n)/M_n while every other truncated coordinate moves by at most
-the parameter displacement, so the squared component-n share of the squared
-displacement norm is bounded below by 1/(64 Kbar^2) once alpha_n <= 1/8
-(Kbar^2 the upper enclosure of the unit-box norm bound).
+(1/2 - alpha_n)/M_n. Each coordinate k < n moves by at most the parameter
+displacement: f_0 = t, and for alpha_n <= 1/2 no level-(n-1) grid point, so
+no jump of f_k, lies within alpha_n / M_n of beta. Each coordinate k > n
+moves by less than 1/(2 M_k). So the squared component-n share of the
+squared displacement norm is bounded below by 1/(64 Kbar^2) once
+alpha_n <= 1/8 (Kbar^2 the upper enclosure of the unit-box norm bound). The
+sampler decides a sample from its exact component-n difference and these
+bounds on the rest, and computes every coordinate only when that screen
+leaves the test open.
 
 All sampling uses a named, seeded generator and is reproducible bit for bit.
 """
@@ -29,11 +36,11 @@ from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import DEFAULT_COMPONENT_BUDGET, BudgetExceeded, DomainError
-from .intervals import IntervalUnion
 from .params import L2, ParameterSet, point_nums
 
-if TYPE_CHECKING:  # only annotations name it; no check needs the curve module
+if TYPE_CHECKING:  # annotations name them; only event_set builds an IntervalUnion
     from .curve import CurveEvaluator
+    from .intervals import IntervalUnion
 
 GENERATOR_NAME = "mt19937-getrandbits"
 SAMPLE_BITS = 48  # a sampled parameter is a multiple of 2^-48 of its range
@@ -90,6 +97,8 @@ def _check_event_level(params: ParameterSet, n: int) -> None:
 
 def event_set(params: ParameterSet, n: int) -> EventSet:
     """The level-n refinement event as an exact interval union."""
+    from .intervals import IntervalUnion
+
     _check_event_level(params, n)
     alpha = params.alpha_term(n)
     if 2 * alpha > 1:
@@ -279,6 +288,20 @@ class _SecantConstants(NamedTuple):
         deltas = [w * (y - x) for w, x, y in zip(self.weights, p0, pn)]
         return deltas, 2 * den * self.sizes[-1] * self.q
 
+    def rest_upper(self, n: int, den: int, disp: int) -> int:
+        """B_hi >= sum_{k != n} delta_k^2 + tail_sq over S^2 den(tail_sq), S the
+        scale of deltas, for t0 = a0/den and tn with |an - a0| = disp on either
+        side of a level-n grid point on no coarser grid and within 1/(2 M_n) of
+        it: |delta_k| <= alpha_k disp/den for k < n and alpha_k/(2 M_k) for k > n.
+        B_hi is c0 + c2 disp^2 with c0 = B_hi at disp 0."""
+        top, tail = self.sizes[-1], self.tail_sq
+        rest = sum(
+            (w * 2 * top * disp if k < n else w * (top // size) * den) ** 2
+            for k, (w, size) in enumerate(zip(self.weights, self.sizes))
+            if k != n
+        )
+        return rest * tail.denominator + tail.numerator * (2 * den * top * self.q) ** 2
+
     def passes(self, deltas: list[int], scale: int, n: int) -> bool:
         """ratio_sq >= threshold, cross-multiplied over the deltas' scale."""
         thr, tail = self.threshold, self.tail_sq
@@ -307,7 +330,8 @@ def secant_witness(params: ParameterSet, t0: Fraction, n: int) -> Optional[Secan
     step = lcm(t0.denominator, alpha_n.denominator * size) // size  # 1/M_n over den
     den = step * size
     a0 = t0.numerator * (den // t0.denominator)
-    an = _secant_partner(params, n, a0, den, step // alpha_n.denominator * alpha_n.numerator)
+    radius = step // alpha_n.denominator * alpha_n.numerator
+    an = _secant_partner(size, params.refinement_factor(n), a0, den, radius)
     if an is None:
         return None
     consts = _SecantConstants.of(params)
@@ -321,17 +345,15 @@ def secant_witness(params: ParameterSet, t0: Fraction, n: int) -> Optional[Secan
     )
 
 
-def _secant_partner(
-    params: ParameterSet, n: int, a0: int, den: int, radius: int
-) -> Optional[int]:
-    """The partner of an eligible t0 = a0/den, or None; den is a multiple of
-    M_n and radius = den alpha_n / M_n."""
+def _secant_partner(size: int, m_n: int, a0: int, den: int, radius: int) -> Optional[int]:
+    """The level-n partner of an eligible t0 = a0/den, or None; size = M_n
+    divides den, m_n is the refinement factor and radius = den alpha_n / M_n."""
     if not 0 <= a0 < den:
         raise DomainError(f"t0 = {Fraction(a0, den)} outside [0, 1)")
-    step = den // params.grid_size(n)
+    step = den // size
     k = (2 * a0 + step) // (2 * step)  # the nearest level-n grid index
     beta = k * step
-    if radius == 0 or abs(a0 - beta) > radius or k % params.refinement_factor(n) == 0:
+    if radius == 0 or abs(a0 - beta) > radius or k % m_n == 0:
         return None  # too far, or beta lies on a coarser grid
     return beta if a0 < beta else beta - radius
 
@@ -360,6 +382,14 @@ def sample_secant_witnesses(
     consts = _SecantConstants.of(params)
     step = alpha_n.denominator << SAMPLE_BITS
     den, radius = step * size, alpha_n.numerator << SAMPLE_BITS
+    # delta_n^2 / (delta_n^2 + B_hi) >= threshold implies passes(); rest_upper
+    # holds only while [t0, tn] stays within 1/(2 M_n) of beta, so for 2 alpha_n <= 1
+    screen, thr = 2 * alpha_n <= 1, consts.threshold
+    gain = consts.tail_sq.denominator * (thr.denominator - thr.numerator)
+    c0 = thr.numerator * consts.rest_upper(n, den, 0)
+    c2 = thr.numerator * consts.rest_upper(n, den, 1) - c0
+    # delta_n from the kernel of point_nums at level n, as in sample_oscillation
+    half, lift = den // 2, 2 * consts.weights[n] * (consts.sizes[-1] // size)
     passed = total = 0
     while total < samples:
         k = rand_index(rng, 1, size - 1)
@@ -367,10 +397,13 @@ def sample_secant_witnesses(
             continue
         offset = rng.getrandbits(SAMPLE_BITS) * alpha_n.numerator
         a0 = k * step + (offset if rng.getrandbits(1) else -offset)
-        an = _secant_partner(params, n, a0, den, radius)
+        an = _secant_partner(size, m_n, a0, den, radius)
         if an is not None:
             total += 1
-            passed += consts.passes(*consts.deltas(den, a0, an), n)
+            x, y = size * a0 % den - half, size * an % den - half
+            d_n = lift * ((y if y > 0 else 0) - (x if x > 0 else 0))
+            screened = screen and gain * d_n * d_n >= c0 + c2 * (an - a0) ** 2
+            passed += screened or consts.passes(*consts.deltas(den, a0, an), n)
     return passed, total
 
 
@@ -449,7 +482,9 @@ def sample_oscillation(params: ParameterSet, samples: int, seed: int) -> tuple[F
     """The worst |f_k(t) - f_k(u)| over every k and seeded pairs t, u in one
     level-n cell (n <= 6; t over den = 2^48 M_6), and whether all are <= 1/M_n."""
     top, sizes = min(6, params.n_max), params.grid_sizes
-    den = sizes[top] << SAMPLE_BITS
+    den, last = sizes[top] << SAMPLE_BITS, sizes[-1]
+    # point_nums per level: f_k(t) = 2 (M_N/M_k) max(0, M_k t mod den - den/2) over 2 den M_N
+    half, lifts = den // 2, [(size, 2 * (last // size)) for size in sizes[1:]]
     rng = spawn_rng(seed)
     worst, ok = 0, True
     for _ in range(samples):
@@ -458,10 +493,13 @@ def sample_oscillation(params: ParameterSet, samples: int, seed: int) -> tuple[F
         lo = (rand_index(rng, 1, sizes[n]) - 1) * step
         t = lo + rng.getrandbits(SAMPLE_BITS) * (step >> SAMPLE_BITS)
         u = lo + rng.getrandbits(SAMPLE_BITS) * (step >> SAMPLE_BITS)
-        for a, b in zip(point_nums(sizes, t, den), point_nums(sizes, u, den)):
-            worst = max(worst, abs(a - b))
-            ok &= abs(a - b) <= 2 * sizes[-1] * step
-    return Fraction(worst, 2 * den * sizes[-1]), ok
+        gap = 2 * last * abs(t - u)  # level 0: f_0 = t
+        for size, lift in lifts:
+            a, b = size * t % den - half, size * u % den - half
+            gap = max(gap, lift * abs((a if a > 0 else 0) - (b if b > 0 else 0)))
+        worst = max(worst, gap)
+        ok &= gap <= 2 * last * step
+    return Fraction(worst, 2 * den * last), ok
 
 
 # -- chord projection witnesses ------------------------------------------------------------

@@ -1029,9 +1029,10 @@ def test_each_command_loads_only_its_engine_modules(d1_config, d2_config, tmp_pa
     }
     for loaded in checks.values():
         assert "diagnostics" in loaded and not loaded & {"measure", "curve"}
-    assert "intervals" in checks["event-measure"]
-    # the sampled checks read the components through params, so no check loads construction
+    # only the event checks build interval unions, and the sampled checks read the
+    # components through params, so no check loads construction
     for check, loaded in checks.items():
+        assert ("intervals" in loaded) == (check in ("event-measure", "independence")), check
         assert "construction" not in loaded, check
     version = loaded_by("--version")
     engine = {"construction", "intervals", "measure", "curve", "diagnostics"}

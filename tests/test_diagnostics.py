@@ -11,6 +11,7 @@ import sawproj as sp
 from sawproj.diagnostics import (
     SAMPLE_BITS,
     _event_hit,
+    _SecantConstants,
     _event_window,
     _slope_identity,
     curve_lipschitz_upper,
@@ -451,6 +452,32 @@ def test_secant_sample_counts_match_fraction_oracle(params, seed, data):
     assert sample_secant_witnesses(params, n, 30, seed) == secant_sample_oracle(
         params, n, 30, seed
     )
+
+
+@settings(max_examples=400)
+@given(l2_parameter_sets(), st.data())
+def test_secant_rest_bound_holds_and_its_screen_implies_passes(params, data):
+    # the sampler's screen: B_hi bounds the exact rest of the squared norm, so
+    # delta_n^2 / (delta_n^2 + B_hi) >= threshold is enough to pass
+    n = data.draw(st.integers(1, params.n_max))
+    size, m_n, alpha_n = params.grid_size(n), params.refinement_factor(n), params.alpha_term(n)
+    assume(m_n > 1 and 0 < 2 * alpha_n <= 1)
+    k = data.draw(st.integers(1, size - 1))
+    k += k % m_n == 0  # a grid point on no coarser grid
+    offset = data.draw(st.fractions(-1, 1, max_denominator=2**20))
+    w = sp.secant_witness(params, F(k, size) + offset * alpha_n / size, n)
+    assume(w is not None)
+    den = math.lcm(w.t0.denominator, w.tn.denominator)
+    a0, an = int(w.t0 * den), int(w.tn * den)
+    consts = _SecantConstants.of(params)
+    deltas, scale = consts.deltas(den, a0, an)
+    tail = consts.tail_sq
+    rest = sum(d * d for d in deltas) - deltas[n] ** 2
+    bound = consts.rest_upper(n, den, abs(an - a0))
+    assert bound >= rest * tail.denominator + tail.numerator * scale**2
+    share = deltas[n] ** 2 * tail.denominator
+    if share and F(share, share + bound) >= consts.threshold:
+        assert consts.passes(deltas, scale, n)
 
 
 @settings(max_examples=400)

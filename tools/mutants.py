@@ -41,9 +41,10 @@ class Mutant(NamedTuple):
 CURVE, CONSTRUCTION = "src/sawproj/curve.py", "src/sawproj/construction.py"
 PARAMS, CERTIFICATES = "src/sawproj/params.py", "src/sawproj/certificates.py"
 MEASURE, INTERVALS = "src/sawproj/measure.py", "src/sawproj/intervals.py"
+DIAGNOSTICS = "src/sawproj/diagnostics.py"
 TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_construction.py::"
 TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
-TEST_PARAMS = "tests/test_params.py::"
+TEST_PARAMS, TEST_DIAGNOSTICS = "tests/test_params.py::", "tests/test_diagnostics.py::"
 
 MUTANTS = (
     Mutant(
@@ -207,6 +208,33 @@ MUTANTS = (
         "out.append((last[0], min(hi, last[1])))",
         "out.append(last)",
         (TEST_INTERVALS + "test_intersect_matches_the_two_pointer_walk",),
+    ),
+    Mutant(
+        "_SecantConstants.rest_upper: the k > n terms dropped",
+        DIAGNOSTICS,
+        "else w * (top // size) * den) ** 2",
+        "else 0) ** 2",
+        (TEST_DIAGNOSTICS + "test_secant_rest_bound_holds_and_its_screen_implies_passes",),
+    ),
+    Mutant(
+        "_SecantConstants.rest_upper: the k < n displacement halved",
+        DIAGNOSTICS,
+        "(w * 2 * top * disp if k < n",
+        "(w * top * disp if k < n",
+        (
+            TEST_DIAGNOSTICS + "test_secant_rest_bound_holds_and_its_screen_implies_passes",
+            TEST_DIAGNOSTICS + "test_secant_sample_counts_match_fraction_oracle",
+        ),
+    ),
+    Mutant(
+        "sample_oscillation: coordinate 0 skipped",
+        DIAGNOSTICS,
+        "gap = 2 * last * abs(t - u)",
+        "gap = 0",
+        (
+            TEST_DIAGNOSTICS + "test_oscillation_sample_of_the_preset",
+            TEST_DIAGNOSTICS + "test_sampled_identities_and_oscillation_match_fraction_oracles",
+        ),
     ),
 )
 
