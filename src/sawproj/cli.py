@@ -299,7 +299,7 @@ def cmd_scan(args) -> int:
         directions = [_direction(chunk) for chunk in args.directions.split(";")]
     else:
         directions = circle_directions(args.circle)
-    from .measure import directional_measure
+    from .measure import direction_brackets
 
     config, params, functional = _load(args)
     if functional is None:
@@ -308,15 +308,13 @@ def cmd_scan(args) -> int:
     budget = _setting(args, config, "budget", DEFAULT_PIECE_BUDGET, _nonnegative)
     out = _out_dir(args, config)
     cache = _Cache(out, enabled=not args.no_cache)
-    records = []
+    # one level-N table for every direction, built at the first cache miss
+    brackets, records = direction_brackets(params, functional, level, budget), []
     for idx, (p, q) in enumerate(directions):
         direction = [format_rational(p), format_rational(q)]
         key = cache.key("scan", params, functional, level, direction=direction)
-        bracket = partial(
-            directional_measure, params, functional, (p, q), level, piece_budget=budget
-        )
         fields = {"kind": "scan", "direction_index": idx, "direction_p": p, "direction_q": q}
-        record = cache.bracket_record(key, functional, bracket, **fields)
+        record = cache.bracket_record(key, functional, partial(brackets, p, q), **fields)
         # the key leaves the index out, so an entry from another scan carries its own
         records.append(dict(record, direction_index=idx))
     write_jsonl(records, out / "scan.jsonl")
@@ -395,21 +393,18 @@ def _diag_event_measure(params, args) -> list[dict]:
 
 
 def _diag_independence(params, args) -> list[dict]:
-    from .diagnostics import check_event_levels, independence_check
+    from .diagnostics import independence_checks
 
-    records, levels = [], _levels(params, args, 2, 6, least=2)
-    check_event_levels(params, levels)
-    for i, j in combinations(levels, 2):
-        res = independence_check(params, (i, j))
-        records.append(
-            {
-                "levels": f"{i},{j}",
-                "measure": res.measure,
-                "expected": res.expected,
-                "passed": res.multiplicative,
-            }
-        )
-    return records
+    pairs = list(combinations(_levels(params, args, 2, 6, least=2), 2))
+    return [
+        {
+            "levels": "%d,%d" % r.levels,
+            "measure": r.measure,
+            "expected": r.expected,
+            "passed": r.multiplicative,
+        }
+        for r in independence_checks(params, pairs)
+    ]
 
 
 def _sampled(args, **fields) -> dict:

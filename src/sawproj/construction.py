@@ -178,10 +178,16 @@ def build_pl(
     brackets are available; the piece count 2 M_N is checked against the
     budget before any enumeration happens.
     """
-    if not 0 <= level <= params.n_max:
-        raise DomainError(f"level {level} outside [0, {params.n_max}]")
+    params.grid_size(level)  # refuses a level outside [0, n_max] before the tail
     functional.abs_tail_upper(level)  # raises CertificationError if absent
-    pieces = 2 * params.grid_size(level)
+    return budgeted_table(params, functional, level, piece_budget)
+
+
+def budgeted_table(
+    params: ParameterSet, functional: Functional, level: int, piece_budget: int
+) -> PLFunction:
+    """``build_pl`` less its tail check, for a caller that asks for the tail itself."""
+    pieces = 2 * params.grid_size(level)  # refuses a level outside [0, n_max]
     if pieces > piece_budget:
         raise BudgetExceeded("pieces", pieces, piece_budget)
     return _table(params, functional, level)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import pairwise
-from math import lcm
+from math import lcm, prod
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import DEFAULT_COMPONENT_BUDGET, BudgetExceeded, DomainError
@@ -156,10 +156,7 @@ class IndependenceResult(NamedTuple):
 
 
 def independence_check(
-    params: ParameterSet,
-    levels: Sequence[int],
-    *,
-    component_budget: int = DEFAULT_COMPONENT_BUDGET,
+    params: ParameterSet, levels: Sequence[int], *, component_budget: int = DEFAULT_COMPONENT_BUDGET
 ) -> IndependenceResult:
     """Exact measure of the intersection of events at distinct levels.
 
@@ -169,19 +166,26 @@ def independence_check(
     levels = tuple(sorted(set(levels)))
     if not 1 <= len(levels) <= 4:
         raise DomainError("between one and four levels are supported")
-    check_event_levels(params, levels, component_budget)
-    expected = Fraction(1)
-    current: Optional[IntervalUnion] = None
-    for n in levels:
-        ev = event_set(params, n)
-        expected *= 2 * params.alpha_term(n)
-        current = ev.cells if current is None else current.intersect(ev.cells)
-        if current.component_count > component_budget:
-            raise BudgetExceeded(
-                "intersection components", current.component_count, component_budget
-            )
-    assert current is not None
-    return IndependenceResult(levels, current.measure, expected, current.component_count)
+    return independence_checks(params, [levels], component_budget)[0]
+
+
+def independence_checks(
+    params: ParameterSet, groups: Sequence[tuple[int, ...]], budget: int = DEFAULT_COMPONENT_BUDGET
+) -> list[IndependenceResult]:
+    """``independence_check`` of each group of distinct levels, building each event once."""
+    levels = sorted({n for group in groups for n in group})
+    check_event_levels(params, levels, budget)
+    cells = {n: event_set(params, n).cells for n in levels}
+    results = []
+    for group in groups:
+        meet = cells[group[0]]  # within budget, as checked
+        for n in group[1:]:
+            meet = meet.intersect(cells[n])
+            if meet.component_count > budget:
+                raise BudgetExceeded("intersection components", meet.component_count, budget)
+        expected = prod(2 * params.alpha_term(n) for n in group)
+        results.append(IndependenceResult(group, meet.measure, expected, meet.component_count))
+    return results
 
 
 class UnionSampleReport(NamedTuple):

@@ -14,7 +14,8 @@ into disjoint pairs, and the other, loose copies stay copies while no two of
 their hulls share more than a point; the measure in a window is then that of
 the pairs cut to it plus, per loose copy, its part in the window less its
 parts in those pairs. A tile whose loose copies overlap merges the
-components of every copy once. ``image_measure`` always builds shapes; a
+components of every copy once; one whose copies are all solid and each meet
+the next is its hull, in O(1). ``image_measure`` always builds shapes; a
 bracket skips them at level k when c_1..c_k share a sign s (zeros allowed),
 as every jump of s h_k goes down:
 if s c_0 >= 0, s h_k >= 0 = h_k(0) takes every value below its supremum, of
@@ -26,21 +27,24 @@ chain: raising the level by one moves each of the 2 M_{k+1} piece images by
 at most |c_{k+1}|/(2 M_{k+1}), so the union measure moves by at most
 2 |c_{k+1}|. Summing the chain past level N bounds every deeper truncated
 measure within [mu_N - 2 T_N, mu_N + 2 T_N] where T_N is the certified
-absolute coefficient tail. Whether the truncated measures converge to the
-measure of the full projection is not established; the bracket is the
-certified statement. Covering sums (``hausdorff_upper``) are in ``certificates``.
+absolute coefficient tail. The chain runs in integers, and the brackets of all
+directions p t + q h share h's level-N table and T_N (``direction_brackets``).
+Whether the truncated measures converge to the measure of the full projection
+is not established; the bracket is the certified statement. Covering sums
+(``hausdorff_upper``) are in ``certificates``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from math import lcm
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .construction import PLFunction, build_pl
-from .errors import DEFAULT_COMPONENT_BUDGET, DEFAULT_PIECE_BUDGET, BudgetExceeded
+from .construction import PLFunction, budgeted_table
+from .errors import DEFAULT_COMPONENT_BUDGET, DEFAULT_PIECE_BUDGET, BudgetExceeded, DomainError
 from .intervals import IntervalUnion
 from .params import ParameterSet
 from .sequences import Functional
@@ -66,8 +70,9 @@ class _Shape:
     def tile(a: "_Shape", b: "_Shape", step: int, count: int) -> "_Shape":
         """The union of count copies at offsets i * step alternating a and b (with
         step 0, each kind once); its hull is that of the first two and the last
-        two copies. The solid copies merge into pairs and the others stay loose,
-        unless two loose hulls overlap: then every component merges."""
+        two copies, and it is the union when all are solid and each meets the next.
+        Else the solid copies merge into pairs and the others stay loose, unless
+        two loose hulls overlap: then every component merges."""
         count = count if step else min(count, 2)
         if count == 1:
             return a
@@ -75,6 +80,9 @@ class _Shape:
         y, z = kinds[count % 2], kinds[(count - 1) % 2]  # the last two copies
         lo = min(a.lo, step + b.lo, last - step + y.lo, last + z.lo)
         hi = max(a.hi, step + b.hi, last - step + y.hi, last + z.hi)
+        if a.solid and b.solid and step + b.lo <= a.hi and a.lo <= step + b.hi:
+            if count == 2 or step + a.lo <= b.hi and b.lo <= step + a.hi:
+                return _Shape(lo, hi, hi - lo, ())  # each copy meets the next: the hull
         pairs, loose = [], []
         for first, x in enumerate(kinds):
             if x.solid:
@@ -125,11 +133,11 @@ def _merged(pairs: Sequence[tuple[int, int]], loose: Sequence[tuple[int, _Shape]
     return IntervalUnion.from_pairs(1, [*pairs, *shifted]).pairs  # the one merge sweep
 
 
-def _image_ints(pl: PLFunction, top: int) -> _Shape:
+def _image_ints(a: Sequence[int], steps: Sequence[int], top: int) -> _Shape:
     """The image of the level-top truncation as a shape over the table's denominator.
 
     The table is that of a level N >= top; its integers a_n and periods
-    q_n = 2 M_N/M_n give m_n = q_{n-1} // q_n. In numerators over its
+    steps[n] = q_n = 2 M_N/M_n give m_n = q_{n-1} // q_n. In numerators over its
     denom = 4 M_N q_lcm, the image of h_top on a level-l half-cell, less its
     value at the cell's left end, is
 
@@ -149,7 +157,6 @@ def _image_ints(pl: PLFunction, top: int) -> _Shape:
     Each distinct (s, odd, l) is built once, from the two keys of its kinds;
     the two level-0 half-cells are one more tile.
     """
-    a, steps = pl.a, pl.periods
     m = [0] + [steps[n - 1] // steps[n] for n in range(1, top + 1)]
     leaf = steps[top]
 
@@ -178,7 +185,7 @@ def image_measure(
     """Exact image (interval union) and Lebesgue measure of a truncation."""
     if pl.piece_count > piece_budget:
         raise BudgetExceeded("pieces", pl.piece_count, piece_budget)
-    union = IntervalUnion(pl.denom, _image_ints(pl, pl.level).flatten())
+    union = IntervalUnion(pl.denom, _image_ints(pl.a, pl.periods, pl.level).flatten())
     return union, union.measure
 
 
@@ -226,6 +233,43 @@ class MeasureBracket(NamedTuple):
         return all(link.holds for link in self.chain)
 
 
+def direction_brackets(
+    params: ParameterSet, functional: Functional, level: int, piece_budget: int
+) -> Callable[[Fraction, Fraction], MeasureBracket]:
+    """The bracket of t |-> p*t + q*h(t) per direction (p, q), h the functional's
+    projection: that of ``projection_bracket`` on ``functional.with_direction(p, q)``.
+    All share the level-N table and tail T_N of h, each built at the first call that
+    needs it: with p = P/R and q = Q/R, a direction's table is a'_0 = P q_lcm + Q a_0
+    and a'_n = Q a_n over R denom, and its tail is |q| T_N, asked for only if q != 0."""
+    params.grid_size(level)  # refuses a bad level before the tail, as build_pl does
+    tail = cache(partial(functional.abs_tail_upper, level))
+    table = cache(partial(budgeted_table, params, functional, level, piece_budget))
+
+    def bracket(p: Fraction, q: Fraction) -> MeasureBracket:
+        p, q = Fraction(p), Fraction(q)
+        if p == 0 and q == 0:
+            raise DomainError("direction (0, 0) is not admissible")
+        t = abs(q) * tail() if q else Fraction(0)
+        pl, r = table(), lcm(p.denominator, q.denominator)
+        big_p, big_q = p.numerator * (r // p.denominator), q.numerator * (r // q.denominator)
+        steps, den, q_lcm = pl.periods, r * pl.denom, pl.denom // (2 * pl.periods[0])
+        a = (big_p * q_lcm + big_q * pl.a[0], *(big_q * x for x in pl.a[1:]))  # over den
+        nums = [
+            _image_ints(a, steps, k).measure if num is None else num
+            for k, num in enumerate(_monotone_nums(a, steps))
+        ]
+        # the chain in integers: mu_k = nums[k] / den, and 2 |c_n| = 4 q_0 |a_n| / den
+        mus, bound = tuple(Fraction(num, den) for num in nums), 4 * steps[0]
+        chain = tuple(
+            ChainLink(n + 1, Fraction(abs(v - u), den), Fraction(bound * abs(x), den))
+            for n, (u, v, x) in enumerate(zip(nums, nums[1:], a[1:]))
+        )
+        mu = mus[-1]
+        return MeasureBracket(level, mu, t, mu - 2 * t, mu + 2 * t, steps[0], chain, mus)
+
+    return bracket
+
+
 def projection_bracket(
     params: ParameterSet,
     functional: Functional,
@@ -233,37 +277,18 @@ def projection_bracket(
     *,
     piece_budget: int = DEFAULT_PIECE_BUDGET,
 ) -> MeasureBracket:
-    """Certified bracket [mu_N - 2 T_N, mu_N + 2 T_N] for the projection.
+    """Certified bracket [mu_N - 2 T_N, mu_N + 2 T_N] for the projection: direction
+    (0, 1) of ``direction_brackets``.
 
     The per-level stability chain |mu_{k+1} - mu_k| <= 2 |c_{k+1}| is checked
-    for every k < N and returned as part of the certificate. The level, the
-    tail certificate and the level-N piece budget are checked before any
-    image is computed, by ``build_pl``; every level is then measured over the one
-    level-N table, by the module's one-signed rule where it applies: on
-    ``harmonic_l2.cfg`` that is every level of F1's brackets and 424 of the
-    448 levels of the 64-direction level-6 scan.
+    for every k < N, in integers over the level-N table's denom, and returned as
+    part of the certificate. The level, the tail certificate and the piece budget
+    are checked before any image is computed; every level is measured over the
+    one table, by the module's one-signed rule where it applies: on
+    ``harmonic_l2.cfg`` that is every level of F1's brackets and 424 of the 448
+    levels of the 64-direction level-6 scan.
     """
-    pl = build_pl(params, functional, level, piece_budget=piece_budget)
-    coeffs = pl.coeffs
-    mus = [
-        Fraction(_image_ints(pl, k).measure if num is None else num, pl.denom)
-        for k, num in enumerate(_monotone_nums(pl.a, pl.periods))
-    ]
-    chain = tuple(
-        ChainLink(k + 1, abs(mus[k + 1] - mus[k]), 2 * abs(coeffs[k + 1])) for k in range(level)
-    )
-    tail = functional.abs_tail_upper(level)
-    mu = mus[-1]
-    return MeasureBracket(
-        level=level,
-        mu=mu,
-        tail_upper=tail,
-        lower=mu - 2 * tail,
-        upper=mu + 2 * tail,
-        piece_count=pl.piece_count,
-        chain=chain,
-        mu_levels=tuple(mus),
-    )
+    return direction_brackets(params, functional, level, piece_budget)(0, 1)
 
 
 def directional_measure(
@@ -274,11 +299,6 @@ def directional_measure(
     *,
     piece_budget: int = DEFAULT_PIECE_BUDGET,
 ) -> MeasureBracket:
-    """Bracket for the image of t |-> p*t + q*h(t) in a rational direction.
-
-    Reuses the projection machinery on the combined coefficient family
-    (p + q*c_0, q*c_1, ...); the tail scales by |q| inside the combination.
-    """
-    p, q = direction
-    combined = functional.with_direction(Fraction(p), Fraction(q))
-    return projection_bracket(params, combined, level, piece_budget=piece_budget)
+    """Bracket for the image of t |-> p*t + q*h(t) in a rational direction: one
+    direction of ``direction_brackets``, whose tail is |q| T_N."""
+    return direction_brackets(params, functional, level, piece_budget)(*direction)

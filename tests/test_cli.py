@@ -261,6 +261,31 @@ def test_scan_single_axis_direction(d1_config, tmp_path):
     assert record["direction_p"] == "1/1"
 
 
+def test_scan_of_a_divergent_functional_needs_q_zero(tmp_path, capsys):
+    # a harmonic functional has no certified l1 tail: (1, 0) never asks for it,
+    # while a direction with q != 0 is refused with exit 2
+    cfg = tmp_path / "harmonic.cfg"
+    cfg.write_text(D1_CONFIG.replace('"inverse_square"', '"harmonic"'))
+    args = ["scan", "--config", str(cfg), "--level", "3", "--no-cache"]
+    assert main(args + ["--directions", "1,0", "--out", str(tmp_path / "a")]) == 0
+    (record,) = read_jsonl(tmp_path / "a" / "scan.jsonl")
+    assert (record["mu"], record["tail"], record["chain_holds"]) == ("1/1", "0/1", True)
+    assert main(args + ["--directions", "1,0;1,1", "--out", str(tmp_path / "b")]) == 2
+    record = _error_records(capsys)[-1]
+    assert record["error"] == "invalid" and "no certified l1 tail" in record["message"]
+    assert not (tmp_path / "b").exists()
+
+
+def test_scan_served_from_the_cache_builds_no_table(d1_config, tmp_path, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built for a cached scan")
+
+    args = ["scan", "--config", str(d1_config), "--level", "3", "--circle", "4"]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 0
+    monkeypatch.setattr(sp.construction, "_table", no_table)
+    assert main(args + ["--out", str(tmp_path / "o")]) == 0
+
+
 def test_scan_indexes_cached_directions_in_this_scan_order(d1_config, tmp_path):
     out = tmp_path / "out"
     for directions in ("1,0;0,1", "0,1;1,0"):  # the second scan is served from the cache
@@ -687,6 +712,23 @@ def test_diagnose_checks_event_sizes_before_building_any(check, tmp_path, monkey
     assert record["error"] == "budget" and record["exit_code"] == 3
     assert (record["count"], record["budget"]) == (4096**2 + 1, 2**20)
     assert not out.exists()
+
+
+def test_diagnose_independence_builds_each_event_once(d1_config, tmp_path, monkeypatch):
+    built, event_set = [], sp.diagnostics.event_set
+
+    def counted(params, n):
+        built.append(n)
+        return event_set(params, n)
+
+    monkeypatch.setattr(sp.diagnostics, "event_set", counted)
+    out = tmp_path / "o"
+    args = ["diagnose", "--config", str(d1_config), "--check", "independence", "--out", str(out)]
+    assert main(args) == 0
+    assert built == [2, 3, 4, 5, 6]  # five builds for the ten pairs
+    records = read_jsonl(out / "diagnose_independence.jsonl")
+    assert [r["levels"] for r in records] == [f"{i},{j}" for i in range(2, 7) for j in range(i + 1, 7)]
+    assert all(r["passed"] for r in records)
 
 
 def test_diagnose_secant_checks_every_level_before_sampling_any(tmp_path, monkeypatch, capsys):

@@ -247,6 +247,33 @@ def test_shape_tile_matches_pairwise_merge(tree):
     assert list(shape.flatten()) == pairwise_merge(pairs)  # last: it keeps the merge
 
 
+SOLID_TREES = st.one_of(
+    st.tuples(st.integers(-8, 8), st.integers(0, 6)),
+    TILE_TREES.filter(lambda tree: _tile_tree(tree)[0].solid),
+)
+
+
+@settings(max_examples=300)
+@given(SOLID_TREES, SOLID_TREES, st.integers(-20, 20), st.integers(2, 7))
+@example((0, 4), (1, 3), -3, 5)  # negative step, chained
+@example((0, 3), (1, 4), 0, 3)  # step 0: each kind once, chained
+@example((0, 3), (5, 2), 0, 4)  # step 0, apart
+@example((0, 2), (0, 1), 2, 2)  # count 2: b touches a
+@example((0, 4), (0, 1), 3, 3)  # odd count: a -> b chained, b -> a gapped
+@example((0, 2), (0, 2), 2, 5)  # copies that only touch
+@example((0, 0), (-1, 2), 1, 3)  # a point leaf chained between intervals
+@example((0, 0), (0, 0), 1, 4)  # point leaves apart
+@example(((0, 4), (0, 4), -3, 4), (2, 1), 5, 3)  # a solid tile as a kind
+def test_solid_tiles_match_the_union_of_their_copies(a, b, step, count):
+    (x, _), (y, _) = _tile_tree(a), _tile_tree(b)
+    shape, _ = _tile_tree((a, b, step, count))
+    copies = [(k.lo + i * step, k.hi + i * step) for i, k in enumerate([x, y] * count)]
+    union = IntervalUnion.from_pairs(1, copies[: count if step else 2])
+    assert (shape.lo, shape.hi) == (union.pairs[0][0], union.pairs[-1][1])
+    assert shape.measure == sum(hi - lo for lo, hi in union.pairs)
+    assert shape.pairs == union.pairs
+
+
 @settings(max_examples=300)
 @given(TILE_TREES, st.integers(-5, 105), st.integers(-5, 105))
 @example((((0, 5), COMB, 4, 4), (0, 2), 30, 2), 25, 75)  # a window cuts overlapping pairs
@@ -298,7 +325,7 @@ def test_dense_direction_builds_no_union(d1, f1, monkeypatch):
     from_pairs = IntervalUnion.from_pairs
     monkeypatch.setattr(IntervalUnion, "from_pairs", staticmethod(small_union))
     pl = sp.build_pl(d1, f1.with_direction(F(-2048), F(1536)), 7)
-    assert F(measure._image_ints(pl, 7).measure, pl.denom) == F(3637276, 3675)
+    assert F(measure._image_ints(pl.a, pl.periods, 7).measure, pl.denom) == F(3637276, 3675)
 
 
 def test_level_seven_tiles_need_no_sweep(d1, f1, monkeypatch):
@@ -312,12 +339,12 @@ def test_level_seven_tiles_need_no_sweep(d1, f1, monkeypatch):
         (f1.with_direction(F(-2048), F(1536)), F(3637276, 3675)),
     ):
         pl = sp.build_pl(d1, functional, 7)
-        assert F(measure._image_ints(pl, 7).measure, pl.denom) == mu
+        assert F(measure._image_ints(pl.a, pl.periods, 7).measure, pl.denom) == mu
 
 
 def test_one_signed_brackets_build_no_shapes(d1, f1, monkeypatch):
     # F1 and direction 48 have one-signed tails and are monotone at every level
-    def no_shapes(pl, top):
+    def no_shapes(a, steps, top):
         raise AssertionError("a shape was built")
 
     monkeypatch.setattr(measure, "_image_ints", no_shapes)
@@ -332,9 +359,9 @@ def test_level_six_scan_builds_shapes_for_24_levels(monkeypatch):
     params, functional = params_from_config(config), functional_from_config(config)
     calls = []
 
-    def counted(pl, top):
+    def counted(a, steps, top):
         calls.append(top)
-        return image_ints(pl, top)
+        return image_ints(a, steps, top)
 
     image_ints = measure._image_ints
     monkeypatch.setattr(measure, "_image_ints", counted)
@@ -385,7 +412,7 @@ def test_one_signed_levels_match_the_engine_and_direct_images(case):
         assert None not in nums  # the rule applies at every level
     for k, num in enumerate(nums):
         if num is not None:
-            assert num == measure._image_ints(pl, k).measure
+            assert num == measure._image_ints(pl.a, pl.periods, k).measure
             assert F(num, pl.denom) == direct_image(sp.build_pl(params, functional, k))[1]
 
 
@@ -416,6 +443,38 @@ def test_level_nine_scan_needs_no_merge(f1, monkeypatch):
         assert bracket.chain_holds
         if k == 43:
             assert bracket.mu == F(5861837392018091, 28092137472000)
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+DIRECTIONS = st.one_of(
+    st.tuples(RATIONALS, RATIONALS),
+    st.tuples(RATIONALS, st.just(F(0))),
+    st.tuples(st.just(F(0)), RATIONALS),
+).filter(any)
+
+
+@settings(max_examples=200)
+@given(truncations(), DIRECTIONS, st.integers(0, 5))
+@example(explicit_truncation([2, 3], "1/2", ["1/4", "-1/9"]), (F(3, 2), F(-2, 5)), 1)  # q < 0
+def test_direction_route_matches_the_combined_functional(case, direction, level):
+    # below the top level the explicit tail is positive, so |q| T_N is checked too
+    params, functional, top = case
+    level = min(level, top)
+    bracket = sp.directional_measure(params, functional, direction, level)
+    assert bracket == sp.projection_bracket(params, functional.with_direction(*direction), level)
+
+
+def test_direction_route_builds_one_table_and_tail(d1, f1, monkeypatch):
+    directions = circle_directions(16)  # (256, 0) first: a direction that needs no tail
+    expected = [sp.projection_bracket(d1, f1.with_direction(p, q), 4) for p, q in directions]
+    tables, tails = [], []
+    table, tail = construction._table, sp.Functional.abs_tail_upper
+    monkeypatch.setattr(construction, "_table", lambda *args: tables.append(1) or table(*args))
+    monkeypatch.setattr(sp.Functional, "abs_tail_upper", lambda f, n: tails.append(n) or tail(f, n))
+    brackets = measure.direction_brackets(d1, f1, 4, DEFAULT_PIECE_BUDGET)
+    assert (tables, tails) == ([], [])  # nothing is built before a bracket is asked for
+    assert [brackets(p, q) for p, q in directions] == expected
+    assert (len(tables), tails) == (1, [4])
 
 
 def test_projection_bracket_f1(d1, f1):

@@ -167,3 +167,28 @@ def test_functional_direction_combination():
     assert h.coeff(1) == -2 * f.coeff(1)
     with pytest.raises(DomainError):
         f.with_direction(F(0), F(0))
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        harmonic(F(0)),
+        geometric(F(1, 2), F(1, 3)),
+        inverse_square(F(1, 4)),
+        explicit([F(1, 2), F(1, 5), F(1, 7)], tail_l1=F(1, 9)),
+    ],
+    ids=lambda rule: rule.kind,
+)
+def test_direction_tail_is_abs_q_times_the_tail(rule):
+    functional = Functional(alpha0=F(1, 3), rule=rule, signs=(1, -1))
+    for p, q in [(F(1), F(2)), (F(-3, 4), F(-5, 7)), (F(0), F(-2)), (F(5, 3), F(0))]:
+        for n in range(4):
+            tail = functional.with_direction(p, q).abs_tail_upper(n)
+            assert tail == abs(q) * functional.abs_tail_upper(n)
+
+
+def test_divergent_direction_tail_needs_q_zero():
+    functional = Functional(alpha0=F(1, 3), rule=harmonic(F(1, 2)))
+    assert functional.with_direction(F(1), F(0)).abs_tail_upper(3) == 0
+    with pytest.raises(CertificationError):
+        functional.with_direction(F(1), F(-1, 2)).abs_tail_upper(3)

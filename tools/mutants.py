@@ -154,6 +154,33 @@ MUTANTS = (
         (TEST_MEASURE + "test_shape_tile_matches_pairwise_merge",),
     ),
     Mutant(
+        "chained tile: the b-then-a condition dropped",
+        MEASURE,
+        "if count == 2 or step + a.lo <= b.hi and b.lo <= step + a.hi:",
+        "if True:",
+        (
+            TEST_MEASURE + "test_solid_tiles_match_the_union_of_their_copies",
+            TEST_MEASURE + "test_shape_tile_matches_pairwise_merge",
+        ),
+    ),
+    Mutant(
+        "direction table: a'_0 loses Q a_0",
+        MEASURE,
+        "big_p * q_lcm + big_q * pl.a[0]",
+        "big_p * q_lcm",
+        (
+            TEST_MEASURE + "test_direction_route_matches_the_combined_functional",
+            TEST_MEASURE + "test_bracket_chain_matches_per_level_images",
+        ),
+    ),
+    Mutant(
+        "direction tail: q in place of |q|",
+        MEASURE,
+        "abs(q) * tail()",
+        "q * tail()",
+        (TEST_MEASURE + "test_direction_route_matches_the_combined_functional",),
+    ),
+    Mutant(
         "_measure: a loose copy's part in the pairs not subtracted",
         MEASURE,
         "        total -= sum(shape.window(max(x, lo) - off, min(y, hi) - off) for x, y in cut[i:j])\n",
