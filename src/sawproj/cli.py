@@ -261,13 +261,13 @@ def cmd_measure(args) -> int:
     level = _setting(args, config, "level", 1)
     budget = _setting(args, config, "budget", DEFAULT_PIECE_BUDGET, _nonnegative)
     out = _out_dir(args, config)
-    if args.pieces:
-        pl = build_pl(params, functional, level, piece_budget=budget)
-        export_pieces_csv(pl, out / "pieces.csv")
     cache = _Cache(out, enabled=not args.no_cache)
     key = cache.key("measure", params, functional, level)
     bracket = partial(projection_bracket, params, functional, level, piece_budget=budget)
-    record = cache.bracket_record(key, functional, bracket)
+    record = cache.bracket_record(key, functional, bracket)  # checks level, tail and budget
+    if args.pieces:  # a cached record skips the bracket, so build_pl checks the budget
+        pl = build_pl(params, functional, level, piece_budget=budget)
+        export_pieces_csv(pl, out / "pieces.csv")
     write_jsonl([record], out / "measure.jsonl")
     write_csv([record], out / "measure.csv")
     return EXIT_OK

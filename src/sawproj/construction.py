@@ -17,12 +17,12 @@ t = k/(2 M_N), with q_n = 2 M_N / M_n and c_n = a_n / q_lcm for integers a_n,
     c_n f_n(t) = a_n max(0, 2 (k mod q_n) - q_n) / (4 M_N q_lcm),
 
 and a_n q_n over the same denominator at a left limit where q_n divides k.
-``PLFunction`` is that integer table, built once by ``build_pl``:
-``PLFunction.nums`` gives each piece's left value and right limit from the
-closed form, and ``PLFunction.pattern(n)`` is one period of c_n f_n along the
-curve's vertices, which the polygon repeats, so the curve and the image
-engine read the same integers. ``PLFunction.value`` is the direct sum of
-c_n f_n(t) from ``point_nums`` they all must agree with.
+``PLFunction`` is that integer table, built once by ``build_pl``, which reads
+no coefficient tail. ``PLFunction.nums`` gives each piece's left value and
+right limit from the closed form, and ``PLFunction.pattern(n)`` is one period
+of c_n f_n along the curve's vertices, which the polygon repeats, so the curve
+and the image engine read the same integers. ``PLFunction.value`` is the
+direct sum of c_n f_n(t) from ``point_nums`` they all must agree with.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ class TruncatedPoint(NamedTuple):
 def truncated_point(params: ParameterSet, level: int, t: Fraction) -> TruncatedPoint:
     if not 0 <= t < 1:
         raise DomainError(f"t = {t} outside [0, 1)")
-    if not 0 <= level <= params.n_max:
-        raise DomainError(f"level {level} outside [0, {params.n_max}]")
+    params.grid_size(level)  # refuses a level outside [0, n_max]
     t = Fraction(t)
     nums, scale = point_nums_at(params, level, t)
     tail_sq = params.point_tail_l2sq_upper(level)
@@ -100,7 +99,7 @@ class PLFunction(NamedTuple):
 
     a[n] = a_n = c_n q_lcm are integers, periods[n] = q_n = 2 M_N / M_n, and
     every value below is a numerator over denom = 4 M_N q_lcm. ``build_pl``
-    checks the level, the tail and the piece budget once, then builds it.
+    checks the level and the piece budget once, then builds it.
     """
 
     params: ParameterSet
@@ -172,21 +171,9 @@ def build_pl(
     level: int,
     piece_budget: int = DEFAULT_PIECE_BUDGET,
 ) -> PLFunction:
-    """Piecewise-linear form of the level-N truncated projection.
-
-    The functional must carry a certified l1 tail so downstream measure
-    brackets are available; the piece count 2 M_N is checked against the
-    budget before any enumeration happens.
-    """
-    params.grid_size(level)  # refuses a level outside [0, n_max] before the tail
-    functional.abs_tail_upper(level)  # raises CertificationError if absent
-    return budgeted_table(params, functional, level, piece_budget)
-
-
-def budgeted_table(
-    params: ParameterSet, functional: Functional, level: int, piece_budget: int
-) -> PLFunction:
-    """``build_pl`` less its tail check, for a caller that asks for the tail itself."""
+    """Piecewise-linear form of the level-N truncated projection, its piece count
+    2 M_N checked against the budget before any enumeration. It reads no tail, so
+    a functional without a certified l1 tail is accepted: a bracket asks for it."""
     pieces = 2 * params.grid_size(level)  # refuses a level outside [0, n_max]
     if pieces > piece_budget:
         raise BudgetExceeded("pieces", pieces, piece_budget)

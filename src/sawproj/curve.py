@@ -131,9 +131,7 @@ def build_curve(
 ) -> PolygonalCurve:
     """The level-N polygon's 3 M_N + 1 vertices, one pattern of integers per coordinate."""
     _require_l1_contraction(params, functional)
-    if not 0 <= level <= params.n_max:
-        raise DomainError(f"level {level} outside [0, {params.n_max}]")
-    size = params.grid_size(level)
+    size = params.grid_size(level)  # refuses a level outside [0, n_max]
     count = 3 * size + 1
     if count > vertex_budget:
         raise BudgetExceeded("vertices", count, vertex_budget)
@@ -166,11 +164,8 @@ def length_increment(
     connectors, independent of the grid, so the increment is exactly |c_n|
     (within the contractual ceiling of (3/2)|c_n|).
     """
-    if not 1 <= n <= params.n_max:
-        raise DomainError(f"level {n} outside [1, {params.n_max}]")
-    increment = abs(functional.coeff(n))
-    assert increment <= Fraction(3, 2) * abs(functional.coeff(n))
-    return increment
+    params.refinement_factor(n)  # refuses a level outside [1, n_max]
+    return abs(functional.coeff(n))
 
 
 def length_difference(higher: PolygonalCurve, lower: PolygonalCurve) -> Fraction:
@@ -311,6 +306,5 @@ def sup_distance_bound(
     |c_n| f_n(t) < |c_n|/(2 M_n); the bound is attained at each connector
     start, where coordinate n holds its left limit 1/(2 M_n).
     """
-    if not 1 <= n <= params.n_max:
-        raise DomainError(f"level {n} outside [1, {params.n_max}]")
+    params.refinement_factor(n)  # refuses a level outside [1, n_max]
     return abs(functional.coeff(n)) / (2 * params.grid_size(n))

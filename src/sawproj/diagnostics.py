@@ -90,16 +90,11 @@ class EventSet(NamedTuple):
         return self.cells.measure
 
 
-def _check_event_level(params: ParameterSet, n: int) -> None:
-    if not 1 <= n <= params.n_max:
-        raise DomainError(f"level {n} outside [1, {params.n_max}]")
-
-
 def event_set(params: ParameterSet, n: int) -> EventSet:
     """The level-n refinement event as an exact interval union."""
     from .intervals import IntervalUnion
 
-    _check_event_level(params, n)
+    params.refinement_factor(n)  # refuses a level outside [1, n_max]
     alpha = params.alpha_term(n)
     if 2 * alpha > 1:
         raise DomainError(f"2 alpha_{n} = {2 * alpha} exceeds 1")
@@ -138,7 +133,7 @@ def check_event_levels(
     checked before any event is built.
     """
     for n in levels:
-        _check_event_level(params, n)
+        params.refinement_factor(n)  # refuses a level outside [1, n_max]
         components = params.grid_size(n - 1) + 1
         if components > component_budget:
             raise BudgetExceeded("event components", components, component_budget)
@@ -222,10 +217,9 @@ def sample_event_union(
     levels = tuple(sorted(set(levels)))
     if not levels:
         raise DomainError("no event levels to sample")
-    for n in levels:
-        _check_event_level(params, n)
     expected = Fraction(1)
     for n in levels:
+        params.refinement_factor(n)  # refuses a level outside [1, n_max]
         expected *= 1 - 2 * params.alpha_term(n)
     expected = 1 - expected
 
@@ -328,14 +322,13 @@ def secant_witness(params: ParameterSet, t0: Fraction, n: int) -> Optional[Secan
     """
     _require_l2(params)
     t0 = Fraction(t0)
-    if not 1 <= n <= params.n_max:
-        raise DomainError(f"level {n} outside [1, {params.n_max}]")
+    m_n = params.refinement_factor(n)  # refuses a level outside [1, n_max]
     alpha_n, size = params.alpha_term(n), params.grid_size(n)
     step = lcm(t0.denominator, alpha_n.denominator * size) // size  # 1/M_n over den
     den = step * size
     a0 = t0.numerator * (den // t0.denominator)
     radius = step // alpha_n.denominator * alpha_n.numerator
-    an = _secant_partner(size, params.refinement_factor(n), a0, den, radius)
+    an = _secant_partner(size, m_n, a0, den, radius)
     if an is None:
         return None
     consts = _SecantConstants.of(params)

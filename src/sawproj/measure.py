@@ -43,7 +43,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .construction import PLFunction, budgeted_table
+from .construction import PLFunction, build_pl
 from .errors import DEFAULT_COMPONENT_BUDGET, DEFAULT_PIECE_BUDGET, BudgetExceeded, DomainError
 from .intervals import IntervalUnion
 from .params import ParameterSet
@@ -241,9 +241,9 @@ def direction_brackets(
     All share the level-N table and tail T_N of h, each built at the first call that
     needs it: with p = P/R and q = Q/R, a direction's table is a'_0 = P q_lcm + Q a_0
     and a'_n = Q a_n over R denom, and its tail is |q| T_N, asked for only if q != 0."""
-    params.grid_size(level)  # refuses a bad level before the tail, as build_pl does
+    params.grid_size(level)  # refuses a bad level before the tail is asked for
     tail = cache(partial(functional.abs_tail_upper, level))
-    table = cache(partial(budgeted_table, params, functional, level, piece_budget))
+    table = cache(partial(build_pl, params, functional, level, piece_budget))
 
     def bracket(p: Fraction, q: Fraction) -> MeasureBracket:
         p, q = Fraction(p), Fraction(q)

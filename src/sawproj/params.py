@@ -181,8 +181,7 @@ class ParameterSet(_ParameterSet):
         are unknown but satisfy M_n >= 2**(n - n_max) * M_{n_max}, so the
         remainder is bounded by min(sup-term route, l1-tail route).
         """
-        if not 0 <= level <= self.n_max:
-            raise DomainError(f"level {level} outside [0, {self.n_max}]")
+        self.grid_size(level)  # refuses a level outside [0, n_max]
         exact = sum(
             (
                 self.alpha.term(n) / (2 * self.grid_size(n))
@@ -205,8 +204,7 @@ class ParameterSet(_ParameterSet):
 
     def point_tail_l2sq_upper(self, level: int) -> Fraction:
         """Upper bound on sum_{n > level} (alpha_n / (2 M_n))**2."""
-        if not 0 <= level <= self.n_max:
-            raise DomainError(f"level {level} outside [0, {self.n_max}]")
+        self.grid_size(level)  # refuses a level outside [0, n_max]
         exact = sum(
             (
                 (self.alpha.term(n) / (2 * self.grid_size(n))) ** 2

@@ -128,6 +128,31 @@ def test_measure_budget_exit_code(d1_config, tmp_path):
     assert not (tmp_path / "o").exists()  # a refused call leaves no output directory
 
 
+def test_measure_pieces_of_a_divergent_functional_writes_nothing(tmp_path, capsys):
+    # build_pl accepts a functional with no certified l1 tail; the bracket refuses it
+    cfg = tmp_path / "harmonic.cfg"
+    cfg.write_text(D1_CONFIG.replace('"inverse_square"', '"harmonic"'))
+    out = tmp_path / "o"
+    args = ["measure", "--config", str(cfg), "--level", "2", "--pieces", "--out", str(out)]
+    assert main(args) == 2
+    (record,) = _error_records(capsys)
+    assert record["error"] == "invalid" and "no certified l1 tail" in record["message"]
+    assert not out.exists()
+
+
+def test_cached_measure_pieces_still_checks_the_budget(d1_config, tmp_path, capsys):
+    out = tmp_path / "o"
+    args = ["measure", "--config", str(d1_config), "--level", "4", "--out", str(out)]
+    assert main(args) == 0  # caches the level-4 record
+    for name in ("measure.jsonl", "measure.csv"):
+        (out / name).unlink()
+    capsys.readouterr()
+    assert main(args + ["--pieces", "--budget", "10"]) == 3  # a cache hit builds no bracket
+    (record,) = _error_records(capsys)
+    assert record["error"] == "budget" and record["count"] == 2 * 384
+    assert sorted(p.name for p in out.iterdir()) == [".cache"]
+
+
 def test_scan_budget_exit_code(d1_config, tmp_path):
     out = tmp_path / "o"
     code = main(

@@ -244,6 +244,8 @@ def test_build_pl_budget_and_tail_requirements(d1, f1):
     with pytest.raises(BudgetExceeded) as err:
         sp.build_pl(d1, f1, 4, piece_budget=100)
     assert err.value.count == 2 * 384
+    # a table reads no tail, so the certified l1 tail is the bracket's to require
     divergent = sp.Functional(alpha0=F(1), rule=sp.harmonic(F(1, 2)))
+    assert sp.build_pl(d1, divergent, 2).piece_count == 2 * 8
     with pytest.raises(CertificationError):
-        sp.build_pl(d1, divergent, 2)
+        sp.projection_bracket(d1, divergent, 2)

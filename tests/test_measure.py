@@ -101,6 +101,14 @@ def test_image_measure_matches_oracle_small_cases(d1, f1):
         assert list(union.intervals) == o_union
 
 
+def test_image_measure_of_a_functional_without_certified_tail(d1):
+    # harmonic coefficients have no certified l1 tail, which a table never reads
+    harmonic = sp.Functional(alpha0=F(1), rule=sp.harmonic(F(1, 2)))
+    for level in range(4):
+        union, mu = sp.image_measure(sp.build_pl(d1, harmonic, level))
+        assert (list(union.intervals), mu) == pl_image_oracle(d1, harmonic, level)
+
+
 DIRECT_PIECE_LIMIT = 4096
 ORACLE_PIECE_LIMIT = 64
 

@@ -92,6 +92,33 @@ def test_point_tail_bounds_dominate_partial_continuations(d1):
     assert d1.point_tail_l1_upper(d1.n_max) > 0
 
 
+# each entry point's lowest level (0 from grid_size, 1 from refinement_factor) and its call
+LEVEL_ENTRY_POINTS = {
+    "truncated_point": (0, lambda params, functional, n: sp.truncated_point(params, n, F(1, 3))),
+    "build_curve": (0, sp.build_curve),
+    "length_increment": (1, sp.length_increment),
+    "sup_distance_bound": (1, sp.sup_distance_bound),
+    "point_tail_l1_upper": (0, lambda params, functional, n: params.point_tail_l1_upper(n)),
+    "point_tail_l2sq_upper": (0, lambda params, functional, n: params.point_tail_l2sq_upper(n)),
+    "event_set": (1, lambda params, functional, n: sp.event_set(params, n)),
+    "sample_event_union": (1, lambda params, functional, n: sp.sample_event_union(params, [n], 8, 0)),
+    "secant_witness": (1, lambda params, functional, n: sp.secant_witness(params, F(1, 3), n)),
+    "build_pl": (0, sp.build_pl),
+}
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("entry", list(LEVEL_ENTRY_POINTS))
+def test_level_outside_range_raises_the_owners_message(entry, side, d1, f1, d2, r1):
+    # the one message of ParameterSet.grid_size or refinement_factor, word for word
+    low, call = LEVEL_ENTRY_POINTS[entry]
+    params, functional = (d2, r1) if entry == "build_curve" else (d1, f1)  # curves are l1
+    n = low - 1 if side == "below" else params.n_max + 1
+    with pytest.raises(DomainError) as err:
+        call(params, functional, n)
+    assert str(err.value) == f"level {n} outside [{low}, {params.n_max}]"
+
+
 def test_parameter_set_rejects_bad_shapes():
     with pytest.raises(DomainError):
         sp.ParameterSet(alpha=sp.harmonic(F(1, 2)), m=sp.linear_refinement(2), n_max=0, model="L2")

@@ -46,7 +46,23 @@ TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_constructio
 TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
 TEST_PARAMS, TEST_DIAGNOSTICS = "tests/test_params.py::", "tests/test_diagnostics.py::"
 
+LEVEL_CHECK = TEST_PARAMS + "test_level_outside_range_raises_the_owners_message"
+
 MUTANTS = (
+    Mutant(
+        "grid_size: the upper end of the level range dropped",
+        PARAMS,
+        "if not 0 <= n <= self.n_max:",
+        "if not 0 <= n:",
+        (LEVEL_CHECK + "[truncated_point-above]", LEVEL_CHECK + "[build_pl-above]"),
+    ),
+    Mutant(
+        "refinement_factor: level 0 let through",
+        PARAMS,
+        "if not 1 <= n <= self.n_max:",
+        "if not 0 <= n <= self.n_max:",
+        (LEVEL_CHECK + "[event_set-below]", LEVEL_CHECK + "[length_increment-below]"),
+    ),
     Mutant(
         "sup_distance: a left limit on a lower grid point read as the value there",
         CURVE,
