@@ -20,7 +20,9 @@ __version__ = "1.0.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "certificates": ("ValidationReport", "block_partition", "hausdorff_upper", "validate"),
+    "certificates": (
+        "ValidationReport", "block_partition", "hausdorff_upper", "projection_witness", "validate",
+    ),
     "construction": (
         "PLFunction", "TruncatedPoint", "build_pl", "component_value", "truncated_point",
     ),
@@ -29,13 +31,11 @@ _EXPORTS = {
         "curve_length", "curve_length_closed_form", "length_difference", "length_increment",
         "parametrize", "sup_distance", "sup_distance_bound",
     ),
-    "diagnostics": (
-        "EventSet", "SecantWitness", "event_set", "independence_check", "projection_witness",
-        "sample_event_union", "secant_witness",
-    ),
+    "diagnostics": ("SecantWitness", "sample_event_union", "secant_witness"),
     "errors": (
         "BudgetExceeded", "CertificationError", "ConfigError", "DomainError", "SawprojError",
     ),
+    "events": ("EventSet", "event_set", "independence_check"),
     "intervals": ("IntervalUnion",),
     "measure": (
         "MeasureBracket", "directional_measure", "image_measure", "projection_bracket",

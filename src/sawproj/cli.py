@@ -24,7 +24,7 @@ from typing import Optional
 # Each command imports the engine modules it runs inside its own body, so a call
 # loads only those: neither `curve` nor `diagnose` imports measure, only `validate`
 # imports certificates, and `--version` imports none of certificates, construction,
-# intervals, measure, curve and diagnostics.
+# intervals, measure, curve, events and diagnostics.
 from . import __version__
 from .errors import DEFAULT_PIECE_BUDGET, DEFAULT_VERTEX_BUDGET
 from .errors import BudgetExceeded, ConfigError, DomainError, SawprojError
@@ -380,7 +380,7 @@ def _levels(params, args, lo: int, hi: int, least: int = 1) -> range:
 
 
 def _diag_event_measure(params, args) -> list[dict]:
-    from .diagnostics import check_event_levels, event_set
+    from .events import check_event_levels, event_set
 
     records, levels = [], _levels(params, args, 1, 6)
     check_event_levels(params, levels)
@@ -393,7 +393,7 @@ def _diag_event_measure(params, args) -> list[dict]:
 
 
 def _diag_independence(params, args) -> list[dict]:
-    from .diagnostics import independence_checks
+    from .events import independence_checks
 
     pairs = list(combinations(_levels(params, args, 2, 6, least=2), 2))
     return [

@@ -87,9 +87,10 @@ class PolygonalCurve(NamedTuple):
 
 
 def export_curve_csv(curve, path: str | Path) -> None:
-    """Write one CSV row per polygon vertex (coordinates, is_vertical, t, index): each
-    coordinate's pattern is formatted once and cycled, coordinate 0 and t once per k."""
+    """Write one CSV row per polygon vertex (coordinates, is_vertical, t, index): the
+    patterns are formatted once and cycled, t and coordinate 0 (unless it is t) once per k."""
     level, denom, rise, t_denom = curve.level, curve.denom, 2 * curve.a0, curve.t_denom
+    is_t = rise * t_denom == denom
     # zero-padded names keep the sorted header in coordinate order
     names = [f"coord_{n:0{len(str(level))}d}" for n in range(level + 1)]
     header = [c for name in names for c in (name, f"{name}_f64")]
@@ -101,8 +102,9 @@ def export_curve_csv(curve, path: str | Path) -> None:
         yield f"{cells[0]},{','.join(next(middles))},{ratio_cells(0, t_denom)},0\n"
         for i, k in zip(range(1, 3 * t_denom, 3), range(1, t_denom, 2)):
             # a cell: its midpoint k, then its end k + 1 as left limit and as value
-            mid, end = ratio_cells(rise * k, denom), ratio_cells(rise * (k + 1), denom)
             t_mid, t_end = ratio_cells(k, t_denom), ratio_cells(k + 1, t_denom)
+            mid, end = (t_mid, t_end) if is_t else (
+                ratio_cells(rise * k, denom), ratio_cells(rise * (k + 1), denom))
             yield (f"{mid},{','.join(next(middles))},{t_mid},{i}\n"
                    f"{end},{','.join(next(middles))},{t_end},{i + 1}\n"
                    f"{end},{','.join(next(middles))},{t_end},{i + 2}\n")

@@ -1,17 +1,10 @@
-"""Quantitative diagnostics: refinement events, secant witnesses, the slope
-translation identity, and chord-based projection witnesses.
+"""Seeded diagnostics: the union of refinement events, secant witnesses, the
+slope translation identity and per-level oscillation.
 
-The level-n refinement event marks parameters living in the first or last
-alpha_n * m_n level-n subcells of their level-(n-1) cell, i.e. within
-alpha_n / M_{n-1} of the coarse grid. Its measure is exactly 2 alpha_n, and
-because membership depends only on the level-n refinement digit, events at
-distinct levels intersect with exactly multiplicative measure. Events are
-``intervals.IntervalUnion`` values, which only ``event_set`` builds (for the
-event-measure and independence checks); the sampled checks compute the
-sawtooth kernel of ``params`` in integers, so they load neither ``intervals``
-nor ``construction``, and no check loads the image engine.
+The exact events live in ``events``; ``event_set`` and ``independence_check`` are
+bound here for the perfbench hooks. No sampler loads ``intervals`` or ``construction``.
 
-Secant witnesses work at the fine scale instead: an eligible parameter sits
+Secant witnesses work at the fine scale: an eligible parameter sits
 within alpha_n / M_n of a level-n grid point beta that lies on no coarser
 grid. Stepping just across beta changes component n by at least
 (1/2 - alpha_n)/M_n. Each coordinate k < n moves by at most the parameter
@@ -31,16 +24,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import pairwise
-from math import lcm, prod
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from math import lcm
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import DEFAULT_COMPONENT_BUDGET, BudgetExceeded, DomainError
+from .errors import DomainError
+from .events import event_set, independence_check  # noqa: F401  (perfbench hook targets)
 from .params import L2, ParameterSet, point_nums
-
-if TYPE_CHECKING:  # annotations name them; only event_set builds an IntervalUnion
-    from .curve import CurveEvaluator
-    from .intervals import IntervalUnion
 
 GENERATOR_NAME = "mt19937-getrandbits"
 SAMPLE_BITS = 48  # a sampled parameter is a multiple of 2^-48 of its range
@@ -78,34 +67,7 @@ def rand_index(rng: random.Random, lo: int, hi: int) -> int:
             return lo + v
 
 
-# -- refinement events ---------------------------------------------------------------
-
-
-class EventSet(NamedTuple):
-    level: int
-    cells: IntervalUnion
-
-    @property
-    def measure(self) -> Fraction:
-        return self.cells.measure
-
-
-def event_set(params: ParameterSet, n: int) -> EventSet:
-    """The level-n refinement event as an exact interval union."""
-    from .intervals import IntervalUnion
-
-    params.refinement_factor(n)  # refuses a level outside [1, n_max]
-    alpha = params.alpha_term(n)
-    if 2 * alpha > 1:
-        raise DomainError(f"2 alpha_{n} = {2 * alpha} exceeds 1")
-    # numerators over M_{n-1} den(alpha_n): centers k/M_{n-1}, radius alpha_n/M_{n-1}
-    step, radius = alpha.denominator, alpha.numerator
-    denom = params.grid_size(n - 1) * step
-    pairs = [
-        (max(0, center - radius), min(denom, center + radius))
-        for center in range(0, denom + 1, step)
-    ]
-    return EventSet(n, IntervalUnion.from_pairs(denom, pairs))
+# -- union of refinement events ------------------------------------------------------
 
 
 def _event_window(params: ParameterSet, n: int) -> tuple[int, int, int]:
@@ -122,65 +84,6 @@ def _event_hit(window: tuple[int, int, int], r: int) -> bool:
     size, den, bound = window
     x = r * size & ((1 << SAMPLE_BITS) - 1)
     return x * den <= bound or ((1 << SAMPLE_BITS) - x) * den <= bound
-
-
-def check_event_levels(
-    params: ParameterSet, levels: Sequence[int], component_budget: int = DEFAULT_COMPONENT_BUDGET
-) -> None:
-    """Refuse a level outside [1, n_max] or an event over the component budget.
-
-    The level-n event has at most M_{n-1} + 1 components, so every level is
-    checked before any event is built.
-    """
-    for n in levels:
-        params.refinement_factor(n)  # refuses a level outside [1, n_max]
-        components = params.grid_size(n - 1) + 1
-        if components > component_budget:
-            raise BudgetExceeded("event components", components, component_budget)
-
-
-class IndependenceResult(NamedTuple):
-    levels: tuple[int, ...]
-    measure: Fraction
-    expected: Fraction
-    component_count: int
-
-    @property
-    def multiplicative(self) -> bool:
-        return self.measure == self.expected
-
-
-def independence_check(
-    params: ParameterSet, levels: Sequence[int], *, component_budget: int = DEFAULT_COMPONENT_BUDGET
-) -> IndependenceResult:
-    """Exact measure of the intersection of events at distinct levels.
-
-    The contract is exact multiplicativity: measure = prod 2 alpha_n. Every
-    level's event size is checked against the budget before any is built.
-    """
-    levels = tuple(sorted(set(levels)))
-    if not 1 <= len(levels) <= 4:
-        raise DomainError("between one and four levels are supported")
-    return independence_checks(params, [levels], component_budget)[0]
-
-
-def independence_checks(
-    params: ParameterSet, groups: Sequence[tuple[int, ...]], budget: int = DEFAULT_COMPONENT_BUDGET
-) -> list[IndependenceResult]:
-    """``independence_check`` of each group of distinct levels, building each event once."""
-    levels = sorted({n for group in groups for n in group})
-    check_event_levels(params, levels, budget)
-    cells = {n: event_set(params, n).cells for n in levels}
-    results = []
-    for group in groups:
-        meet = cells[group[0]]  # within budget, as checked
-        for n in group[1:]:
-            meet = meet.intersect(cells[n])
-            if meet.component_count > budget:
-                raise BudgetExceeded("intersection components", meet.component_count, budget)
-        expected = prod(2 * params.alpha_term(n) for n in group)
-        results.append(IndependenceResult(group, meet.measure, expected, meet.component_count))
-    return results
 
 
 class UnionSampleReport(NamedTuple):
@@ -203,10 +106,7 @@ class UnionSampleReport(NamedTuple):
 
 
 def sample_event_union(
-    params: ParameterSet,
-    levels: Sequence[int],
-    samples: int,
-    seed: int,
+    params: ParameterSet, levels: Sequence[int], samples: int, seed: int
 ) -> UnionSampleReport:
     """Seeded hit fraction for "t belongs to at least one level event".
 
@@ -232,9 +132,7 @@ def sample_event_union(
         for _ in range(count):
             r = rng.getrandbits(SAMPLE_BITS)
             hits += any(_event_hit(window, r) for window in windows)
-    return UnionSampleReport(
-        levels, samples, seed, GENERATOR_NAME, hits, expected
-    )
+    return UnionSampleReport(levels, samples, seed, GENERATOR_NAME, hits, expected)
 
 
 # -- secant witnesses ------------------------------------------------------------------
@@ -421,16 +319,20 @@ def _slope_identity(
     """
     half = den // (2 * sizes[n])
     shifted = t + half if t + half < hi else t - half
-    points = {"t": t, "t'": shifted, "t+h": t + h, "t'+h": shifted + h}
-    for name, p in points.items():
+    top, t_h, s_h = sizes[-1], t + h, shifted + h
+    for name, p in (("t", t), ("t'", shifted), ("t+h", t_h), ("t'+h", s_h)):
         if not lo <= p < hi:
             cell = f"[{Fraction(lo, den)}, {Fraction(hi, den)})"
             raise DomainError(f"{name} = {Fraction(p, den)} outside the cell {cell}")
-    f_t, f_s, f_th, f_sh = (point_nums(sizes, p, den) for p in points.values())
-    scale, side = 2 * den * sizes[-1], 2 * sizes[-1] * h  # side: h over scale
+    scale, side = 2 * den * top, 2 * top * h  # side: h over scale
     equal_levels, toggled = [], (0, 0)
-    for m in range(len(sizes)):
-        lhs, rhs = f_sh[m] - f_s[m], f_th[m] - f_t[m]
+    lhs, rhs = 2 * top * (s_h - shifted), 2 * top * (t_h - t)  # f_0 = t
+    for m, size in enumerate(sizes):  # each level of the four points, as point_nums has it
+        if m:  # (M_N/M_m) max(0, 2 (M_m p mod den) - den)
+            a, b = 2 * (size * t % den) - den, 2 * (size * shifted % den) - den
+            c, d = 2 * (size * t_h % den) - den, 2 * (size * s_h % den) - den
+            lhs = top // size * ((d if d > 0 else 0) - (b if b > 0 else 0))
+            rhs = top // size * ((c if c > 0 else 0) - (a if a > 0 else 0))
         if m == n and h != 0:
             if sorted((lhs, rhs)) != sorted((0, side)):
                 raise DomainError(
@@ -460,9 +362,7 @@ def sample_slope_identities(params: ParameterSet, samples: int, seed: int) -> in
         raise DomainError(
             f"slope-identity reads levels 1..5 and needs n_max >= 2, got n_max = {params.n_max}"
         )
-    sizes = params.grid_sizes
-    passed = 0
-    rng = spawn_rng(seed)
+    sizes, passed, rng = params.grid_sizes, 0, spawn_rng(seed)
     for _ in range(samples):
         n = rand_index(rng, 1, max_level)
         lo = (rand_index(rng, 1, sizes[n]) - 1) << (SAMPLE_BITS + 2)
@@ -497,83 +397,3 @@ def sample_oscillation(params: ParameterSet, samples: int, seed: int) -> tuple[F
         worst = max(worst, gap)
         ok &= gap <= 2 * last * step
     return Fraction(worst, 2 * den * last), ok
-
-
-# -- chord projection witnesses ------------------------------------------------------------
-
-
-class ProjectionWitness(NamedTuple):
-    s1: Fraction
-    s2: Fraction
-    chord_norm: Fraction
-    gap_measure: Fraction
-    bound: Fraction  # positive value certifies a positive projection measure
-
-    @property
-    def positive(self) -> bool:
-        return self.bound > 0
-
-
-def projection_witness(
-    evaluator: CurveEvaluator,
-    a: IntervalUnion,
-    weights: Sequence[Fraction],
-    lipschitz: Fraction,
-) -> Optional[ProjectionWitness]:
-    """Search component endpoints of A for a chord certifying |x*(curve(A))| > 0.
-
-    A pair (s1, s2) qualifies when A fills at least (1 - 1/(2 L^2)) of
-    [s1, s2] and the functional sees more than half the chord's l1 norm; the
-    certified lower bound is then ||chord||/2 - L * |[s1, s2] \\ A|. Only
-    endpoint pairs are searched, which suffices on interval unions.
-    """
-    weights = tuple(Fraction(w) for w in weights)
-    if max((abs(w) for w in weights), default=Fraction(0)) > 1:
-        raise DomainError("functional weights must lie in the unit dual ball")
-    if lipschitz < 1:
-        raise DomainError("a bi-Lipschitz enclosure is at least 1")
-    d, pairs = a.denom, a.pairs
-    if not pairs:
-        return None
-    if pairs[0][0] < 0 or pairs[-1][1] > d:
-        raise DomainError("A must be a subset of [0, 1]")
-
-    # covered[i] = |A n (-inf, ends[i]]| over d; ends[k-1:k+1] is a component for odd k
-    ends = [e for pair in pairs for e in pair]
-    covered = [0]
-    for k in range(1, len(ends)):
-        covered.append(covered[-1] + (ends[k] - ends[k - 1] if k % 2 else 0))
-    points = [evaluator.value(Fraction(e, d)) for e in ends]
-    density = 1 - Fraction(1, 2 * lipschitz**2)
-
-    best: Optional[ProjectionWitness] = None
-    for i, e1 in enumerate(ends):
-        for j in range(i + 1, len(ends)):
-            span, inside = ends[j] - e1, covered[j] - covered[i]
-            if span <= 0 or inside < density * span:
-                continue
-            chord = tuple(y - x for x, y in zip(points[i], points[j]))
-            chord_norm = sum((abs(c) for c in chord), Fraction(0))
-            seen = abs(sum((w * c for w, c in zip(weights, chord)), Fraction(0)))
-            if 2 * seen <= chord_norm:
-                continue
-            gap = Fraction(span - inside, d)
-            bound = chord_norm / 2 - lipschitz * gap
-            if best is None or bound > best.bound:
-                best = ProjectionWitness(
-                    Fraction(e1, d), Fraction(ends[j], d), chord_norm, gap, bound
-                )
-    return best
-
-
-def curve_lipschitz_upper(evaluator: CurveEvaluator) -> Fraction:
-    """Max segment speed of the parametrized polygon (an upper Lipschitz bound)."""
-    points = [(s, evaluator.value(s)) for s in evaluator.tau.breakpoints()]
-    return max(
-        (
-            sum(abs(y - x) for x, y in zip(p, q)) / (u - s)
-            for (s, p), (u, q) in pairwise(points)
-            if u > s
-        ),
-        default=Fraction(0),
-    )

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import sawproj as sp
 from sawproj.cli import main
@@ -727,7 +727,7 @@ def test_diagnose_checks_event_sizes_before_building_any(check, tmp_path, monkey
     def no_event(params, n):
         raise AssertionError(f"the level-{n} event was built")
 
-    monkeypatch.setattr(sp.diagnostics, "event_set", no_event)
+    monkeypatch.setattr(sp.events, "event_set", no_event)
     cfg = tmp_path / "wide.cfg"
     config = D1_CONFIG.replace('m.kind = "linear"\nm.k = 2', 'm.kind = "constant"\nm.k = 4096')
     cfg.write_text(config.replace("n_max = 8", "n_max = 6"))
@@ -740,13 +740,13 @@ def test_diagnose_checks_event_sizes_before_building_any(check, tmp_path, monkey
 
 
 def test_diagnose_independence_builds_each_event_once(d1_config, tmp_path, monkeypatch):
-    built, event_set = [], sp.diagnostics.event_set
+    built, event_set = [], sp.events.event_set
 
     def counted(params, n):
         built.append(n)
         return event_set(params, n)
 
-    monkeypatch.setattr(sp.diagnostics, "event_set", counted)
+    monkeypatch.setattr(sp.events, "event_set", counted)
     out = tmp_path / "o"
     args = ["diagnose", "--config", str(d1_config), "--check", "independence", "--out", str(out)]
     assert main(args) == 0
@@ -1025,8 +1025,18 @@ def test_output_bytes_are_pinned(tmp_path):
     assert digests == OUTPUT_DIGESTS
 
 
+def _curve_case(alpha0: F):
+    params = sp.ParameterSet(
+        alpha=sp.geometric(F(1, 2), F(1, 2)), m=sp.explicit_refinement([2, 3]), n_max=2, model="L1"
+    )
+    return params, sp.Functional(alpha0=alpha0, rule=sp.geometric(F(1, 5), F(1, 5)), name="C"), 2
+
+
+# coordinate 0 is t when alpha0 = 1, and the writer reuses t's cells for it
 @settings(max_examples=60)
 @given(curve_cases())
+@example(case=_curve_case(F(1)))
+@example(case=_curve_case(F(1, 2)))
 def test_curve_csv_matches_fraction_rows(tmp_path_factory, case):
     params, functional, level = case
     out = tmp_path_factory.mktemp("curve")
@@ -1086,23 +1096,25 @@ def test_each_command_loads_only_its_engine_modules(d1_config, d2_config, tmp_pa
     scan = loaded_by("scan", *d1, "--level", "2", "--circle", "2", *out)
     for loaded in (measure, scan):
         assert {"construction", "measure"} <= loaded
-        assert not loaded & {"curve", "diagnostics"}
+        assert not loaded & {"curve", "diagnostics", "events"}
     curve = loaded_by("curve", "--config", str(d2_config), "--level", "2", *out)
-    assert "curve" in curve and not curve & {"measure", "diagnostics"}
+    assert "curve" in curve and not curve & {"measure", "diagnostics", "events"}
     checks = {
         check: loaded_by("diagnose", *d1, "--check", check, "--samples", "5", *out)
         for check in ("event-measure", "independence", "borel-cantelli", "slope-identity",
                       "secant", "oscillation")
     }
-    for loaded in checks.values():
-        assert "diagnostics" in loaded and not loaded & {"measure", "curve"}
-    # only the event checks build interval unions, and the sampled checks read the
-    # components through params, so no check loads construction
+    # only the event checks build interval unions, from events alone; the sampled checks
+    # read the components through params, so no check loads construction. diagnostics
+    # binds event_set and independence_check for the perfbench hooks, so the sampled
+    # checks load events as well, but not intervals.
+    event_checks = ("event-measure", "independence")
     for check, loaded in checks.items():
-        assert ("intervals" in loaded) == (check in ("event-measure", "independence")), check
-        assert "construction" not in loaded, check
+        assert "events" in loaded and not loaded & {"measure", "curve", "construction"}, check
+        assert ("intervals" in loaded) == (check in event_checks), check
+        assert ("diagnostics" in loaded) == (check not in event_checks), check
     version = loaded_by("--version")
-    engine = {"construction", "intervals", "measure", "curve", "diagnostics"}
+    engine = {"construction", "intervals", "measure", "curve", "diagnostics", "events"}
     assert "cli" in version and not version & engine
     # the validation and covering certificates load only for the command that runs them
     validate = loaded_by("validate", *d1, *out)

@@ -253,7 +253,7 @@ def test_sup_distance_dominates_a_fine_parameter_sweep(d2, r1):
 
 
 def test_evaluator_is_continuous_at_segment_junctions(d2, r1):
-    from sawproj.diagnostics import curve_lipschitz_upper
+    from sawproj.certificates import curve_lipschitz_upper
 
     ev = sp.parametrize(sp.build_curve(d2, r1, 1))
     speed_bound = curve_lipschitz_upper(ev)

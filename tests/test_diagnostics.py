@@ -8,13 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
+from sawproj.certificates import curve_lipschitz_upper
 from sawproj.diagnostics import (
     SAMPLE_BITS,
     _event_hit,
     _SecantConstants,
     _event_window,
     _slope_identity,
-    curve_lipschitz_upper,
     rand_fraction,
     rand_index,
     sample_event_union,
@@ -133,7 +133,7 @@ def test_independence_budget_is_checked_before_any_event(d1, monkeypatch):
     def no_event(*args):
         raise AssertionError("an event was built before the budget check")
 
-    monkeypatch.setattr(sp.diagnostics, "event_set", no_event)
+    monkeypatch.setattr(sp.events, "event_set", no_event)
     # the level-2 event fits the budget, the level-6 one (M_5 + 1 components) does not
     with pytest.raises(BudgetExceeded) as err:
         sp.independence_check(d1, (2, 6), component_budget=100)

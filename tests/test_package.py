@@ -26,8 +26,8 @@ PUBLIC_NAMES = [
     "sup_distance", "sup_distance_bound", "truncated_point", "validate",
 ]
 SUBMODULES = [
-    "certificates", "construction", "curve", "diagnostics", "errors", "intervals", "measure",
-    "params", "rational", "sequences",
+    "certificates", "construction", "curve", "diagnostics", "errors", "events", "intervals",
+    "measure", "params", "rational", "sequences",
 ]
 
 
@@ -78,8 +78,8 @@ FRESH_IMPORT = """\
 import sys
 import sawproj as sp
 assert not [m for m in sys.modules if m.startswith("sawproj.")], "a submodule was loaded"
-module = sp.diagnostics
-assert module is sys.modules["sawproj.diagnostics"] and module.event_set is sp.event_set
+module = sp.events
+assert module is sys.modules["sawproj.events"] and module.event_set is sp.event_set
 assert "sawproj.curve" not in sys.modules
 """
 

@@ -279,6 +279,20 @@ MUTANTS = (
             TEST_DIAGNOSTICS + "test_sampled_identities_and_oscillation_match_fraction_oracles",
         ),
     ),
+    Mutant(
+        "_slope_identity: the shifted point's level-m value computed at t",
+        DIAGNOSTICS,
+        "size * shifted % den",
+        "size * t % den",
+        (TEST_DIAGNOSTICS + "test_slope_identity_matches_fraction_oracle",),
+    ),
+    Mutant(
+        "_slope_identity: the level walk starts at 1, so component 0 is never compared",
+        DIAGNOSTICS,
+        "for m, size in enumerate(sizes):",
+        "for m, size in enumerate(sizes[1:], 1):",
+        (TEST_DIAGNOSTICS + "test_slope_identity_matches_fraction_oracle",),
+    ),
 )
 
 
