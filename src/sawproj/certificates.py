@@ -119,6 +119,10 @@ def validate(params: ParameterSet) -> ValidationReport:
 
 
 class Block(NamedTuple):
+    """Block A_m = [start, end]. ``sq_sum`` bounds its squared sum from above: it is
+    ``s_hi``, the bound on the whole sum, for block 1, and for block m >= 2 the
+    certified squared tail past block m - 1, which contains it."""
+
     start: int  # 1-based, inclusive
     end: int  # inclusive
     sq_sum: Fraction
@@ -142,9 +146,10 @@ class BlockPartition(NamedTuple):
     The greedy rule: delta is a rational lower bound of (c - 1)*||alpha||/4
     with c = (1 + eps)**(1/2); block 1 is the minimal prefix whose certified
     tail bound drops to delta**2, and block m >= 2 is the minimal next segment
-    whose remaining tail bound drops to (delta * 2**-(m-1))**2. Each block's
-    exact squared sum is then at most the previous threshold, so the block
-    norms beyond the first sum to at most 2*delta, and
+    whose remaining tail bound drops to (delta * 2**-(m-1))**2. Block m >= 2
+    lies in the certified tail past block m - 1, which the greedy step bounded
+    by the previous threshold squared, so the block norms beyond the first sum
+    to at most 2*delta, and no exact partial sum over a block is taken:
 
         sum_m ||alpha restricted to A_m|| <= U + 2*delta < c_lo * L
 
@@ -241,12 +246,9 @@ def block_partition(
             # every further block is empty
             exhausted = alpha.l2sq_tail_upper(prev_end) == 0
             break
-        sq = alpha.l2sq_partial(end) - alpha.l2sq_partial(prev_end)
+        sq = s_hi if m == 1 else alpha.l2sq_tail_upper(prev_end)
         blocks.append(Block(prev_end + 1, end, sq, threshold**2))
-        bound = s_hi if m == 1 else prev_threshold**2
-        cert.append(
-            CertLine(f"block_{m}_sq", sq, "<=", bound)
-        )
+        cert.append(CertLine(f"block_{m}_sq", sq, "<=", s_hi if m == 1 else prev_threshold**2))
         if alpha.l2sq_tail_upper(end) == 0:
             exhausted = True
             break

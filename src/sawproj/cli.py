@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 # Each command imports the engine modules it runs inside its own body, so a call
 # loads only those: neither `curve` nor `diagnose` imports measure, only `validate`
@@ -124,64 +124,74 @@ def _source_digest() -> str:
 
 
 class _Cache:
-    def __init__(self, root: Path, enabled: bool = True):
-        self.dir = root / ".cache"
-        self.enabled = enabled
+    """Finalized bracket records under ``<out>/.cache``, one JSON file per direction,
+    named by the hash of the call's identity and the direction. A file holds the
+    record's bracket fields and nothing else, so `measure` reads direction (0, 1)
+    from the entries of a `scan`."""
 
-    def key(self, kind: str, params, functional, level: int, **extra) -> Optional[str]:
-        """Content hash of what a record is a pure function of, engine version and
-        sources included; None when the cache is off, since nothing reads the key then."""
-        if not self.enabled:
-            return None
-        return content_hash(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "engine_version": __version__,
-                "engine_sources": _source_digest(),
-                "kind": kind,
-                "params": params_to_config(params),
-                "functional": functional_to_config(functional),
-                "level": level,
-                **extra,
-            }
-        )
+    def __init__(self, out: Path, identity: str):
+        self.dir, self.identity = out / ".cache", identity
 
     def get(self, key: str) -> Optional[dict]:
-        """The cached record, or None on a miss; an unreadable entry is a miss."""
-        if not self.enabled:
-            return None
+        """The record stored under key, or None on a miss: an unreadable entry, or
+        one of another schema_version, is a miss."""
         try:
-            stored = json.loads((self.dir / f"{key}.json").read_text(encoding="utf-8"))
+            record = json.loads((self.dir / f"{key}.json").read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
-        if not isinstance(stored, dict) or stored.get("schema_version") != SCHEMA_VERSION:
+        if not isinstance(record, dict) or record.get("schema_version") != SCHEMA_VERSION:
             return None
-        record = stored.get("record")
-        return record if isinstance(record, dict) else None
-
-    def bracket_record(self, key: Optional[str], functional, bracket, **fields) -> dict:
-        """The record cached under key, else that of ``bracket()`` with ``fields`` set,
-        finalized and stored under key."""
-        record = self.get(key)
-        if record is None:
-            record = finalize_record(dict(_bracket_record(functional, bracket()), **fields))
-            self.put(key, record)
         return record
 
-    def put(self, key: str, record: dict) -> None:
-        if not self.enabled:
-            return
-        self.dir.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(
-            {"schema_version": SCHEMA_VERSION, "record": record},
-            sort_keys=True,
-            separators=(",", ":"),
+    def bracket_fields(self, p: Fraction, q: Fraction, fields: Callable[[], dict]) -> dict:
+        """The entry of direction (p, q), else ``fields()``, stored as that entry."""
+        direction = [format_rational(p), format_rational(q)]
+        key = content_hash({"call": self.identity, "direction": direction})
+        record = self.get(key)
+        if record is None:
+            record = fields()
+            self.dir.mkdir(parents=True, exist_ok=True)
+            # a reader sees the old entry or the whole new one, never a torn write
+            path = self.dir / f"{key}.json"
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            tmp.write_text(blob, encoding="utf-8")
+            os.replace(tmp, path)
+        return record
+
+
+def _bracket_call(args, command: str):
+    """What `measure` and `scan` share: params, functional, level, budget, out dir and
+    ``fields(p, q, bracket)``, the finalized bracket fields of direction (p, q): read
+    from the cache, else those of ``bracket()``, stored there. The cache identity
+    covers the package sources, version and schema, the parameters, functional, level
+    and budget, so a hit replays a call that passed under the same budget, exit code
+    included. It is hashed once per call, and not at all under --no-cache."""
+    config, params, functional = _load(args)
+    if functional is None:
+        raise ConfigError(f"{command} requires functional.* keys in the config")
+    level = _setting(args, config, "level", 1)
+    budget = _setting(args, config, "budget", DEFAULT_PIECE_BUDGET, _nonnegative)
+    out = _out_dir(args, config)
+
+    def compute(bracket) -> dict:
+        b = bracket()
+        return finalize_record(
+            dict(schema_version=SCHEMA_VERSION, functional_id=_functional_id(functional),
+                 level=b.level, mu=b.mu, tail=b.tail_upper, lower=b.lower, upper=b.upper,
+                 piece_count=b.piece_count, chain_holds=b.chain_holds)
         )
-        # a reader sees the old entry or the whole new one, never a torn write
-        path = self.dir / f"{key}.json"
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(blob, encoding="utf-8")
-        os.replace(tmp, path)
+
+    if args.no_cache:
+        return params, functional, level, budget, out, lambda p, q, bracket: compute(bracket)
+    cache = _Cache(out, content_hash(
+        dict(schema_version=SCHEMA_VERSION, engine_version=__version__,
+             engine_sources=_source_digest(), params=params_to_config(params),
+             functional=functional_to_config(functional), level=level, budget=budget)
+    ))
+    return params, functional, level, budget, out, (
+        lambda p, q, bracket: cache.bracket_fields(p, q, partial(compute, bracket))
+    )
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -236,36 +246,14 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _bracket_record(functional, bracket) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "measure",
-        "functional_id": _functional_id(functional),
-        "level": bracket.level,
-        "mu": bracket.mu,
-        "tail": bracket.tail_upper,
-        "lower": bracket.lower,
-        "upper": bracket.upper,
-        "piece_count": bracket.piece_count,
-        "chain_holds": bracket.chain_holds,
-    }
-
-
 def cmd_measure(args) -> int:
     from .construction import build_pl
     from .measure import projection_bracket
 
-    config, params, functional = _load(args)
-    if functional is None:
-        raise ConfigError("measure requires functional.* keys in the config")
-    level = _setting(args, config, "level", 1)
-    budget = _setting(args, config, "budget", DEFAULT_PIECE_BUDGET, _nonnegative)
-    out = _out_dir(args, config)
-    cache = _Cache(out, enabled=not args.no_cache)
-    key = cache.key("measure", params, functional, level)
+    params, functional, level, budget, out, fields = _bracket_call(args, "measure")
     bracket = partial(projection_bracket, params, functional, level, piece_budget=budget)
-    record = cache.bracket_record(key, functional, bracket)  # checks level, tail and budget
-    if args.pieces:  # a cached record skips the bracket, so build_pl checks the budget
+    record = dict(fields(0, 1, bracket), kind="measure")  # checks level, tail and budget
+    if args.pieces:
         pl = build_pl(params, functional, level, piece_budget=budget)
         export_pieces_csv(pl, out / "pieces.csv")
     write_jsonl([record], out / "measure.jsonl")
@@ -301,22 +289,14 @@ def cmd_scan(args) -> int:
         directions = circle_directions(args.circle)
     from .measure import direction_brackets
 
-    config, params, functional = _load(args)
-    if functional is None:
-        raise ConfigError("scan requires functional.* keys in the config")
-    level = _setting(args, config, "level", 1)
-    budget = _setting(args, config, "budget", DEFAULT_PIECE_BUDGET, _nonnegative)
-    out = _out_dir(args, config)
-    cache = _Cache(out, enabled=not args.no_cache)
+    params, functional, level, budget, out, fields = _bracket_call(args, "scan")
     # one level-N table for every direction, built at the first cache miss
-    brackets, records = direction_brackets(params, functional, level, budget), []
-    for idx, (p, q) in enumerate(directions):
-        direction = [format_rational(p), format_rational(q)]
-        key = cache.key("scan", params, functional, level, direction=direction)
-        fields = {"kind": "scan", "direction_index": idx, "direction_p": p, "direction_q": q}
-        record = cache.bracket_record(key, functional, partial(brackets, p, q), **fields)
-        # the key leaves the index out, so an entry from another scan carries its own
-        records.append(dict(record, direction_index=idx))
+    brackets = direction_brackets(params, functional, level, budget)
+    records = [
+        dict(fields(p, q, partial(brackets, p, q)), kind="scan",
+             direction_index=idx, direction_p=p, direction_q=q)
+        for idx, (p, q) in enumerate(directions)
+    ]
     write_jsonl(records, out / "scan.jsonl")
     write_csv(records, out / "scan.csv")
     return EXIT_OK

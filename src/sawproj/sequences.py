@@ -264,9 +264,6 @@ class Functional(_Functional):
     def abs_tail_upper(self, n_from: int) -> Fraction:
         return self.rule.l1_tail_upper(n_from)
 
-    def abs_tail_enclosure(self, n_from: int) -> Optional[Enclosure]:
-        return self.rule.l1_tail_enclosure(n_from)
-
     def with_direction(self, p: Fraction, q: Fraction) -> "Functional":
         """Coefficients of t |-> p*t + q*h(t) where h has these coefficients."""
         p, q = Fraction(p), Fraction(q)

@@ -147,7 +147,7 @@ def test_cached_measure_pieces_still_checks_the_budget(d1_config, tmp_path, caps
     for name in ("measure.jsonl", "measure.csv"):
         (out / name).unlink()
     capsys.readouterr()
-    assert main(args + ["--pieces", "--budget", "10"]) == 3  # a cache hit builds no bracket
+    assert main(args + ["--pieces", "--budget", "10"]) == 3  # another budget misses the cache
     (record,) = _error_records(capsys)
     assert record["error"] == "budget" and record["count"] == 2 * 384
     assert sorted(p.name for p in out.iterdir()) == [".cache"]
@@ -269,7 +269,65 @@ def test_corrupt_cache_entry_is_a_miss(d1_config, tmp_path, capsys):
     assert _error_records(capsys) == []
     assert (out / "measure.jsonl").read_bytes() == cold
     assert [p.name for p in (out / ".cache").iterdir()] == [entry.name]
-    assert json.loads(entry.read_text())["record"]["mu"] == read_jsonl(out / "measure.jsonl")[0]["mu"]
+    assert json.loads(entry.read_text())["mu"] == read_jsonl(out / "measure.jsonl")[0]["mu"]
+
+
+def test_entry_of_another_schema_version_is_a_miss(d1_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["measure", "--config", str(d1_config), "--level", "2", "--out", str(out)]
+    assert main(args) == 0
+    cold = (out / "measure.jsonl").read_bytes()
+    (entry,) = (out / ".cache").iterdir()
+    stored = entry.read_text()
+    entry.write_text(json.dumps(dict(json.loads(stored), schema_version=0)))
+    assert main(args) == 0
+    assert (out / "measure.jsonl").read_bytes() == cold
+    assert entry.read_text() == stored  # rewritten
+
+
+def test_cache_entry_holds_only_the_bracket_fields(d1_config, tmp_path):
+    out = tmp_path / "out"
+    args = ["scan", "--config", str(d1_config), "--level", "3", "--circle", "4"]
+    assert main(args + ["--out", str(out)]) == 0
+    fields = {"schema_version", "functional_id", "level", "piece_count", "chain_holds"}
+    for name in ("mu", "tail", "lower", "upper"):
+        fields |= {name, f"{name}_f64"}
+    entries = sorted((out / ".cache").iterdir())
+    assert len(entries) == 4
+    for entry in entries:
+        record = json.loads(entry.read_text())
+        assert record["schema_version"] == 1 and set(record) == fields
+
+
+def test_measure_and_scan_share_the_entry_of_direction_0_1(d1_config, tmp_path):
+    out = tmp_path / "out"
+    args = ["--config", str(d1_config), "--level", "3", "--out", str(out)]
+    assert main(["measure", *args]) == 0
+    (entry,) = (out / ".cache").iterdir()
+    written = entry.stat().st_mtime_ns
+    assert main(["scan", *args, "--directions", "0,1"]) == 0
+    assert list((out / ".cache").iterdir()) == [entry]
+    assert entry.stat().st_mtime_ns == written
+    (measured,), (scanned,) = read_jsonl(out / "measure.jsonl"), read_jsonl(out / "scan.jsonl")
+    assert {k: v for k, v in scanned.items() if not k.startswith("direction_")} == dict(
+        measured, kind="scan"
+    )
+
+
+def test_budget_exit_code_does_not_depend_on_the_cache(d1_config, tmp_path, capsys):
+    # the budget is part of the cache identity, so a warm call refuses what a cold one does
+    out = tmp_path / "out"
+    calls = (["measure", "--level", "3"], ["scan", "--level", "3", "--circle", "4"])
+    for call in calls:
+        assert main([*call, "--config", str(d1_config), "--out", str(out)]) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert sorted(written) == ["measure.csv", "measure.jsonl", "scan.csv", "scan.jsonl"]
+    capsys.readouterr()
+    for call in calls:
+        assert main([*call, "--config", str(d1_config), "--out", str(out), "--budget", "0"]) == 3
+        (record,) = _error_records(capsys)
+        assert record["error"] == "budget" and record["budget"] == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == written
 
 
 def test_scan_single_axis_direction(d1_config, tmp_path):

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sawproj as sp
 from sawproj.certificates import (
@@ -191,6 +193,29 @@ def test_block_partition_harmonic(d1):
     for m, block in enumerate(part.blocks[1:], start=2):
         assert block.sq_sum <= part.blocks[m - 2].threshold_sq
     assert part.verify()
+
+
+# rules whose exact block sums are cheap: geometric, and finite explicit lists
+_CHEAP_RULES = st.one_of(
+    st.builds(
+        sp.geometric,
+        st.integers(1, 16).map(lambda k: F(k, 8)),
+        st.integers(1, 7).map(lambda k: F(k, 8)),
+    ),
+    st.lists(st.integers(0, 12).map(lambda k: F(k, 12)), min_size=1, max_size=40)
+    .filter(any)
+    .map(lambda values: sp.explicit(values, 0, 0)),
+)
+
+
+@given(rule=_CHEAP_RULES, eps=st.sampled_from([F(1, 10), F(1, 2), F(1), F(3)]))
+def test_block_certificate_lhs_bounds_the_exact_block_sum(rule, eps):
+    part = sp.block_partition(rule, eps)
+    lines = [line for line in part.certificate if line.label.startswith("block_")]
+    assert [line.lhs for line in lines] == [block.sq_sum for block in part.blocks]
+    for block in part.blocks:
+        assert block.sq_sum >= rule.l2sq_partial(block.end) - rule.l2sq_partial(block.start - 1)
+    assert part.passed
 
 
 def test_block_partition_errors():

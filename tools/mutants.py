@@ -41,10 +41,11 @@ class Mutant(NamedTuple):
 CURVE, CONSTRUCTION = "src/sawproj/curve.py", "src/sawproj/construction.py"
 PARAMS, CERTIFICATES = "src/sawproj/params.py", "src/sawproj/certificates.py"
 MEASURE, INTERVALS = "src/sawproj/measure.py", "src/sawproj/intervals.py"
-DIAGNOSTICS = "src/sawproj/diagnostics.py"
+DIAGNOSTICS, CLI = "src/sawproj/diagnostics.py", "src/sawproj/cli.py"
 TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_construction.py::"
 TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
 TEST_PARAMS, TEST_DIAGNOSTICS = "tests/test_params.py::", "tests/test_diagnostics.py::"
+TEST_CLI = "tests/test_cli.py::"
 
 LEVEL_CHECK = TEST_PARAMS + "test_level_outside_range_raises_the_owners_message"
 
@@ -292,6 +293,27 @@ MUTANTS = (
         "for m, size in enumerate(sizes):",
         "for m, size in enumerate(sizes[1:], 1):",
         (TEST_DIAGNOSTICS + "test_slope_identity_matches_fraction_oracle",),
+    ),
+    Mutant(
+        "_Cache.get: an entry of another schema_version served",
+        CLI,
+        'if not isinstance(record, dict) or record.get("schema_version") != SCHEMA_VERSION:',
+        "if not isinstance(record, dict):",
+        (TEST_CLI + "test_entry_of_another_schema_version_is_a_miss",),
+    ),
+    Mutant(
+        "_Cache.bracket_fields: the entry key without the direction",
+        CLI,
+        '{"call": self.identity, "direction": direction}',
+        '{"call": self.identity}',
+        (TEST_CLI + "test_scan_indexes_cached_directions_in_this_scan_order",),
+    ),
+    Mutant(
+        "block_partition: block m's bound read at its own end, not past the previous one",
+        CERTIFICATES,
+        "s_hi if m == 1 else alpha.l2sq_tail_upper(prev_end)",
+        "s_hi if m == 1 else alpha.l2sq_tail_upper(end)",
+        (TEST_PARAMS + "test_block_certificate_lhs_bounds_the_exact_block_sum",),
     ),
 )
 
