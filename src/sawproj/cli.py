@@ -412,7 +412,6 @@ def _diag_borel_cantelli(params, args) -> list[dict]:
 def _diag_slope_identity(params, args) -> list[dict]:
     from .diagnostics import sample_slope_identities
 
-    _levels(params, args, 1, 5, least=2)  # it checks levels 1..min(5, n_max - 1)
     passed = sample_slope_identities(params, args.samples, args.seed)
     return [_sampled(args, passed_count=passed, passed=passed == args.samples)]
 
@@ -483,7 +482,7 @@ def cmd_run(args) -> int:
     command = load_config(args.config).get("command")
     if command not in _RUN_COMMANDS:
         raise ConfigError(f"config 'command' must name a subcommand, got {command!r}")
-    sub_args = build_parser(command).parse_args([command, "--config", str(args.config)])
+    sub_args = build_parser().parse_args([command, "--config", str(args.config)])
     return sub_args.func(sub_args)
 
 
@@ -494,10 +493,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def build_parser(invoked: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser listing every subcommand with its help line. Only the
-    ``invoked`` subcommand gets its options and handler: a call parses one,
-    and adding all of their options costs several times the bare list."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, with its help line, options and handler."""
     parser = _Parser(
         prog="sawproj",
         description="Exact-arithmetic sawtooth-sum constructions, projection "
@@ -507,10 +504,8 @@ def build_parser(invoked: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, summary: str, func, engine: bool = False, config: bool = True):
-        """The subcommand's parser with its common options, or None when not invoked."""
+        """The subcommand's parser with its common options."""
         p = sub.add_parser(name, help=summary)
-        if name != invoked:
-            return None
         if config:  # every command but emit and run
             p.add_argument("--config", required=True, help="flat key = value document")
             p.add_argument("--out", help="output directory (default from config or ./out)")
@@ -523,37 +518,34 @@ def build_parser(invoked: Optional[str] = None) -> argparse.ArgumentParser:
         return p
 
     command("validate", "check parameter invariants", cmd_validate)
-    if p := command("evaluate", "truncated point at a rational parameter", cmd_evaluate):
-        p.add_argument("--t", help='parameter as "p/q"')
-        p.add_argument("--level", type=int)
-    if p := command("measure", "certified projection-measure bracket", cmd_measure, engine=True):
-        p.add_argument("--pieces", action="store_true", help="also export the piece table CSV")
-    if p := command("scan", "brackets across rational directions", cmd_scan, engine=True):
-        p.add_argument("--circle", type=int, default=64, help="built-in direction count")
-        p.add_argument("--directions", help='explicit list "p,q;p,q;..."')
-    if p := command("curve", "polygonal approximation CSV and length ledger", cmd_curve):
-        p.add_argument("--level", type=int)
-        p.add_argument("--vertex-budget", type=int, dest="vertex_budget")
-    if p := command("diagnose", "named quantitative checks", cmd_diagnose):
-        p.add_argument("--check")
-        p.add_argument("--seed", type=int, help="default 20260811")
-        p.add_argument("--samples", type=int, help="default 1000")
-    if p := command("emit", "convert stored records between formats", cmd_emit, config=False):
-        p.add_argument("--records", required=True)
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        p.add_argument("--out", required=True)
-    if p := command("run", "execute the command named in the config", cmd_run, config=False):
-        p.add_argument("--config", required=True)
+    p = command("evaluate", "truncated point at a rational parameter", cmd_evaluate)
+    p.add_argument("--t", help='parameter as "p/q"')
+    p.add_argument("--level", type=int)
+    p = command("measure", "certified projection-measure bracket", cmd_measure, engine=True)
+    p.add_argument("--pieces", action="store_true", help="also export the piece table CSV")
+    p = command("scan", "brackets across rational directions", cmd_scan, engine=True)
+    p.add_argument("--circle", type=int, default=64, help="built-in direction count")
+    p.add_argument("--directions", help='explicit list "p,q;p,q;..."')
+    p = command("curve", "polygonal approximation CSV and length ledger", cmd_curve)
+    p.add_argument("--level", type=int)
+    p.add_argument("--vertex-budget", type=int, dest="vertex_budget")
+    p = command("diagnose", "named quantitative checks", cmd_diagnose)
+    p.add_argument("--check")
+    p.add_argument("--seed", type=int, help="default 20260811")
+    p.add_argument("--samples", type=int, help="default 1000")
+    p = command("emit", "convert stored records between formats", cmd_emit, config=False)
+    p.add_argument("--records", required=True)
+    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.add_argument("--out", required=True)
+    p = command("run", "execute the command named in the config", cmd_run, config=False)
+    p.add_argument("--config", required=True)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     started = time.monotonic()
-    argv = sys.argv[1:] if argv is None else argv
-    # no top-level option takes a value, so the first other word names the subcommand
-    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
         code = args.func(args)
     except ConfigError as exc:
         _stderr_record({"error": "config", "message": str(exc), "exit_code": EXIT_CONFIG})

@@ -360,7 +360,8 @@ def sample_slope_identities(params: ParameterSet, samples: int, seed: int) -> in
     max_level = min(5, params.n_max - 1)
     if max_level < 1:
         raise DomainError(
-            f"slope-identity reads levels 1..5 and needs n_max >= 2, got n_max = {params.n_max}"
+            f"--check slope-identity reads levels 1..5 and needs n_max >= 2, "
+            f"got n_max = {params.n_max}"
         )
     sizes, passed, rng = params.grid_sizes, 0, spawn_rng(seed)
     for _ in range(samples):

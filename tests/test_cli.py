@@ -469,7 +469,7 @@ def _help(capsys, *argv: str) -> str:
 
 
 def test_parser_keeps_every_subcommand_and_option(d1_config, tmp_path, capsys):
-    # the parser adds options only to the invoked subcommand; what a user sees must not change
+    # one parser builds every subcommand; what a user sees must not change
     import re
 
     listing = _help(capsys, "--help")
@@ -1171,6 +1171,12 @@ def test_each_command_loads_only_its_engine_modules(d1_config, d2_config, tmp_pa
         assert "events" in loaded and not loaded & {"measure", "curve", "construction"}, check
         assert ("intervals" in loaded) == (check in event_checks), check
         assert ("diagnostics" in loaded) == (check not in event_checks), check
+    # run parses its command with the same parser, so it loads what that command loads
+    job = tmp_path / "job.cfg"
+    job.write_text(D1_CONFIG + 'command = "diagnose"\ncheck = "secant"\nsamples = 5\n'
+                   f'out = "{tmp_path / "run"}"\n')
+    assert loaded_by("run", "--config", str(job)) == checks["secant"]
+    assert (tmp_path / "run" / "diagnose_secant.jsonl").is_file()
     version = loaded_by("--version")
     engine = {"construction", "intervals", "measure", "curve", "diagnostics", "events"}
     assert "cli" in version and not version & engine

@@ -295,6 +295,17 @@ MUTANTS = (
         (TEST_DIAGNOSTICS + "test_slope_identity_matches_fraction_oracle",),
     ),
     Mutant(
+        "sample_slope_identities: n_max = 1 let through to the sampler",
+        DIAGNOSTICS,
+        "if max_level < 1:",
+        "if False:",
+        (
+            TEST_DIAGNOSTICS + "test_slope_identity_sampling",
+            TEST_CLI + "test_diagnose_refuses_a_check_with_no_levels"
+            "[slope-identity-1-reads levels 1..5 and needs n_max >= 2]",
+        ),
+    ),
+    Mutant(
         "_Cache.get: an entry of another schema_version served",
         CLI,
         'if not isinstance(record, dict) or record.get("schema_version") != SCHEMA_VERSION:',
