@@ -39,6 +39,7 @@ from .records import (
     functional_from_config,
     functional_to_config,
     load_config,
+    make_record,
     params_from_config,
     params_to_config,
     read_jsonl,
@@ -203,22 +204,10 @@ def cmd_validate(args) -> int:
     config, params, _ = _load(args)
     report = validate(params)
     records = [
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "validate",
-            "check": c.kind,
-            "passed": c.passed,
-            "detail": c.detail,
-        }
+        make_record("validate", check=c.kind, passed=c.passed, detail=c.detail)
         for c in report.checks
     ]
-    records.append(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "validate_summary",
-            "passed": report.passed,
-        }
-    )
+    records.append(make_record("validate_summary", passed=report.passed))
     write_jsonl(records, _out_dir(args, config) / "validate.jsonl")
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
@@ -231,17 +220,11 @@ def cmd_evaluate(args) -> int:
     t = _setting(args, config, "t", read=as_frac)  # an unquoted `t = 0` is rational too
     out = _out_dir(args, config)
     point = truncated_point(params, level, t)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "evaluate",
-        "t": point.t,
-        "level": point.level,
-        "model": point.model,
-        "coords": list(point.coords),
-        "tail_l1_upper": point.tail_l1_upper,
-        "tail_l2_lower": point.tail_l2_enclosure[0],
-        "tail_l2_upper": point.tail_l2_enclosure[1],
-    }
+    record = make_record(
+        "evaluate", t=point.t, level=point.level, model=point.model, coords=list(point.coords),
+        tail_l1_upper=point.tail_l1_upper, tail_l2_lower=point.tail_l2_enclosure[0],
+        tail_l2_upper=point.tail_l2_enclosure[1],
+    )
     write_jsonl([record], out / "evaluate.jsonl")
     return EXIT_OK
 
@@ -252,7 +235,7 @@ def cmd_measure(args) -> int:
 
     params, functional, level, budget, out, fields = _bracket_call(args, "measure")
     bracket = partial(projection_bracket, params, functional, level, piece_budget=budget)
-    record = dict(fields(0, 1, bracket), kind="measure")  # checks level, tail and budget
+    record = make_record("measure", **fields(0, 1, bracket))  # checks level, tail and budget
     if args.pieces:
         pl = build_pl(params, functional, level, piece_budget=budget)
         export_pieces_csv(pl, out / "pieces.csv")
@@ -293,8 +276,8 @@ def cmd_scan(args) -> int:
     # one level-N table for every direction, built at the first cache miss
     brackets = direction_brackets(params, functional, level, budget)
     records = [
-        dict(fields(p, q, partial(brackets, p, q)), kind="scan",
-             direction_index=idx, direction_p=p, direction_q=q)
+        make_record("scan", **fields(p, q, partial(brackets, p, q)),
+                    direction_index=idx, direction_p=p, direction_q=q)
         for idx, (p, q) in enumerate(directions)
     ]
     write_jsonl(records, out / "scan.jsonl")
@@ -322,28 +305,20 @@ def cmd_curve(args) -> int:
     curve = build_curve(params, functional, level, vertex_budget=budget)
     export_curve_csv(curve, out / "curve.csv")
 
-    ledger = [
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "curve_length",
-            "functional_id": _functional_id(functional),
-            "level": level,
-            "length": curve_length(curve),
-            "length_closed_form": curve_length_closed_form(params, functional, level),
-            "vertex_count": curve.vertex_count,
-        }
-    ]
-    for n in range(1, level + 1):
-        ledger.append(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "curve_increment",
-                "level": n,
-                "increment": length_increment(params, functional, n),
-                "increment_ceiling": Fraction(3, 2) * abs(functional.coeff(n)),
-                "sup_distance": sup_distance_bound(params, functional, n),
-            }
+    ledger = [make_record(
+        "curve_length", functional_id=_functional_id(functional), level=level,
+        length=curve_length(curve),
+        length_closed_form=curve_length_closed_form(params, functional, level),
+        vertex_count=curve.vertex_count,
+    )]
+    ledger += (
+        make_record(
+            "curve_increment", level=n, increment=length_increment(params, functional, n),
+            increment_ceiling=Fraction(3, 2) * abs(functional.coeff(n)),
+            sup_distance=sup_distance_bound(params, functional, n),
         )
+        for n in range(1, level + 1)
+    )
     write_jsonl(ledger, out / "curve.jsonl")
     return EXIT_OK
 
@@ -457,9 +432,10 @@ def cmd_diagnose(args) -> int:
     # Random would seed from the absolute value of a negative seed, aliasing a positive one
     args.seed = _setting(args, config, "seed", 20260811, _nonnegative)
     out = _out_dir(args, config)  # checked before sampling
-    records = _DIAGNOSTICS[args.check](params, args)
-    for record in records:
-        record.update(schema_version=SCHEMA_VERSION, kind="diagnose", check=args.check)
+    records = [
+        make_record("diagnose", check=args.check, **fields)
+        for fields in _DIAGNOSTICS[args.check](params, args)
+    ]
     name = args.check.replace("-", "_")
     write_jsonl(records, out / f"diagnose_{name}.jsonl")
     return EXIT_OK if all(r["passed"] for r in records) else EXIT_VALIDATION

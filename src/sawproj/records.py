@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO
 
 from .errors import ConfigError, DomainError
 from .params import ParameterSet, RefinementRule
@@ -233,6 +233,11 @@ def _is_rational(value) -> bool:
     return isinstance(value, Fraction)
 
 
+def make_record(kind: str, **fields) -> dict:
+    """An output record: the envelope every record carries, then its own fields."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+
+
 def finalize_record(record: dict) -> dict:
     """Expand Fractions into "p/q" plus float companions; order keys."""
     out: dict = {}
@@ -252,10 +257,15 @@ def dumps_record(record: dict) -> str:
     return json.dumps(finalize_record(record), sort_keys=True, separators=(",", ":"))
 
 
-def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
+def _create(path: str | Path) -> TextIO:
+    """path opened for UTF-8 text with no newline translation, its directory made first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    return path.open("w", encoding="utf-8", newline="")
+
+
+def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
+    with _create(path) as fh:
         for record in records:
             fh.write(dumps_record(record))
             fh.write("\n")
@@ -276,9 +286,7 @@ def write_csv(records: Sequence[dict], path: str | Path) -> None:
     header = sorted({key for row in finalized for key in row})
     cells = ((row.get(k, "") for k in header) for row in finalized)
     rows = ([";".join(map(str, v)) if isinstance(v, list) else v for v in row] for row in cells)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -287,9 +295,7 @@ def write_csv(records: Sequence[dict], path: str | Path) -> None:
 def write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
     """CSV of a header and of comma-joined lines that end in a newline: only for
     cells of rationals, floats, bools and ints, which never need quoting."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(lines)
 

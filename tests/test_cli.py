@@ -1083,6 +1083,44 @@ def test_output_bytes_are_pinned(tmp_path):
     assert digests == OUTPUT_DIGESTS
 
 
+# (argv, config, JSONL file, its kinds in the order their runs of lines appear)
+ENVELOPE_CASES = [
+    pytest.param(["validate"], "harmonic_l2", "validate", ["validate", "validate_summary"],
+                 id="validate"),
+    pytest.param(["evaluate", "--t", "3/8", "--level", "4"], "harmonic_l2", "evaluate",
+                 ["evaluate"], id="evaluate"),
+    pytest.param(["measure", "--level", "2", "--no-cache"], "harmonic_l2", "measure",
+                 ["measure"], id="measure"),
+    pytest.param(["scan", "--level", "3", "--directions", "1,0;0,1;-1,2", "--no-cache"],
+                 "harmonic_l2", "scan", ["scan"], id="scan"),
+    pytest.param(["curve", "--level", "2"], "geometric_l1", "curve",
+                 ["curve_length", "curve_increment"], id="curve"),
+] + [
+    pytest.param(["diagnose", "--check", check, "--samples", "5"], "harmonic_l2",
+                 "diagnose_" + check.replace("-", "_"), ["diagnose"], id=f"diagnose-{check}")
+    for check in CHECKS
+]
+
+
+@pytest.mark.parametrize("argv, config, name, kinds", ENVELOPE_CASES)
+def test_every_record_carries_the_envelope_and_emits_back_byte_for_byte(
+    argv, config, name, kinds, tmp_path
+):
+    from itertools import groupby
+    from pathlib import Path
+
+    cfg = Path(__file__).resolve().parent.parent / "configs" / f"{config}.cfg"
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    records = read_jsonl(out / f"{name}.jsonl")
+    assert all(r["schema_version"] == 1 for r in records)
+    assert [kind for kind, _ in groupby(r["kind"] for r in records)] == kinds
+    emitted = tmp_path / "emitted.jsonl"
+    args = ["emit", "--records", str(out / f"{name}.jsonl"), "--format", "jsonl"]
+    assert main(args + ["--out", str(emitted)]) == 0
+    assert emitted.read_bytes() == (out / f"{name}.jsonl").read_bytes()
+
+
 def _curve_case(alpha0: F):
     params = sp.ParameterSet(
         alpha=sp.geometric(F(1, 2), F(1, 2)), m=sp.explicit_refinement([2, 3]), n_max=2, model="L1"

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,24 @@ def test_rationals_travel_as_strings_never_floats(f1):
     assert record["mu"] == "9/16"
     assert record["mu_f64"] == 0.5625
     assert dumps_record({"mu": F(1, 3)}) == '{"mu":"1/3","mu_f64":0.3333333333333333}'
+
+
+FRACTIONS = st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+FIELD_VALUES = (
+    FRACTIONS | st.lists(FRACTIONS, max_size=4) | st.integers() | st.booleans() | st.text()
+)
+
+
+# keys drawn from a small alphabet, so "a" meets "a_f64" as well as other keys
+@settings(max_examples=300)
+@given(st.dictionaries(st.text("ab_f64", max_size=6), FIELD_VALUES, max_size=6))
+@example({"a": F(1, 3), "a_f64": True})
+@example({"a": [F(1, 2)], "a_f64": F(-1, 3)})
+def test_finalize_is_idempotent_and_survives_json(record):
+    # a warm cache serves finalized records, and `emit` finalizes records it read back
+    once = finalize_record(record)
+    assert finalize_record(once) == once
+    assert json.loads(dumps_record(record)) == once
 
 
 def test_jsonl_roundtrip(tmp_path):

@@ -42,12 +42,14 @@ CURVE, CONSTRUCTION = "src/sawproj/curve.py", "src/sawproj/construction.py"
 PARAMS, CERTIFICATES = "src/sawproj/params.py", "src/sawproj/certificates.py"
 MEASURE, INTERVALS = "src/sawproj/measure.py", "src/sawproj/intervals.py"
 DIAGNOSTICS, CLI = "src/sawproj/diagnostics.py", "src/sawproj/cli.py"
+RECORDS = "src/sawproj/records.py"
 TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_construction.py::"
 TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
 TEST_PARAMS, TEST_DIAGNOSTICS = "tests/test_params.py::", "tests/test_diagnostics.py::"
 TEST_CLI = "tests/test_cli.py::"
 
 LEVEL_CHECK = TEST_PARAMS + "test_level_outside_range_raises_the_owners_message"
+ENVELOPE = TEST_CLI + "test_every_record_carries_the_envelope_and_emits_back_byte_for_byte"
 
 MUTANTS = (
     Mutant(
@@ -318,6 +320,20 @@ MUTANTS = (
         '{"call": self.identity, "direction": direction}',
         '{"call": self.identity}',
         (TEST_CLI + "test_scan_indexes_cached_directions_in_this_scan_order",),
+    ),
+    Mutant(
+        "make_record: a wrong schema_version stamped",
+        RECORDS,
+        '{"schema_version": SCHEMA_VERSION, "kind": kind, **fields}',
+        '{"schema_version": SCHEMA_VERSION + 1, "kind": kind, **fields}',
+        (ENVELOPE + "[validate]", ENVELOPE + "[curve]", ENVELOPE + "[diagnose-secant]"),
+    ),
+    Mutant(
+        "_create: the file's directory not made",
+        RECORDS,
+        "    path.parent.mkdir(parents=True, exist_ok=True)\n",
+        "",
+        (ENVELOPE + "[curve]", TEST_CLI + "test_validate_ok"),
     ),
     Mutant(
         "block_partition: block m's bound read at its own end, not past the previous one",
