@@ -175,13 +175,6 @@ class BlockPartition(NamedTuple):
     def passed(self) -> bool:
         return all(line.holds for line in self.certificate)
 
-    def verify(self) -> bool:
-        """Re-run the greedy construction and certificate from scratch."""
-        fresh = block_partition(
-            self.rule, self.eps, sqrt_bits=self.sqrt_bits, max_blocks=self.max_blocks
-        )
-        return fresh == self and fresh.passed
-
 
 def _minimal_tail_index(rule: SequenceRule, start: int, threshold_sq: Fraction) -> int:
     """Minimal N >= start with certified l2sq tail(N) <= threshold_sq."""

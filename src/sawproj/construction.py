@@ -21,15 +21,13 @@ and a_n q_n over the same denominator at a left limit where q_n divides k.
 no coefficient tail. ``PLFunction.nums`` gives each piece's left value and
 right limit from the closed form, and ``PLFunction.pattern(n)`` is one period
 of c_n f_n along the curve's vertices, which the polygon repeats, so the curve
-and the image engine read the same integers. ``PLFunction.value`` is the
-direct sum of c_n f_n(t) from ``point_nums`` they all must agree with.
+and the image engine read the same integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Iterator, NamedTuple
 
 from .errors import DEFAULT_PIECE_BUDGET, BudgetExceeded, DomainError
@@ -102,8 +100,6 @@ class PLFunction(NamedTuple):
     checks the level and the piece budget once, then builds it.
     """
 
-    params: ParameterSet
-    functional: Functional
     level: int
     denom: int
     a: tuple[int, ...]
@@ -112,20 +108,6 @@ class PLFunction(NamedTuple):
     @property
     def piece_count(self) -> int:
         return self.periods[0]
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """(c_0, ..., c_N), read back from the integers a_n."""
-        q_lcm = self.denom // (2 * self.periods[0])
-        return tuple(Fraction(x, q_lcm) for x in self.a)
-
-    def value(self, t: Fraction) -> Fraction:
-        """Direct sum of a_n f_n(t) / q_lcm over ``point_nums``; the authoritative definition."""
-        if not 0 <= t < 1:
-            raise DomainError(f"t = {t} outside [0, 1)")
-        nums, scale = point_nums_at(self.params, self.level, t)
-        q_lcm = self.denom // (2 * self.periods[0])
-        return Fraction(sum(map(mul, self.a, nums)), q_lcm * scale)
 
     def pattern(self, n: int) -> tuple[int, ...]:
         """One period of c_n f_n (n >= 1) along the polygon's vertices: per cell, the
@@ -162,7 +144,7 @@ def _table(params: ParameterSet, functional: Functional, level: int) -> PLFuncti
     q_lcm = lcm(*(c.denominator for c in coeffs))
     a = tuple(c.numerator * (q_lcm // c.denominator) for c in coeffs)
     periods = tuple(2 * size // params.grid_size(n) for n in range(level + 1))
-    return PLFunction(params, functional, level, 4 * size * q_lcm, a, periods)
+    return PLFunction(level, 4 * size * q_lcm, a, periods)
 
 
 def build_pl(

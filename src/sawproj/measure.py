@@ -237,10 +237,11 @@ def direction_brackets(
     params: ParameterSet, functional: Functional, level: int, piece_budget: int
 ) -> Callable[[Fraction, Fraction], MeasureBracket]:
     """The bracket of t |-> p*t + q*h(t) per direction (p, q), h the functional's
-    projection: that of ``projection_bracket`` on ``functional.with_direction(p, q)``.
-    All share the level-N table and tail T_N of h, each built at the first call that
-    needs it: with p = P/R and q = Q/R, a direction's table is a'_0 = P q_lcm + Q a_0
-    and a'_n = Q a_n over R denom, and its tail is |q| T_N, asked for only if q != 0."""
+    projection: that of ``projection_bracket`` on the functional with coefficients
+    (p + q c_0, q c_1, q c_2, ...). All share the level-N table and tail T_N of h,
+    each built at the first call that needs it: with p = P/R and q = Q/R, a
+    direction's table is a'_0 = P q_lcm + Q a_0 and a'_n = Q a_n over R denom, and
+    its tail is |q| T_N, asked for only if q != 0."""
     params.grid_size(level)  # refuses a bad level before the tail is asked for
     tail = cache(partial(functional.abs_tail_upper, level))
     table = cache(partial(build_pl, params, functional, level, piece_budget))

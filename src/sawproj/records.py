@@ -234,8 +234,8 @@ def _is_rational(value) -> bool:
 
 
 def make_record(kind: str, **fields) -> dict:
-    """An output record: the envelope every record carries, then its own fields."""
-    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+    """An output record: its own fields under the envelope, which no field overrides."""
+    return {**fields, "schema_version": SCHEMA_VERSION, "kind": kind}
 
 
 def finalize_record(record: dict) -> dict:

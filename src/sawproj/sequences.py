@@ -186,21 +186,6 @@ class SequenceRule(_SequenceRule):
             return max(rest) if rest else Fraction(0)
         return None
 
-    # -- structure -----------------------------------------------------------
-
-    def scaled(self, factor: Fraction) -> "SequenceRule":
-        """Same rule with every term (and tail bound) scaled by factor >= 0."""
-        if factor < 0:
-            raise DomainError("scale factor must be nonnegative")
-        if self.kind == _EXPLICIT:
-            return SequenceRule(
-                _EXPLICIT,
-                values=tuple(v * factor for v in self.values),
-                tail_l1=None if self.tail_l1 is None else self.tail_l1 * factor,
-                tail_l2sq=None if self.tail_l2sq is None else self.tail_l2sq * factor**2,
-            )
-        return SequenceRule(self.kind, a=self.a * factor, r=self.r)
-
 
 def harmonic(a: Fraction) -> SequenceRule:
     return SequenceRule(_HARMONIC, a=Fraction(a))
@@ -263,20 +248,6 @@ class Functional(_Functional):
 
     def abs_tail_upper(self, n_from: int) -> Fraction:
         return self.rule.l1_tail_upper(n_from)
-
-    def with_direction(self, p: Fraction, q: Fraction) -> "Functional":
-        """Coefficients of t |-> p*t + q*h(t) where h has these coefficients."""
-        p, q = Fraction(p), Fraction(q)
-        if p == 0 and q == 0:
-            raise DomainError("direction (0, 0) is not admissible")
-        flip = -1 if q < 0 else 1
-        return Functional(
-            alpha0=p + q * self.alpha0,
-            rule=self.rule.scaled(abs(q)),
-            sign=self.sign * flip,
-            signs=self.signs,
-            name=self.name and f"{self.name}@({p},{q})",
-        )
 
 
 def inverse_square_functional() -> Functional:

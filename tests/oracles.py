@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import sawproj as sp
 from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
+from sawproj.errors import DomainError
 from sawproj.rational import sqrt_upper
 
 
@@ -80,6 +81,30 @@ def two_pointer_intersect(u, v) -> tuple[int, tuple[tuple[int, int], ...]]:
         else:
             j += 1
     return denom, tuple(out)
+
+
+def direction_functional(functional, p, q):
+    """The functional of t |-> p*t + q*h(t), h the functional's projection:
+    coefficients (p + q c_0, q c_1, q c_2, ...), its rule rebuilt from the rule's
+    fields with every term and tail scaled by |q|, and the sign flipped for q < 0."""
+    p, q = Fraction(p), Fraction(q)
+    if p == 0 and q == 0:
+        raise DomainError("direction (0, 0) is not admissible")
+    rule, scale = functional.rule, abs(q)
+    if rule.kind == "explicit":
+        rule = sp.explicit(
+            [v * scale for v in rule.values],
+            None if rule.tail_l1 is None else rule.tail_l1 * scale,
+            None if rule.tail_l2sq is None else rule.tail_l2sq * scale**2,
+        )
+    else:
+        rule = sp.SequenceRule(rule.kind, a=rule.a * scale, r=rule.r)
+    return functional._replace(
+        alpha0=p + q * functional.alpha0,
+        rule=rule,
+        sign=-functional.sign if q < 0 else functional.sign,
+        name=functional.name and f"{functional.name}@({p},{q})",
+    )
 
 
 def pl_image_oracle(params, functional, level: int):

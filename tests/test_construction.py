@@ -9,7 +9,7 @@ from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, CertificationError, DomainError
 from sawproj.params import point_nums_at
 
-from oracles import piece_rows_oracle, saw
+from oracles import curve_point, piece_rows_oracle, saw
 from test_measure import truncations
 
 F = Fraction
@@ -78,6 +78,19 @@ def piece_table(pl) -> list[dict]:
     return rows
 
 
+def table_value(pl, t: F) -> F:
+    """The table's value at t: the left value of t's piece plus the share of
+    the piece's rise that t has covered."""
+    j, share = divmod(t * pl.piece_count, 1)
+    v, w = pl.nums(j)
+    return (v + (w - v) * share) / pl.denom
+
+
+def oracle_value(params, functional, level: int, t: F, left: bool = False) -> F:
+    """sum_n c_n f_n(t), or its left limit, over the oracle's Fraction sawtooth."""
+    return sum(curve_point(params, functional.coeffs(level), t, left=left))
+
+
 def test_pl_four_piece_table(d1, f1):
     rows = piece_table(sp.build_pl(d1, f1, 1))
     assert [r["left_endpoint"] for r in rows] == [F(0), F(1, 4), F(1, 2), F(3, 4)]
@@ -88,8 +101,9 @@ def test_pl_four_piece_table(d1, f1):
 
 def test_pl_value_spot_checks(d1, f1):
     pl = sp.build_pl(d1, f1, 2)
-    assert pl.value(F(3, 8)) == F(7, 32)
     rows = piece_table(pl)
+    assert rows[6]["left_endpoint"] == F(3, 8)
+    assert rows[6]["left_value"] == oracle_value(d1, f1, 2, F(3, 8)) == F(7, 32)
     assert len(rows) == 16 and rows[8]["left_endpoint"] == F(1, 2)
     assert rows[8]["jump_at_left"] == f1.coeff(1) / 4 + f1.coeff(2) / 16
 
@@ -107,16 +121,16 @@ def test_piece_evaluation_matches_direct_sum(d1, f1):
     for _ in range(1000):
         t = rand_fraction(rng)
         row = rows[int(t * pl.piece_count)]
-        assert row["left_value"] + row["slope"] * (t - row["left_endpoint"]) == pl.value(t)
+        value = row["left_value"] + row["slope"] * (t - row["left_endpoint"])
+        assert value == table_value(pl, t) == oracle_value(d1, f1, 3, t)
 
 
 def test_right_continuity_at_breakpoints(d1, f1):
     pl = sp.build_pl(d1, f1, 2)
     for row in piece_table(pl)[1:]:
         t = row["left_endpoint"]
-        nums, scale = point_nums_at(d1, pl.level, t, left=True)
-        left = sum(c * F(x, scale) for c, x in zip(pl.coeffs, nums))
-        assert left - pl.value(t) == row["jump_at_left"]
+        left = oracle_value(d1, f1, 2, t, left=True)
+        assert left - oracle_value(d1, f1, 2, t) == row["jump_at_left"]
 
 
 @pytest.mark.parametrize("level", range(4))
@@ -125,7 +139,7 @@ def test_piece_table_matches_fraction_oracle(d1, f1, level):
     rows = piece_table(pl)
     assert rows == piece_rows_oracle(d1, f1, level)
     for row in rows:
-        assert pl.value(row["left_endpoint"]) == row["left_value"]
+        assert oracle_value(d1, f1, level, row["left_endpoint"]) == row["left_value"]
 
 
 @settings(max_examples=100)
@@ -145,7 +159,7 @@ def test_truncation_tail_bound(d1, f1):
     bound = sum(abs(f1.coeff(n)) / (2 * d1.grid_size(n)) for n in range(3, 7))
     for _ in range(200):
         t = rand_fraction(rng)
-        assert abs(hi_pl.value(t) - lo_pl.value(t)) <= bound
+        assert abs(table_value(hi_pl, t) - table_value(lo_pl, t)) <= bound
 
 
 def test_per_coordinate_oscillation(d1):

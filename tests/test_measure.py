@@ -14,7 +14,13 @@ from sawproj import construction, measure
 from sawproj.measure import IntervalUnion, _merged, _Shape
 from sawproj.records import functional_from_config, load_config, params_from_config
 
-from oracles import covering_sum_oracle, direct_image, pairwise_merge, pl_image_oracle
+from oracles import (
+    covering_sum_oracle,
+    direct_image,
+    direction_functional,
+    pairwise_merge,
+    pl_image_oracle,
+)
 
 F = Fraction
 
@@ -131,7 +137,7 @@ def explicit_truncation(factors, alpha0, coeffs, direction=(0, 0)):
     )
     p, q = map(F, direction)
     if p or q:
-        functional = functional.with_direction(p, q)
+        functional = direction_functional(functional, p, q)
     return params, functional, len(coeffs)
 
 
@@ -315,7 +321,7 @@ def test_scan_directions_match_flattened_and_direct_images():
     config = load_config(Path(__file__).resolve().parents[1] / "configs" / "harmonic_l2.cfg")
     params, functional = params_from_config(config), functional_from_config(config)
     for p, q in circle_directions(64):
-        combined = functional.with_direction(p, q)
+        combined = direction_functional(functional, p, q)
         mus = sp.projection_bracket(params, combined, 5).mu_levels
         assert mus[4] == direct_image(sp.build_pl(params, combined, 4))[1]
         assert mus[5] == sp.image_measure(sp.build_pl(params, combined, 5))[1]
@@ -332,7 +338,7 @@ def test_dense_direction_builds_no_union(d1, f1, monkeypatch):
 
     from_pairs = IntervalUnion.from_pairs
     monkeypatch.setattr(IntervalUnion, "from_pairs", staticmethod(small_union))
-    pl = sp.build_pl(d1, f1.with_direction(F(-2048), F(1536)), 7)
+    pl = sp.build_pl(d1, direction_functional(f1, F(-2048), F(1536)), 7)
     assert F(measure._image_ints(pl.a, pl.periods, 7).measure, pl.denom) == F(3637276, 3675)
 
 
@@ -344,7 +350,7 @@ def test_level_seven_tiles_need_no_sweep(d1, f1, monkeypatch):
     monkeypatch.setattr(measure, "_merged", no_merge)
     for functional, mu in (
         (f1, F(64491960451, 113799168000)),
-        (f1.with_direction(F(-2048), F(1536)), F(3637276, 3675)),
+        (direction_functional(f1, F(-2048), F(1536)), F(3637276, 3675)),
     ):
         pl = sp.build_pl(d1, functional, 7)
         assert F(measure._image_ints(pl.a, pl.periods, 7).measure, pl.denom) == mu
@@ -401,7 +407,7 @@ def one_signed_truncations(draw):
 @example(  # direction 48 of the 64-direction scan: no positive slope
     (
         sp.harmonic_l2_preset(n_max=4),
-        sp.inverse_square_functional().with_direction(F(-2048), F(1536)),
+        direction_functional(sp.inverse_square_functional(), F(-2048), F(1536)),
         4,
     )
 )
@@ -469,12 +475,15 @@ def test_direction_route_matches_the_combined_functional(case, direction, level)
     params, functional, top = case
     level = min(level, top)
     bracket = sp.directional_measure(params, functional, direction, level)
-    assert bracket == sp.projection_bracket(params, functional.with_direction(*direction), level)
+    combined = direction_functional(functional, *direction)
+    assert bracket == sp.projection_bracket(params, combined, level)
 
 
 def test_direction_route_builds_one_table_and_tail(d1, f1, monkeypatch):
     directions = circle_directions(16)  # (256, 0) first: a direction that needs no tail
-    expected = [sp.projection_bracket(d1, f1.with_direction(p, q), 4) for p, q in directions]
+    expected = [
+        sp.projection_bracket(d1, direction_functional(f1, p, q), 4) for p, q in directions
+    ]
     tables, tails = [], []
     table, tail = construction._table, sp.Functional.abs_tail_upper
     monkeypatch.setattr(construction, "_table", lambda *args: tables.append(1) or table(*args))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import sawproj as sp
 from sawproj.errors import ConfigError
 from sawproj.records import (
+    SCHEMA_VERSION,
     content_hash,
     dumps_record,
     emit_config_text,
@@ -17,6 +18,7 @@ from sawproj.records import (
     finalize_record,
     functional_from_config,
     functional_to_config,
+    make_record,
     params_from_config,
     params_to_config,
     parse_config_text,
@@ -27,7 +29,7 @@ from sawproj.records import (
 )
 from sawproj.rational import format_rational
 
-from oracles import piece_rows_oracle
+from oracles import direction_functional, piece_rows_oracle
 
 F = Fraction
 
@@ -106,8 +108,8 @@ def _pinned_documents():
         alpha0=F(-1, 3), rule=sp.explicit([F(1, 2), F(1, 4)], F(1, 8)), sign=-1, signs=(1, -1)
     )
     yield "unnamed functional", functional_to_config(unnamed)
-    yield "turned unnamed", functional_to_config(unnamed.with_direction(F(1, 2), F(-3)))
-    turned = sp.inverse_square_functional().with_direction(F(3), F(-2))
+    yield "turned unnamed", functional_to_config(direction_functional(unnamed, F(1, 2), F(-3)))
+    turned = direction_functional(sp.inverse_square_functional(), F(3), F(-2))
     yield "turned F1", functional_to_config(turned)
 
 
@@ -221,6 +223,12 @@ def test_finalize_is_idempotent_and_survives_json(record):
     once = finalize_record(record)
     assert finalize_record(once) == once
     assert json.loads(dumps_record(record)) == once
+
+
+def test_make_record_owns_the_envelope():
+    # a cache entry carries its own schema_version; the envelope's wins over it
+    record = make_record("measure", schema_version=0, mu=F(1, 2))
+    assert record == {"schema_version": SCHEMA_VERSION, "kind": "measure", "mu": F(1, 2)}
 
 
 def test_jsonl_roundtrip(tmp_path):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from sawproj.errors import CertificationError, DomainError
+from sawproj.errors import DEFAULT_PIECE_BUDGET, CertificationError, DomainError
+from sawproj.measure import direction_brackets
 from sawproj.sequences import (
     Functional,
     SequenceRule,
@@ -12,6 +13,8 @@ from sawproj.sequences import (
     harmonic,
     inverse_square,
 )
+
+from oracles import direction_functional
 
 F = Fraction
 
@@ -115,16 +118,6 @@ def test_explicit_tails_trusted_as_stated():
     assert explicit([F(1)], None, None).l1_tail_enclosure(0) is None
 
 
-def test_scaled_rules():
-    rule = inverse_square(F(1, 4)).scaled(F(3))
-    assert rule.term(2) == 3 * F(1, 16)
-    assert rule.l1_tail_upper(4) == 3 * inverse_square(F(1, 4)).l1_tail_upper(4)
-    ex = explicit([F(1, 2)], F(1, 4), F(1, 16)).scaled(F(2))
-    assert ex.values == (F(1),)
-    assert ex.tail_l1 == F(1, 2)
-    assert ex.tail_l2sq == F(1, 4)
-
-
 def test_term_bound_after():
     assert harmonic(F(1, 2)).term_bound_after(4) == F(1, 10)
     assert geometric(F(1, 2), F(1, 2)).term_bound_after(2) == F(1, 16)
@@ -157,16 +150,21 @@ def test_functional_rejects_bad_signs():
             build()
 
 
-def test_functional_direction_combination():
+def test_functional_direction_combination(d1):
     f = Functional(alpha0=F(1, 2), rule=inverse_square(F(1, 4)))
-    g = f.with_direction(F(-1), F(4))
+    g = direction_functional(f, F(-1), F(4))
     assert g.coeff(0) == F(-1) + 4 * F(1, 2)
     assert g.coeff(3) == 4 * f.coeff(3)
     assert g.abs_tail_upper(2) == 4 * f.abs_tail_upper(2)
-    h = f.with_direction(F(1), F(-2))
+    h = direction_functional(f, F(1), F(-2))
     assert h.coeff(1) == -2 * f.coeff(1)
+    # an explicit rule scales its values and both stated tails
+    e = direction_functional(Functional(F(0), explicit([F(1, 2)], F(1, 4), F(1, 16))), 0, -2)
+    assert e.rule == explicit([F(1)], F(1, 2), F(1, 4)) and e.coeff(1) == -1
     with pytest.raises(DomainError):
-        f.with_direction(F(0), F(0))
+        direction_functional(f, F(0), F(0))
+    with pytest.raises(DomainError):
+        direction_brackets(d1, f, 2, DEFAULT_PIECE_BUDGET)(F(0), F(0))
 
 
 @pytest.mark.parametrize(
@@ -179,16 +177,17 @@ def test_functional_direction_combination():
     ],
     ids=lambda rule: rule.kind,
 )
-def test_direction_tail_is_abs_q_times_the_tail(rule):
+def test_direction_tail_is_abs_q_times_the_tail(d1, rule):
     functional = Functional(alpha0=F(1, 3), rule=rule, signs=(1, -1))
-    for p, q in [(F(1), F(2)), (F(-3, 4), F(-5, 7)), (F(0), F(-2)), (F(5, 3), F(0))]:
-        for n in range(4):
-            tail = functional.with_direction(p, q).abs_tail_upper(n)
-            assert tail == abs(q) * functional.abs_tail_upper(n)
+    for n in range(4):
+        brackets = direction_brackets(d1, functional, n, DEFAULT_PIECE_BUDGET)
+        for p, q in [(F(1), F(2)), (F(-3, 4), F(-5, 7)), (F(0), F(-2)), (F(5, 3), F(0))]:
+            assert brackets(p, q).tail_upper == abs(q) * functional.abs_tail_upper(n)
 
 
-def test_divergent_direction_tail_needs_q_zero():
+def test_divergent_direction_tail_needs_q_zero(d1):
     functional = Functional(alpha0=F(1, 3), rule=harmonic(F(1, 2)))
-    assert functional.with_direction(F(1), F(0)).abs_tail_upper(3) == 0
+    brackets = direction_brackets(d1, functional, 3, DEFAULT_PIECE_BUDGET)
+    assert brackets(F(1), F(0)).tail_upper == 0
     with pytest.raises(CertificationError):
-        functional.with_direction(F(1), F(-1, 2)).abs_tail_upper(3)
+        brackets(F(1), F(-1, 2))

@@ -46,7 +46,7 @@ RECORDS = "src/sawproj/records.py"
 TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_construction.py::"
 TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
 TEST_PARAMS, TEST_DIAGNOSTICS = "tests/test_params.py::", "tests/test_diagnostics.py::"
-TEST_CLI = "tests/test_cli.py::"
+TEST_CLI, TEST_SEQUENCES = "tests/test_cli.py::", "tests/test_sequences.py::"
 
 LEVEL_CHECK = TEST_PARAMS + "test_level_outside_range_raises_the_owners_message"
 ENVELOPE = TEST_CLI + "test_every_record_carries_the_envelope_and_emits_back_byte_for_byte"
@@ -142,16 +142,6 @@ MUTANTS = (
         (TEST_PARAMS + "test_validate_failure_kinds_flip_one_at_a_time",),
     ),
     Mutant(
-        "PLFunction.value: the q_lcm divisor dropped",
-        CONSTRUCTION,
-        "Fraction(sum(map(mul, self.a, nums)), q_lcm * scale)",
-        "Fraction(sum(map(mul, self.a, nums)), scale)",
-        (
-            TEST_CONSTRUCTION + "test_pl_value_spot_checks",
-            TEST_CONSTRUCTION + "test_piece_evaluation_matches_direct_sum",
-        ),
-    ),
-    Mutant(
         "PolygonalCurve.length: one repeat of each pattern short",
         CURVE,
         "repeats * inner",
@@ -197,7 +187,24 @@ MUTANTS = (
         MEASURE,
         "abs(q) * tail()",
         "q * tail()",
-        (TEST_MEASURE + "test_direction_route_matches_the_combined_functional",),
+        (
+            TEST_MEASURE + "test_direction_route_matches_the_combined_functional",
+            TEST_SEQUENCES + "test_direction_tail_is_abs_q_times_the_tail[geometric]",
+        ),
+    ),
+    Mutant(
+        "direction tail: asked for at q = 0",
+        MEASURE,
+        "abs(q) * tail() if q else Fraction(0)",
+        "abs(q) * tail()",
+        (TEST_SEQUENCES + "test_divergent_direction_tail_needs_q_zero",),
+    ),
+    Mutant(
+        "direction_brackets: direction (0, 0) let through",
+        MEASURE,
+        "        if p == 0 and q == 0:\n            raise DomainError",
+        "        if False:\n            raise DomainError",
+        (TEST_SEQUENCES + "test_functional_direction_combination",),
     ),
     Mutant(
         "_measure: a loose copy's part in the pairs not subtracted",
@@ -324,9 +331,15 @@ MUTANTS = (
     Mutant(
         "make_record: a wrong schema_version stamped",
         RECORDS,
-        '{"schema_version": SCHEMA_VERSION, "kind": kind, **fields}',
-        '{"schema_version": SCHEMA_VERSION + 1, "kind": kind, **fields}',
-        (ENVELOPE + "[validate]", ENVELOPE + "[curve]", ENVELOPE + "[diagnose-secant]"),
+        '{**fields, "schema_version": SCHEMA_VERSION, "kind": kind}',
+        '{**fields, "schema_version": SCHEMA_VERSION + 1, "kind": kind}',
+        (
+            ENVELOPE + "[validate]",
+            ENVELOPE + "[measure]",
+            ENVELOPE + "[scan]",
+            ENVELOPE + "[curve]",
+            ENVELOPE + "[diagnose-secant]",
+        ),
     ),
     Mutant(
         "_create: the file's directory not made",
