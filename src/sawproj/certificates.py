@@ -158,10 +158,6 @@ class BlockPartition(NamedTuple):
     ``continuation_threshold``.
     """
 
-    rule: SequenceRule
-    eps: Fraction
-    sqrt_bits: int
-    max_blocks: int
     blocks: tuple[Block, ...]
     delta: Fraction
     c_lo: Fraction
@@ -252,10 +248,6 @@ def block_partition(
     cert.append(CertLine("total_vs_target", norm_hi + 2 * delta, "<", c_lo * norm_lo))
 
     return BlockPartition(
-        rule=alpha,
-        eps=Fraction(eps),
-        sqrt_bits=sqrt_bits,
-        max_blocks=max_blocks,
         blocks=tuple(blocks),
         delta=delta,
         c_lo=c_lo,

@@ -34,6 +34,7 @@ from .records import (
     as_frac,
     as_int,
     content_hash,
+    dumps_record,
     export_pieces_csv,
     finalize_record,
     functional_from_config,
@@ -155,8 +156,7 @@ class _Cache:
             # a reader sees the old entry or the whole new one, never a torn write
             path = self.dir / f"{key}.json"
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            tmp.write_text(blob, encoding="utf-8")
+            tmp.write_text(dumps_record(record), encoding="utf-8")
             os.replace(tmp, path)
         return record
 

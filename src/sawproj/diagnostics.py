@@ -2,7 +2,8 @@
 slope translation identity and per-level oscillation.
 
 The exact events live in ``events``; ``event_set`` and ``independence_check`` are
-bound here for the perfbench hooks. No sampler loads ``intervals`` or ``construction``.
+bound here for the perfbench hooks. No sampler loads ``intervals`` or ``construction``,
+and every sawtooth value a sampler reads comes from ``params.point_nums``.
 
 Secant witnesses work at the fine scale: an eligible parameter sits
 within alpha_n / M_n of a level-n grid point beta that lies on no coarser
@@ -283,8 +284,8 @@ def sample_secant_witnesses(
     gain = consts.tail_sq.denominator * (thr.denominator - thr.numerator)
     c0 = thr.numerator * consts.rest_upper(n, den, 0)
     c2 = thr.numerator * consts.rest_upper(n, den, 1) - c0
-    # delta_n from the kernel of point_nums at level n, as in sample_oscillation
-    half, lift = den // 2, 2 * consts.weights[n] * (consts.sizes[-1] // size)
+    # f_n reads M_n alone: component 1 of the grid (1, M_n), lifted to scale S
+    grid, lift = (1, size), consts.weights[n] * (consts.sizes[-1] // size)
     passed = total = 0
     while total < samples:
         k = rand_index(rng, 1, size - 1)
@@ -295,8 +296,7 @@ def sample_secant_witnesses(
         an = _secant_partner(size, m_n, a0, den, radius)
         if an is not None:
             total += 1
-            x, y = size * a0 % den - half, size * an % den - half
-            d_n = lift * ((y if y > 0 else 0) - (x if x > 0 else 0))
+            d_n = lift * (point_nums(grid, an, den)[1] - point_nums(grid, a0, den)[1])
             screened = screen and gain * d_n * d_n >= c0 + c2 * (an - a0) ** 2
             passed += screened or consts.passes(*consts.deltas(den, a0, an), n)
     return passed, total
@@ -319,20 +319,16 @@ def _slope_identity(
     """
     half = den // (2 * sizes[n])
     shifted = t + half if t + half < hi else t - half
-    top, t_h, s_h = sizes[-1], t + h, shifted + h
+    t_h, s_h = t + h, shifted + h
     for name, p in (("t", t), ("t'", shifted), ("t+h", t_h), ("t'+h", s_h)):
         if not lo <= p < hi:
             cell = f"[{Fraction(lo, den)}, {Fraction(hi, den)})"
             raise DomainError(f"{name} = {Fraction(p, den)} outside the cell {cell}")
-    scale, side = 2 * den * top, 2 * top * h  # side: h over scale
+    scale, side = 2 * den * sizes[-1], 2 * sizes[-1] * h  # side: h over scale
     equal_levels, toggled = [], (0, 0)
-    lhs, rhs = 2 * top * (s_h - shifted), 2 * top * (t_h - t)  # f_0 = t
-    for m, size in enumerate(sizes):  # each level of the four points, as point_nums has it
-        if m:  # (M_N/M_m) max(0, 2 (M_m p mod den) - den)
-            a, b = 2 * (size * t % den) - den, 2 * (size * shifted % den) - den
-            c, d = 2 * (size * t_h % den) - den, 2 * (size * s_h % den) - den
-            lhs = top // size * ((d if d > 0 else 0) - (b if b > 0 else 0))
-            rhs = top // size * ((c if c > 0 else 0) - (a if a > 0 else 0))
+    points = [point_nums(sizes, p, den) for p in (t, shifted, t_h, s_h)]
+    for m, (a, b, c, d) in enumerate(zip(*points)):
+        lhs, rhs = d - b, c - a
         if m == n and h != 0:
             if sorted((lhs, rhs)) != sorted((0, side)):
                 raise DomainError(
@@ -356,6 +352,10 @@ def sample_slope_identities(params: ParameterSet, samples: int, seed: int) -> in
     Tuples are made admissible by construction: t in the first quarter of a
     cell (shift goes right) or the last quarter (shift goes left), and
     |h| < 1/(4 M_n) pointing inward. A quarter cell is 2^48 over 2^50 M_n.
+
+    The identity at level n needs M_n / (2 M_m) integral for 1 <= m < n and
+    M_m / (2 M_n) for m > n; over the levels n = 1..L sampled here that is
+    m_k even for 2 <= k <= L + 1, checked before any sample is drawn.
     """
     max_level = min(5, params.n_max - 1)
     if max_level < 1:
@@ -363,6 +363,12 @@ def sample_slope_identities(params: ParameterSet, samples: int, seed: int) -> in
             f"--check slope-identity reads levels 1..5 and needs n_max >= 2, "
             f"got n_max = {params.n_max}"
         )
+    for k in range(2, max_level + 2):
+        if params.refinement_factor(k) % 2:
+            raise DomainError(
+                f"--check slope-identity reads levels 1..{max_level} and needs m_k even "
+                f"for 2 <= k <= {max_level + 1}, got m_{k} = {params.refinement_factor(k)}"
+            )
     sizes, passed, rng = params.grid_sizes, 0, spawn_rng(seed)
     for _ in range(samples):
         n = rand_index(rng, 1, max_level)
@@ -381,8 +387,6 @@ def sample_oscillation(params: ParameterSet, samples: int, seed: int) -> tuple[F
     level-n cell (n <= 6; t over den = 2^48 M_6), and whether all are <= 1/M_n."""
     top, sizes = min(6, params.n_max), params.grid_sizes
     den, last = sizes[top] << SAMPLE_BITS, sizes[-1]
-    # point_nums per level: f_k(t) = 2 (M_N/M_k) max(0, M_k t mod den - den/2) over 2 den M_N
-    half, lifts = den // 2, [(size, 2 * (last // size)) for size in sizes[1:]]
     rng = spawn_rng(seed)
     worst, ok = 0, True
     for _ in range(samples):
@@ -391,10 +395,8 @@ def sample_oscillation(params: ParameterSet, samples: int, seed: int) -> tuple[F
         lo = (rand_index(rng, 1, sizes[n]) - 1) * step
         t = lo + rng.getrandbits(SAMPLE_BITS) * (step >> SAMPLE_BITS)
         u = lo + rng.getrandbits(SAMPLE_BITS) * (step >> SAMPLE_BITS)
-        gap = 2 * last * abs(t - u)  # level 0: f_0 = t
-        for size, lift in lifts:
-            a, b = size * t % den - half, size * u % den - half
-            gap = max(gap, lift * abs((a if a > 0 else 0) - (b if b > 0 else 0)))
+        pair = zip(point_nums(sizes, t, den), point_nums(sizes, u, den))
+        gap = max(abs(x - y) for x, y in pair)
         worst = max(worst, gap)
         ok &= gap <= 2 * last * step
     return Fraction(worst, 2 * den * last), ok

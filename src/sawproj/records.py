@@ -234,8 +234,9 @@ def _is_rational(value) -> bool:
 
 
 def make_record(kind: str, **fields) -> dict:
-    """An output record: its own fields under the envelope, which no field overrides."""
-    return {**fields, "schema_version": SCHEMA_VERSION, "kind": kind}
+    """A finalized output record: its own fields under the envelope, which no field
+    overrides."""
+    return finalize_record({**fields, "schema_version": SCHEMA_VERSION, "kind": kind})
 
 
 def finalize_record(record: dict) -> dict:
@@ -254,7 +255,8 @@ def finalize_record(record: dict) -> dict:
 
 
 def dumps_record(record: dict) -> str:
-    return json.dumps(finalize_record(record), sort_keys=True, separators=(",", ":"))
+    """One finalized record as JSON text, keys sorted and no spaces."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def _create(path: str | Path) -> TextIO:
@@ -279,12 +281,11 @@ def ratio_cells(num: int, den: int) -> str:
 
 
 def write_csv(records: Sequence[dict], path: str | Path) -> None:
-    """CSV of the finalized records under the sorted union of their keys."""
+    """CSV of finalized records under the sorted union of their keys."""
     import csv
 
-    finalized = [finalize_record(record) for record in records]
-    header = sorted({key for row in finalized for key in row})
-    cells = ((row.get(k, "") for k in header) for row in finalized)
+    header = sorted({key for row in records for key in row})
+    cells = ((row.get(k, "") for k in header) for row in records)
     rows = ([";".join(map(str, v)) if isinstance(v, list) else v for v in row] for row in cells)
     with _create(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")

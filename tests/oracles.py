@@ -423,8 +423,14 @@ def piece_rows_oracle(params, functional, level: int) -> list[dict]:
 
 
 def slope_sample_oracle(params, samples: int, seed: int):
-    """The pass count of sample_slope_identities, or None where a check fails."""
+    """The pass count of sample_slope_identities, or None where a check fails or
+    the grids cannot pass them: the identity at level n needs M_n / (2 M_m)
+    integral for 1 <= m < n and M_m / (2 M_n) for m > n."""
     max_level = min(5, params.n_max - 1)
+    sizes, grids = params.grid_sizes, range(1, params.n_max + 1)
+    pairs = [(sizes[m], sizes[n]) for n in range(1, max_level + 1) for m in grids if m != n]
+    if any(max(pair) % (2 * min(pair)) for pair in pairs):
+        return None
     rng = spawn_rng(seed)
     for _ in range(samples):
         n = rand_index(rng, 1, max_level)

@@ -8,6 +8,7 @@ import sawproj as sp
 from sawproj.cli import main
 from sawproj.records import (
     emit_config_text,
+    finalize_record,
     functional_to_config,
     params_to_config,
     read_jsonl,
@@ -367,6 +368,28 @@ def test_scan_served_from_the_cache_builds_no_table(d1_config, tmp_path, monkeyp
     assert main(args + ["--out", str(tmp_path / "o")]) == 0
     monkeypatch.setattr(sp.construction, "_table", no_table)
     assert main(args + ["--out", str(tmp_path / "o")]) == 0
+
+
+def test_scan_finalizes_each_record_once(d1_config, tmp_path, monkeypatch):
+    # a cold call finalizes each bracket's fields for its cache entry and each
+    # record in make_record; the writers and a warm call finalize nothing more
+    import sawproj.cli
+    import sawproj.records
+
+    calls = []
+
+    def counted(record):
+        calls.append(record)
+        return finalize(record)
+
+    finalize = sawproj.records.finalize_record
+    for module in (sawproj.cli, sawproj.records):
+        monkeypatch.setattr(module, "finalize_record", counted)
+    args = ["scan", "--config", str(d1_config), "--level", "3", "--directions", "1,0;0,1"]
+    for expected in (4, 2):  # cold, then warm
+        calls.clear()
+        assert main(args + ["--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == expected
 
 
 def test_scan_indexes_cached_directions_in_this_scan_order(d1_config, tmp_path):
@@ -778,6 +801,30 @@ def test_diagnose_refuses_a_check_with_no_levels(check, n_max, needs, tmp_path, 
     assert read_jsonl(tmp_path / "p" / f"diagnose_{check.replace('-', '_')}.jsonl")
 
 
+@pytest.mark.parametrize(
+    "values, odd", [("2,3,2", "m_2 = 3"), ("2,2,3", "m_3 = 3"), ("3,2,2", None)]
+)
+def test_slope_identity_refuses_odd_refinement_factors(values, odd, tmp_path, capsys):
+    # the half-period shift of levels 1..2 needs m_2 and m_3 even; m_1 is free.
+    # An odd one used to be sampled and then reported as a failing component
+    cfg = tmp_path / "odd.cfg"
+    grids = f'm.kind = "explicit"\nm.values = "{values}"'
+    cfg.write_text(
+        D1_CONFIG.replace('m.kind = "linear"\nm.k = 2', grids).replace("n_max = 8", "n_max = 3")
+    )
+    out = tmp_path / "o"
+    code = main(["diagnose", "--config", str(cfg), "--check", "slope-identity", "--out", str(out)])
+    if odd is None:
+        assert code == 0 and read_jsonl(out / "diagnose_slope_identity.jsonl")
+        return
+    assert code == 2
+    (record,) = _error_records(capsys)
+    assert record["error"] == "invalid" and record["message"] == (
+        f"--check slope-identity reads levels 1..2 and needs m_k even for 2 <= k <= 3, got {odd}"
+    )
+    assert not (out / "diagnose_slope_identity.jsonl").exists()
+
+
 @pytest.mark.parametrize("check", ["event-measure", "independence"])
 def test_diagnose_checks_event_sizes_before_building_any(check, tmp_path, monkeypatch, capsys):
     # with m_n = 4096 the level-3 event has 4096^2 + 1 components; event-measure
@@ -1141,7 +1188,8 @@ def test_curve_csv_matches_fraction_rows(tmp_path_factory, case):
         emit_config_text({**params_to_config(params), **functional_to_config(functional)})
     )
     assert main(["curve", "--config", str(config), "--level", str(level), "--out", str(out)]) == 0
-    write_csv(curve_rows_oracle(params, functional, level), out / "oracle.csv")
+    rows = [finalize_record(r) for r in curve_rows_oracle(params, functional, level)]
+    write_csv(rows, out / "oracle.csv")
     assert (out / "curve.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
 

@@ -204,7 +204,9 @@ def test_rationals_travel_as_strings_never_floats(f1):
     record = finalize_record({"mu": F(9, 16), "level": 1})
     assert record["mu"] == "9/16"
     assert record["mu_f64"] == 0.5625
-    assert dumps_record({"mu": F(1, 3)}) == '{"mu":"1/3","mu_f64":0.3333333333333333}'
+    assert dumps_record(finalize_record({"mu": F(1, 3)})) == (
+        '{"mu":"1/3","mu_f64":0.3333333333333333}'
+    )
 
 
 FRACTIONS = st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
@@ -219,20 +221,22 @@ FIELD_VALUES = (
 @example({"a": F(1, 3), "a_f64": True})
 @example({"a": [F(1, 2)], "a_f64": F(-1, 3)})
 def test_finalize_is_idempotent_and_survives_json(record):
-    # a warm cache serves finalized records, and `emit` finalizes records it read back
+    # make_record finalizes the bracket fields a cache entry stored finalized
     once = finalize_record(record)
     assert finalize_record(once) == once
-    assert json.loads(dumps_record(record)) == once
+    assert json.loads(dumps_record(once)) == once
 
 
 def test_make_record_owns_the_envelope():
     # a cache entry carries its own schema_version; the envelope's wins over it
     record = make_record("measure", schema_version=0, mu=F(1, 2))
-    assert record == {"schema_version": SCHEMA_VERSION, "kind": "measure", "mu": F(1, 2)}
+    assert record == {
+        "schema_version": SCHEMA_VERSION, "kind": "measure", "mu": "1/2", "mu_f64": 0.5
+    }
 
 
 def test_jsonl_roundtrip(tmp_path):
-    records = [{"a": F(1, 2), "b": 7}, {"a": F(3, 4), "b": 8}]
+    records = [finalize_record({"a": F(1, 2), "b": 7}), finalize_record({"a": F(3, 4), "b": 8})]
     path = tmp_path / "r.jsonl"
     write_jsonl(records, path)
     loaded = read_jsonl(path)
@@ -250,9 +254,8 @@ def test_write_csv_matches_finalized_rows(tmp_path):
         {"c": 6, "d": "x", "e": [], "a_f64": 0.25},
         {"a": 2, "f": True},
     ]
-    write_csv(records, tmp_path / "rows.csv")
-    # the rows as finalized all at once, then written
     finalized = [finalize_record(r) for r in records]
+    write_csv(finalized, tmp_path / "rows.csv")
     fields = sorted({key for rec in finalized for key in rec})
     expected = io.StringIO()
     writer = csv.DictWriter(expected, fieldnames=fields, lineterminator="\n")
@@ -337,5 +340,6 @@ def test_export_pieces_csv_matches_fraction_rows(tmp_path_factory, case):
     out = tmp_path_factory.mktemp("pieces")
     pl = sp.build_pl(params, functional, level)
     assert export_pieces_csv(pl, out / "pieces.csv") == pl.piece_count
-    write_csv(piece_rows_oracle(params, functional, level), out / "oracle.csv")
+    write_csv([finalize_record(r) for r in piece_rows_oracle(params, functional, level)],
+              out / "oracle.csv")
     assert (out / "pieces.csv").read_bytes() == (out / "oracle.csv").read_bytes()

@@ -47,6 +47,7 @@ TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_constructio
 TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
 TEST_PARAMS, TEST_DIAGNOSTICS = "tests/test_params.py::", "tests/test_diagnostics.py::"
 TEST_CLI, TEST_SEQUENCES = "tests/test_cli.py::", "tests/test_sequences.py::"
+TEST_ACCEPTANCE = "tests/test_acceptance.py::"
 
 LEVEL_CHECK = TEST_PARAMS + "test_level_outside_range_raises_the_owners_message"
 ENVELOPE = TEST_CLI + "test_every_record_carries_the_envelope_and_emits_back_byte_for_byte"
@@ -121,6 +122,18 @@ MUTANTS = (
         "out.append(top // size * u if u > 0 or r == 0 else 0)",
         (
             TEST_CONSTRUCTION + "test_component_values",
+            TEST_CONSTRUCTION + "test_integer_components_match_sawtooth",
+        ),
+    ),
+    Mutant(
+        "point_nums: the level scale M_N/M_n dropped",
+        PARAMS,
+        "out.append(top // size * u if u > 0 else 0)",
+        "out.append(u if u > 0 else 0)",
+        (
+            TEST_ACCEPTANCE + "test_c07_slope_identities",
+            TEST_DIAGNOSTICS + "test_slope_identity_matches_fraction_oracle",
+            TEST_DIAGNOSTICS + "test_sampled_identities_and_oscillation_match_fraction_oracles",
             TEST_CONSTRUCTION + "test_integer_components_match_sawtooth",
         ),
     ),
@@ -282,25 +295,25 @@ MUTANTS = (
     Mutant(
         "sample_oscillation: coordinate 0 skipped",
         DIAGNOSTICS,
-        "gap = 2 * last * abs(t - u)",
-        "gap = 0",
+        "pair = zip(point_nums(sizes, t, den), point_nums(sizes, u, den))",
+        "pair = list(zip(point_nums(sizes, t, den), point_nums(sizes, u, den)))[1:]",
         (
             TEST_DIAGNOSTICS + "test_oscillation_sample_of_the_preset",
             TEST_DIAGNOSTICS + "test_sampled_identities_and_oscillation_match_fraction_oracles",
         ),
     ),
     Mutant(
-        "_slope_identity: the shifted point's level-m value computed at t",
+        "_slope_identity: the shifted point's values read at t",
         DIAGNOSTICS,
-        "size * shifted % den",
-        "size * t % den",
+        "for p in (t, shifted, t_h, s_h)]",
+        "for p in (t, t, t_h, s_h)]",
         (TEST_DIAGNOSTICS + "test_slope_identity_matches_fraction_oracle",),
     ),
     Mutant(
         "_slope_identity: the level walk starts at 1, so component 0 is never compared",
         DIAGNOSTICS,
-        "for m, size in enumerate(sizes):",
-        "for m, size in enumerate(sizes[1:], 1):",
+        "for m, (a, b, c, d) in enumerate(zip(*points)):",
+        "for m, (a, b, c, d) in enumerate(list(zip(*points))[1:], 1):",
         (TEST_DIAGNOSTICS + "test_slope_identity_matches_fraction_oracle",),
     ),
     Mutant(
@@ -312,6 +325,16 @@ MUTANTS = (
             TEST_DIAGNOSTICS + "test_slope_identity_sampling",
             TEST_CLI + "test_diagnose_refuses_a_check_with_no_levels"
             "[slope-identity-1-reads levels 1..5 and needs n_max >= 2]",
+        ),
+    ),
+    Mutant(
+        "sample_slope_identities: an odd m_k let through to the sampler",
+        DIAGNOSTICS,
+        "if params.refinement_factor(k) % 2:",
+        "if False:",
+        (
+            TEST_CLI + "test_slope_identity_refuses_odd_refinement_factors[2,3,2-m_2 = 3]",
+            TEST_CLI + "test_slope_identity_refuses_odd_refinement_factors[2,2,3-m_3 = 3]",
         ),
     ),
     Mutant(
