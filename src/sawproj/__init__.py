@@ -3,11 +3,11 @@
 All core computation is exact over arbitrary-precision rationals; square
 roots enter only through certified interval enclosures. The package builds
 truncated sawtooth-sum curves over exponentially refined grids, measures
-images of their scalar projections exactly, brackets the untruncated
-projection measures, constructs the polygonal approximations with exact
-length accounting, and runs the quantitative diagnostics the constructions
-expose. Values are immutable and every operation is a pure function of its
-inputs, so everything is safe to share across threads.
+images of their scalar projections exactly, brackets the limit of the
+truncated projection measures, constructs the polygonal approximations with
+exact length accounting, and runs the quantitative diagnostics the
+constructions expose. Values are immutable and every operation is a pure
+function of its inputs, so everything is safe to share across threads.
 
 ``import sawproj`` loads no submodule: each public name, and each submodule
 name such as ``sawproj.diagnostics``, imports its module on first use (PEP
@@ -21,15 +21,14 @@ __version__ = "1.0.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "certificates": (
-        "ValidationReport", "block_partition", "hausdorff_upper", "projection_witness", "validate",
+        "ValidationReport", "block_partition", "hausdorff_upper", "validate",
     ),
     "construction": (
         "PLFunction", "TruncatedPoint", "build_pl", "component_value", "truncated_point",
     ),
     "curve": (
-        "CanonicalTau", "CurveEvaluator", "PolygonalCurve", "build_curve", "canonical_tau",
-        "curve_length", "curve_length_closed_form", "length_difference", "length_increment",
-        "parametrize", "sup_distance", "sup_distance_bound",
+        "PolygonalCurve", "build_curve", "curve_length", "curve_length_closed_form",
+        "length_difference", "length_increment", "sup_distance", "sup_distance_bound",
     ),
     "diagnostics": ("SecantWitness", "sample_event_union", "secant_witness"),
     "errors": (

@@ -1,12 +1,11 @@
 """Certificates about a parameter set and its limit set: validation, the
-block partition, covering sums and chord projection witnesses.
+block partition and covering sums.
 
 ``validate`` checks every parameter invariant up to n_max with exact
 witnesses. ``block_partition`` builds the greedy block-norm certificate
 sum_m ||alpha|A_m|| < (1 + eps)^(1/2) ||alpha||. ``hausdorff_upper`` bounds
 the level-n covering sum of image diameters, the route to finite H^1, reading
-the components through ``params.point_nums``. ``projection_witness`` and its
-speed bound ``curve_lipschitz_upper`` certify a chord; no command runs them.
+the components through ``params.point_nums``.
 
 Only the ``validate`` command and library callers import this module, so no
 other command compiles it.
@@ -16,17 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import pairwise
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import DEFAULT_COMPONENT_BUDGET, BudgetExceeded, CertificationError, DomainError
 from .params import L2, ParameterSet, point_nums
 from .rational import DEFAULT_SQRT_BITS, sqrt_enclosure, sqrt_upper
 from .sequences import SequenceRule
-
-if TYPE_CHECKING:  # the chord witness's annotations name them
-    from .curve import CurveEvaluator
-    from .intervals import IntervalUnion
 
 # -- validation ----------------------------------------------------------------
 
@@ -329,84 +323,4 @@ def hausdorff_upper(
         truncation_level=N,
         sum_upper=total,
         norm_bound_upper=norm_hi,
-    )
-
-
-# -- chord projection witnesses ---------------------------------------------------
-
-
-class ProjectionWitness(NamedTuple):
-    s1: Fraction
-    s2: Fraction
-    chord_norm: Fraction
-    gap_measure: Fraction
-    bound: Fraction  # positive value certifies a positive projection measure
-
-    @property
-    def positive(self) -> bool:
-        return self.bound > 0
-
-
-def projection_witness(
-    evaluator: CurveEvaluator,
-    a: IntervalUnion,
-    weights: Sequence[Fraction],
-    lipschitz: Fraction,
-) -> Optional[ProjectionWitness]:
-    """Search component endpoints of A for a chord certifying |x*(curve(A))| > 0.
-
-    A pair (s1, s2) qualifies when A fills at least (1 - 1/(2 L^2)) of
-    [s1, s2] and the functional sees more than half the chord's l1 norm; the
-    certified lower bound is then ||chord||/2 - L * |[s1, s2] \\ A|. Only
-    endpoint pairs are searched, which suffices on interval unions.
-    """
-    weights = tuple(Fraction(w) for w in weights)
-    if max((abs(w) for w in weights), default=Fraction(0)) > 1:
-        raise DomainError("functional weights must lie in the unit dual ball")
-    if lipschitz < 1:
-        raise DomainError("a bi-Lipschitz enclosure is at least 1")
-    d, pairs = a.denom, a.pairs
-    if not pairs:
-        return None
-    if pairs[0][0] < 0 or pairs[-1][1] > d:
-        raise DomainError("A must be a subset of [0, 1]")
-
-    # covered[i] = |A n (-inf, ends[i]]| over d; ends[k-1:k+1] is a component for odd k
-    ends = [e for pair in pairs for e in pair]
-    covered = [0]
-    for k in range(1, len(ends)):
-        covered.append(covered[-1] + (ends[k] - ends[k - 1] if k % 2 else 0))
-    points = [evaluator.value(Fraction(e, d)) for e in ends]
-    density = 1 - Fraction(1, 2 * lipschitz**2)
-
-    best: Optional[ProjectionWitness] = None
-    for i, e1 in enumerate(ends):
-        for j in range(i + 1, len(ends)):
-            span, inside = ends[j] - e1, covered[j] - covered[i]
-            if span <= 0 or inside < density * span:
-                continue
-            chord = tuple(y - x for x, y in zip(points[i], points[j]))
-            chord_norm = sum((abs(c) for c in chord), Fraction(0))
-            seen = abs(sum((w * c for w, c in zip(weights, chord)), Fraction(0)))
-            if 2 * seen <= chord_norm:
-                continue
-            gap = Fraction(span - inside, d)
-            bound = chord_norm / 2 - lipschitz * gap
-            if best is None or bound > best.bound:
-                best = ProjectionWitness(
-                    Fraction(e1, d), Fraction(ends[j], d), chord_norm, gap, bound
-                )
-    return best
-
-
-def curve_lipschitz_upper(evaluator: CurveEvaluator) -> Fraction:
-    """Max segment speed of the parametrized polygon (an upper Lipschitz bound)."""
-    points = [(s, evaluator.value(s)) for s in evaluator.tau.breakpoints()]
-    return max(
-        (
-            sum(abs(y - x) for x, y in zip(p, q)) / (u - s)
-            for (s, p), (u, q) in pairwise(points)
-            if u > s
-        ),
-        default=Fraction(0),
     )

@@ -19,8 +19,8 @@ coordinate n >= 1 rises 1/2 across slants and falls 1/2 across connectors, so
 level n adds exactly |c_n| of length. A canonical common parametrization
 reserves an s-interval at every level-N grid endpoint for the connectors and
 is affine elsewhere; with it the supremum distance between consecutive levels
-is |c_N| / (2 M_N), attained where a connector starts. The evaluator and the
-supremum distance both read the polygons' vertex integers, nothing else.
+is |c_N| / (2 M_N), attained where a connector starts. The supremum distance
+reads the polygons' vertex integers, nothing else; no parametrization is built.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain, cycle
 from math import lcm
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .construction import _table
 from .errors import DEFAULT_VERTEX_BUDGET, BudgetExceeded, CertificationError, DomainError
@@ -185,92 +185,13 @@ def _require_same_family(higher: PolygonalCurve, lower: PolygonalCurve) -> None:
         )
 
 
-# -- canonical common parametrization ---------------------------------------------
-
-
-class CanonicalTau(NamedTuple):
-    """Nondecreasing PL surjection of [0, 1] with a constant interval at
-    every level-N grid endpoint and affine pieces in between.
-
-    Layout in s: [K_0][G_1][K_1]...[G_M][K_M] where K_i (length const_len)
-    sits at endpoint i/M and G_i (length gap_len) maps onto the i-th cell.
-    """
-
-    grid_size: int
-    const_len: Fraction
-    gap_len: Fraction
-
-    def value(self, s: Fraction) -> Fraction:
-        kind, i, frac = self.locate(s)
-        if kind == "const":
-            return Fraction(i, self.grid_size)
-        return Fraction(i - 1, self.grid_size) + frac / self.grid_size
-
-    def locate(self, s: Fraction) -> tuple[str, int, Fraction]:
-        """("const", endpoint index, u in [0,1]) or ("gap", cell index, frac)."""
-        s = Fraction(s)
-        if not 0 <= s <= 1:
-            raise DomainError(f"s = {s} outside [0, 1]")
-        if s <= self.const_len:
-            return "const", 0, s / self.const_len
-        block = self.gap_len + self.const_len
-        u = s - self.const_len
-        i = min(int(u / block) + 1, self.grid_size)
-        off = u - (i - 1) * block
-        if off <= self.gap_len:
-            return "gap", i, off / self.gap_len
-        return "const", i, (off - self.gap_len) / self.const_len
-
-    def breakpoints(self) -> Iterator[Fraction]:
-        """The s of every polygon vertex: 0, then each cell's gap start, midpoint
-        and end, then 1."""
-        block = self.gap_len + self.const_len
-        yield Fraction(0)
-        for i in range(self.grid_size):
-            g_lo = self.const_len + i * block
-            yield from (g_lo, g_lo + self.gap_len / 2, g_lo + self.gap_len)
-        yield Fraction(1)
-
-
-def canonical_tau(params: ParameterSet, level: int) -> CanonicalTau:
-    size = params.grid_size(level)
-    endpoints = size + 1
-    const_len = Fraction(1, 4 * size * endpoints)
-    gap_len = (1 - endpoints * const_len) / size
-    return CanonicalTau(size, const_len, gap_len)
-
-
-class CurveEvaluator(NamedTuple):
-    """Exact evaluator s |-> curve point under the curve's canonical tau.
-
-    A gap (i, frac) is at vertex position 3 (i - 1) + 2 frac, a constant interval
-    (i >= 1, frac) at 3 i - 1 + frac, down the connector, and the one at s = 0 at
-    vertex 0; a point interpolates two consecutive vertices' integers.
-    """
-
-    curve: PolygonalCurve
-    tau: CanonicalTau
-
-    def value(self, s: Fraction) -> tuple[Fraction, ...]:
-        kind, i, frac = self.tau.locate(s)
-        if kind == "gap":
-            pos = 3 * (i - 1) + 2 * frac
-        else:
-            pos = 3 * i - 1 + frac if i else Fraction(0)
-        v, r = divmod(pos.numerator, pos.denominator)
-        a = self.curve.nums(v)
-        b = self.curve.nums(v + 1) if r else a
-        scale = pos.denominator * self.curve.denom
-        return tuple(Fraction(x * (pos.denominator - r) + y * r, scale) for x, y in zip(a, b))
-
-
-def parametrize(curve: PolygonalCurve) -> CurveEvaluator:
-    return CurveEvaluator(curve, canonical_tau(curve.params, curve.level))
-
-
 def sup_distance(higher: PolygonalCurve, lower: PolygonalCurve) -> Fraction:
     """Exact sup-norm distance of consecutive-level curves under the canonical
-    tau of the higher level, which serves the lower one too (M_{n-1} divides M_n).
+    common parametrization of the higher level, which serves the lower one too
+    (M_{n-1} divides M_n). Its s-layout is [K_0][G_1][K_1]...[G_M][K_M] for
+    M = M_n: G_i runs affinely over the i-th level-n cell, and K_i, all of one
+    length, runs down a curve's connector at t = i / M where it has one and
+    holds the curve still elsewhere (at i = 0, and off the lower curve's grid).
 
     Both curves are affine between the higher one's vertices, and the l1 norm
     of an affine path is convex, so the supremum is attained at one of them.
@@ -302,7 +223,8 @@ def sup_distance(higher: PolygonalCurve, lower: PolygonalCurve) -> Fraction:
 def sup_distance_bound(
     params: ParameterSet, functional: Functional, n: int
 ) -> Fraction:
-    """Exact sup distance between levels n and n-1 under the canonical tau.
+    """Exact sup distance between levels n and n-1 under the canonical
+    parametrization of ``sup_distance``.
 
     Away from connectors the curves differ only in coordinate n, by
     |c_n| f_n(t) < |c_n|/(2 M_n); the bound is attained at each connector

@@ -22,13 +22,14 @@ if s c_0 >= 0, s h_k >= 0 = h_k(0) takes every value below its supremum, of
 measure s (c_0 + sum c_n / (2 M_n)); if s (c_0 + sum c_n) <= 0, no slope is
 positive, the pieces' images only touch and the measure is -s (c_0 + sum c_n/2).
 
-Brackets for the untruncated projection rest on the per-level stability
-chain: raising the level by one moves each of the 2 M_{k+1} piece images by
-at most |c_{k+1}|/(2 M_{k+1}), so the union measure moves by at most
-2 |c_{k+1}|. Summing the chain past level N bounds every deeper truncated
-measure within [mu_N - 2 T_N, mu_N + 2 T_N] where T_N is the certified
-absolute coefficient tail. The chain runs in integers, and the brackets of all
-directions p t + q h share h's level-N table and T_N (``direction_brackets``).
+Brackets for the limit of the truncated measures rest on the per-level
+stability chain: raising the level by one moves each of the 2 M_{k+1} piece
+images by at most |c_{k+1}|/(2 M_{k+1}), so the union measure moves by at
+most 2 |c_{k+1}|. Summing the chain past level N bounds every deeper
+truncated measure, and so their limit, within [mu_N - 2 T_N, mu_N + 2 T_N]
+where T_N is the certified absolute coefficient tail. The chain runs in
+integers, and the brackets of all directions p t + q h share h's level-N
+table and T_N (``direction_brackets``).
 Whether the truncated measures converge to the measure of the full projection
 is not established; the bracket is the certified statement. Covering sums
 (``hausdorff_upper``) are in ``certificates``.

@@ -10,6 +10,7 @@ from the package's seeded generator (``spawn_rng``, ``rand_index``,
 import math
 from fractions import Fraction
 from functools import partial
+from typing import Iterator, NamedTuple
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -169,39 +170,6 @@ def direct_image(pl):
     return union, sum((hi - lo for lo, hi in union), Fraction(0))
 
 
-def projection_witness_oracle(evaluator, components, weights, lipschitz):
-    """Best chord over endpoint pairs of disjoint sorted components, or None.
-
-    Each pair's covered measure is found by clipping every component to the
-    pair's span, as in a per-pair intersection; returns the tuple
-    (s1, s2, chord_norm, gap_measure, bound) of the first pair with the
-    largest bound.
-    """
-    endpoints = [x for pair in components for x in pair]
-    density = 1 - Fraction(1, 2 * lipschitz**2)
-    best = None
-    for i, s1 in enumerate(endpoints):
-        for s2 in endpoints[i + 1:]:
-            if s2 <= s1:
-                continue
-            span = s2 - s1
-            inside = sum(
-                (max(Fraction(0), min(hi, s2) - max(lo, s1)) for lo, hi in components),
-                Fraction(0),
-            )
-            if inside < density * span:
-                continue
-            chord = [y - x for x, y in zip(evaluator.value(s1), evaluator.value(s2))]
-            norm = sum((abs(c) for c in chord), Fraction(0))
-            seen = abs(sum((w * c for w, c in zip(weights, chord)), Fraction(0)))
-            if 2 * seen <= norm:
-                continue
-            bound = norm / 2 - lipschitz * (span - inside)
-            if best is None or bound > best[-1]:
-                best = (s1, s2, norm, span - inside, bound)
-    return best
-
-
 def curve_point(params, coeffs, t: Fraction, left: bool = False):
     """c_n times this module's component (or its left limit) over t, per coordinate."""
     value = component_left_limit if left else component
@@ -223,6 +191,59 @@ def curve_vertices_oracle(params, functional, level: int):
         mid, right = Fraction(2 * j + 1, 2 * size), Fraction(j + 1, size)
         vertices += [(mid, point(mid)), (right, point(right, left=True)), (right, point(right))]
     return vertices
+
+
+class CanonicalTau(NamedTuple):
+    """Nondecreasing PL surjection of [0, 1] with a constant interval at
+    every level-N grid endpoint and affine pieces in between.
+
+    Layout in s: [K_0][G_1][K_1]...[G_M][K_M] where K_i (length const_len)
+    sits at endpoint i/M and G_i (length gap_len) maps onto the i-th cell.
+    """
+
+    grid_size: int
+    const_len: Fraction
+    gap_len: Fraction
+
+    def value(self, s: Fraction) -> Fraction:
+        kind, i, frac = self.locate(s)
+        if kind == "const":
+            return Fraction(i, self.grid_size)
+        return Fraction(i - 1, self.grid_size) + frac / self.grid_size
+
+    def locate(self, s: Fraction) -> tuple[str, int, Fraction]:
+        """("const", endpoint index, u in [0,1]) or ("gap", cell index, frac)."""
+        s = Fraction(s)
+        if not 0 <= s <= 1:
+            raise DomainError(f"s = {s} outside [0, 1]")
+        if s <= self.const_len:
+            return "const", 0, s / self.const_len
+        block = self.gap_len + self.const_len
+        u = s - self.const_len
+        i = min(int(u / block) + 1, self.grid_size)
+        off = u - (i - 1) * block
+        if off <= self.gap_len:
+            return "gap", i, off / self.gap_len
+        return "const", i, (off - self.gap_len) / self.const_len
+
+    def breakpoints(self) -> Iterator[Fraction]:
+        """The s of every polygon vertex: 0, then each cell's gap start, midpoint
+        and end, then 1."""
+        block = self.gap_len + self.const_len
+        yield Fraction(0)
+        for i in range(self.grid_size):
+            g_lo = self.const_len + i * block
+            yield from (g_lo, g_lo + self.gap_len / 2, g_lo + self.gap_len)
+        yield Fraction(1)
+
+
+def canonical_tau(params, level: int) -> CanonicalTau:
+    """The canonical common parametrization of the level-N polygon."""
+    size = params.grid_size(level)
+    endpoints = size + 1
+    const_len = Fraction(1, 4 * size * endpoints)
+    gap_len = (1 - endpoints * const_len) / size
+    return CanonicalTau(size, const_len, gap_len)
 
 
 def curve_point_oracle(params, functional, level: int, tau, s: Fraction):

@@ -2,14 +2,19 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import assume, given, settings
 
 import sawproj as sp
 from sawproj.diagnostics import rand_fraction, spawn_rng
 from sawproj.errors import BudgetExceeded, DomainError
 
-from oracles import curve_cases, curve_point_oracle, curve_vertices_oracle, polyline_length
+from oracles import (
+    canonical_tau,
+    curve_cases,
+    curve_point_oracle,
+    curve_vertices_oracle,
+    polyline_length,
+)
 
 F = Fraction
 
@@ -171,7 +176,7 @@ def test_vertex_budget(d2, r1):
 
 
 def test_canonical_tau_structure(d2):
-    tau = sp.canonical_tau(d2, 1)
+    tau = canonical_tau(d2, 1)
     assert tau.grid_size == 2
     assert tau.const_len == F(1, 4 * 2 * 3)
     assert (tau.grid_size + 1) * tau.const_len + tau.grid_size * tau.gap_len == 1
@@ -185,30 +190,11 @@ def test_canonical_tau_structure(d2):
         prev = v
 
 
-def test_s_outside_the_unit_interval_is_refused(d2, r1):
-    ev = sp.parametrize(sp.build_curve(d2, r1, 1))
+def test_s_outside_the_unit_interval_is_refused(d2):
+    tau = canonical_tau(d2, 1)
     for s in (F(-1), F(2)):
         with pytest.raises(DomainError):
-            ev.tau.value(s)
-        with pytest.raises(DomainError):
-            ev.value(s)
-
-
-def test_evaluator_traverses_connectors(d2, r1):
-    c1 = sp.build_curve(d2, r1, 1)
-    ev = sp.parametrize(c1)
-    tau = ev.tau
-    # halfway through the constant interval at t = 1/2 the point sits midway
-    # down the vertical connector
-    s_mid = tau.const_len + tau.gap_len + tau.const_len / 2
-    assert ev.value(s_mid) == (F(1, 2), F(1, 32))
-    # endpoints of the run
-    assert ev.value(F(0)) == (F(0), F(0))
-    assert ev.value(F(1)) == (F(1), F(0))
-    # inside a gap the evaluator follows the truncated coordinates
-    s = tau.const_len + tau.gap_len / 2
-    t = tau.value(s)
-    assert ev.value(s) == (t, r1.coeff(1) * sp.component_value(d2, 1, t))
+            tau.locate(s)
 
 
 def test_sup_distance_enumeration_matches_closed_form(d2, r1):
@@ -241,40 +227,33 @@ def l1_distance(a, b) -> Fraction:
 
 
 def test_sup_distance_dominates_a_fine_parameter_sweep(d2, r1):
-    c2 = sp.build_curve(d2, r1, 2)
-    sup = sp.sup_distance(c2, sp.build_curve(d2, r1, 1))
-    ev2 = sp.parametrize(c2)
+    sup = sp.sup_distance(sp.build_curve(d2, r1, 2), sp.build_curve(d2, r1, 1))
+    tau = canonical_tau(d2, 2)
 
     def gap(s):
-        return l1_distance(ev2.value(s), curve_point_oracle(d2, r1, 1, ev2.tau, s))
+        higher = curve_point_oracle(d2, r1, 2, tau, s)
+        return l1_distance(higher, curve_point_oracle(d2, r1, 1, tau, s))
 
     assert max(gap(F(k, 997)) for k in range(998)) <= sup
-    assert max(map(gap, ev2.tau.breakpoints())) == sup
-
-
-def test_evaluator_is_continuous_at_segment_junctions(d2, r1):
-    from sawproj.certificates import curve_lipschitz_upper
-
-    ev = sp.parametrize(sp.build_curve(d2, r1, 1))
-    speed_bound = curve_lipschitz_upper(ev)
-    eps = F(1, 10**9)
-    for s in ev.tau.breakpoints():
-        for probe in (s - eps, s + eps):
-            if 0 <= probe <= 1:
-                assert l1_distance(ev.value(probe), ev.value(s)) <= speed_bound * eps
+    assert max(map(gap, tau.breakpoints())) == sup
 
 
 @settings(max_examples=200)
-@given(curve_cases(), st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=8))
-def test_evaluator_and_sup_distance_match_the_point_oracle(case, drawn):
-    """The interpolating evaluator equals the Fraction route at drawn parameters
-    and every breakpoint, and the integer walk attains the closed-form distance."""
+@given(curve_cases())
+def test_sup_distance_matches_the_point_oracle_and_closed_form(case):
+    """The integer walk equals the largest distance of the two levels' Fraction
+    points over the higher level's vertices, and the closed form."""
     params, functional, level = case
-    curve = sp.build_curve(params, functional, level)
-    ev = sp.parametrize(curve)
-    for s in [*drawn, *ev.tau.breakpoints()]:
-        assert ev.value(s) == curve_point_oracle(params, functional, level, ev.tau, s)
-    if level:
-        lower = sp.build_curve(params, functional, level - 1)
-        bound = sp.sup_distance_bound(params, functional, level)
-        assert sp.sup_distance(curve, lower) == bound
+    assume(level > 0)
+    tau = canonical_tau(params, level)
+    expected = max(
+        l1_distance(
+            curve_point_oracle(params, functional, level, tau, s),
+            curve_point_oracle(params, functional, level - 1, tau, s),
+        )
+        for s in tau.breakpoints()
+    )
+    higher = sp.build_curve(params, functional, level)
+    lower = sp.build_curve(params, functional, level - 1)
+    assert sp.sup_distance(higher, lower) == expected
+    assert expected == sp.sup_distance_bound(params, functional, level)

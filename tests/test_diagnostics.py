@@ -4,11 +4,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
-from sawproj.certificates import curve_lipschitz_upper
 from sawproj.diagnostics import (
     SAMPLE_BITS,
     _event_hit,
@@ -25,6 +24,7 @@ from sawproj.diagnostics import (
     spawn_rng,
 )
 from sawproj.errors import BudgetExceeded, DomainError
+from sawproj.events import check_event_levels, independence_checks
 from sawproj.measure import IntervalUnion
 
 from oracles import (
@@ -32,8 +32,6 @@ from oracles import (
     event_contains,
     event_union_oracle,
     oscillation_oracle,
-    pairwise_merge,
-    projection_witness_oracle,
     secant_sample_oracle,
     secant_witness_oracle,
     slope_identity_oracle,
@@ -140,6 +138,25 @@ def test_independence_budget_is_checked_before_any_event(d1, monkeypatch):
     assert err.value.count == d1.grid_size(5) + 1
     with pytest.raises(DomainError):
         sp.independence_check(d1, (0, 2))
+
+
+def test_event_budget_admits_an_event_of_exactly_its_size(d1):
+    components = d1.grid_size(2) + 1  # the level-3 event's component count
+    check_event_levels(d1, (3,), components)
+    with pytest.raises(BudgetExceeded):
+        check_event_levels(d1, (3,), components - 1)
+
+
+def test_independence_of_four_levels(d1):
+    res = sp.independence_check(d1, (1, 2, 3, 4))
+    assert res.measure == res.expected == F(1, 24)
+
+
+def test_intersection_budget_admits_a_meet_of_exactly_its_size(d1):
+    # the level-1 event is [0, 1], so the meet is the level-3 event's 9 components
+    (res,) = independence_checks(d1, [(1, 3)], 9)
+    assert res.component_count == 9
+    assert res.measure == res.expected == F(1, 3)
 
 
 def test_union_sampling_is_seeded_and_within_three_sigmas(d1):
@@ -300,81 +317,6 @@ def test_slope_identity_sampling(d1):
     # n_max = 1 leaves no level below n_max to check
     with pytest.raises(DomainError, match=r"levels 1\.\.5 and needs n_max >= 2, got n_max = 1$"):
         sample_slope_identities(sp.harmonic_l2_preset(n_max=1), 250, 777)
-
-
-def test_projection_witness_full_interval(d2, r1):
-    ev = sp.parametrize(sp.build_curve(d2, r1, 0))
-    w = sp.projection_witness(ev, IntervalUnion.from_intervals([(F(0), F(1))]), (F(1),), F(2))
-    assert w is not None
-    assert w.bound == F(1, 2)
-    assert w.positive
-
-
-def test_projection_witness_with_gap(d2, r1):
-    ev = sp.parametrize(sp.build_curve(d2, r1, 0))
-    a = IntervalUnion.from_intervals([(F(0), F(9, 20)), (F(11, 20), F(1))])
-    w = sp.projection_witness(ev, a, (F(1),), F(2))
-    assert w is not None
-    assert w.positive
-    assert w.bound == w.chord_norm / 2 - 2 * w.gap_measure
-
-
-def test_projection_witness_orthogonal_direction(d2, r1):
-    ev = sp.parametrize(sp.build_curve(d2, r1, 0))
-    a = IntervalUnion.from_intervals([(F(0), F(1))])
-    assert sp.projection_witness(ev, a, (F(1, 3),), F(2)) is None
-
-
-def test_projection_witness_sees_higher_coordinates(d2, r1):
-    ev = sp.parametrize(sp.build_curve(d2, r1, 1))
-    a = IntervalUnion.from_intervals([(F(0), F(1))])
-    # the full chord is horizontal, so a weight on coordinate 1 alone sees nothing
-    assert sp.projection_witness(ev, a, (F(0), F(1)), F(2)) is None
-    w = sp.projection_witness(ev, a, (F(1), F(1)), F(2))
-    assert w is not None and w.positive
-
-
-def test_projection_witness_validates_inputs(d2, r1):
-    ev = sp.parametrize(sp.build_curve(d2, r1, 0))
-    a = IntervalUnion.from_intervals([(F(0), F(1))])
-    with pytest.raises(DomainError):
-        sp.projection_witness(ev, a, (F(2),), F(2))
-    with pytest.raises(DomainError):
-        sp.projection_witness(ev, a, (F(1),), F(1, 2))
-    with pytest.raises(DomainError):
-        sp.projection_witness(
-            ev, IntervalUnion.from_intervals([(F(0), F(3, 2))]), (F(1),), F(2)
-        )
-
-
-UNIT = st.fractions(min_value=0, max_value=1, max_denominator=16)
-
-
-@settings(max_examples=200)
-@given(
-    st.lists(st.tuples(UNIT, UNIT).map(sorted).map(tuple), min_size=1, max_size=6),
-    st.integers(0, 1),
-    st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=8), min_size=2, max_size=2),
-    st.fractions(min_value=1, max_value=3, max_denominator=8),
-)
-@example(  # two chords tie for the best bound; the first one found is returned
-    raw=[(F(5, 8), F(7, 8)), (F(1, 4), F(1, 2))],
-    level=0,
-    weights=[F(1), F(1, 2)],
-    lipschitz=F(11, 4),
-)
-def test_projection_witness_matches_per_pair_oracle(d2, r1, raw, level, weights, lipschitz):
-    ev = sp.parametrize(sp.build_curve(d2, r1, level))
-    w = sp.projection_witness(ev, IntervalUnion.from_intervals(raw), weights, lipschitz)
-    expected = projection_witness_oracle(ev, pairwise_merge(raw), weights, lipschitz)
-    got = None if w is None else (w.s1, w.s2, w.chord_norm, w.gap_measure, w.bound)
-    assert got == expected
-
-
-def test_curve_lipschitz_upper_dominates_segment_speeds(d2, r1):
-    ev = sp.parametrize(sp.build_curve(d2, r1, 1))
-    bound = curve_lipschitz_upper(ev)
-    assert bound >= 1  # the parameter sweep alone moves coordinate zero
 
 
 def test_event_measures_hold_up_to_level_eight(d1):

@@ -12,17 +12,16 @@ import sawproj as sp
 
 # the public names of the package; removing one is a deliberate edit of this pin
 PUBLIC_NAMES = [
-    "BudgetExceeded", "CanonicalTau", "CertificationError", "ConfigError", "CurveEvaluator",
-    "DomainError", "EventSet", "Functional", "IntervalUnion", "MeasureBracket", "PLFunction",
-    "ParameterSet", "PolygonalCurve", "RefinementRule", "SawprojError", "SecantWitness",
-    "SequenceRule", "TruncatedPoint", "ValidationReport", "block_partition", "build_curve",
-    "build_pl", "canonical_tau", "component_value", "constant_refinement", "curve_length",
-    "curve_length_closed_form", "directional_measure", "event_set", "explicit",
-    "explicit_refinement", "format_rational", "geometric", "geometric_l1_preset", "harmonic",
-    "harmonic_l2_preset", "hausdorff_upper", "image_measure", "independence_check",
-    "inverse_square", "inverse_square_functional", "length_difference", "length_increment",
-    "linear_refinement", "parametrize", "parse_rational", "projection_bracket",
-    "projection_witness", "sample_event_union", "secant_witness", "sqrt_enclosure",
+    "BudgetExceeded", "CertificationError", "ConfigError", "DomainError", "EventSet",
+    "Functional", "IntervalUnion", "MeasureBracket", "PLFunction", "ParameterSet",
+    "PolygonalCurve", "RefinementRule", "SawprojError", "SecantWitness", "SequenceRule",
+    "TruncatedPoint", "ValidationReport", "block_partition", "build_curve", "build_pl",
+    "component_value", "constant_refinement", "curve_length", "curve_length_closed_form",
+    "directional_measure", "event_set", "explicit", "explicit_refinement", "format_rational",
+    "geometric", "geometric_l1_preset", "harmonic", "harmonic_l2_preset", "hausdorff_upper",
+    "image_measure", "independence_check", "inverse_square", "inverse_square_functional",
+    "length_difference", "length_increment", "linear_refinement", "parse_rational",
+    "projection_bracket", "sample_event_union", "secant_witness", "sqrt_enclosure",
     "sup_distance", "sup_distance_bound", "truncated_point", "validate",
 ]
 SUBMODULES = [

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sawproj.errors import DEFAULT_PIECE_BUDGET, CertificationError, DomainError
 from sawproj.measure import direction_brackets
@@ -111,6 +113,12 @@ def test_harmonic_l1_tail_diverges():
         rule.l1_tail_upper(3)
 
 
+def test_zero_harmonic_rule_converges():
+    rule = harmonic(F(0))
+    assert not rule.l1_diverges()
+    assert rule.l1_tail_enclosure(3) == (0, 0)
+
+
 def test_explicit_tails_trusted_as_stated():
     rule = explicit([F(1, 2), F(1, 4)], tail_l1=F(1, 8), tail_l2sq=F(1, 64))
     lo, hi = rule.l1_tail_enclosure(1)
@@ -123,6 +131,13 @@ def test_term_bound_after():
     assert geometric(F(1, 2), F(1, 2)).term_bound_after(2) == F(1, 16)
     assert explicit([F(1), F(1, 2)], 0, 0).term_bound_after(1) == F(1, 2)
     assert explicit([F(1)], F(1, 3), None).term_bound_after(0) is None
+
+
+@given(st.lists(st.fractions(0, 1, max_denominator=12), max_size=8), st.integers(0, 9))
+def test_explicit_term_bound_after_dominates_every_later_term(values, n):
+    rule = explicit(values, 0)  # a zero l1 tail: the listed terms are all there are
+    bound = rule.term_bound_after(n)
+    assert all(rule.term(k) <= bound for k in range(n + 1, len(values) + 1))
 
 
 def test_functional_coeffs_and_signs():

@@ -42,7 +42,8 @@ CURVE, CONSTRUCTION = "src/sawproj/curve.py", "src/sawproj/construction.py"
 PARAMS, CERTIFICATES = "src/sawproj/params.py", "src/sawproj/certificates.py"
 MEASURE, INTERVALS = "src/sawproj/measure.py", "src/sawproj/intervals.py"
 DIAGNOSTICS, CLI = "src/sawproj/diagnostics.py", "src/sawproj/cli.py"
-RECORDS = "src/sawproj/records.py"
+RECORDS, SEQUENCES = "src/sawproj/records.py", "src/sawproj/sequences.py"
+EVENTS = "src/sawproj/events.py"
 TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_construction.py::"
 TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
 TEST_PARAMS, TEST_DIAGNOSTICS = "tests/test_params.py::", "tests/test_diagnostics.py::"
@@ -74,7 +75,7 @@ MUTANTS = (
         "",
         (
             TEST_CURVE + "test_sup_distance_enumeration_matches_closed_form",
-            TEST_CURVE + "test_evaluator_and_sup_distance_match_the_point_oracle",
+            TEST_CURVE + "test_sup_distance_matches_the_point_oracle_and_closed_form",
         ),
     ),
     Mutant(
@@ -86,24 +87,6 @@ MUTANTS = (
             TEST_CURVE + "test_sup_distance_enumeration_matches_closed_form",
             TEST_CURVE + "test_sup_distance_dominates_a_fine_parameter_sweep",
         ),
-    ),
-    Mutant(
-        "CurveEvaluator.value: the connector's frac ignored",
-        CURVE,
-        "pos = 3 * i - 1 + frac if i else Fraction(0)",
-        "pos = 3 * i - 1 if i else Fraction(0)",
-        (
-            TEST_CURVE + "test_evaluator_traverses_connectors",
-            TEST_CURVE + "test_evaluator_and_sup_distance_match_the_point_oracle",
-        ),
-    ),
-    Mutant(
-        "CanonicalTau.locate: the 0 <= s <= 1 check dropped",
-        CURVE,
-        '        if not 0 <= s <= 1:\n            raise DomainError(f"s = {s} outside [0, 1]")\n'
-        "        if s <= self.const_len:",
-        "        if s <= self.const_len:",
-        (TEST_CURVE + "test_s_outside_the_unit_interval_is_refused",),
     ),
     Mutant(
         "point_nums: the left-limit branch dropped",
@@ -370,6 +353,41 @@ MUTANTS = (
         "    path.parent.mkdir(parents=True, exist_ok=True)\n",
         "",
         (ENVELOPE + "[curve]", TEST_CLI + "test_validate_ok"),
+    ),
+    Mutant(
+        "term_bound_after: an explicit suffix bounded by its smallest term",
+        SEQUENCES,
+        "return max(rest) if rest else Fraction(0)",
+        "return min(rest) if rest else Fraction(0)",
+        (TEST_SEQUENCES + "test_explicit_term_bound_after_dominates_every_later_term",),
+    ),
+    Mutant(
+        "l1_diverges: a zero harmonic rule read as divergent",
+        SEQUENCES,
+        "return self.kind == _HARMONIC and self.a > 0",
+        "return self.kind == _HARMONIC and self.a >= 0",
+        (TEST_SEQUENCES + "test_zero_harmonic_rule_converges",),
+    ),
+    Mutant(
+        "check_event_levels: an event of exactly the budget refused",
+        EVENTS,
+        "if components > component_budget:",
+        "if components >= component_budget:",
+        (TEST_DIAGNOSTICS + "test_event_budget_admits_an_event_of_exactly_its_size",),
+    ),
+    Mutant(
+        "independence_checks: a meet of exactly the budget refused",
+        EVENTS,
+        "if meet.component_count > budget:",
+        "if meet.component_count >= budget:",
+        (TEST_DIAGNOSTICS + "test_intersection_budget_admits_a_meet_of_exactly_its_size",),
+    ),
+    Mutant(
+        "independence_check: four levels refused",
+        EVENTS,
+        "if not 1 <= len(levels) <= 4:",
+        "if not 1 <= len(levels) < 4:",
+        (TEST_DIAGNOSTICS + "test_independence_of_four_levels",),
     ),
     Mutant(
         "block_partition: block m's bound read at its own end, not past the previous one",
