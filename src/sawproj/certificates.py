@@ -49,8 +49,8 @@ class ValidationReport(NamedTuple):
 def validate(params: ParameterSet) -> ValidationReport:
     """Check every parameter invariant up to n_max with exact witnesses.
 
-    Norm conditions are certified by exact partial sums plus the rule's
-    closed-form tail bound; an explicit rule without the needed tail bound
+    Norm conditions are certified by the rule's whole-series enclosures
+    (``l1_sum``, ``l2sq_sum``); an explicit rule without the needed tail bound
     fails the "tail_certified" check rather than passing silently.
     """
     checks: list[CheckResult] = []
@@ -88,7 +88,7 @@ def validate(params: ParameterSet) -> ValidationReport:
             check(CHECK_TAIL_CERTIFIED, False, "alpha has no certified squared-l2 tail bound")
         else:
             check(CHECK_TAIL_CERTIFIED, True, "squared-l2 tail certified")
-            _, hi = params.alpha_l2sq_enclosure()
+            _, hi = params.alpha.l2sq_sum(params.n_max)
             check(CHECK_L2_NORM, hi < 1, f"sum alpha_n^2 <= {hi} (slack {1 - hi})")
             _, box_hi = params.box_norm_sq_enclosure()
             check(
@@ -103,7 +103,7 @@ def validate(params: ParameterSet) -> ValidationReport:
             check(CHECK_TAIL_CERTIFIED, False, "alpha has no certified l1 tail bound")
     else:
         check(CHECK_TAIL_CERTIFIED, True, "l1 tail certified")
-        _, hi = params.alpha_l1_enclosure()
+        _, hi = params.alpha.l1_sum(params.n_max)
         check(CHECK_L1_NORM, hi < 1, f"sum alpha_n <= {hi} (slack {1 - hi})")
 
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
@@ -201,11 +201,7 @@ def block_partition(
     anchor = alpha.max_pointwise_index()
     if anchor is None:
         anchor = 16
-    tail_anchor = alpha.l2sq_tail_enclosure(anchor)
-    if tail_anchor is None:
-        raise CertificationError("alpha has no certified squared-l2 tail bound")
-    s_lo = alpha.l2sq_partial(anchor) + tail_anchor[0]
-    s_hi = alpha.l2sq_partial(anchor) + tail_anchor[1]
+    s_lo, s_hi = alpha.l2sq_sum(anchor)
 
     norm_lo = sqrt_enclosure(s_lo, sqrt_bits)[0]
     norm_hi = sqrt_enclosure(s_hi, sqrt_bits)[1]

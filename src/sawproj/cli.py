@@ -26,7 +26,7 @@ from typing import Callable, Optional
 # imports certificates, and `--version` imports none of certificates, construction,
 # intervals, measure, curve, events and diagnostics.
 from . import __version__
-from .errors import DEFAULT_PIECE_BUDGET, DEFAULT_VERTEX_BUDGET
+from .errors import DEFAULT_PIECE_BUDGET, DEFAULT_SAMPLE_BUDGET, DEFAULT_VERTEX_BUDGET
 from .errors import BudgetExceeded, ConfigError, DomainError, SawprojError
 from .rational import format_rational, parse_rational
 from .records import (
@@ -429,6 +429,8 @@ def cmd_diagnose(args) -> int:
             f"unknown check {args.check!r}; available: {', '.join(sorted(_DIAGNOSTICS))}"
         )
     args.samples = _setting(args, config, "samples", 1000, partial(_at_least, 1))
+    if args.samples > DEFAULT_SAMPLE_BUDGET:
+        raise BudgetExceeded("samples", args.samples, DEFAULT_SAMPLE_BUDGET)
     # Random would seed from the absolute value of a negative seed, aliasing a positive one
     args.seed = _setting(args, config, "seed", 20260811, _nonnegative)
     out = _out_dir(args, config)  # checked before sampling
@@ -489,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--level", type=int)
             p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
             p.add_argument("--budget", type=int)
-            p.add_argument("--no-cache", action="store_true")
+            p.add_argument("--no-cache", action="store_true",
+                           help="neither read nor write <out>/.cache")
         p.set_defaults(func=func)
         return p
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .construction import _table
-from .errors import DEFAULT_VERTEX_BUDGET, BudgetExceeded, CertificationError, DomainError
+from .errors import DEFAULT_VERTEX_BUDGET, BudgetExceeded, DomainError
 from .params import L1, ParameterSet
 from .records import ratio_cells, write_lines
 from .sequences import Functional
@@ -115,12 +115,7 @@ def export_curve_csv(curve, path: str | Path) -> None:
 def _require_l1_contraction(params: ParameterSet, functional: Functional) -> None:
     if params.model != L1:
         raise DomainError("polygonal curves are built in the L1 model")
-    enc = functional.rule.l1_tail_enclosure(params.n_max)
-    if enc is None:
-        raise CertificationError(
-            "curve functional needs a certified l1 tail to state sum |c_n| < 1"
-        )
-    total = functional.rule.l1_partial(params.n_max) + enc[1]
+    _, total = functional.rule.l1_sum(params.n_max)
     if total >= 1:
         raise DomainError(f"sum of |c_n| certified only as <= {total}, need < 1")
 

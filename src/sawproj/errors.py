@@ -14,10 +14,11 @@ class DomainError(SawprojError, ValueError):
 DEFAULT_PIECE_BUDGET = 2**25
 DEFAULT_COMPONENT_BUDGET = 2**20
 DEFAULT_VERTEX_BUDGET = 2**22
+DEFAULT_SAMPLE_BUDGET = 2**18  # diagnose --samples
 
 
 class BudgetExceeded(SawprojError):
-    """A piece / vertex / component budget would be exceeded.
+    """A piece / vertex / component / sample budget would be exceeded.
 
     Carries the exact count so callers can report or raise the budget.
     """

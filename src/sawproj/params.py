@@ -6,8 +6,8 @@ m_n. Level n partitions [0, 1) into M_n = m_1 * ... * m_n half-open cells;
 level n+1 refines each cell exactly m_{n+1}-fold.
 
 Everything here is a pure function of immutable inputs; certified norm
-statements combine exact partial sums with the closed-form tail enclosures
-of the sequence rules. Every command imports this module; ``validate`` and
+statements read the sequence rule's whole-series enclosures, ``l1_sum`` and
+``l2sq_sum``. Every command imports this module; ``validate`` and
 the block partition live in ``certificates``, which only ``validate`` loads.
 
 ``point_nums``, the one pointwise evaluation of the sawtooth components f_n,
@@ -23,7 +23,7 @@ value.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import CertificationError, DomainError
 from .rational import DEFAULT_SQRT_BITS, sqrt_lower, sqrt_upper
@@ -135,28 +135,13 @@ class ParameterSet(_ParameterSet):
 
     # -- certified norm data ---------------------------------------------------
 
-    def alpha_l2sq_enclosure(self) -> Enclosure:
-        """Enclosure of sum_{n>=1} alpha_n**2 (partial sum + tail bracket)."""
-        tail = self.alpha.l2sq_tail_enclosure(self.n_max)
-        if tail is None:
-            raise CertificationError("alpha has no certified squared-l2 tail bound")
-        partial = self.alpha.l2sq_partial(self.n_max)
-        return partial + tail[0], partial + tail[1]
-
-    def alpha_l1_enclosure(self) -> Optional[Enclosure]:
-        tail = self.alpha.l1_tail_enclosure(self.n_max)
-        if tail is None:
-            return None
-        partial = self.alpha.l1_partial(self.n_max)
-        return partial + tail[0], partial + tail[1]
-
     def box_norm_sq_enclosure(self) -> Enclosure:
         """Enclosure of the squared sup-norm over the unit coefficient box.
 
         In the l2 coordinate model the supremum of ||sum c_n x_n|| over
         |c_n| <= 1 is (1 + sum alpha_n**2)**(1/2); this returns the square.
         """
-        lo, hi = self.alpha_l2sq_enclosure()
+        lo, hi = self.alpha.l2sq_sum(self.n_max)
         return 1 + lo, 1 + hi
 
     def box_norm_enclosure(self) -> Enclosure:
@@ -167,12 +152,19 @@ class ParameterSet(_ParameterSet):
                 sqrt_lower(sq_lo, self.sqrt_bits),
                 sqrt_upper(sq_hi, self.sqrt_bits),
             )
-        enc = self.alpha_l1_enclosure()
-        if enc is None:
-            raise CertificationError("alpha has no certified l1 tail bound")
-        return 1 + enc[0], 1 + enc[1]
+        lo, hi = self.alpha.l1_sum(self.n_max)
+        return 1 + lo, 1 + hi
 
     # -- model-norm tails of embedded points ------------------------------------
+
+    def _point_head(self, level: int, power: int) -> Fraction:
+        """sum_{level < n <= n_max} (alpha_n / (2 M_n))**power, exactly."""
+        self.grid_size(level)  # refuses a level outside [0, n_max]
+        return sum(
+            ((self.alpha.term(n) / (2 * self.grid_sizes[n])) ** power
+             for n in range(level + 1, self.n_max + 1)),
+            Fraction(0),
+        )
 
     def point_tail_l1_upper(self, level: int) -> Fraction:
         """Upper bound on sum_{n > level} alpha_n / (2 M_n).
@@ -181,14 +173,7 @@ class ParameterSet(_ParameterSet):
         are unknown but satisfy M_n >= 2**(n - n_max) * M_{n_max}, so the
         remainder is bounded by min(sup-term route, l1-tail route).
         """
-        self.grid_size(level)  # refuses a level outside [0, n_max]
-        exact = sum(
-            (
-                self.alpha.term(n) / (2 * self.grid_size(n))
-                for n in range(level + 1, self.n_max + 1)
-            ),
-            Fraction(0),
-        )
+        exact = self._point_head(level, 1)
         m_last = self.grid_size(self.n_max)
         bounds = []
         sup = self.alpha.term_bound_after(self.n_max)
@@ -204,14 +189,7 @@ class ParameterSet(_ParameterSet):
 
     def point_tail_l2sq_upper(self, level: int) -> Fraction:
         """Upper bound on sum_{n > level} (alpha_n / (2 M_n))**2."""
-        self.grid_size(level)  # refuses a level outside [0, n_max]
-        exact = sum(
-            (
-                (self.alpha.term(n) / (2 * self.grid_size(n))) ** 2
-                for n in range(level + 1, self.n_max + 1)
-            ),
-            Fraction(0),
-        )
+        exact = self._point_head(level, 2)
         m_last = self.grid_size(self.n_max)
         tail = self.alpha.l2sq_tail_upper(self.n_max)
         return exact + tail / (16 * m_last**2)

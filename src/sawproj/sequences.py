@@ -108,13 +108,21 @@ class SequenceRule(_SequenceRule):
         """Largest n for which term(n) is defined (None = unbounded)."""
         return len(self.values) if self.kind == _EXPLICIT else None
 
-    # -- exact partial sums --------------------------------------------------
+    # -- whole series ---------------------------------------------------------
 
-    def l1_partial(self, n_to: int) -> Fraction:
-        return sum((self.term(n) for n in range(1, n_to + 1)), Fraction(0))
+    def l1_sum(self, split: int) -> Enclosure:
+        """Enclosure of sum_{n>=1} term_n: exact terms up to split, certified tail past it."""
+        return self._series(split, 1, self.l1_tail_enclosure(split), "l1")
 
-    def l2sq_partial(self, n_to: int) -> Fraction:
-        return sum((self.term(n) ** 2 for n in range(1, n_to + 1)), Fraction(0))
+    def l2sq_sum(self, split: int) -> Enclosure:
+        """Enclosure of sum_{n>=1} term_n**2, split as ``l1_sum`` splits."""
+        return self._series(split, 2, self.l2sq_tail_enclosure(split), "squared-l2")
+
+    def _series(self, split: int, power: int, tail: Optional[Enclosure], name: str) -> Enclosure:
+        if tail is None:
+            raise CertificationError(f"{self.kind} sequence has no certified {name} tail bound")
+        head = sum((self.term(n) ** power for n in range(1, split + 1)), Fraction(0))
+        return head + tail[0], head + tail[1]
 
     # -- certified tails -----------------------------------------------------
 

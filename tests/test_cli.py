@@ -141,6 +141,19 @@ def test_measure_pieces_of_a_divergent_functional_writes_nothing(tmp_path, capsy
     assert not out.exists()
 
 
+def test_curve_of_a_divergent_functional_writes_nothing(d2_config, tmp_path, capsys):
+    # the contraction check needs sum |c_n| as a certified whole-series enclosure
+    cfg = tmp_path / "harmonic.cfg"
+    cfg.write_text(D2_CONFIG.replace(
+        'functional.rule.kind = "geometric"\nfunctional.rule.a = "1/2"\nfunctional.rule.r = "1/2"',
+        'functional.rule.kind = "harmonic"\nfunctional.rule.a = "1/4"'))
+    out = tmp_path / "o"
+    assert main(["curve", "--config", str(cfg), "--level", "2", "--out", str(out)]) == 2
+    (record,) = _error_records(capsys)
+    assert record["error"] == "invalid" and "no certified l1 tail" in record["message"]
+    assert not out.exists()
+
+
 def test_cached_measure_pieces_still_checks_the_budget(d1_config, tmp_path, capsys):
     out = tmp_path / "o"
     args = ["measure", "--config", str(d1_config), "--level", "4", "--out", str(out)]
@@ -734,6 +747,20 @@ def test_diagnose_rejects_sample_count_below_one(check, samples, d1_config, tmp_
     assert main(args + ["--samples", samples]) == 1
     (record,) = _error_records(capsys)
     assert record["error"] == "config" and "--samples must be at least 1" in record["message"]
+    assert not out.exists()
+
+
+def test_diagnose_refuses_samples_past_the_budget_before_any_output(d1_config, tmp_path, capsys):
+    # event-measure draws no sample, so the call at the budget is cheap
+    args = ["diagnose", "--config", str(d1_config), "--check", "event-measure"]
+    budget = sp.errors.DEFAULT_SAMPLE_BUDGET
+    assert budget == 2**18
+    assert main(args + ["--samples", str(budget), "--out", str(tmp_path / "a")]) == 0
+    out = tmp_path / "b"
+    assert main(args + ["--samples", str(budget + 1), "--out", str(out)]) == 3
+    (record,) = _error_records(capsys)
+    assert record["error"] == "budget" and record["exit_code"] == 3
+    assert (record["count"], record["budget"]) == (budget + 1, budget)
     assert not out.exists()
 
 

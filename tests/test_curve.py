@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 
 import sawproj as sp
 from sawproj.diagnostics import rand_fraction, spawn_rng
-from sawproj.errors import BudgetExceeded, DomainError
+from sawproj.errors import BudgetExceeded, CertificationError, DomainError
 
 from oracles import (
     canonical_tau,
@@ -257,3 +257,9 @@ def test_sup_distance_matches_the_point_oracle_and_closed_form(case):
     lower = sp.build_curve(params, functional, level - 1)
     assert sp.sup_distance(higher, lower) == expected
     assert expected == sp.sup_distance_bound(params, functional, level)
+
+
+def test_build_curve_refuses_a_functional_without_a_certified_l1_tail(d2):
+    divergent = sp.Functional(F(1, 2), sp.harmonic(F(1, 4)))
+    with pytest.raises(CertificationError, match="no certified l1 tail"):
+        sp.build_curve(d2, divergent, 2)

@@ -65,7 +65,7 @@ def test_validate_failure_kinds_flip_one_at_a_time():
 
 
 def test_validate_d1_norm_certificate(d1):
-    lo, hi = d1.alpha_l2sq_enclosure()
+    lo, hi = d1.alpha.l2sq_sum(d1.n_max)
     assert lo < hi < 1
     # the loose closed form also holds: tail above level 8 is at most 1/32
     assert d1.alpha.l2sq_tail_upper(8) <= F(1, 32)
@@ -76,6 +76,14 @@ def test_box_norm_enclosure_models(d1, d2):
     assert lo**2 <= F(142, 100) and hi < F(6, 5)
     l1_lo, l1_hi = d2.box_norm_enclosure()
     assert l1_lo <= l1_hi == 1 + F(1, 2)
+
+
+def test_l1_box_norm_of_a_divergent_alpha_is_refused():
+    divergent = sp.ParameterSet(
+        alpha=sp.harmonic(F(1, 2)), m=sp.linear_refinement(2), n_max=6, model="L1"
+    )
+    with pytest.raises(CertificationError, match="no certified l1 tail"):
+        divergent.box_norm_enclosure()
 
 
 def test_point_tail_bounds_dominate_partial_continuations(d1):
@@ -92,6 +100,16 @@ def test_point_tail_bounds_dominate_partial_continuations(d1):
         )
         assert d1.point_tail_l2sq_upper(level) >= cont_sq
     assert d1.point_tail_l1_upper(d1.n_max) > 0
+
+
+def test_point_tail_bounds_step_by_one_exact_term(d1, d2):
+    # the exact head starts past the level, so one level down adds that level's term
+    for params in (d1, d2):
+        for level in range(1, params.n_max + 1):
+            step = params.alpha.term(level) / (2 * params.grid_size(level))
+            l1, l2sq = params.point_tail_l1_upper, params.point_tail_l2sq_upper
+            assert l1(level - 1) - l1(level) == step
+            assert l2sq(level - 1) - l2sq(level) == step**2
 
 
 # each entry point's lowest level (0 from grid_size, 1 from refinement_factor) and its call
@@ -212,7 +230,7 @@ def test_block_certificate_lhs_bounds_the_exact_block_sum(rule, eps):
     lines = [line for line in part.certificate if line.label.startswith("block_")]
     assert [line.lhs for line in lines] == [block.sq_sum for block in part.blocks]
     for block in part.blocks:
-        assert block.sq_sum >= rule.l2sq_partial(block.end) - rule.l2sq_partial(block.start - 1)
+        assert block.sq_sum >= sum(rule.term(n) ** 2 for n in range(block.start, block.end + 1))
     assert part.passed
 
 

@@ -126,6 +126,41 @@ def test_explicit_tails_trusted_as_stated():
     assert explicit([F(1)], None, None).l1_tail_enclosure(0) is None
 
 
+_QUARTERS = st.integers(0, 8).map(lambda k: F(k, 4))
+_ALL_KINDS = st.one_of(
+    st.builds(harmonic, _QUARTERS),
+    st.builds(geometric, _QUARTERS, st.integers(0, 7).map(lambda k: F(k, 8))),
+    st.builds(inverse_square, _QUARTERS),
+    st.builds(
+        explicit,
+        st.lists(st.integers(0, 6).map(lambda k: F(k, 6)), max_size=30),
+        st.sampled_from([None, F(0), F(1, 9)]),
+        st.sampled_from([None, F(0), F(1, 81)]),
+    ),
+)
+
+
+@given(rule=_ALL_KINDS, splits=st.tuples(st.integers(0, 40), st.integers(0, 40)))
+def test_series_sums_enclose_one_number_at_every_split(rule, splits):
+    if rule.kind == "explicit":
+        splits = tuple(min(s, len(rule.values)) for s in splits)
+    for series, tail in (
+        (rule.l1_sum, rule.l1_tail_enclosure),
+        (rule.l2sq_sum, rule.l2sq_tail_enclosure),
+    ):
+        if tail(0) is None:
+            with pytest.raises(CertificationError, match="no certified"):
+                series(splits[0])
+            continue
+        (lo_a, hi_a), (lo_b, hi_b) = (series(s) for s in splits)
+        assert lo_a <= hi_a and lo_b <= hi_b
+        assert max(lo_a, lo_b) <= min(hi_a, hi_b)
+    if rule.kind == "geometric":
+        a, r = rule.a, rule.r
+        assert rule.l1_sum(splits[0]) == (a * r / (1 - r),) * 2
+        assert rule.l2sq_sum(splits[1]) == (a**2 * r**2 / (1 - r**2),) * 2
+
+
 def test_term_bound_after():
     assert harmonic(F(1, 2)).term_bound_after(4) == F(1, 10)
     assert geometric(F(1, 2), F(1, 2)).term_bound_after(2) == F(1, 16)

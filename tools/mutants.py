@@ -396,6 +396,37 @@ MUTANTS = (
         "s_hi if m == 1 else alpha.l2sq_tail_upper(end)",
         (TEST_PARAMS + "test_block_certificate_lhs_bounds_the_exact_block_sum",),
     ),
+    Mutant(
+        "SequenceRule._series: the exact head stops one term short of the split",
+        SEQUENCES,
+        "for n in range(1, split + 1)",
+        "for n in range(1, split)",
+        (
+            TEST_SEQUENCES + "test_series_sums_enclose_one_number_at_every_split",
+            TEST_PARAMS + "test_box_norm_enclosure_models",
+        ),
+    ),
+    Mutant(
+        "SequenceRule._series: the tail's ends swapped",
+        SEQUENCES,
+        "return head + tail[0], head + tail[1]",
+        "return head + tail[1], head + tail[0]",
+        (TEST_SEQUENCES + "test_series_sums_enclose_one_number_at_every_split",),
+    ),
+    Mutant(
+        "ParameterSet._point_head: the exact head starts at the level, not past it",
+        PARAMS,
+        "for n in range(level + 1, self.n_max + 1)),",
+        "for n in range(level, self.n_max + 1)),",
+        (TEST_PARAMS + "test_point_tail_bounds_step_by_one_exact_term",),
+    ),
+    Mutant(
+        "cmd_diagnose: a sample count at the budget refused",
+        CLI,
+        "if args.samples > DEFAULT_SAMPLE_BUDGET:",
+        "if args.samples >= DEFAULT_SAMPLE_BUDGET:",
+        (TEST_CLI + "test_diagnose_refuses_samples_past_the_budget_before_any_output",),
+    ),
 )
 
 
