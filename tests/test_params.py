@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import sawproj as sp
 from sawproj.certificates import (
     CHECK_ALPHA_M_INTEGER,
+    CHECK_BOX_NORM,
     CHECK_EVEN_REFINEMENT,
     CHECK_L1_NORM,
     CHECK_L2_NORM,
@@ -31,37 +32,88 @@ def test_cell_lengths_sum_to_one(d1):
         assert d1.grid_size(n) == d1.grid_size(n - 1) * d1.refinement_factor(n)
 
 
+EVEN = (CHECK_EVEN_REFINEMENT, True, "all refinement factors even")
+INTEGER = (CHECK_ALPHA_M_INTEGER, True, "alpha_n * m_n is a positive integer for all n")
+L2_TAIL = (CHECK_TAIL_CERTIFIED, True, "squared-l2 tail certified")
+L1_TAIL = (CHECK_TAIL_CERTIFIED, True, "l1 tail certified")
+
+
+def assert_checks(params, kinds, checks):
+    """validate's failure kinds, and its (check, passed, detail) triples in order."""
+    report = sp.validate(params)
+    assert report.failure_kinds() == kinds
+    assert report.passed == (not kinds)
+    assert [tuple(c) for c in report.checks] == checks
+
+
 def test_validate_presets_pass(d1, d2):
-    assert sp.validate(d1).passed
-    assert sp.validate(d2).passed
+    assert_checks(d1, set(), [
+        EVEN, INTEGER, L2_TAIL,
+        (CHECK_L2_NORM, True, "sum alpha_n^2 <= 19732933/47980800 (slack 28247867/47980800)"),
+        (CHECK_BOX_NORM, True,
+         "1 + sum alpha_n^2 <= 67713733/47980800 (slack 124209467/47980800)"),
+    ])
+    assert_checks(d2, set(), [
+        EVEN, L1_TAIL, (CHECK_L1_NORM, True, "sum alpha_n <= 1/2 (slack 1/2)"),
+    ])
 
 
 def test_validate_failure_kinds_flip_one_at_a_time():
     base = dict(alpha=sp.harmonic(F(1, 2)), m=sp.linear_refinement(2), n_max=6, model="L2")
 
     odd = sp.ParameterSet(**{**base, "m": sp.constant_refinement(3)})
-    assert sp.validate(odd).failure_kinds() == {CHECK_EVEN_REFINEMENT, CHECK_ALPHA_M_INTEGER}
+    assert_checks(odd, {CHECK_EVEN_REFINEMENT, CHECK_ALPHA_M_INTEGER}, [
+        (CHECK_EVEN_REFINEMENT, False, "odd factors: m_1=3, m_2=3, m_3=3, m_4=3, m_5=3, m_6=3"),
+        (CHECK_ALPHA_M_INTEGER, False,
+         "non-integer products: n=1: 3/2, n=2: 3/4, n=3: 1/2, n=4: 3/8, n=5: 3/10, n=6: 1/4"),
+        L2_TAIL,
+        (CHECK_L2_NORM, True, "sum alpha_n^2 <= 76997/187200 (slack 110203/187200)"),
+        (CHECK_BOX_NORM, True, "1 + sum alpha_n^2 <= 264197/187200 (slack 484603/187200)"),
+    ])
 
     nonint = sp.ParameterSet(**{**base, "alpha": sp.harmonic(F(1, 3))})
-    assert sp.validate(nonint).failure_kinds() == {CHECK_ALPHA_M_INTEGER}
+    assert_checks(nonint, {CHECK_ALPHA_M_INTEGER}, [
+        EVEN,
+        (CHECK_ALPHA_M_INTEGER, False,
+         "non-integer products: n=1: 2/3, n=2: 2/3, n=3: 2/3, n=4: 2/3, n=5: 2/3, n=6: 2/3"),
+        L2_TAIL,
+        (CHECK_L2_NORM, True, "sum alpha_n^2 <= 76997/421200 (slack 344203/421200)"),
+        (CHECK_BOX_NORM, True, "1 + sum alpha_n^2 <= 498197/421200 (slack 1186603/421200)"),
+    ])
 
     big = sp.ParameterSet(**{**base, "alpha": sp.harmonic(F(1))})
-    assert sp.validate(big).failure_kinds() == {CHECK_L2_NORM}
+    assert_checks(big, {CHECK_L2_NORM}, [
+        EVEN, INTEGER, L2_TAIL,
+        (CHECK_L2_NORM, False, "sum alpha_n^2 <= 76997/46800 (slack -30197/46800)"),
+        (CHECK_BOX_NORM, True, "1 + sum alpha_n^2 <= 123797/46800 (slack 63403/46800)"),
+    ])
 
     uncert = sp.ParameterSet(
         **{**base, "alpha": sp.explicit([F(1, 2)] * 6, None, None)}
     )
-    assert sp.validate(uncert).failure_kinds() == {CHECK_TAIL_CERTIFIED}
+    assert_checks(uncert, {CHECK_TAIL_CERTIFIED}, [
+        EVEN, INTEGER,
+        (CHECK_TAIL_CERTIFIED, False, "alpha has no certified squared-l2 tail bound"),
+    ])
 
     l1_big = sp.ParameterSet(
         alpha=sp.geometric(F(3, 2), F(1, 2)), m=sp.linear_refinement(2), n_max=6, model="L1"
     )
-    assert sp.validate(l1_big).failure_kinds() == {CHECK_L1_NORM}
+    assert_checks(l1_big, {CHECK_L1_NORM}, [
+        EVEN, L1_TAIL, (CHECK_L1_NORM, False, "sum alpha_n <= 3/2 (slack -1/2)"),
+    ])
 
     l1_div = sp.ParameterSet(
         alpha=sp.harmonic(F(1, 2)), m=sp.linear_refinement(2), n_max=6, model="L1"
     )
-    assert sp.validate(l1_div).failure_kinds() == {CHECK_TAIL_CERTIFIED}
+    assert_checks(l1_div, {CHECK_TAIL_CERTIFIED}, [
+        EVEN, (CHECK_TAIL_CERTIFIED, False, "alpha l1 tail diverges"),
+    ])
+
+    l1_uncert = uncert._replace(model="L1")
+    assert_checks(l1_uncert, {CHECK_TAIL_CERTIFIED}, [
+        EVEN, (CHECK_TAIL_CERTIFIED, False, "alpha has no certified l1 tail bound"),
+    ])
 
 
 def test_validate_d1_norm_certificate(d1):
