@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from .errors import DEFAULT_COMPONENT_BUDGET, BudgetExceeded, CertificationError, DomainError
 from .params import L2, ParameterSet, point_nums
 from .rational import DEFAULT_SQRT_BITS, sqrt_enclosure, sqrt_upper
-from .sequences import SequenceRule
+from .sequences import SERIES_NAMES, SequenceRule
 
 # -- validation ----------------------------------------------------------------
 
@@ -49,8 +49,8 @@ class ValidationReport(NamedTuple):
 def validate(params: ParameterSet) -> ValidationReport:
     """Check every parameter invariant up to n_max with exact witnesses.
 
-    Norm conditions are certified by the rule's whole-series enclosures
-    (``l1_sum``, ``l2sq_sum``); an explicit rule without the needed tail bound
+    Norm conditions are certified by one ``series_sum`` at the model's power,
+    1 for L1 and 2 for L2; an explicit rule without the needed tail bound
     fails the "tail_certified" check rather than passing silently.
     """
     checks: list[CheckResult] = []
@@ -71,7 +71,8 @@ def validate(params: ParameterSet) -> ValidationReport:
         else "all refinement factors even",
     )
 
-    if params.model == L2:
+    power = 2 if params.model == L2 else 1
+    if power == 2:
         bad = []
         for n in range(1, params.n_max + 1):
             prod = params.alpha_term(n) * params.refinement_factor(n)
@@ -84,27 +85,20 @@ def validate(params: ParameterSet) -> ValidationReport:
             if bad
             else "alpha_n * m_n is a positive integer for all n",
         )
-        if params.alpha.l2sq_tail_enclosure(params.n_max) is None:
-            check(CHECK_TAIL_CERTIFIED, False, "alpha has no certified squared-l2 tail bound")
-        else:
-            check(CHECK_TAIL_CERTIFIED, True, "squared-l2 tail certified")
-            _, hi = params.alpha.l2sq_sum(params.n_max)
-            check(CHECK_L2_NORM, hi < 1, f"sum alpha_n^2 <= {hi} (slack {1 - hi})")
-            _, box_hi = params.box_norm_sq_enclosure()
-            check(
-                CHECK_BOX_NORM,
-                box_hi < 4,
-                f"1 + sum alpha_n^2 <= {box_hi} (slack {4 - box_hi})",
-            )
-    elif params.alpha.l1_tail_enclosure(params.n_max) is None:
-        if params.alpha.l1_diverges():
+    name = SERIES_NAMES[power]
+    try:
+        _, hi = params.alpha.series_sum(params.n_max, power)
+    except CertificationError:
+        if params.alpha.l1_diverges():  # only an l1 tail diverges
             check(CHECK_TAIL_CERTIFIED, False, "alpha l1 tail diverges")
         else:
-            check(CHECK_TAIL_CERTIFIED, False, "alpha has no certified l1 tail bound")
+            check(CHECK_TAIL_CERTIFIED, False, f"alpha has no certified {name} tail bound")
     else:
-        check(CHECK_TAIL_CERTIFIED, True, "l1 tail certified")
-        _, hi = params.alpha.l1_sum(params.n_max)
-        check(CHECK_L1_NORM, hi < 1, f"sum alpha_n <= {hi} (slack {1 - hi})")
+        check(CHECK_TAIL_CERTIFIED, True, f"{name} tail certified")
+        norm, term = (CHECK_L2_NORM, "alpha_n^2") if power == 2 else (CHECK_L1_NORM, "alpha_n")
+        check(norm, hi < 1, f"sum {term} <= {hi} (slack {1 - hi})")
+        if power == 2:  # the box norm squared is 1 + sum alpha_n^2
+            check(CHECK_BOX_NORM, hi < 3, f"1 + sum alpha_n^2 <= {1 + hi} (slack {3 - hi})")
 
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
 
@@ -167,11 +161,11 @@ class BlockPartition(NamedTuple):
 
 
 def _minimal_tail_index(rule: SequenceRule, start: int, threshold_sq: Fraction) -> int:
-    """Minimal N >= start with certified l2sq tail(N) <= threshold_sq."""
-    if rule.l2sq_tail_upper(start) <= threshold_sq:
+    """Minimal N >= start with certified squared-l2 tail(N) <= threshold_sq."""
+    if rule.certified_tail(start, 2)[1] <= threshold_sq:
         return start
     hi = max(start, 1)
-    while rule.l2sq_tail_upper(hi) > threshold_sq:
+    while rule.certified_tail(hi, 2)[1] > threshold_sq:
         hi *= 2
         if hi > 2**40:
             raise CertificationError(
@@ -180,7 +174,7 @@ def _minimal_tail_index(rule: SequenceRule, start: int, threshold_sq: Fraction) 
     lo = max(start, hi // 2)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if rule.l2sq_tail_upper(mid) <= threshold_sq:
+        if rule.certified_tail(mid, 2)[1] <= threshold_sq:
             hi = mid
         else:
             lo = mid
@@ -201,7 +195,7 @@ def block_partition(
     anchor = alpha.max_pointwise_index()
     if anchor is None:
         anchor = 16
-    s_lo, s_hi = alpha.l2sq_sum(anchor)
+    s_lo, s_hi = alpha.series_sum(anchor, 2)
 
     norm_lo = sqrt_enclosure(s_lo, sqrt_bits)[0]
     norm_hi = sqrt_enclosure(s_hi, sqrt_bits)[1]
@@ -223,12 +217,12 @@ def block_partition(
         if end == prev_end:
             # remaining certified tail already under this block's threshold;
             # every further block is empty
-            exhausted = alpha.l2sq_tail_upper(prev_end) == 0
+            exhausted = alpha.certified_tail(prev_end, 2)[1] == 0
             break
-        sq = s_hi if m == 1 else alpha.l2sq_tail_upper(prev_end)
+        sq = s_hi if m == 1 else alpha.certified_tail(prev_end, 2)[1]
         blocks.append(Block(prev_end + 1, end, sq, threshold**2))
         cert.append(CertLine(f"block_{m}_sq", sq, "<=", s_hi if m == 1 else prev_threshold**2))
-        if alpha.l2sq_tail_upper(end) == 0:
+        if alpha.certified_tail(end, 2)[1] == 0:
             exhausted = True
             break
         prev_end = end
@@ -291,11 +285,10 @@ def hausdorff_upper(
     if params.model == L2:
         combine, tail = (lambda x: x * x), params.point_tail_l2sq_upper(N)
         cell_norm = partial(sqrt_upper, bits=params.sqrt_bits)
-        norm_hi = cell_norm(params.box_norm_sq_enclosure()[1])
     else:
         combine = cell_norm = lambda x: x
         tail = params.point_tail_l1_upper(N)
-        norm_hi = params.box_norm_enclosure()[1]
+    norm_hi = params.box_norm_enclosure()[1]
     alphas = [params.alpha_term(k) for k in range(N + 1)]
     # constant per-cell contribution of the fully-periodic levels n < k <= N
     periodic = sum(

@@ -50,7 +50,9 @@ class TruncatedPoint(NamedTuple):
     """Component values (f_0(t), ..., f_N(t)) plus model-norm tail bounds.
 
     There is no exact infinite point: a point is always a stated truncation
-    level together with a certified bound on what was discarded.
+    level together with a certified bound on what was discarded. The l2
+    enclosure's lower end is the exact norm of the discarded coordinates
+    level < n <= n_max at t; its upper end bounds every t.
     """
 
     level: int
@@ -72,22 +74,18 @@ def truncated_point(params: ParameterSet, level: int, t: Fraction) -> TruncatedP
         raise DomainError(f"t = {t} outside [0, 1)")
     params.grid_size(level)  # refuses a level outside [0, n_max]
     t = Fraction(t)
-    nums, scale = point_nums_at(params, level, t)
-    tail_sq = params.point_tail_l2sq_upper(level)
-    if level < params.n_max:
-        first = params.alpha.term(level + 1) / (2 * params.grid_size(level + 1))
-        tail_sq_lower = first**2
-    else:
-        tail_sq_lower = Fraction(0)
+    nums, scale = point_nums_at(params, params.n_max, t)
+    dropped = (params.alpha.term(n) * nums[n] for n in range(level + 1, len(nums)))
+    dropped_sq = Fraction(sum(x * x for x in dropped), scale**2)
     return TruncatedPoint(
         level=level,
-        coords=tuple(Fraction(x, scale) for x in nums),
+        coords=tuple(Fraction(x, scale) for x in nums[: level + 1]),
         model=params.model,
         t=t,
         tail_l1_upper=params.point_tail_l1_upper(level),
         tail_l2_enclosure=(
-            sqrt_lower(tail_sq_lower, params.sqrt_bits),
-            sqrt_upper(tail_sq, params.sqrt_bits),
+            sqrt_lower(dropped_sq, params.sqrt_bits),
+            sqrt_upper(params.point_tail_l2sq_upper(level), params.sqrt_bits),
         ),
     )
 

@@ -115,7 +115,7 @@ def export_curve_csv(curve, path: str | Path) -> None:
 def _require_l1_contraction(params: ParameterSet, functional: Functional) -> None:
     if params.model != L1:
         raise DomainError("polygonal curves are built in the L1 model")
-    _, total = functional.rule.l1_sum(params.n_max)
+    _, total = functional.rule.series_sum(params.n_max, 1)
     if total >= 1:
         raise DomainError(f"sum of |c_n| certified only as <= {total}, need < 1")
 

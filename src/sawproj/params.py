@@ -6,9 +6,10 @@ m_n. Level n partitions [0, 1) into M_n = m_1 * ... * m_n half-open cells;
 level n+1 refines each cell exactly m_{n+1}-fold.
 
 Everything here is a pure function of immutable inputs; certified norm
-statements read the sequence rule's whole-series enclosures, ``l1_sum`` and
-``l2sq_sum``. Every command imports this module; ``validate`` and
-the block partition live in ``certificates``, which only ``validate`` loads.
+statements read the sequence rule's whole-series enclosure ``series_sum`` at
+power 1 (l1) or 2 (squared l2). Every command imports this module;
+``validate`` and the block partition live in ``certificates``, which only
+``validate`` loads.
 
 ``point_nums``, the one pointwise evaluation of the sawtooth components f_n,
 lives here beside the grid sizes it reads. For t = A/B, r = (M_n A) mod B,
@@ -33,6 +34,10 @@ ALPHA0 = Fraction(1)
 
 L1 = "L1"
 L2 = "L2"
+
+# M_n grows super-exponentially (584 digits at n = 256 under m_n = 2n); deeper
+# sets outgrow Python's 4300-digit int-to-string limit, or time, or memory
+N_MAX_CEILING = 256
 
 
 class _RefinementRule(NamedTuple):
@@ -96,6 +101,8 @@ class ParameterSet(_ParameterSet):
         self = super().__new__(cls, *args, **kwargs)
         if self.n_max < 1:
             raise DomainError("n_max must be at least 1")
+        if self.n_max > N_MAX_CEILING:
+            raise DomainError(f"n_max = {self.n_max} exceeds the ceiling {N_MAX_CEILING}")
         if self.model not in (L1, L2):
             raise DomainError(f"model must be {L1!r} or {L2!r}, got {self.model!r}")
         if self.sqrt_bits < 1:
@@ -141,7 +148,7 @@ class ParameterSet(_ParameterSet):
         In the l2 coordinate model the supremum of ||sum c_n x_n|| over
         |c_n| <= 1 is (1 + sum alpha_n**2)**(1/2); this returns the square.
         """
-        lo, hi = self.alpha.l2sq_sum(self.n_max)
+        lo, hi = self.alpha.series_sum(self.n_max, 2)
         return 1 + lo, 1 + hi
 
     def box_norm_enclosure(self) -> Enclosure:
@@ -152,7 +159,7 @@ class ParameterSet(_ParameterSet):
                 sqrt_lower(sq_lo, self.sqrt_bits),
                 sqrt_upper(sq_hi, self.sqrt_bits),
             )
-        lo, hi = self.alpha.l1_sum(self.n_max)
+        lo, hi = self.alpha.series_sum(self.n_max, 1)
         return 1 + lo, 1 + hi
 
     # -- model-norm tails of embedded points ------------------------------------
@@ -180,7 +187,7 @@ class ParameterSet(_ParameterSet):
         if sup is not None:
             # sum_{k>=1} sup * 2**-k / (2 M_nmax) * 2 = sup / (2 M_nmax) * sum 2**-(k-1)
             bounds.append(sup / (2 * m_last))
-        enc = self.alpha.l1_tail_enclosure(self.n_max)
+        enc = self.alpha.tail_enclosure(self.n_max, 1)
         if enc is not None:
             bounds.append(enc[1] / (4 * m_last))
         if not bounds:
@@ -191,7 +198,7 @@ class ParameterSet(_ParameterSet):
         """Upper bound on sum_{n > level} (alpha_n / (2 M_n))**2."""
         exact = self._point_head(level, 2)
         m_last = self.grid_size(self.n_max)
-        tail = self.alpha.l2sq_tail_upper(self.n_max)
+        tail = self.alpha.certified_tail(self.n_max, 2)[1]
         return exact + tail / (16 * m_last**2)
 
 

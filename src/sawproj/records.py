@@ -181,7 +181,7 @@ def params_from_config(doc: dict) -> ParameterSet:
         raise ConfigError("missing model")
     try:
         return ParameterSet(alpha, m, n_max, str(doc["model"]), bits)
-    except Exception as exc:
+    except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -1,7 +1,8 @@
 """Coefficient sequences with certified tail enclosures.
 
 A `SequenceRule` produces nonnegative rational terms indexed from n = 1 and
-knows closed-form, two-sided enclosures for its own l1 and squared-l2 tails.
+knows closed-form, two-sided enclosures for its own l1 and squared-l2 tails,
+one formula per kind at power p = 1 or 2 (``tail_enclosure``).
 Signs are never part of a rule; a `Functional` attaches them together with the
 index-0 coefficient. Every certificate emitted elsewhere in the package
 bottoms out in one of the tail formulas here, so each formula states the
@@ -32,29 +33,26 @@ _EXPLICIT = "explicit"
 
 KINDS = (_HARMONIC, _GEOMETRIC, _INVERSE_SQUARE, _EXPLICIT)
 
+# the certified series, by power: sum term_n and sum term_n**2
+SERIES_NAMES = {1: "l1", 2: "squared-l2"}
 
-def _zeta2_tail_bracket(n_from: int) -> Enclosure:
+
+def _zeta2_tail_bracket(n: int) -> Enclosure:
     """Enclosure of sum_{n > N} 1/n**2.
 
     Upper: 1/n^2 < 1/(n-1/2) - 1/(n+1/2) telescopes to 1/(N+1/2).
     Lower (N >= 1): 1/n^2 > 1/(n-1/2+c) - 1/(n+1/2+c) with c = 1/(8N),
     valid since (n+c)^2 - 1/4 >= n^2 for n > N; telescopes to 1/(N+1/2+c).
     """
-    n = n_from
-    upper = Fraction(2, 2 * n + 1)
     if n == 0:
-        lower = Fraction(1)  # first term alone
-    else:
-        lower = 1 / (Fraction(n) + Fraction(1, 2) + Fraction(1, 8 * n))
-    return lower, upper
+        return Fraction(1), Fraction(2)  # lower: the first term alone
+    return 1 / (n + Fraction(1, 2) + Fraction(1, 8 * n)), Fraction(2, 2 * n + 1)
 
 
-def _zeta4_tail_bracket(n_from: int) -> Enclosure:
+def _zeta4_tail_bracket(n: int) -> Enclosure:
     """Enclosure of sum_{n > N} 1/n**4 by integral comparison."""
-    n = n_from
     upper = Fraction(4, 3) if n == 0 else Fraction(1, 3 * n**3)
-    lower = Fraction(1, 3 * (n + 1) ** 3)
-    return lower, upper
+    return Fraction(1, 3 * (n + 1) ** 3), upper
 
 
 class _SequenceRule(NamedTuple):
@@ -81,9 +79,7 @@ class SequenceRule(_SequenceRule):
         if self.kind == _EXPLICIT:
             if any(v < 0 for v in self.values):
                 raise DomainError("sequence terms must be nonnegative")
-            if self.tail_l1 is not None and self.tail_l1 < 0:
-                raise DomainError("tail bounds must be nonnegative")
-            if self.tail_l2sq is not None and self.tail_l2sq < 0:
+            if any(b is not None and b < 0 for b in (self.tail_l1, self.tail_l2sq)):
                 raise DomainError("tail bounds must be nonnegative")
         return self
 
@@ -108,77 +104,52 @@ class SequenceRule(_SequenceRule):
         """Largest n for which term(n) is defined (None = unbounded)."""
         return len(self.values) if self.kind == _EXPLICIT else None
 
-    # -- whole series ---------------------------------------------------------
+    # -- whole series and certified tails -------------------------------------
 
-    def l1_sum(self, split: int) -> Enclosure:
-        """Enclosure of sum_{n>=1} term_n: exact terms up to split, certified tail past it."""
-        return self._series(split, 1, self.l1_tail_enclosure(split), "l1")
-
-    def l2sq_sum(self, split: int) -> Enclosure:
-        """Enclosure of sum_{n>=1} term_n**2, split as ``l1_sum`` splits."""
-        return self._series(split, 2, self.l2sq_tail_enclosure(split), "squared-l2")
-
-    def _series(self, split: int, power: int, tail: Optional[Enclosure], name: str) -> Enclosure:
-        if tail is None:
-            raise CertificationError(f"{self.kind} sequence has no certified {name} tail bound")
+    def series_sum(self, split: int, power: int) -> Enclosure:
+        """Enclosure of sum_{n>=1} term_n**power: exact terms up to split, the
+        certified tail past it."""
+        tail_lo, tail_hi = self.certified_tail(split, power)
         head = sum((self.term(n) ** power for n in range(1, split + 1)), Fraction(0))
-        return head + tail[0], head + tail[1]
+        return head + tail_lo, head + tail_hi
 
-    # -- certified tails -----------------------------------------------------
-
-    def l1_tail_enclosure(self, n_from: int) -> Optional[Enclosure]:
-        """Enclosure of sum_{n > N} term_n, or None when not certifiable."""
-        if self.kind == _HARMONIC:
-            return None if self.a > 0 else (Fraction(0), Fraction(0))
-        if self.kind == _GEOMETRIC:
-            exact = self.a * self.r ** (n_from + 1) / (1 - self.r)
-            return exact, exact
-        if self.kind == _INVERSE_SQUARE:
-            lo, hi = _zeta2_tail_bracket(n_from)
-            return self.a * lo, self.a * hi
-        if self.tail_l1 is None:
-            return None
-        rest = sum(
-            (self.values[i] for i in range(n_from, len(self.values))), Fraction(0)
-        )
-        return rest, rest + self.tail_l1
-
-    def l1_tail_upper(self, n_from: int) -> Fraction:
-        enc = self.l1_tail_enclosure(n_from)
+    def certified_tail(self, n_from: int, power: int) -> Enclosure:
+        """``tail_enclosure``, or CertificationError when it is None."""
+        enc = self.tail_enclosure(n_from, power)
         if enc is None:
             raise CertificationError(
-                f"{self.kind} sequence has no certified l1 tail bound"
+                f"{self.kind} sequence has no certified {SERIES_NAMES[power]} tail bound"
             )
-        return enc[1]
+        return enc
+
+    def tail_enclosure(self, n_from: int, power: int) -> Optional[Enclosure]:
+        """Enclosure of sum_{n > N} term_n**power (power 1 or 2), or None when not certifiable.
+
+        Explicit: the stated terms past N, plus the stated tail. Geometric:
+        a^p r^(p(N+1)) / (1 - r^p) exactly. Harmonic and inverse-square: a^p
+        times the zeta(s) tail with s = p and s = 2p; s = 1 diverges unless a = 0.
+        """
+        if power not in SERIES_NAMES:
+            raise DomainError(f"series power must be 1 or 2, got {power}")
+        if self.kind == _EXPLICIT:
+            stated = self.tail_l1 if power == 1 else self.tail_l2sq
+            if stated is None:
+                return None
+            rest = sum((v**power for v in self.values[n_from:]), Fraction(0))
+            return rest, rest + stated
+        scale = self.a**power
+        if self.kind == _GEOMETRIC:
+            ratio = self.r**power
+            exact = scale * ratio ** (n_from + 1) / (1 - ratio)
+            return exact, exact
+        s = power if self.kind == _HARMONIC else 2 * power
+        if s == 1:
+            return None if scale else (Fraction(0), Fraction(0))
+        lo, hi = (_zeta2_tail_bracket if s == 2 else _zeta4_tail_bracket)(n_from)
+        return scale * lo, scale * hi
 
     def l1_diverges(self) -> bool:
         return self.kind == _HARMONIC and self.a > 0
-
-    def l2sq_tail_enclosure(self, n_from: int) -> Optional[Enclosure]:
-        """Enclosure of sum_{n > N} term_n**2, or None when not certifiable."""
-        if self.kind == _HARMONIC:
-            lo, hi = _zeta2_tail_bracket(n_from)
-            return self.a**2 * lo, self.a**2 * hi
-        if self.kind == _GEOMETRIC:
-            exact = self.a**2 * self.r ** (2 * (n_from + 1)) / (1 - self.r**2)
-            return exact, exact
-        if self.kind == _INVERSE_SQUARE:
-            lo, hi = _zeta4_tail_bracket(n_from)
-            return self.a**2 * lo, self.a**2 * hi
-        if self.tail_l2sq is None:
-            return None
-        rest = sum(
-            (self.values[i] ** 2 for i in range(n_from, len(self.values))), Fraction(0)
-        )
-        return rest, rest + self.tail_l2sq
-
-    def l2sq_tail_upper(self, n_from: int) -> Fraction:
-        enc = self.l2sq_tail_enclosure(n_from)
-        if enc is None:
-            raise CertificationError(
-                f"{self.kind} sequence has no certified squared-l2 tail bound"
-            )
-        return enc[1]
 
     def term_bound_after(self, n_from: int) -> Optional[Fraction]:
         """Upper bound on sup_{n > N} term_n, or None when unknown.
@@ -255,7 +226,7 @@ class Functional(_Functional):
         return tuple(self.coeff(n) for n in range(n_to + 1))
 
     def abs_tail_upper(self, n_from: int) -> Fraction:
-        return self.rule.l1_tail_upper(n_from)
+        return self.rule.certified_tail(n_from, 1)[1]
 
 
 def inverse_square_functional() -> Functional:

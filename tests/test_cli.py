@@ -84,6 +84,29 @@ def test_malformed_config_exit_code(tmp_path):
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("n_max", [257, 1000, 100000])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evaluate", "--t", "1/3", "--level", "3"],
+        ["validate"],
+        ["diagnose", "--check", "secant", "--samples", "5"],
+    ],
+    ids=["evaluate", "validate", "diagnose-secant"],
+)
+def test_n_max_past_the_ceiling_is_a_config_error(command, n_max, tmp_path, capsys):
+    # without the ceiling these ran into int-to-string limits, ran for minutes
+    # or ran out of memory
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(D1_CONFIG.replace("n_max = 8", f"n_max = {n_max}"))
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+    (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+    assert record["error"] == "config" and record["exit_code"] == 1
+    assert record["message"] == f"n_max = {n_max} exceeds the ceiling 256"
+    assert not out.exists()
+
+
 def test_evaluate_zero_parameter(d1_config, tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -9,7 +9,7 @@ from sawproj.diagnostics import rand_fraction, rand_index, spawn_rng
 from sawproj.errors import BudgetExceeded, CertificationError, DomainError
 from sawproj.params import point_nums_at
 
-from oracles import curve_point, piece_rows_oracle, saw
+from oracles import component, curve_point, piece_rows_oracle, saw
 from test_measure import truncations
 
 F = Fraction
@@ -54,6 +54,23 @@ def test_truncated_point_examples(d1):
     lo, hi = p.tail_l2_enclosure
     assert 0 <= lo <= hi
     assert p.embedded(d1) == (F(3, 8), F(1, 16), F(0))
+
+
+@pytest.mark.parametrize("preset", ["d1", "d2"])
+@pytest.mark.parametrize("t", [F(0), F(3, 8), F(1, 3), F(5, 7), F(1, 2), F(99, 100)])
+@pytest.mark.parametrize("level", [0, 1, 4, 8])
+def test_truncated_point_l2_tail_encloses_the_discarded_coordinates(preset, t, level, request):
+    # the exact l2 norm of the discarded coordinates level < n <= n_max, from the
+    # oracle's Fraction sawtooth; at t = 0 and t = 3/8, level 4, every one is 0
+    params = request.getfixturevalue(preset)
+    lo, hi = sp.truncated_point(params, level, t).tail_l2_enclosure
+    dropped_sq = sum(
+        (params.alpha_term(n) * component(params, n, t)) ** 2
+        for n in range(level + 1, params.n_max + 1)
+    )
+    assert lo**2 <= dropped_sq <= hi**2
+    if t in (0, F(3, 8)) and level == 4:
+        assert lo == dropped_sq == 0
 
 
 def piece_table(pl) -> list[dict]:

@@ -499,7 +499,7 @@ def test_projection_bracket_f1(d1, f1):
     assert bracket.mu == F(9, 16)
     # the coefficient tail past level 1 is (pi^2/6 - 1)/4 = 0.16123...;
     # the rational enclosure must straddle a deep partial sum of it
-    lo, hi = f1.rule.l1_tail_enclosure(1)
+    lo, hi = f1.rule.tail_enclosure(1, 1)
     partial = sum(f1.coeff(n) for n in range(2, 500))
     assert lo <= partial < hi
     assert bracket.tail_upper == hi

@@ -117,10 +117,10 @@ def test_validate_failure_kinds_flip_one_at_a_time():
 
 
 def test_validate_d1_norm_certificate(d1):
-    lo, hi = d1.alpha.l2sq_sum(d1.n_max)
+    lo, hi = d1.alpha.series_sum(d1.n_max, 2)
     assert lo < hi < 1
     # the loose closed form also holds: tail above level 8 is at most 1/32
-    assert d1.alpha.l2sq_tail_upper(8) <= F(1, 32)
+    assert d1.alpha.certified_tail(8, 2)[1] <= F(1, 32)
 
 
 def test_box_norm_enclosure_models(d1, d2):
@@ -213,6 +213,14 @@ def test_parameter_set_rejects_bad_shapes():
     for build in bogus:
         with pytest.raises(DomainError):
             build()
+
+
+def test_n_max_ceiling_is_checked_before_the_grid():
+    assert sp.harmonic_l2_preset(256).grid_sizes[-1] == 2**256 * factorial(256)
+    # a factor rule that fails at level 1 shows that the ceiling comes first
+    never = sp.explicit_refinement(())
+    with pytest.raises(DomainError, match="n_max = 257 exceeds the ceiling 256"):
+        sp.ParameterSet(sp.harmonic(F(1, 2)), never, 257, "L2")
 
 
 def test_parameter_set_record_semantics():

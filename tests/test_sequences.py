@@ -55,26 +55,26 @@ def test_negative_terms_rejected():
 def test_geometric_tails_are_exact():
     rule = geometric(F(1, 2), F(1, 2))
     for n in (0, 1, 5):
-        lo, hi = rule.l1_tail_enclosure(n)
+        lo, hi = rule.tail_enclosure(n, 1)
         assert lo == hi
         # telescoping oracle: exact finite sum plus the same closed form later
         partial = sum(rule.term(k) for k in range(n + 1, n + 31))
-        deeper = rule.l1_tail_enclosure(n + 30)[0]
+        deeper = rule.tail_enclosure(n + 30, 1)[0]
         assert lo == partial + deeper
-        sq_lo, sq_hi = rule.l2sq_tail_enclosure(n)
+        sq_lo, sq_hi = rule.tail_enclosure(n, 2)
         assert sq_lo == sq_hi
         sq_partial = sum(rule.term(k) ** 2 for k in range(n + 1, n + 31))
-        assert sq_lo == sq_partial + rule.l2sq_tail_enclosure(n + 30)[0]
+        assert sq_lo == sq_partial + rule.tail_enclosure(n + 30, 2)[0]
 
 
 @pytest.mark.parametrize("n_from", [1, 2, 8, 50])
 def test_harmonic_l2sq_tail_bracket_against_partials(n_from):
     rule = harmonic(F(1, 2))
-    lo, hi = rule.l2sq_tail_enclosure(n_from)
+    lo, hi = rule.tail_enclosure(n_from, 2)
     assert lo < hi
     deep = n_from + 3000
     partial = sum(rule.term(k) ** 2 for k in range(n_from + 1, deep + 1))
-    deep_lo, deep_hi = rule.l2sq_tail_enclosure(deep)
+    deep_lo, deep_hi = rule.tail_enclosure(deep, 2)
     # both bracket the same number, so they must be compatible
     assert lo <= partial + deep_hi
     assert hi >= partial + deep_lo
@@ -90,16 +90,16 @@ def test_zeta4_tail_bracket_against_partials():
         assert lo <= partial + deep_hi
         assert partial + deep_lo <= hi
         for a in (F(1, 4), F(3)):
-            assert inverse_square(a).l2sq_tail_enclosure(n_from) == (a**2 * lo, a**2 * hi)
+            assert inverse_square(a).tail_enclosure(n_from, 2) == (a**2 * lo, a**2 * hi)
 
 
 @pytest.mark.parametrize("n_from", [1, 2, 8, 50])
 def test_inverse_square_l1_tail_bracket_against_partials(n_from):
     rule = inverse_square(F(1, 4))
-    lo, hi = rule.l1_tail_enclosure(n_from)
+    lo, hi = rule.tail_enclosure(n_from, 1)
     deep = n_from + 3000
     partial = sum(rule.term(k) for k in range(n_from + 1, deep + 1))
-    deep_lo, deep_hi = rule.l1_tail_enclosure(deep)
+    deep_lo, deep_hi = rule.tail_enclosure(deep, 1)
     assert lo <= partial + deep_hi
     assert hi >= partial + deep_lo
     assert partial < hi
@@ -108,22 +108,24 @@ def test_inverse_square_l1_tail_bracket_against_partials(n_from):
 def test_harmonic_l1_tail_diverges():
     rule = harmonic(F(1, 2))
     assert rule.l1_diverges()
-    assert rule.l1_tail_enclosure(3) is None
-    with pytest.raises(CertificationError):
-        rule.l1_tail_upper(3)
+    assert rule.tail_enclosure(3, 1) is None
+    with pytest.raises(CertificationError, match="no certified l1 tail"):
+        rule.certified_tail(3, 1)
 
 
 def test_zero_harmonic_rule_converges():
     rule = harmonic(F(0))
     assert not rule.l1_diverges()
-    assert rule.l1_tail_enclosure(3) == (0, 0)
+    assert rule.tail_enclosure(3, 1) == (0, 0)
 
 
 def test_explicit_tails_trusted_as_stated():
     rule = explicit([F(1, 2), F(1, 4)], tail_l1=F(1, 8), tail_l2sq=F(1, 64))
-    lo, hi = rule.l1_tail_enclosure(1)
+    lo, hi = rule.tail_enclosure(1, 1)
     assert lo == F(1, 4) and hi == F(1, 4) + F(1, 8)
-    assert explicit([F(1)], None, None).l1_tail_enclosure(0) is None
+    assert rule.tail_enclosure(1, 2) == (F(1, 16), F(1, 16) + F(1, 64))
+    assert explicit([F(1)], None, None).tail_enclosure(0, 1) is None
+    assert explicit([F(1)], F(0), None).tail_enclosure(0, 2) is None
 
 
 _QUARTERS = st.integers(0, 8).map(lambda k: F(k, 4))
@@ -141,24 +143,21 @@ _ALL_KINDS = st.one_of(
 
 
 @given(rule=_ALL_KINDS, splits=st.tuples(st.integers(0, 40), st.integers(0, 40)))
-def test_series_sums_enclose_one_number_at_every_split(rule, splits):
+def test_sums_at_every_split_enclose_one_number(rule, splits):
     if rule.kind == "explicit":
         splits = tuple(min(s, len(rule.values)) for s in splits)
-    for series, tail in (
-        (rule.l1_sum, rule.l1_tail_enclosure),
-        (rule.l2sq_sum, rule.l2sq_tail_enclosure),
-    ):
-        if tail(0) is None:
-            with pytest.raises(CertificationError, match="no certified"):
-                series(splits[0])
+    for power, name in ((1, "l1"), (2, "squared-l2")):
+        if rule.tail_enclosure(0, power) is None:
+            with pytest.raises(CertificationError, match=f"no certified {name} tail"):
+                rule.series_sum(splits[0], power)
             continue
-        (lo_a, hi_a), (lo_b, hi_b) = (series(s) for s in splits)
+        (lo_a, hi_a), (lo_b, hi_b) = (rule.series_sum(s, power) for s in splits)
         assert lo_a <= hi_a and lo_b <= hi_b
         assert max(lo_a, lo_b) <= min(hi_a, hi_b)
     if rule.kind == "geometric":
         a, r = rule.a, rule.r
-        assert rule.l1_sum(splits[0]) == (a * r / (1 - r),) * 2
-        assert rule.l2sq_sum(splits[1]) == (a**2 * r**2 / (1 - r**2),) * 2
+        assert rule.series_sum(splits[0], 1) == (a * r / (1 - r),) * 2
+        assert rule.series_sum(splits[1], 2) == (a**2 * r**2 / (1 - r**2),) * 2
 
 
 def test_term_bound_after():

@@ -131,11 +131,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "validate: the l1 norm check dropped",
+        "validate: the norm check dropped",
         CERTIFICATES,
-        '        check(CHECK_L1_NORM, hi < 1, f"sum alpha_n <= {hi} (slack {1 - hi})")\n',
+        '        check(norm, hi < 1, f"sum {term} <= {hi} (slack {1 - hi})")\n',
         "",
-        (TEST_PARAMS + "test_validate_failure_kinds_flip_one_at_a_time",),
+        (
+            TEST_PARAMS + "test_validate_failure_kinds_flip_one_at_a_time",
+            TEST_PARAMS + "test_validate_presets_pass",
+        ),
     ),
     Mutant(
         "PolygonalCurve.length: one repeat of each pattern short",
@@ -392,26 +395,82 @@ MUTANTS = (
     Mutant(
         "block_partition: block m's bound read at its own end, not past the previous one",
         CERTIFICATES,
-        "s_hi if m == 1 else alpha.l2sq_tail_upper(prev_end)",
-        "s_hi if m == 1 else alpha.l2sq_tail_upper(end)",
+        "s_hi if m == 1 else alpha.certified_tail(prev_end, 2)[1]",
+        "s_hi if m == 1 else alpha.certified_tail(end, 2)[1]",
         (TEST_PARAMS + "test_block_certificate_lhs_bounds_the_exact_block_sum",),
     ),
     Mutant(
-        "SequenceRule._series: the exact head stops one term short of the split",
+        "series_sum: the exact head stops one term short of the split",
         SEQUENCES,
         "for n in range(1, split + 1)",
         "for n in range(1, split)",
         (
-            TEST_SEQUENCES + "test_series_sums_enclose_one_number_at_every_split",
+            TEST_SEQUENCES + "test_sums_at_every_split_enclose_one_number",
             TEST_PARAMS + "test_box_norm_enclosure_models",
         ),
     ),
     Mutant(
-        "SequenceRule._series: the tail's ends swapped",
+        "series_sum: the tail's ends swapped",
         SEQUENCES,
-        "return head + tail[0], head + tail[1]",
-        "return head + tail[1], head + tail[0]",
-        (TEST_SEQUENCES + "test_series_sums_enclose_one_number_at_every_split",),
+        "return head + tail_lo, head + tail_hi",
+        "return head + tail_hi, head + tail_lo",
+        (TEST_SEQUENCES + "test_sums_at_every_split_enclose_one_number",),
+    ),
+    Mutant(
+        "tail_enclosure: an explicit rule's stated l1 and squared-l2 tails swapped",
+        SEQUENCES,
+        "stated = self.tail_l1 if power == 1 else self.tail_l2sq",
+        "stated = self.tail_l2sq if power == 1 else self.tail_l1",
+        (TEST_SEQUENCES + "test_explicit_tails_trusted_as_stated",),
+    ),
+    Mutant(
+        "tail_enclosure: an explicit rule's rest not raised to the power",
+        SEQUENCES,
+        "rest = sum((v**power for v in self.values[n_from:]), Fraction(0))",
+        "rest = sum((v for v in self.values[n_from:]), Fraction(0))",
+        (TEST_SEQUENCES + "test_explicit_tails_trusted_as_stated",),
+    ),
+    Mutant(
+        "tail_enclosure: the geometric ratio not raised to the power",
+        SEQUENCES,
+        "ratio = self.r**power",
+        "ratio = self.r",
+        (
+            TEST_SEQUENCES + "test_geometric_tails_are_exact",
+            TEST_PARAMS + "test_block_partition_geometric_example",
+        ),
+    ),
+    Mutant(
+        "tail_enclosure: the scale a not raised to the power",
+        SEQUENCES,
+        "scale = self.a**power",
+        "scale = self.a",
+        (
+            TEST_SEQUENCES + "test_zeta4_tail_bracket_against_partials",
+            TEST_SEQUENCES + "test_harmonic_l2sq_tail_bracket_against_partials[1]",
+            TEST_PARAMS + "test_validate_presets_pass",
+        ),
+    ),
+    Mutant(
+        "tail_enclosure: an inverse-square zeta tail read at s = p, not 2p",
+        SEQUENCES,
+        "s = power if self.kind == _HARMONIC else 2 * power",
+        "s = power",
+        (
+            TEST_SEQUENCES + "test_zeta4_tail_bracket_against_partials",
+            TEST_SEQUENCES + "test_inverse_square_l1_tail_bracket_against_partials[1]",
+        ),
+    ),
+    Mutant(
+        "tail_enclosure: the zeta(2) and zeta(4) tails swapped",
+        SEQUENCES,
+        "(_zeta2_tail_bracket if s == 2 else _zeta4_tail_bracket)",
+        "(_zeta4_tail_bracket if s == 2 else _zeta2_tail_bracket)",
+        (
+            TEST_SEQUENCES + "test_zeta4_tail_bracket_against_partials",
+            TEST_SEQUENCES + "test_harmonic_l2sq_tail_bracket_against_partials[1]",
+            TEST_PARAMS + "test_validate_presets_pass",
+        ),
     ),
     Mutant(
         "ParameterSet._point_head: the exact head starts at the level, not past it",
