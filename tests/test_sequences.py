@@ -33,6 +33,8 @@ def test_terms_start_at_one_and_explicit_is_finite():
         harmonic(F(1)).term(0)
     with pytest.raises(DomainError):
         explicit([F(1)], 0, 0).term(2)
+    with pytest.raises(DomainError, match="power must be 1 or 2"):
+        harmonic(F(1)).tail_enclosure(0, 3)
 
 
 def test_negative_terms_rejected():
