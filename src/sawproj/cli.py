@@ -26,8 +26,8 @@ from typing import Callable, Optional
 # imports certificates, and `--version` imports none of certificates, construction,
 # intervals, measure, curve, events and diagnostics.
 from . import __version__
-from .errors import DEFAULT_PIECE_BUDGET, DEFAULT_SAMPLE_BUDGET, DEFAULT_VERTEX_BUDGET
-from .errors import BudgetExceeded, ConfigError, DomainError, SawprojError
+from .errors import DEFAULT_DIRECTION_BUDGET, DEFAULT_PIECE_BUDGET, DEFAULT_SAMPLE_BUDGET
+from .errors import DEFAULT_VERTEX_BUDGET, BudgetExceeded, ConfigError, DomainError, SawprojError
 from .rational import format_rational, parse_rational
 from .records import (
     SCHEMA_VERSION,
@@ -265,6 +265,9 @@ def _direction(chunk: str) -> tuple[Fraction, Fraction]:
 
 def cmd_scan(args) -> int:
     _at_least(1, "--circle", args.circle)
+    count = args.circle if args.directions is None else args.directions.count(";") + 1
+    if count > DEFAULT_DIRECTION_BUDGET:
+        raise BudgetExceeded("directions", count, DEFAULT_DIRECTION_BUDGET)
     # every direction, of an empty list too, is checked before the output and cache exist
     if args.directions is not None:
         directions = [_direction(chunk) for chunk in args.directions.split(";")]

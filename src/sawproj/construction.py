@@ -135,16 +135,6 @@ class PLFunction(NamedTuple):
         return map(self.nums, range(self.piece_count))
 
 
-def _table(params: ParameterSet, functional: Functional, level: int) -> PLFunction:
-    """The integer table of the level-N truncation; the level is checked by the caller."""
-    coeffs = functional.coeffs(level)
-    size = params.grid_size(level)
-    q_lcm = lcm(*(c.denominator for c in coeffs))
-    a = tuple(c.numerator * (q_lcm // c.denominator) for c in coeffs)
-    periods = tuple(2 * size // params.grid_size(n) for n in range(level + 1))
-    return PLFunction(level, 4 * size * q_lcm, a, periods)
-
-
 def build_pl(
     params: ParameterSet,
     functional: Functional,
@@ -154,7 +144,11 @@ def build_pl(
     """Piecewise-linear form of the level-N truncated projection, its piece count
     2 M_N checked against the budget before any enumeration. It reads no tail, so
     a functional without a certified l1 tail is accepted: a bracket asks for it."""
-    pieces = 2 * params.grid_size(level)  # refuses a level outside [0, n_max]
-    if pieces > piece_budget:
-        raise BudgetExceeded("pieces", pieces, piece_budget)
-    return _table(params, functional, level)
+    size = params.grid_size(level)  # refuses a level outside [0, n_max]
+    if 2 * size > piece_budget:
+        raise BudgetExceeded("pieces", 2 * size, piece_budget)
+    coeffs = functional.coeffs(level)
+    q_lcm = lcm(*(c.denominator for c in coeffs))
+    a = tuple(c.numerator * (q_lcm // c.denominator) for c in coeffs)
+    periods = tuple(2 * size // params.grid_size(n) for n in range(level + 1))
+    return PLFunction(level, 4 * size * q_lcm, a, periods)

@@ -31,7 +31,7 @@ from math import lcm
 from pathlib import Path
 from typing import NamedTuple
 
-from .construction import _table
+from .construction import build_pl
 from .errors import DEFAULT_VERTEX_BUDGET, BudgetExceeded, DomainError
 from .params import L1, ParameterSet
 from .records import ratio_cells, write_lines
@@ -133,7 +133,7 @@ def build_curve(
     if count > vertex_budget:
         raise BudgetExceeded("vertices", count, vertex_budget)
 
-    table = _table(params, functional, level)
+    table = build_pl(params, functional, level, count)  # 2 M_N pieces, fewer than count
     patterns = tuple(map(table.pattern, range(1, level + 1)))
     return PolygonalCurve(params, functional, level, 2 * size, table.denom, table.a[0], patterns)
 

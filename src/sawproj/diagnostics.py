@@ -1,9 +1,9 @@
 """Seeded diagnostics: the union of refinement events, secant witnesses, the
 slope translation identity and per-level oscillation.
 
-The exact events live in ``events``; ``event_set`` and ``independence_check`` are
-bound here for the perfbench hooks. No sampler loads ``intervals`` or ``construction``,
-and every sawtooth value a sampler reads comes from ``params.point_nums``.
+The exact events live in ``events``: the borel-cantelli sampler reads ``event_window``;
+``event_set`` and ``independence_check`` are bound here for the perfbench hooks. No sampler
+loads ``intervals`` or ``construction``; every sawtooth value comes from ``params.point_nums``.
 
 Secant witnesses work at the fine scale: an eligible parameter sits
 within alpha_n / M_n of a level-n grid point beta that lies on no coarser
@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
-from .events import event_set, independence_check  # noqa: F401  (perfbench hook targets)
+from .events import event_set, event_window, independence_check  # noqa: F401  (perfbench hooks)
 from .params import L2, ParameterSet, point_nums
 
 GENERATOR_NAME = "mt19937-getrandbits"
@@ -71,19 +71,12 @@ def rand_index(rng: random.Random, lo: int, hi: int) -> int:
 # -- union of refinement events ------------------------------------------------------
 
 
-def _event_window(params: ParameterSet, n: int) -> tuple[int, int, int]:
-    """(M_{n-1}, den(alpha_n), num(alpha_n) 2^48): the level-n event in the
-    integers of t = R / 2^48."""
-    alpha = params.alpha_term(n)
-    return params.grid_size(n - 1), alpha.denominator, alpha.numerator << SAMPLE_BITS
-
-
 def _event_hit(window: tuple[int, int, int], r: int) -> bool:
-    """Whether t = r / 2^48 lies in the level-n event: the fractional part of
-    t M_{n-1} is x / 2^48 with x = r M_{n-1} mod 2^48, and it must lie within
-    alpha_n of 0 or 1."""
-    size, den, bound = window
-    x = r * size & ((1 << SAMPLE_BITS) - 1)
+    """Whether t = r / 2^48 lies in the level-n event of ``event_window``: the
+    fractional part of t M_{n-1} is x / 2^48 with x = r M_{n-1} mod 2^48, and it
+    must lie within alpha_n of 0 or 1."""
+    size, den, num = window
+    x, bound = r * size & ((1 << SAMPLE_BITS) - 1), num << SAMPLE_BITS
     return x * den <= bound or ((1 << SAMPLE_BITS) - x) * den <= bound
 
 
@@ -118,13 +111,8 @@ def sample_event_union(
     levels = tuple(sorted(set(levels)))
     if not levels:
         raise DomainError("no event levels to sample")
-    expected = Fraction(1)
-    for n in levels:
-        params.refinement_factor(n)  # refuses a level outside [1, n_max]
-        expected *= 1 - 2 * params.alpha_term(n)
-    expected = 1 - expected
-
-    windows = [_event_window(params, n) for n in levels]
+    windows = [event_window(params, n) for n in levels]
+    expected = 1 - prod(1 - Fraction(2 * num, den) for _, den, num in windows)
     per = [samples // _UNION_CHUNKS] * _UNION_CHUNKS
     per[-1] += samples - sum(per)
     hits = 0

@@ -1,11 +1,12 @@
-"""Exact refinement events, for the event-measure and independence checks.
+"""Exact refinement events, for the event-measure, independence and borel-cantelli checks.
 
 The level-n refinement event marks parameters living in the first or last
 alpha_n * m_n level-n subcells of their level-(n-1) cell, i.e. within
 alpha_n / M_{n-1} of the coarse grid. Its measure is exactly 2 alpha_n, and
 because membership depends only on the level-n refinement digit, events at
-distinct levels intersect with exactly multiplicative measure. Events are
-``intervals.IntervalUnion`` values; ``event_set`` imports that module when it runs.
+distinct levels intersect with exactly multiplicative measure. ``event_window`` is
+its one checked integer form, read by ``event_set`` and the borel-cantelli sampler.
+Events are ``intervals.IntervalUnion`` values; ``event_set`` imports that module.
 """
 
 from __future__ import annotations
@@ -30,17 +31,22 @@ class EventSet(NamedTuple):
         return self.cells.measure
 
 
-def event_set(params: ParameterSet, n: int) -> EventSet:
-    """The level-n refinement event as an exact interval union."""
-    from .intervals import IntervalUnion
-
+def event_window(params: ParameterSet, n: int) -> tuple[int, int, int]:
+    """(M_{n-1}, den alpha_n, num alpha_n): the level-n event is the t within
+    num / (M_{n-1} den) of a k / M_{n-1}; a level outside [1, n_max] or 2 alpha_n > 1 is refused."""
     params.refinement_factor(n)  # refuses a level outside [1, n_max]
     alpha = params.alpha_term(n)
     if 2 * alpha > 1:
         raise DomainError(f"2 alpha_{n} = {2 * alpha} exceeds 1")
-    # numerators over M_{n-1} den(alpha_n): centers k/M_{n-1}, radius alpha_n/M_{n-1}
-    step, radius = alpha.denominator, alpha.numerator
-    denom = params.grid_size(n - 1) * step
+    return params.grid_size(n - 1), alpha.denominator, alpha.numerator
+
+
+def event_set(params: ParameterSet, n: int) -> EventSet:
+    """The level-n refinement event as an exact interval union."""
+    from .intervals import IntervalUnion
+
+    size, step, radius = event_window(params, n)
+    denom = size * step  # numerators over M_{n-1} den(alpha_n): centers k den, radius num
     pairs = [
         (max(0, center - radius), min(denom, center + radius))
         for center in range(0, denom + 1, step)
@@ -51,14 +57,13 @@ def event_set(params: ParameterSet, n: int) -> EventSet:
 def check_event_levels(
     params: ParameterSet, levels: Sequence[int], component_budget: int = DEFAULT_COMPONENT_BUDGET
 ) -> None:
-    """Refuse a level outside [1, n_max] or an event over the component budget.
+    """Refuse what ``event_window`` refuses, or an event over the component budget.
 
     The level-n event has at most M_{n-1} + 1 components, so every level is
     checked before any event is built.
     """
     for n in levels:
-        params.refinement_factor(n)  # refuses a level outside [1, n_max]
-        components = params.grid_size(n - 1) + 1
+        components = event_window(params, n)[0] + 1
         if components > component_budget:
             raise BudgetExceeded("event components", components, component_budget)
 

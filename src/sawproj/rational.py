@@ -30,7 +30,15 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical "p/q" form; the denominator is always written."""
-    return f"{x.numerator}/{x.denominator}"
+    return format_ratio(x.numerator, x.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """"num/den" as given; an integer past Python's int-to-string limit is a DomainError."""
+    try:
+        return f"{num}/{den}"
+    except ValueError as exc:  # raised only past the limit, which its first clause names
+        raise DomainError(str(exc).partition(";")[0]) from None
 
 
 def sqrt_enclosure(x: Fraction, bits: int = DEFAULT_SQRT_BITS) -> tuple[Fraction, Fraction]:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 from .errors import ConfigError, DomainError
 from .params import ParameterSet, RefinementRule
-from .rational import DEFAULT_SQRT_BITS, format_rational, parse_rational
+from .rational import DEFAULT_SQRT_BITS, format_ratio, format_rational, parse_rational
 from .sequences import Functional, SequenceRule
 
 SCHEMA_VERSION = 1
@@ -277,7 +277,7 @@ def ratio_cells(num: int, den: int) -> str:
     """The reduced "p/q" cell of num/den (den > 0) and its float companion,
     comma-joined; integer true division rounds as float(Fraction(num, den))."""
     g = gcd(num, den)
-    return f"{num // g}/{den // g},{num / den!r}"
+    return f"{format_ratio(num // g, den // g)},{num / den!r}"
 
 
 def write_csv(records: Sequence[dict], path: str | Path) -> None:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -402,7 +403,7 @@ def test_scan_served_from_the_cache_builds_no_table(d1_config, tmp_path, monkeyp
 
     args = ["scan", "--config", str(d1_config), "--level", "3", "--circle", "4"]
     assert main(args + ["--out", str(tmp_path / "o")]) == 0
-    monkeypatch.setattr(sp.construction, "_table", no_table)
+    monkeypatch.setattr(sp.measure, "build_pl", no_table)
     assert main(args + ["--out", str(tmp_path / "o")]) == 0
 
 
@@ -784,6 +785,74 @@ def test_diagnose_refuses_samples_past_the_budget_before_any_output(d1_config, t
     (record,) = _error_records(capsys)
     assert record["error"] == "budget" and record["exit_code"] == 3
     assert (record["count"], record["budget"]) == (budget + 1, budget)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "directions",
+    [lambda n: ["--circle", str(n)], lambda n: ["--directions", ";".join(["1,0"] * n)]],
+    ids=["circle", "directions"],
+)
+def test_scan_refuses_directions_past_the_budget_before_any_output(
+    directions, d1_config, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(sp.cli, "DEFAULT_DIRECTION_BUDGET", 4)
+    args = ["scan", "--config", str(d1_config), "--level", "1"]
+    assert main(args + directions(4) + ["--out", str(tmp_path / "a")]) == 0
+    assert len(read_jsonl(tmp_path / "a" / "scan.jsonl")) == 4
+    capsys.readouterr()
+    out = tmp_path / "b"
+    assert main(args + directions(5) + ["--out", str(out)]) == 3
+    (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+    assert record["error"] == "budget" and record["exit_code"] == 3
+    assert (record["count"], record["budget"]) == (5, 4)
+    assert not out.exists()  # neither records nor a cache
+
+
+def test_scan_circle_past_the_real_budget_exits_three(d1_config, tmp_path, capsys):
+    assert sp.errors.DEFAULT_DIRECTION_BUDGET == 2**14
+    out = tmp_path / "o"
+    args = ["scan", "--config", str(d1_config), "--level", "1", "--circle", "16385"]
+    assert main(args + ["--out", str(out)]) == 3
+    (record,) = _error_records(capsys)
+    assert (record["count"], record["budget"]) == (2**14 + 1, 2**14)
+    assert not out.exists()
+
+
+def test_borel_cantelli_refuses_a_weight_past_one_half(tmp_path, capsys):
+    # alpha_n = (11/5)/n: the sampled levels start at 4, where 2 alpha_4 = 11/10
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(D1_CONFIG.replace('alpha.a = "1/2"', 'alpha.a = "11/5"'))
+    out = tmp_path / "o"
+    args = ["diagnose", "--config", str(cfg), "--check", "borel-cantelli", "--out", str(out)]
+    assert main(args) == 2
+    (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+    assert record == {"error": "invalid", "exit_code": 2, "message": "2 alpha_4 = 11/10 exceeds 1"}
+    assert not (out / "diagnose_borel_cantelli.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        [("sqrt_precision_bits = 64", "sqrt_precision_bits = 20000")],
+        [("m.k = 2\n", "m.k = 1000000\n"), ("n_max = 8", "n_max = 256")],
+    ],
+    ids=["sqrt-precision", "refinement"],
+)
+def test_evaluate_past_the_digit_limit_exits_two_and_writes_nothing(edit, tmp_path, capsys):
+    # each edit gives a record field of more digits than Python writes an int in
+    text = D1_CONFIG
+    for old, new in edit:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    args = ["evaluate", "--config", str(cfg), "--t", "1/3", "--level", "2", "--out", str(out)]
+    assert main(args) == 2
+    (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+    assert record["error"] == "invalid" and record["exit_code"] == 2
+    assert f"({sys.get_int_max_str_digits()} digits)" in record["message"]
     assert not out.exists()
 
 

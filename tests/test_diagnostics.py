@@ -4,7 +4,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
@@ -12,7 +12,6 @@ from sawproj.diagnostics import (
     SAMPLE_BITS,
     _event_hit,
     _SecantConstants,
-    _event_window,
     _slope_identity,
     rand_fraction,
     rand_index,
@@ -24,7 +23,7 @@ from sawproj.diagnostics import (
     spawn_rng,
 )
 from sawproj.errors import BudgetExceeded, DomainError
-from sawproj.events import check_event_levels, independence_checks
+from sawproj.events import check_event_levels, event_window, independence_checks
 from sawproj.measure import IntervalUnion
 
 from oracles import (
@@ -475,7 +474,34 @@ def test_event_hit_matches_event_contains(params, data):
     r = data.draw(st.one_of(st.just(near), st.integers(0, 2**SAMPLE_BITS - 1)))
     assume(0 <= r < 2**SAMPLE_BITS)
     t = F(r, 2**SAMPLE_BITS)
-    assert _event_hit(_event_window(params, n), r) == event_contains(params, n, t)
+    assert _event_hit(event_window(params, n), r) == event_contains(params, n, t)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.fractions(0, 1, max_denominator=12), min_size=3, max_size=3),
+    st.lists(st.integers(1, 5), min_size=3, max_size=3),
+    st.integers(1, 3),
+)
+@example([F(1, 2), F(1, 4), F(1, 6)], [2, 4, 6], 1)  # 2 alpha_1 = 1 exactly: admitted
+@example([F(1, 2), F(7, 13), F(1, 6)], [2, 4, 6], 2)  # 2 alpha_2 = 14/13: refused
+def test_event_set_is_its_window_clipped_and_refused_past_one_half(values, factors, n):
+    params = sp.ParameterSet(
+        alpha=sp.explicit(values, 0, 0), m=sp.explicit_refinement(factors), n_max=3, model="L2"
+    )
+    alpha, size = values[n - 1], params.grid_size(n - 1)
+    if 2 * alpha > 1:
+        for refused in (event_window, sp.event_set, lambda p, n: check_event_levels(p, (n,))):
+            with pytest.raises(DomainError, match=f"^2 alpha_{n} = {2 * alpha} exceeds 1$"):
+                refused(params, n)
+        return
+    window = event_window(params, n)
+    assert window == (size, alpha.denominator, alpha.numerator)
+    # the windows [k - alpha_n, k + alpha_n] / M_{n-1}, k = 0..M_{n-1}, clipped to [0, 1]
+    clipped = [
+        (max(F(0), (k - alpha) / size), min(F(1), (k + alpha) / size)) for k in range(size + 1)
+    ]
+    assert sp.event_set(params, n).cells == IntervalUnion.from_intervals(clipped)
 
 
 @settings(max_examples=150)

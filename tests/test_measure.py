@@ -10,7 +10,7 @@ import sawproj as sp
 from sawproj.cli import circle_directions
 from sawproj.construction import DEFAULT_PIECE_BUDGET
 from sawproj.errors import BudgetExceeded, DomainError
-from sawproj import construction, measure
+from sawproj import measure
 from sawproj.measure import IntervalUnion, _merged, _Shape
 from sawproj.records import functional_from_config, load_config, params_from_config
 
@@ -485,8 +485,8 @@ def test_direction_route_builds_one_table_and_tail(d1, f1, monkeypatch):
         sp.projection_bracket(d1, direction_functional(f1, p, q), 4) for p, q in directions
     ]
     tables, tails = [], []
-    table, tail = construction._table, sp.Functional.abs_tail_upper
-    monkeypatch.setattr(construction, "_table", lambda *args: tables.append(1) or table(*args))
+    table, tail = measure.build_pl, sp.Functional.abs_tail_upper
+    monkeypatch.setattr(measure, "build_pl", lambda *args: tables.append(1) or table(*args))
     monkeypatch.setattr(sp.Functional, "abs_tail_upper", lambda f, n: tails.append(n) or tail(f, n))
     brackets = measure.direction_brackets(d1, f1, 4, DEFAULT_PIECE_BUDGET)
     assert (tables, tails) == ([], [])  # nothing is built before a bracket is asked for
@@ -558,7 +558,13 @@ def test_bracket_checks_level_and_budget_first(d1, f1, monkeypatch):
     def no_image(*args):
         raise AssertionError("an image was computed before the checks")
 
-    monkeypatch.setattr(construction, "_table", no_image)
+    build = measure.build_pl
+
+    def no_table(*args):
+        build(*args)  # the level and budget checks must refuse before a table is built
+        raise AssertionError("a table was built before the checks")
+
+    monkeypatch.setattr(measure, "build_pl", no_table)
     monkeypatch.setattr(measure, "_image_ints", no_image)
     for level in (-1, 9):
         with pytest.raises(DomainError):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sawproj as sp
-from sawproj.errors import ConfigError
+from sawproj.errors import ConfigError, DomainError
 from sawproj.records import (
     SCHEMA_VERSION,
     content_hash,
@@ -307,6 +309,15 @@ BIG = st.integers(-(2**200), 2**200)
 def test_ratio_cells_match_fraction_cells(num, den):
     value = F(num, den)
     assert ratio_cells(num, den) == f"{format_rational(value)},{float(value)!r}"
+
+
+def test_a_number_past_the_digit_limit_is_a_domain_error():
+    # Python writes no int of more digits than its int-to-string limit
+    limit = sys.get_int_max_str_digits()
+    huge = 10**limit + 1
+    for refused in (lambda: format_rational(F(1, huge)), lambda: ratio_cells(1, huge)):
+        with pytest.raises(DomainError, match=re.escape(f"Exceeds the limit ({limit} digits)")):
+            refused()
 
 
 @st.composite

@@ -393,6 +393,17 @@ MUTANTS = (
         (TEST_DIAGNOSTICS + "test_independence_of_four_levels",),
     ),
     Mutant(
+        "event_window: 2 alpha_n = 1 refused",
+        EVENTS,
+        "if 2 * alpha > 1:",
+        "if 2 * alpha >= 1:",
+        (
+            TEST_ACCEPTANCE + "test_c02_event_measures_and_products",
+            TEST_DIAGNOSTICS + "test_event_set_measures",
+            TEST_DIAGNOSTICS + "test_event_set_is_its_window_clipped_and_refused_past_one_half",
+        ),
+    ),
+    Mutant(
         "block_partition: block m's bound read at its own end, not past the previous one",
         CERTIFICATES,
         "s_hi if m == 1 else alpha.certified_tail(prev_end, 2)[1]",
@@ -485,6 +496,16 @@ MUTANTS = (
         "if args.samples > DEFAULT_SAMPLE_BUDGET:",
         "if args.samples >= DEFAULT_SAMPLE_BUDGET:",
         (TEST_CLI + "test_diagnose_refuses_samples_past_the_budget_before_any_output",),
+    ),
+    Mutant(
+        "cmd_scan: a direction count at the budget refused",
+        CLI,
+        "if count > DEFAULT_DIRECTION_BUDGET:",
+        "if count >= DEFAULT_DIRECTION_BUDGET:",
+        (
+            TEST_CLI + "test_scan_refuses_directions_past_the_budget_before_any_output[circle]",
+            TEST_CLI + "test_scan_refuses_directions_past_the_budget_before_any_output[directions]",
+        ),
     ),
 )
 
