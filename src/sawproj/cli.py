@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -34,7 +33,6 @@ from .records import (
     as_frac,
     as_int,
     content_hash,
-    dumps_record,
     export_pieces_csv,
     finalize_record,
     functional_from_config,
@@ -126,24 +124,21 @@ def _source_digest() -> str:
 
 
 class _Cache:
-    """Finalized bracket records under ``<out>/.cache``, one JSON file per direction,
-    named by the hash of the call's identity and the direction. A file holds the
-    record's bracket fields and nothing else, so `measure` reads direction (0, 1)
-    from the entries of a `scan`."""
+    """Finalized bracket records under ``<out>/.cache``, one-record JSONL file per
+    direction, named by the hash of the call's identity and the direction. An entry holds
+    the bracket fields alone, so `measure` reads direction (0, 1) from a `scan`'s entries."""
 
     def __init__(self, out: Path, identity: str):
         self.dir, self.identity = out / ".cache", identity
 
     def get(self, key: str) -> Optional[dict]:
-        """The record stored under key, or None on a miss: an unreadable entry, or
-        one of another schema_version, is a miss."""
+        """The record stored under key, or None on a miss: a missing or unreadable entry,
+        one not of exactly one JSON object, or one of another schema_version."""
         try:
-            record = json.loads((self.dir / f"{key}.json").read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            (record,) = read_jsonl(self.dir / f"{key}.json")
+        except (OSError, ConfigError, ValueError):
             return None
-        if not isinstance(record, dict) or record.get("schema_version") != SCHEMA_VERSION:
-            return None
-        return record
+        return record if record.get("schema_version") == SCHEMA_VERSION else None
 
     def bracket_fields(self, p: Fraction, q: Fraction, fields: Callable[[], dict]) -> dict:
         """The entry of direction (p, q), else ``fields()``, stored as that entry."""
@@ -152,12 +147,7 @@ class _Cache:
         record = self.get(key)
         if record is None:
             record = fields()
-            self.dir.mkdir(parents=True, exist_ok=True)
-            # a reader sees the old entry or the whole new one, never a torn write
-            path = self.dir / f"{key}.json"
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            tmp.write_text(dumps_record(record), encoding="utf-8")
-            os.replace(tmp, path)
+            write_jsonl([record], self.dir / f"{key}.json")
         return record
 
 

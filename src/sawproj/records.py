@@ -9,11 +9,14 @@ fixed separators so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import takewhile
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .errors import ConfigError, DomainError
 from .params import ParameterSet, RefinementRule
@@ -259,11 +262,25 @@ def dumps_record(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _create(path: str | Path) -> TextIO:
-    """path opened for UTF-8 text with no newline translation, its directory made first."""
+@contextmanager
+def _create(path: str | Path) -> Iterator[TextIO]:
+    """path written whole or not at all, as UTF-8 text with no newline translation: a
+    temporary file beside it replaces it when the block ends without an error. On an
+    error the temporary file goes, with the directories this call made."""
     path = Path(path)
+    made = list(takewhile(lambda d: not d.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w", encoding="utf-8", newline="")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):  # the cleanup never masks the error
+            tmp.unlink(missing_ok=True)
+            for folder in made:
+                folder.rmdir()
+        raise
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
@@ -330,10 +347,10 @@ PIECES_HEADER = (
 )
 
 
-def export_pieces_csv(pl, path: str | Path) -> int:
-    """Write the piece table (index, endpoint, slope, value, jump) as CSV; return
-    the piece count. A jump is the previous right limit less the left value (piece
-    0's left value is 0); each distinct slope and jump is formatted once."""
+def export_pieces_csv(pl, path: str | Path) -> None:
+    """Write the piece table (index, endpoint, slope, value, jump) as CSV. A jump is
+    the previous right limit less the left value (piece 0's left value is 0); each
+    distinct slope and jump is formatted once."""
     count, denom, length = pl.piece_count, pl.denom, ratio_cells(1, pl.piece_count)
     cell = lru_cache(maxsize=None)(partial(ratio_cells, den=denom))
 
@@ -345,4 +362,3 @@ def export_pieces_csv(pl, path: str | Path) -> int:
             last = w
 
     write_lines(path, PIECES_HEADER, lines())
-    return count

@@ -302,12 +302,16 @@ def test_corrupt_cache_entry_is_a_miss(d1_config, tmp_path, capsys):
     assert main(args) == 0
     cold = (out / "measure.jsonl").read_bytes()
     (entry,) = (out / ".cache").iterdir()
-    entry.write_text('{"schema_version": 1, "rec')
-    assert main(args) == 0
-    assert _error_records(capsys) == []
-    assert (out / "measure.jsonl").read_bytes() == cold
-    assert [p.name for p in (out / ".cache").iterdir()] == [entry.name]
-    assert json.loads(entry.read_text())["mu"] == read_jsonl(out / "measure.jsonl")[0]["mu"]
+    stored = entry.read_text()
+    # torn, empty, two records, a JSON list: each a miss, rewritten whole
+    for corrupt in ('{"schema_version": 1, "rec', "", stored + stored, f"[{stored.strip()}]"):
+        entry.write_text(corrupt)
+        assert main(args) == 0
+        assert _error_records(capsys) == []
+        assert (out / "measure.jsonl").read_bytes() == cold
+        assert [p.name for p in (out / ".cache").iterdir()] == [entry.name]
+        assert json.loads(entry.read_text())["mu"] == read_jsonl(out / "measure.jsonl")[0]["mu"]
+        assert entry.read_text() == stored
 
 
 def test_entry_of_another_schema_version_is_a_miss(d1_config, tmp_path, capsys):
@@ -816,6 +820,19 @@ def test_scan_circle_past_the_real_budget_exits_three(d1_config, tmp_path, capsy
     assert main(args + ["--out", str(out)]) == 3
     (record,) = _error_records(capsys)
     assert (record["count"], record["budget"]) == (2**14 + 1, 2**14)
+    assert not out.exists()
+
+
+def test_curve_refused_while_streaming_its_csv_leaves_no_output(tmp_path, capsys):
+    # alpha_0 = 1/10^4299 is a legal rational, but the curve's coordinate-0 cells
+    # pass Python's int-to-string digit limit once curve.csv is open
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(D2_CONFIG.replace('alpha0 = "1/1"', f'alpha0 = "1/1{"0" * 4299}"'))
+    out = tmp_path / "o"
+    assert main(["curve", "--config", str(cfg), "--level", "2", "--out", str(out)]) == 2
+    (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+    assert record["error"] == "invalid" and record["exit_code"] == 2
+    assert "Exceeds the limit" in record["message"]
     assert not out.exists()
 
 

@@ -28,6 +28,7 @@ from sawproj.records import (
     read_jsonl,
     write_csv,
     write_jsonl,
+    write_lines,
 )
 from sawproj.rational import format_rational
 
@@ -269,12 +270,57 @@ def test_write_csv_matches_finalized_rows(tmp_path):
     assert (tmp_path / "rows.csv").read_text(encoding="utf-8") == expected.getvalue()
 
 
+def _refuse(before):
+    """Run before(), then refuse as a cell past the digit limit does."""
+    before()
+    raise DomainError("refused part-way")
+
+
+class _RefusedCell:
+    def __init__(self, before):
+        self.before = before
+
+    def __str__(self):
+        _refuse(self.before)
+
+
+# each writer, given a source that refuses after one row
+WRITERS = {
+    "write_jsonl": lambda path, before: write_jsonl(
+        ({"a": 1} if i == 0 else _refuse(before) for i in range(2)), path),
+    "write_csv": lambda path, before: write_csv([{"a": 1}, {"a": _RefusedCell(before)}], path),
+    "write_lines": lambda path, before: write_lines(
+        path, ["a"], ("1\n" if i == 0 else _refuse(before) for i in range(2))),
+}
+
+
+@pytest.mark.parametrize("case", ["new directory", "existing file", "crowded directory"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_refused_write_leaves_no_file(tmp_path, writer, case):
+    top = tmp_path / "new"
+    path = top / "deeper" / "out.txt"
+    if case == "existing file":
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"before\n")
+    # in a crowded directory a file appears while the source runs, so the new
+    # directories cannot be removed: the refusal must still propagate
+    other = path.parent / "other.txt"
+    before = (lambda: other.write_text("x")) if case == "crowded directory" else (lambda: None)
+    with pytest.raises(DomainError, match="refused part-way"):
+        WRITERS[writer](path, before)
+    if case == "new directory":
+        assert not top.exists()
+    elif case == "existing file":
+        assert sorted(path.parent.iterdir()) == [path] and path.read_bytes() == b"before\n"
+    else:
+        assert sorted(path.parent.iterdir()) == [other]
+
+
 def test_export_pieces_csv(tmp_path, d1, f1):
     pl = sp.build_pl(d1, f1, 1)
-    count = export_pieces_csv(pl, tmp_path / "pieces.csv")
-    assert count == 4
+    export_pieces_csv(pl, tmp_path / "pieces.csv")
     lines = (tmp_path / "pieces.csv").read_text().splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 5  # the header and 4 pieces
     header = lines[0].split(",")
     for column in ("piece_index", "left_endpoint", "slope", "left_value", "jump_at_left"):
         assert column in header
@@ -291,11 +337,12 @@ def test_export_pieces_csv_streams_in_bounded_memory(tmp_path, d1, f1):
     pl = sp.build_pl(d1, f1, 5)
     tracemalloc.start()
     try:
-        assert export_pieces_csv(pl, tmp_path / "pieces.csv") == 7680
+        export_pieces_csv(pl, tmp_path / "pieces.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+    assert len((tmp_path / "pieces.csv").read_text().splitlines()) == 1 + 7680
 
 
 BIG = st.integers(-(2**200), 2**200)
@@ -350,7 +397,7 @@ def test_export_pieces_csv_matches_fraction_rows(tmp_path_factory, case):
     params, functional, level = case
     out = tmp_path_factory.mktemp("pieces")
     pl = sp.build_pl(params, functional, level)
-    assert export_pieces_csv(pl, out / "pieces.csv") == pl.piece_count
+    export_pieces_csv(pl, out / "pieces.csv")
     write_csv([finalize_record(r) for r in piece_rows_oracle(params, functional, level)],
               out / "oracle.csv")
     assert (out / "pieces.csv").read_bytes() == (out / "oracle.csv").read_bytes()

@@ -48,10 +48,11 @@ TEST_CURVE, TEST_CONSTRUCTION = "tests/test_curve.py::", "tests/test_constructio
 TEST_MEASURE, TEST_INTERVALS = "tests/test_measure.py::", "tests/test_intervals.py::"
 TEST_PARAMS, TEST_DIAGNOSTICS = "tests/test_params.py::", "tests/test_diagnostics.py::"
 TEST_CLI, TEST_SEQUENCES = "tests/test_cli.py::", "tests/test_sequences.py::"
-TEST_ACCEPTANCE = "tests/test_acceptance.py::"
+TEST_ACCEPTANCE, TEST_RECORDS = "tests/test_acceptance.py::", "tests/test_records.py::"
 
 LEVEL_CHECK = TEST_PARAMS + "test_level_outside_range_raises_the_owners_message"
 ENVELOPE = TEST_CLI + "test_every_record_carries_the_envelope_and_emits_back_byte_for_byte"
+REFUSED_WRITE = TEST_RECORDS + "test_a_refused_write_leaves_no_file"
 
 MUTANTS = (
     Mutant(
@@ -326,8 +327,8 @@ MUTANTS = (
     Mutant(
         "_Cache.get: an entry of another schema_version served",
         CLI,
-        'if not isinstance(record, dict) or record.get("schema_version") != SCHEMA_VERSION:',
-        "if not isinstance(record, dict):",
+        'return record if record.get("schema_version") == SCHEMA_VERSION else None',
+        "return record",
         (TEST_CLI + "test_entry_of_another_schema_version_is_a_miss",),
     ),
     Mutant(
@@ -356,6 +357,37 @@ MUTANTS = (
         "    path.parent.mkdir(parents=True, exist_ok=True)\n",
         "",
         (ENVELOPE + "[curve]", TEST_CLI + "test_validate_ok"),
+    ),
+    Mutant(
+        "_create: the target replaced before the block is written",
+        RECORDS,
+        "            yield fh\n        os.replace(tmp, path)\n",
+        "            os.replace(tmp, path)\n            yield fh\n",
+        (
+            REFUSED_WRITE + "[write_lines-existing file]",
+            REFUSED_WRITE + "[write_jsonl-new directory]",
+            TEST_CLI + "test_curve_refused_while_streaming_its_csv_leaves_no_output",
+        ),
+    ),
+    Mutant(
+        "_create: the temporary file of a refused write kept",
+        RECORDS,
+        "            tmp.unlink(missing_ok=True)\n",
+        "",
+        (
+            REFUSED_WRITE + "[write_csv-crowded directory]",
+            REFUSED_WRITE + "[write_jsonl-existing file]",
+        ),
+    ),
+    Mutant(
+        "_create: the directories a refused write made kept",
+        RECORDS,
+        "            for folder in made:\n                folder.rmdir()\n",
+        "",
+        (
+            REFUSED_WRITE + "[write_lines-new directory]",
+            TEST_CLI + "test_curve_refused_while_streaming_its_csv_leaves_no_output",
+        ),
     ),
     Mutant(
         "term_bound_after: an explicit suffix bounded by its smallest term",
