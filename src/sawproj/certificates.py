@@ -68,7 +68,7 @@ def validate(params: ParameterSet) -> ValidationReport:
         not odd,
         "odd factors: " + ", ".join(f"m_{n}={v}" for n, v in odd)
         if odd
-        else "all refinement factors even",
+        else "refinement factors m_n even for n <= n_max",
     )
 
     power = 2 if params.model == L2 else 1
@@ -83,7 +83,7 @@ def validate(params: ParameterSet) -> ValidationReport:
             not bad,
             "non-integer products: " + ", ".join(f"n={n}: {v}" for n, v in bad)
             if bad
-            else "alpha_n * m_n is a positive integer for all n",
+            else "alpha_n * m_n is a positive integer for n <= n_max",
         )
     name = SERIES_NAMES[power]
     try:

@@ -92,13 +92,16 @@ def _text(source: str, value) -> str:
     return value
 
 
-def _load(args) -> tuple[dict, object, Optional[object]]:
+def _load(args, functional: bool = False) -> tuple[dict, object, Optional[object]]:
+    """The config, its parameters and its functional, None without functional.* keys:
+    a refusal when the command needs one."""
     config = load_config(args.config)
     params = params_from_config(config)
-    functional = None
     if any(k.startswith("functional.") for k in config):
-        functional = functional_from_config(config)
-    return config, params, functional
+        return config, params, functional_from_config(config)
+    if functional:
+        raise ConfigError(f"{args.command} requires functional.* keys in the config")
+    return config, params, None
 
 
 def _out_dir(args, config: dict) -> Path:
@@ -151,16 +154,14 @@ class _Cache:
         return record
 
 
-def _bracket_call(args, command: str):
+def _bracket_call(args):
     """What `measure` and `scan` share: params, functional, level, budget, out dir and
     ``fields(p, q, bracket)``, the finalized bracket fields of direction (p, q): read
     from the cache, else those of ``bracket()``, stored there. The cache identity
     covers the package sources, version and schema, the parameters, functional, level
     and budget, so a hit replays a call that passed under the same budget, exit code
     included. It is hashed once per call, and not at all under --no-cache."""
-    config, params, functional = _load(args)
-    if functional is None:
-        raise ConfigError(f"{command} requires functional.* keys in the config")
+    config, params, functional = _load(args, functional=True)
     level = _setting(args, config, "level", 1)
     budget = _setting(args, config, "budget", DEFAULT_PIECE_BUDGET, _nonnegative)
     out = _out_dir(args, config)
@@ -223,7 +224,7 @@ def cmd_measure(args) -> int:
     from .construction import build_pl
     from .measure import projection_bracket
 
-    params, functional, level, budget, out, fields = _bracket_call(args, "measure")
+    params, functional, level, budget, out, fields = _bracket_call(args)
     bracket = partial(projection_bracket, params, functional, level, piece_budget=budget)
     record = make_record("measure", **fields(0, 1, bracket))  # checks level, tail and budget
     if args.pieces:
@@ -265,7 +266,7 @@ def cmd_scan(args) -> int:
         directions = circle_directions(args.circle)
     from .measure import direction_brackets
 
-    params, functional, level, budget, out, fields = _bracket_call(args, "scan")
+    params, functional, level, budget, out, fields = _bracket_call(args)
     # one level-N table for every direction, built at the first cache miss
     brackets = direction_brackets(params, functional, level, budget)
     records = [
@@ -288,9 +289,7 @@ def cmd_curve(args) -> int:
         sup_distance_bound,
     )
 
-    config, params, functional = _load(args)
-    if functional is None:
-        raise ConfigError("curve requires functional.* keys in the config")
+    config, params, functional = _load(args, functional=True)
     level = _setting(args, config, "level", 1)
     budget = _setting(args, config, "vertex_budget", DEFAULT_VERTEX_BUDGET, _nonnegative)
     out = _out_dir(args, config)

@@ -82,21 +82,23 @@ class IndependenceResult(NamedTuple):
 def independence_check(
     params: ParameterSet, levels: Sequence[int], *, component_budget: int = DEFAULT_COMPONENT_BUDGET
 ) -> IndependenceResult:
-    """Exact measure of the intersection of events at distinct levels.
-
-    The contract is exact multiplicativity: measure = prod 2 alpha_n. Every
-    level's event size is checked against the budget before any is built.
-    """
-    levels = tuple(sorted(set(levels)))
-    if not 1 <= len(levels) <= 4:
-        raise DomainError("between one and four levels are supported")
+    """``independence_checks`` of the one group of levels."""
     return independence_checks(params, [levels], component_budget)[0]
 
 
 def independence_checks(
-    params: ParameterSet, groups: Sequence[tuple[int, ...]], budget: int = DEFAULT_COMPONENT_BUDGET
+    params: ParameterSet, groups: Sequence[Sequence[int]], budget: int = DEFAULT_COMPONENT_BUDGET
 ) -> list[IndependenceResult]:
-    """``independence_check`` of each group of distinct levels, building each event once."""
+    """Exact measure of the intersection of the events of each group of levels, building
+    each event once.
+
+    A group is sorted and de-duplicated and must hold one to four levels. The contract is
+    exact multiplicativity: measure = prod 2 alpha_n. Every group, and every level's event
+    size against the budget, is checked before any event is built.
+    """
+    groups = [tuple(sorted(set(group))) for group in groups]
+    if not all(1 <= len(group) <= 4 for group in groups):
+        raise DomainError("between one and four levels are supported")
     levels = sorted({n for group in groups for n in group})
     check_event_levels(params, levels, budget)
     cells = {n: event_set(params, n).cells for n in levels}

@@ -19,6 +19,11 @@ lives here beside the grid sizes it reads. For t = A/B, r = (M_n A) mod B,
 and the left limit at a level-n grid point (r = 0) is 1/(2 M_n): B replaces
 2r - B. Its callers check t and the level and build one ``Fraction`` per
 value.
+
+The point tails past n_max rest on M_n >= 2**(n - n_max) M_{n_max}, that is on
+m_n >= 2 for every n > n_max, which ``RefinementRule.doubles_past`` states once;
+without it they raise ``CertificationError``. An explicit rule is checked on its
+listed factors and assumed to hold past its list.
 """
 
 from __future__ import annotations
@@ -70,6 +75,16 @@ class RefinementRule(_RefinementRule):
         raise DomainError(
             f"explicit refinement rule has {len(self.values)} factors, got n = {n}"
         )
+
+    def doubles_past(self, n: int) -> bool:
+        """Whether m_j >= 2 for every j > n >= 1, so that M_j >= 2**(j - n) M_n: linear
+        (m_j = k j) iff k >= 1, constant iff k >= 2. An explicit rule checks its listed
+        factors past n and is assumed to hold past its list, which it does not state."""
+        if self.kind == "linear":
+            return self.k >= 1
+        if self.kind == "constant":
+            return self.k >= 2
+        return all(v >= 2 for v in self.values[n:])
 
 
 def linear_refinement(k: int) -> RefinementRule:
@@ -173,15 +188,25 @@ class ParameterSet(_ParameterSet):
             Fraction(0),
         )
 
+    def _doubling_size(self) -> int:
+        """M_{n_max}, once the rule states m_n >= 2 for every n > n_max; the point tails
+        bound the levels past n_max by M_n >= 2**(n - n_max) M_{n_max}."""
+        if not self.m.doubles_past(self.n_max):
+            raise CertificationError(
+                f"no certified point tail: m_n >= 2 for every n > n_max = {self.n_max} "
+                f"does not hold for this {self.m.kind} refinement rule"
+            )
+        return self.grid_size(self.n_max)
+
     def point_tail_l1_upper(self, level: int) -> Fraction:
         """Upper bound on sum_{n > level} alpha_n / (2 M_n).
 
         Terms with n <= n_max are summed exactly. Beyond n_max the grid sizes
-        are unknown but satisfy M_n >= 2**(n - n_max) * M_{n_max}, so the
+        satisfy M_n >= 2**(n - n_max) * M_{n_max} (``_doubling_size``), so the
         remainder is bounded by min(sup-term route, l1-tail route).
         """
         exact = self._point_head(level, 1)
-        m_last = self.grid_size(self.n_max)
+        m_last = self._doubling_size()
         bounds = []
         sup = self.alpha.term_bound_after(self.n_max)
         if sup is not None:
@@ -197,7 +222,7 @@ class ParameterSet(_ParameterSet):
     def point_tail_l2sq_upper(self, level: int) -> Fraction:
         """Upper bound on sum_{n > level} (alpha_n / (2 M_n))**2."""
         exact = self._point_head(level, 2)
-        m_last = self.grid_size(self.n_max)
+        m_last = self._doubling_size()
         tail = self.alpha.certified_tail(self.n_max, 2)[1]
         return exact + tail / (16 * m_last**2)
 

@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 from itertools import takewhile
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import ConfigError, DomainError
 from .params import ParameterSet, RefinementRule
@@ -98,13 +98,6 @@ def as_int(source: str, value) -> int:
         raise ConfigError(f"{source} must be an integer, got {value!r}") from None
 
 
-def config_int(doc: dict, key: str, default: Optional[int] = None) -> int:
-    """An integer config key; without a default the key is required."""
-    if key not in doc and default is None:
-        raise ConfigError(f"missing {key}")
-    return as_int(f"config key {key!r}", doc.get(key, default))
-
-
 def as_frac(source: str, value) -> Fraction:
     """The one rational reader for config values and rational settings."""
     try:
@@ -113,116 +106,117 @@ def as_frac(source: str, value) -> Fraction:
         raise ConfigError(f"{source} must be a rational 'p/q', got {value!r}") from None
 
 
-def _config_list(doc: dict, key: str, read=as_int) -> tuple:
-    """A comma-separated list read entry by entry; an absent key is the empty list."""
-    source = f"each entry of config key {key!r}"
-    return tuple(read(source, v) for v in str(doc.get(key, "")).split(",") if v.strip())
+class _Codec(NamedTuple):
+    read: Callable  # read(source, value); a refused value is a ConfigError naming source
+    write: Callable  # the value a written document holds
 
 
-def _checked(prefix: str, make, **fields):
-    """make(**fields), with a rejected field as a ConfigError naming the keys."""
-    try:
-        return make(**fields)
-    except DomainError as exc:
-        raise ConfigError(f"config keys {prefix}.*: {exc}") from None
-
-
-def _rule_from_config(doc: dict, prefix: str) -> SequenceRule:
-    kind = doc.get(f"{prefix}.kind")
-    if kind is None:
-        raise ConfigError(f"missing {prefix}.kind")
-    if kind in ("harmonic", "inverse_square"):
-        fields = dict(a=_frac(doc, f"{prefix}.a"))
-    elif kind == "geometric":
-        fields = dict(a=_frac(doc, f"{prefix}.a"), r=_frac(doc, f"{prefix}.r"))
-    elif kind == "explicit":
-        fields = dict(
-            values=_config_list(doc, f"{prefix}.values", as_frac),
-            tail_l1=_frac(doc, f"{prefix}.tail_l1", optional=True),
-            tail_l2sq=_frac(doc, f"{prefix}.tail_l2sq", optional=True),
-        )
-    else:
-        raise ConfigError(f"unknown {prefix}.kind {kind!r}")
-    return _checked(prefix, SequenceRule, kind=kind, **fields)
-
-
-def _rule_to_config(rule: SequenceRule, prefix: str) -> dict:
-    """The keys _rule_from_config reads back: rationals as "p/q", lists comma-joined."""
-    doc = {f"{prefix}.kind": rule.kind}
-    if rule.kind == "explicit":
-        doc[f"{prefix}.values"] = ",".join(map(format_rational, rule.values))
-        for key, bound in (("tail_l1", rule.tail_l1), ("tail_l2sq", rule.tail_l2sq)):
-            if bound is not None:
-                doc[f"{prefix}.{key}"] = format_rational(bound)
-    else:
-        doc[f"{prefix}.a"] = format_rational(rule.a)
-        if rule.kind == "geometric":
-            doc[f"{prefix}.r"] = format_rational(rule.r)
-    return doc
-
-
-def _frac(doc: dict, key: str, optional: bool = False) -> Optional[Fraction]:
-    if key not in doc:
-        if optional:
-            return None
-        raise ConfigError(f"missing {key}")
-    return as_frac(f"config key {key!r}", doc[key])
-
-
-def params_from_config(doc: dict) -> ParameterSet:
-    alpha = _rule_from_config(doc, "alpha")
-    m_kind = doc.get("m.kind")
-    if m_kind in ("linear", "constant"):
-        m = RefinementRule(m_kind, k=config_int(doc, "m.k", 0))
-    elif m_kind == "explicit":
-        m = RefinementRule("explicit", values=_config_list(doc, "m.values"))
-    else:
-        raise ConfigError(f"unknown m.kind {m_kind!r}")
-    n_max = config_int(doc, "n_max")
-    bits = config_int(doc, "sqrt_precision_bits", DEFAULT_SQRT_BITS)
-    if "model" not in doc:
-        raise ConfigError("missing model")
-    try:
-        return ParameterSet(alpha, m, n_max, str(doc["model"]), bits)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def params_to_config(params: ParameterSet) -> dict:
-    doc = _rule_to_config(params.alpha, "alpha")
-    m = params.m
-    doc["m.kind"] = m.kind
-    if m.kind == "explicit":
-        doc["m.values"] = ",".join(map(str, m.values))
-    else:
-        doc["m.k"] = m.k
-    doc.update(n_max=params.n_max, model=params.model, sqrt_precision_bits=params.sqrt_bits)
-    return doc
-
-
-def functional_from_config(doc: dict) -> Functional:
-    return _checked(
-        "functional",
-        Functional,
-        rule=_rule_from_config(doc, "functional.rule"),
-        alpha0=_frac(doc, "functional.alpha0"),
-        sign=config_int(doc, "functional.sign", 1),
-        signs=_config_list(doc, "functional.signs"),
-        name=str(doc.get("functional.name", "")),
+def _listed(codec: _Codec) -> _Codec:
+    """Comma-joined entries of codec; an empty value is the empty list."""
+    return _Codec(
+        lambda source, value: tuple(
+            codec.read(f"each entry of {source}", v) for v in str(value).split(",") if v.strip()
+        ),
+        lambda values: ",".join(str(codec.write(v)) for v in values),
     )
 
 
-def functional_to_config(functional: Functional) -> dict:
-    doc = {
-        "functional.alpha0": format_rational(functional.alpha0),
-        "functional.sign": functional.sign,
-        **_rule_to_config(functional.rule, "functional.rule"),
-    }
-    if functional.signs:
-        doc["functional.signs"] = ",".join(map(str, functional.signs))
-    if functional.name:
-        doc["functional.name"] = functional.name
+_INT = _Codec(as_int, lambda value: value)
+_TEXT = _Codec(lambda source, value: str(value), _INT.write)
+_FRAC = _Codec(as_frac, format_rational)
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """A section's key past its prefix. Absent, a required key is refused and any other
+    reads as its default; an optional one (default None) leaves the field at its own
+    default instead, and a written document leaves it out while the field holds that."""
+
+    name: str
+    codec: object  # a _Codec, or the _Section of the keys under "<name>."
+    default: object = _REQUIRED
+    field: str = ""  # the field it fills, when not name
+
+
+class _Section(NamedTuple):
+    make: type  # called with the fields its keys read
+    keys: object  # a tuple of _Key, or one per value of the section's required "kind" key
+
+
+_RULE = _Section(SequenceRule, {
+    "harmonic": (_Key("a", _FRAC),),
+    "inverse_square": (_Key("a", _FRAC),),
+    "geometric": (_Key("a", _FRAC), _Key("r", _FRAC)),
+    "explicit": (
+        _Key("values", _listed(_FRAC), ()), _Key("tail_l1", _FRAC, None),
+        _Key("tail_l2sq", _FRAC, None),
+    ),
+})
+_REFINEMENT = _Section(RefinementRule, {
+    "linear": (_Key("k", _INT),),
+    "constant": (_Key("k", _INT),),
+    "explicit": (_Key("values", _listed(_INT), ()),),
+})
+_PARAMS = _Section(ParameterSet, (
+    _Key("alpha", _RULE), _Key("m", _REFINEMENT), _Key("n_max", _INT),
+    _Key("sqrt_precision_bits", _INT, DEFAULT_SQRT_BITS, "sqrt_bits"), _Key("model", _TEXT),
+))
+_FUNCTIONAL = _Section(Functional, (
+    _Key("rule", _RULE), _Key("alpha0", _FRAC), _Key("sign", _INT, 1),
+    _Key("signs", _listed(_INT), None), _Key("name", _TEXT, None),
+))
+
+
+def _read(doc: dict, prefix: str, section: _Section):
+    """section.make of the keys under prefix; a field it rejects is a ConfigError naming
+    the section's keys."""
+    fields, keys = {}, section.keys
+    if isinstance(keys, dict):
+        kind = fields["kind"] = doc.get(prefix + "kind")
+        if kind is None:
+            raise ConfigError(f"missing {prefix}kind")
+        if kind not in keys:
+            raise ConfigError(f"unknown {prefix}kind {kind!r}")
+        keys = keys[kind]
+    for key in keys:
+        name = prefix + key.name
+        if isinstance(key.codec, _Section):
+            value = _read(doc, name + ".", key.codec)
+        elif name in doc:
+            value = key.codec.read(f"config key {name!r}", doc[name])
+        elif key.default is _REQUIRED:
+            raise ConfigError(f"missing {name}")
+        elif key.default is None:
+            continue
+        else:
+            value = key.default
+        fields[key.field or key.name] = value
+    try:
+        return section.make(**fields)
+    except DomainError as exc:
+        raise ConfigError(f"config keys {prefix}*: {exc}" if prefix else str(exc)) from None
+
+
+def _write(value, prefix: str, section: _Section) -> dict:
+    """The keys _read reads value back from."""
+    doc, keys = {}, section.keys
+    if isinstance(keys, dict):
+        doc[prefix + "kind"] = value.kind
+        keys = keys[value.kind]
+    for key in keys:
+        attr = key.field or key.name
+        name, field = prefix + key.name, getattr(value, attr)
+        if isinstance(key.codec, _Section):
+            doc.update(_write(field, name + ".", key.codec))
+        elif key.default is not None or field != value._field_defaults[attr]:
+            doc[name] = key.codec.write(field)
     return doc
+
+
+params_from_config = partial(_read, prefix="", section=_PARAMS)
+params_to_config = partial(_write, prefix="", section=_PARAMS)
+functional_from_config = partial(_read, prefix="functional.", section=_FUNCTIONAL)
+functional_to_config = partial(_write, prefix="functional.", section=_FUNCTIONAL)
 
 
 # -- records ------------------------------------------------------------------------

@@ -715,6 +715,34 @@ def test_bad_setting_names_its_source(argv, line, message, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["measure", "scan", "curve"])
+def test_a_command_of_a_functional_refuses_a_config_without_one(command, tmp_path, capsys):
+    bare = [line for line in D2_CONFIG.splitlines() if not line.startswith("functional.")]
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text("\n".join(bare) + f'\ncommand = "{command}"\nout = "{tmp_path / "o"}"\n')
+    # named on the command line or by the config's command key
+    for argv in ([command, "--config", str(cfg)], ["run", "--config", str(cfg)]):
+        assert main(argv) == 1
+        (record,) = _error_records(capsys)
+        assert record["message"] == f"{command} requires functional.* keys in the config"
+        assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_refuses_a_point_tail_on_grids_that_need_not_double(tmp_path, capsys):
+    # m_n = 1 for every n: the discarded l1 tail sum alpha_n / (2 M_n) diverges
+    grids = D1_CONFIG.replace('m.kind = "linear"\nm.k = 2', 'm.kind = "constant"\nm.k = 1')
+    cfg = tmp_path / "k1.cfg"
+    cfg.write_text(grids.replace("n_max = 8", "n_max = 2"))
+    out = tmp_path / "o"
+    argv = ["evaluate", "--config", str(cfg), "--t", "2/3", "--level", "2", "--out", str(out)]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "invalid" and record["exit_code"] == 2
+    assert "m_n >= 2 for every n > n_max = 2" in record["message"]
+    assert not out.exists()
+
+
 def test_cache_key_carries_engine_version(d1_config, tmp_path, monkeypatch):
     import sawproj.cli
 

@@ -139,6 +139,24 @@ def test_independence_budget_is_checked_before_any_event(d1, monkeypatch):
         sp.independence_check(d1, (0, 2))
 
 
+@pytest.mark.parametrize("group", [(3, 3), (4, 2, 4)])
+def test_independence_checks_take_a_group_as_independence_check_does(d1, group):
+    # a repeated level is one event, so (3, 3) meets in 2 alpha_3, not 4 alpha_3**2
+    (res,) = independence_checks(d1, [group])
+    assert res == sp.independence_check(d1, group)
+    assert res.levels == tuple(sorted(set(group))) and res.multiplicative
+
+
+@pytest.mark.parametrize("group", [(), (1, 2, 3, 4, 5)], ids=["empty", "five"])
+def test_independence_checks_refuse_a_group_before_any_event(d1, group, monkeypatch):
+    def no_event(*args):
+        raise AssertionError("an event was built before the group check")
+
+    monkeypatch.setattr(sp.events, "event_set", no_event)
+    with pytest.raises(DomainError, match="between one and four levels"):
+        independence_checks(d1, [(1, 2), group])
+
+
 def test_event_budget_admits_an_event_of_exactly_its_size(d1):
     components = d1.grid_size(2) + 1  # the level-3 event's component count
     check_event_levels(d1, (3,), components)

@@ -32,8 +32,8 @@ def test_cell_lengths_sum_to_one(d1):
         assert d1.grid_size(n) == d1.grid_size(n - 1) * d1.refinement_factor(n)
 
 
-EVEN = (CHECK_EVEN_REFINEMENT, True, "all refinement factors even")
-INTEGER = (CHECK_ALPHA_M_INTEGER, True, "alpha_n * m_n is a positive integer for all n")
+EVEN = (CHECK_EVEN_REFINEMENT, True, "refinement factors m_n even for n <= n_max")
+INTEGER = (CHECK_ALPHA_M_INTEGER, True, "alpha_n * m_n is a positive integer for n <= n_max")
 L2_TAIL = (CHECK_TAIL_CERTIFIED, True, "squared-l2 tail certified")
 L1_TAIL = (CHECK_TAIL_CERTIFIED, True, "l1 tail certified")
 
@@ -162,6 +162,36 @@ def test_point_tail_bounds_step_by_one_exact_term(d1, d2):
             l1, l2sq = params.point_tail_l1_upper, params.point_tail_l2sq_upper
             assert l1(level - 1) - l1(level) == step
             assert l2sq(level - 1) - l2sq(level) == step**2
+
+
+def test_refinement_rules_state_whether_their_grids_double_past_a_level():
+    assert sp.linear_refinement(1).doubles_past(1)  # m_n = n >= 2 for n > 1
+    assert sp.constant_refinement(2).doubles_past(5)
+    assert not sp.constant_refinement(1).doubles_past(5)
+    assert not sp.explicit_refinement([2, 2, 1, 2]).doubles_past(2)  # m_3 = 1
+    assert sp.explicit_refinement([1, 2, 2]).doubles_past(1)
+    assert sp.explicit_refinement([1, 1]).doubles_past(2)  # past its list: assumed
+
+
+@pytest.mark.parametrize("m", [sp.constant_refinement(1), sp.explicit_refinement([2, 2, 1])])
+def test_point_tails_refuse_grids_that_need_not_double(m):
+    # with m_n = 1 past n_max the discarded l1 tail sum alpha_n / (2 M_n) diverges
+    from sawproj.diagnostics import _SecantConstants
+
+    params = sp.ParameterSet(sp.harmonic(F(1, 2)), m, 2, "L2")
+    calls = (
+        lambda: params.point_tail_l1_upper(2),
+        lambda: params.point_tail_l2sq_upper(0),
+        lambda: sp.truncated_point(params, 2, F(2, 3)),
+        lambda: sp.hausdorff_upper(params, 2, 1),
+        lambda: _SecantConstants.of(params),
+    )
+    for call in calls:
+        with pytest.raises(CertificationError, match="m_n >= 2 for every n > n_max = 2"):
+            call()
+    # the same grids doubling past n_max are certified
+    doubling = params._replace(m=sp.constant_refinement(2))
+    assert doubling.point_tail_l1_upper(2) == F(1, 48)  # sup route: alpha_3 / (2 M_2)
 
 
 # each entry point's lowest level (0 from grid_size, 1 from refinement_factor) and its call

@@ -114,6 +114,10 @@ def _pinned_documents():
     yield "turned unnamed", functional_to_config(direction_functional(unnamed, F(1, 2), F(-3)))
     turned = direction_functional(sp.inverse_square_functional(), F(3), F(-2))
     yield "turned F1", functional_to_config(turned)
+    # an explicit rule's values key is written even when it holds no values
+    yield "empty explicit functional", functional_to_config(
+        sp.Functional(alpha0=F(1, 5), rule=sp.explicit([]))
+    )
 
 
 # recorded before the config writer moved into records.py; a change here changes
@@ -129,12 +133,67 @@ PINNED_CONFIG_HASHES = {
     "unnamed functional": "3a86824a47a9de86e307426b8fe49cb2f1f32a2a345320745da9be54dd2a3915",
     "turned unnamed": "743c9260f84d433c28ac1739e9364631fc583c88aa6f311d3f1f837ccc4e2950",
     "turned F1": "60cb421f5055dce37adaa212c19379ddc5ca18d45ca3aa643ba371ce0dd31631",
+    "empty explicit functional":
+        "4b93261953c53b1a9af39379e6e6db369b490475fe309142585b93acabe4c918",
 }
 
 
 def test_config_document_hashes_are_pinned():
     hashes = {label: content_hash(doc) for label, doc in _pinned_documents()}
     assert hashes == PINNED_CONFIG_HASHES
+
+
+PARAMS_DOC = {
+    "alpha.kind": "harmonic", "alpha.a": "1/2", "m.kind": "linear", "m.k": 2, "n_max": 3,
+    "model": "L2",
+}
+FUNCTIONAL_DOC = {
+    "functional.alpha0": "1/2", "functional.rule.kind": "inverse_square",
+    "functional.rule.a": "1/4",
+}
+GEOMETRIC = {"kind": "geometric", "a": "1/2", "r": "1/3"}
+
+
+def _with(doc: dict, prefix: str, section: dict) -> dict:
+    """doc with the keys under prefix replaced by section's."""
+    kept = {k: v for k, v in doc.items() if not k.startswith(prefix)}
+    return {**kept, **{prefix + k: v for k, v in section.items()}}
+
+
+# every required key of every section and kind, in a document that holds all the others
+REQUIRED_KEYS = [
+    (params_from_config, PARAMS_DOC, key)
+    for key in ("alpha.kind", "alpha.a", "m.kind", "m.k", "n_max", "model")
+] + [
+    (params_from_config, _with(PARAMS_DOC, "alpha.", GEOMETRIC), "alpha.r"),
+    (params_from_config, _with(PARAMS_DOC, "alpha.", {"kind": "inverse_square", "a": "1"}),
+     "alpha.a"),
+    (params_from_config, _with(PARAMS_DOC, "m.", {"kind": "constant", "k": 2}), "m.k"),
+] + [
+    (functional_from_config, FUNCTIONAL_DOC, key)
+    for key in ("functional.alpha0", "functional.rule.kind", "functional.rule.a")
+] + [
+    (functional_from_config, _with(FUNCTIONAL_DOC, "functional.rule.", GEOMETRIC),
+     "functional.rule.r"),
+    (functional_from_config,
+     _with(FUNCTIONAL_DOC, "functional.rule.", {"kind": "harmonic", "a": "1"}),
+     "functional.rule.a"),
+]
+
+
+def _required_id(case) -> str:
+    """The key, and the kind of its section when it has one."""
+    _, doc, key = case
+    kind = doc.get(key.rpartition(".")[0] + ".kind")
+    return key if kind is None else f"{key}-{kind}"
+
+
+@pytest.mark.parametrize("read, doc, key", REQUIRED_KEYS, ids=map(_required_id, REQUIRED_KEYS))
+def test_a_missing_required_key_is_refused_by_name(read, doc, key):
+    read(doc)  # whole, the document is read
+    with pytest.raises(ConfigError) as err:
+        read({k: v for k, v in doc.items() if k != key})
+    assert str(err.value) == f"missing {key}"
 
 
 TERMS = st.fractions(min_value=0, max_value=4, max_denominator=50)

@@ -418,11 +418,22 @@ MUTANTS = (
         (TEST_DIAGNOSTICS + "test_intersection_budget_admits_a_meet_of_exactly_its_size",),
     ),
     Mutant(
-        "independence_check: four levels refused",
+        "independence_checks: four levels refused",
         EVENTS,
-        "if not 1 <= len(levels) <= 4:",
-        "if not 1 <= len(levels) < 4:",
+        "if not all(1 <= len(group) <= 4 for group in groups):",
+        "if not all(1 <= len(group) < 4 for group in groups):",
         (TEST_DIAGNOSTICS + "test_independence_of_four_levels",),
+    ),
+    Mutant(
+        "independence_checks: the group check dropped",
+        EVENTS,
+        "    if not all(1 <= len(group) <= 4 for group in groups):\n"
+        '        raise DomainError("between one and four levels are supported")\n',
+        "",
+        (
+            TEST_DIAGNOSTICS + "test_independence_checks_refuse_a_group_before_any_event[empty]",
+            TEST_DIAGNOSTICS + "test_independence_checks_refuse_a_group_before_any_event[five]",
+        ),
     ),
     Mutant(
         "event_window: 2 alpha_n = 1 refused",
@@ -514,6 +525,24 @@ MUTANTS = (
             TEST_SEQUENCES + "test_harmonic_l2sq_tail_bracket_against_partials[1]",
             TEST_PARAMS + "test_validate_presets_pass",
         ),
+    ),
+    Mutant(
+        "doubles_past: a constant rule of k = 1 read as doubling",
+        PARAMS,
+        "return self.k >= 2",
+        "return self.k >= 1",
+        (
+            TEST_PARAMS + "test_refinement_rules_state_whether_their_grids_double_past_a_level",
+            TEST_PARAMS + "test_point_tails_refuse_grids_that_need_not_double[m0]",
+            TEST_CLI + "test_evaluate_refuses_a_point_tail_on_grids_that_need_not_double",
+        ),
+    ),
+    Mutant(
+        "_REFINEMENT: the required m.k of a constant rule read as optional, as 0",
+        RECORDS,
+        '"constant": (_Key("k", _INT),),',
+        '"constant": (_Key("k", _INT, 0),),',
+        (TEST_RECORDS + "test_a_missing_required_key_is_refused_by_name[m.k-constant]",),
     ),
     Mutant(
         "ParameterSet._point_head: the exact head starts at the level, not past it",
